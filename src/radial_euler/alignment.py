@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Region, sphere_area
 from .odeint import (ClassificationOutcome, EventSpec, IntegratorConfig,
-                     OdeSystem, Termination, Verdict, integrate)
+                     OdeSystem, Termination, Verdict, integrate, outcome_of)
 from .profiles import RadialProfile
 
 
@@ -448,10 +448,4 @@ def comparison_classify(kind: str, y0: float, C0: float, bounds: AlignmentBounds
     rec = integrate(system, state0, cfg, events=(basin,))
     diag["t_final"] = rec.t_final
     diag["final_state"] = rec.y_final
-    if rec.termination is Termination.BLOWUP_DETECTED:
-        return ClassificationOutcome(Verdict.FINITE_TIME_BLOWUP,
-                                     t_estimate=rec.blowup_time, diagnostics=diag)
-    if rec.termination is Termination.STEP_COLLAPSE:
-        return ClassificationOutcome(Verdict.INCONCLUSIVE, reason=rec.note,
-                                     diagnostics=diag)
-    return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
+    return outcome_of(rec, diag)

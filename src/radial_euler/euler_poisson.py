@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import CharState, Model, ModelParams, Region
 from .odeint import (ClassificationOutcome, EventSpec, IntegratorConfig, OdeSystem,
-                     Termination, TrajectoryRecord, Verdict, integrate)
+                     TailRecord, Termination, TrajectoryRecord, Verdict, integrate,
+                     integrate_lanes, outcome_of)
 from .profiles import RadialProfile, integrate_weighted
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -244,7 +245,8 @@ def _basin_event(params: ModelParams) -> Optional[EventSpec]:
     p >= 0 or p^2 < kappa rho / 2 (with rho away from vacuum), p' > 0
     until p reaches 0 and then stays nonnegative, so the Riccati channel
     is closed.  Burgers: the sharp region {p >= -kd, q >= -kd} is itself
-    invariant with bounded dynamics.
+    invariant with bounded dynamics.  The functionals are elementwise,
+    so one definition serves a single state and a batch of lanes.
     """
     model, n, kappa = params.model, params.n, params.kappa
     if model is Model.EULER_POISSON:
@@ -259,17 +261,18 @@ def _basin_event(params: ModelParams) -> Optional[EventSpec]:
 
             def g(t, y):
                 p, q, s, rho = y
-                riccati_safe = max(p, 0.5 * kappa * rho - p * p)
-                return min(_BASIN_QS - (abs(q) + abs(s)),
-                           rho - _BASIN_RHO_FLOOR,
-                           rho - 4.0 * nm1 * abs(s),
-                           riccati_safe)
+                riccati_safe = np.maximum(p, 0.5 * kappa * rho - p * p)
+                return np.minimum(np.minimum(np.minimum(
+                    _BASIN_QS - (np.abs(q) + np.abs(s)),
+                    rho - _BASIN_RHO_FLOOR),
+                    rho - 4.0 * nm1 * np.abs(s)),
+                    riccati_safe)
         return EventSpec("bounded-basin", g, direction=+1, terminal=True)
 
     kd = params.kappa_damp if model is Model.DAMPED_BURGERS else 0.0
 
     def g(t, y):
-        return min(y[0] + kd, y[1] + kd)
+        return np.minimum(y[0] + kd, y[1] + kd)
 
     return EventSpec("bounded-basin", g, direction=+1, terminal=True)
 
@@ -290,71 +293,44 @@ def _system_for(params: ModelParams) -> OdeSystem:
     raise ValueError(f"classify_ep does not handle model {params.model}")
 
 
-def _classify_once(y0: CharState, params: ModelParams,
-                   config: IntegratorConfig) -> ClassificationOutcome:
-    system = _system_for(params)
-    state0 = _initial_state(y0, params)
-    basin = _basin_event(params)
+def _check_state(y0: CharState, params: ModelParams):
+    if y0.rho < 0.0:
+        raise ValueError("rho0 must be nonnegative")
+    if params.model is Model.EULER_POISSON and params.n > 1.0:
+        if y0.s <= -params.c / params.n:
+            raise ValueError(f"s0 must exceed -c/n = {-params.c / params.n}")
 
-    diag = {"t_final": 0.0, "max_norm": float(np.max(np.abs(state0))),
-            "final_state": state0, "labels": system.labels}
 
-    if basin is not None and basin.func(0.0, state0) >= 0.0:
-        diag["early_exit"] = "initial state inside bounded basin"
-        return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
+# Below this many lanes a batch runs lane by lane through the scalar
+# integrator: on arrays this small NumPy's per-call overhead outweighs
+# the arithmetic it vectorises.
+_MIN_BATCH_LANES = 20
+# Cells per lockstep batch, which bounds the batch's memory.
+_MAX_BATCH_CELLS = 4096
 
-    cfg = config
-    periodic_check = (params.model is Model.EULER_POISSON and params.c > 0.0
-                      and params.n == 1.0)
-    if periodic_check:
-        # the (w, v) = (p/rho, 1/rho) dynamics is an exact linear oscillator
-        # with period 2 pi / sqrt(kappa c); one clean return certifies the orbit
-        period = 2.0 * math.pi / math.sqrt(params.kappa * params.c)
-        if 1.05 * period < config.t_max:
-            cfg = replace(config, t_max=1.05 * period)
 
+def _run_lanes(system: OdeSystem, states0: np.ndarray,
+               configs: list[IntegratorConfig], basin: Optional[EventSpec],
+               probe_t: Optional[float]) -> Iterable[TailRecord]:
+    """One tail record per column of ``states0``, each run under its config."""
+    if states0.shape[1] >= _MIN_BATCH_LANES:
+        return integrate_lanes(system, states0, configs, event=basin,
+                               probe_t=probe_t)
     events = (basin,) if basin is not None else ()
-    rec = integrate(system, state0, cfg, events=events)
+    return [TailRecord.of(integrate(system, states0[:, j], cfg, events=events),
+                          probe_t) for j, cfg in enumerate(configs)]
 
-    diag["t_final"] = rec.t_final
-    diag["max_norm"] = max(diag["max_norm"], rec.max_abs())
-    diag["final_state"] = rec.y_final
 
-    if rec.termination is Termination.EVENT:
-        diag["early_exit"] = f"entered bounded basin at t={rec.t_event:.6g}"
-        return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
-    if rec.termination is Termination.BLOWUP_DETECTED:
-        comp = system.label(rec.blowup_component)
-        diag["blowup_component"] = comp
-        return ClassificationOutcome(Verdict.FINITE_TIME_BLOWUP,
-                                     t_estimate=rec.blowup_time, diagnostics=diag)
-    if rec.termination is Termination.STEP_COLLAPSE:
-        return ClassificationOutcome(Verdict.INCONCLUSIVE, reason=rec.note,
-                                     diagnostics=diag)
-
-    if periodic_check and rec.t_final < config.t_max - 1e-9:
-        period = 2.0 * math.pi / math.sqrt(params.kappa * params.c)
-        y_ret = rec.sample(period)
-        scale = float(np.max(np.abs(state0))) + 1.0
-        if float(np.max(np.abs(y_ret - state0))) < 1e-5 * scale:
-            diag["early_exit"] = "closed periodic orbit after one period"
-            return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
-        # ambiguous return: integrate the full horizon instead
-        rec = integrate(system, state0, config, events=events)
-        diag["t_final"] = rec.t_final
-        diag["max_norm"] = max(diag["max_norm"], rec.max_abs())
-        diag["final_state"] = rec.y_final
-        if rec.termination is Termination.BLOWUP_DETECTED:
-            return ClassificationOutcome(Verdict.FINITE_TIME_BLOWUP,
-                                         t_estimate=rec.blowup_time,
-                                         diagnostics=diag)
-        if rec.termination is Termination.STEP_COLLAPSE:
-            return ClassificationOutcome(Verdict.INCONCLUSIVE, reason=rec.note,
-                                         diagnostics=diag)
-        if rec.termination is Termination.EVENT:
-            return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
-
-    return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
+def _settle(diag: dict, tail: TailRecord, system: OdeSystem) -> ClassificationOutcome:
+    """Fold one run into the diagnostics and map its termination to a verdict."""
+    diag["t_final"] = tail.t_final
+    diag["max_norm"] = max(diag["max_norm"], tail.max_abs)
+    diag["final_state"] = tail.y_final
+    if tail.termination is Termination.EVENT:
+        diag["early_exit"] = f"entered bounded basin at t={tail.t_event:.6g}"
+    elif tail.termination is Termination.BLOWUP_DETECTED:
+        diag["blowup_component"] = system.label(tail.blowup_component)
+    return outcome_of(tail, diag)
 
 
 def classify_ep(y0: CharState, params: ModelParams,
@@ -368,22 +344,92 @@ def classify_ep(y0: CharState, params: ModelParams,
     tolerances and a verdict flip is reported as INCONCLUSIVE, which is
     the honest answer near the sharp threshold surface.
     """
-    if y0.rho < 0.0:
-        raise ValueError("rho0 must be nonnegative")
-    if params.model is Model.EULER_POISSON and params.n > 1.0:
-        if y0.s <= -params.c / params.n:
-            raise ValueError(f"s0 must exceed -c/n = {-params.c / params.n}")
+    return classify_ep_many([y0], params, config, confirm)[0]
 
-    out = _classify_once(y0, params, config)
-    if not confirm or out.verdict is Verdict.INCONCLUSIVE:
-        return out
-    check = _classify_once(y0, params, config.tightened(0.1))
-    if check.verdict is not out.verdict:
-        return ClassificationOutcome(
-            Verdict.INCONCLUSIVE,
-            reason="classification flips under 10x tighter tolerances",
-            diagnostics=out.diagnostics)
-    return out
+
+def classify_ep_many(states: Sequence[CharState], params: ModelParams,
+                     config: IntegratorConfig = DEFAULT_CONFIG,
+                     confirm: bool = True) -> list[ClassificationOutcome]:
+    """:func:`classify_ep` for every state, with all runs in lockstep.
+
+    Each state's run, and with ``confirm`` its 10x-tightened re-run, is
+    one lane of a single :func:`integrate_lanes` batch; the rare
+    ambiguous one-period returns re-run to the full horizon as a second
+    batch.  Lanes are independent, so every outcome is exactly the one
+    :func:`classify_ep` gives for that state alone.
+    """
+    for y0 in states:
+        _check_state(y0, params)
+    if len(states) > _MAX_BATCH_CELLS:
+        return [out for lo in range(0, len(states), _MAX_BATCH_CELLS)
+                for out in classify_ep_many(states[lo:lo + _MAX_BATCH_CELLS],
+                                            params, config, confirm)]
+    if not states:
+        return []
+    system = _system_for(params)
+    basin = _basin_event(params)
+    x0 = np.array([_initial_state(y0, params) for y0 in states]).T
+    norm0 = np.max(np.abs(x0), axis=0)
+    passes = (config, config.tightened(0.1)) if confirm else (config,)
+
+    def start_diag(cell):
+        return {"t_final": 0.0, "max_norm": float(norm0[cell]),
+                "final_state": x0[:, cell], "labels": system.labels}
+
+    first_run = passes
+    period = None
+    if (params.model is Model.EULER_POISSON and params.c > 0.0
+            and params.n == 1.0):
+        # the (w, v) = (p/rho, 1/rho) dynamics is an exact linear oscillator
+        # with period 2 pi / sqrt(kappa c); one clean return certifies the orbit
+        period = 2.0 * math.pi / math.sqrt(params.kappa * params.c)
+        first_run = tuple(replace(cfg, t_max=1.05 * period)
+                          if 1.05 * period < cfg.t_max else cfg for cfg in passes)
+
+    inside = (basin.func(0.0, x0) >= 0.0 if basin is not None
+              else np.zeros(len(states), dtype=bool))
+    run_cells = np.flatnonzero(~inside)
+    lane_pass = np.repeat(np.arange(len(passes)), len(run_cells)).tolist()
+    lane_cell = np.tile(run_cells, len(passes)).tolist()
+    tails = _run_lanes(system, x0[:, lane_cell],
+                       [first_run[k] for k in lane_pass], basin, period)
+    runs = [[None] * len(states) for _ in passes]
+    ambiguous = []
+    for k, cell, tail in zip(lane_pass, lane_cell, tails):
+        diag = start_diag(cell)
+        out = _settle(diag, tail, system)
+        if (period is not None and tail.termination is Termination.REACHED_HORIZON
+                and tail.t_final < passes[k].t_max - 1e-9):
+            scale = float(norm0[cell]) + 1.0
+            if float(np.max(np.abs(tail.probe - x0[:, cell]))) >= 1e-5 * scale:
+                ambiguous.append((k, cell, diag))
+                continue
+            diag["early_exit"] = "closed periodic orbit after one period"
+        runs[k][cell] = out
+    if ambiguous:
+        # ambiguous return: integrate the full horizon instead
+        tails = _run_lanes(system, x0[:, [cell for _, cell, _ in ambiguous]],
+                           [passes[k] for k, _, _ in ambiguous], basin, None)
+        for (k, cell, diag), tail in zip(ambiguous, tails):
+            runs[k][cell] = _settle(diag, tail, system)
+
+    outcomes = []
+    for cell in range(len(states)):
+        if inside[cell]:
+            diag = start_diag(cell)
+            diag["early_exit"] = "initial state inside bounded basin"
+            outcomes.append(ClassificationOutcome(Verdict.GLOBAL_BOUNDED,
+                                                  diagnostics=diag))
+            continue
+        out = runs[0][cell]
+        if (confirm and out.verdict is not Verdict.INCONCLUSIVE
+                and runs[1][cell].verdict is not out.verdict):
+            out = ClassificationOutcome(
+                Verdict.INCONCLUSIVE,
+                reason="classification flips under 10x tighter tolerances",
+                diagnostics=out.diagnostics)
+        outcomes.append(out)
+    return outcomes
 
 
 @dataclass

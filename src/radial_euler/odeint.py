@@ -19,9 +19,10 @@ integration matter here:
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +39,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
 
 _EVENT_TIME_TOL = 1e-10
+# trailing accepted samples the blowup-time fit reads
+_BLOWUP_TAIL = 12
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,37 @@ class TrajectoryRecord:
                 + h01[:, None] * self.ys[idx + 1] + (h11 * h)[:, None] * self.fs[idx + 1])
 
 
+@dataclass(slots=True)
+class TailRecord:
+    """How one run ended, without its trajectory.
+
+    Holds what a classification reads: the termination with its final
+    time and state, the largest |y_i| over the run, the event time or the
+    extrapolated singularity time, and, for a run that reached its
+    horizon past ``probe_t``, the dense-output sample there.
+    """
+
+    termination: Termination
+    t_final: float
+    y_final: np.ndarray
+    max_abs: float
+    note: str = ""
+    t_event: Optional[float] = None
+    blowup_time: Optional[float] = None
+    blowup_component: Optional[int] = None
+    probe: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, rec: TrajectoryRecord, probe_t: Optional[float] = None) -> "TailRecord":
+        probe = None
+        if (probe_t is not None and rec.termination is Termination.REACHED_HORIZON
+                and rec.ts[0] <= probe_t < rec.t_final):
+            probe = rec.sample(probe_t)
+        return cls(rec.termination, rec.t_final, rec.y_final, rec.max_abs(),
+                   rec.note, rec.t_event, rec.blowup_time, rec.blowup_component,
+                   probe)
+
+
 class Verdict(enum.Enum):
     GLOBAL_BOUNDED = "global-bounded"
     FINITE_TIME_BLOWUP = "finite-time-blowup"
@@ -175,6 +209,24 @@ class ClassificationOutcome:
     @property
     def is_blowup(self) -> bool:
         return self.verdict is Verdict.FINITE_TIME_BLOWUP
+
+
+def outcome_of(run, diagnostics: dict) -> ClassificationOutcome:
+    """The verdict a run's termination implies (``run``: a trajectory or tail record).
+
+    A detected blowup is finite-time blowup at the extrapolated time, a
+    step collapse is inconclusive with the integrator's note as the
+    reason, and a run that reached its horizon or a terminal
+    bounded-basin event is globally bounded.
+    """
+    if run.termination is Termination.BLOWUP_DETECTED:
+        return ClassificationOutcome(Verdict.FINITE_TIME_BLOWUP,
+                                     t_estimate=run.blowup_time,
+                                     diagnostics=diagnostics)
+    if run.termination is Termination.STEP_COLLAPSE:
+        return ClassificationOutcome(Verdict.INCONCLUSIVE, reason=run.note,
+                                     diagnostics=diagnostics)
+    return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diagnostics)
 
 
 def _hermite_point(t0, y0, f0, t1, y1, f1, t):
@@ -202,14 +254,14 @@ def _bisect_event(event, t0, y0, f0, t1, y1, f1, g0, g1):
     return t_e, _hermite_point(t0, y0, f0, t1, y1, f1, t_e)
 
 
-def _crossed(g0: float, g1: float, direction: int) -> bool:
-    if g0 == 0.0 or not np.isfinite(g0) or not np.isfinite(g1):
-        return False
+def _crossed(g0, g1, direction: int):
+    """Whether g changed sign over a step; elementwise when given lane arrays."""
+    valid = (g0 != 0.0) & np.isfinite(g0) & np.isfinite(g1)
     if direction > 0:
-        return g0 < 0.0 < g1 or (g0 < 0.0 and g1 == 0.0)
+        return valid & (g0 < 0.0) & (g1 >= 0.0)
     if direction < 0:
-        return g0 > 0.0 > g1 or (g0 > 0.0 and g1 == 0.0)
-    return (g0 < 0.0) != (g1 < 0.0) or g1 == 0.0
+        return valid & (g0 > 0.0) & (g1 <= 0.0)
+    return valid & (((g0 < 0.0) != (g1 < 0.0)) | (g1 == 0.0))
 
 
 def _blowup_time_estimate(ts, ys, comp):
@@ -222,7 +274,7 @@ def _blowup_time_estimate(ts, ys, comp):
     k = len(y_arr) - 1
     while k > 0 and math.copysign(1.0, y_arr[k - 1]) == sgn and mags[k - 1] < mags[k]:
         k -= 1
-    tail = slice(max(k, len(y_arr) - 12), len(y_arr))
+    tail = slice(max(k, len(y_arr) - _BLOWUP_TAIL), len(y_arr))
     tt, zz = t_arr[tail], 1.0 / mags[tail]
     if len(tt) < 2:
         return float(t_arr[-1])
@@ -368,6 +420,247 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
                        note=f"step budget exhausted at t={t}")
 
     return _finish(ts, ys, fs, Termination.REACHED_HORIZON, hits=hits)
+
+
+def _step_factors(err: np.ndarray) -> np.ndarray:
+    """0.9 * err ** -0.2 per lane, with the power taken in Python floats.
+
+    NumPy's vectorised ``power`` is not correctly rounded on every CPU,
+    and one ulp in a step factor is enough to move a trajectory off the
+    one :func:`integrate` takes.
+    """
+    return 0.9 * np.array(list(map(pow, err.tolist(), itertools.repeat(-0.2))))
+
+
+def _bisect_lanes(func, t0, y0, f0, t1, y1, f1, g0):
+    """:func:`_bisect_event` for many lanes at once, each halving its own bracket."""
+    a, b, ga = t0.copy(), t1.copy(), g0.copy()
+    open_ = b - a > _EVENT_TIME_TOL
+    while open_.any():
+        j = np.flatnonzero(open_)
+        m = 0.5 * (a[j] + b[j])
+        gm = func(m, _hermite_point(t0[j], y0[:, j], f0[:, j], t1[j], y1[:, j],
+                                    f1[:, j], m))
+        zero = gm == 0.0
+        left = (ga[j] < 0) != (gm < 0)
+        a[j] = np.where(zero | ~left, m, a[j])
+        b[j] = np.where(zero | left, m, b[j])
+        ga[j] = np.where(left, ga[j], gm)
+        open_[j] = ~zero & (b[j] - a[j] > _EVENT_TIME_TOL)
+    t_e = 0.5 * (a + b)
+    return t_e, _hermite_point(t0, y0, f0, t1, y1, f1, t_e)
+
+
+def integrate_lanes(system: OdeSystem, y0: np.ndarray,
+                    configs: Sequence[IntegratorConfig],
+                    event: Optional[EventSpec] = None,
+                    probe_t: Optional[float] = None) -> Iterator[TailRecord]:
+    """Integrate one copy of ``system`` per column of ``y0`` (dim x lanes) in lockstep.
+
+    Lane j starts at t = 0 from ``y0[:, j]``, follows ``configs[j]`` with
+    its own step size and accept/reject decisions, and ends on its own:
+    at its horizon, at the first sign change of the terminal ``event``
+    (located by per-lane bisection), at a detected blowup, or at a step
+    collapse.  Every lane repeats the arithmetic of :func:`integrate` in
+    the same order, so its tail equals ``TailRecord.of(integrate(system,
+    y0[:, j], configs[j], (event,)), probe_t)`` exactly.  For that, the
+    rhs and the event must work elementwise on (dim, k) arrays with the
+    same operations they apply to scalars, the rhs returning one (k,)
+    array per component.
+
+    Only the tail of each run is kept: the final state, the running
+    max-norm, the last samples the blowup-time fit reads, and the
+    dense-output sample at ``probe_t``.  Returns an iterator over the
+    lanes' tail records, in lane order.
+    """
+    f = system.rhs
+    d = system.dimension
+    y = np.array(y0, dtype=float)
+    if y.ndim != 2 or y.shape[0] != d:
+        raise ValueError(f"lane states must have shape ({d}, lanes)")
+    n = y.shape[1]
+    if len(configs) != n:
+        raise ValueError("need one IntegratorConfig per lane")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("initial state must be finite")
+
+    def rhs(t, y):
+        return np.array(f(t, y))
+
+    # per-lane settings, one row each
+    limits = np.array([[getattr(c, name) for c in configs] for name in
+                       ("rel_tol", "h_min", "h_max", "t_max", "magnitude_cap",
+                        "max_steps", "h_init")], dtype=float).reshape(7, n)
+    atol = np.array([np.broadcast_to(c.abs_tol, (d,)) for c in configs],
+                    dtype=float).T.reshape(d, n)
+
+    # The working arrays hold the running lanes only; ``lane`` maps them to
+    # the original lane, which indexes everything below so that retiring
+    # lanes never copies it.
+    ends = np.empty(n, dtype=object)       # Termination of each lane
+    t_end = np.zeros(n)
+    y_end = np.zeros((d, n))
+    max_abs = np.zeros(n)
+    blowup_time = np.zeros(n)
+    blowup_comp = np.zeros(n, dtype=int)
+    notes: dict[int, str] = {}
+    probe = np.zeros((d, n))
+    has_probe = np.zeros(n, dtype=bool)
+    # ring buffer of the trailing accepted samples
+    tb = np.zeros((_BLOWUP_TAIL, n))
+    yb = np.zeros((_BLOWUP_TAIL, d, n))
+    nb = np.ones(n, dtype=int)
+
+    lane = np.arange(n)
+    alive = np.ones(n, dtype=bool)
+    t = np.zeros(n)
+    vmax = np.max(np.abs(y), axis=0)
+    n_att = np.zeros(n)
+    tb[0], yb[0] = t, y
+
+    def close(mask, termination, t_f, y_f, note=None):
+        """Record the end of every lane in ``mask`` and retire it."""
+        if not mask.any():
+            return
+        i = lane[mask]
+        ends[i] = termination
+        t_end[i], y_end[:, i], max_abs[i] = t_f[mask], y_f[:, mask], vmax[mask]
+        if note is not None:
+            for j in np.flatnonzero(mask):
+                notes[lane[j]] = note(j)
+        alive[mask] = False
+
+    with np.errstate(all="ignore"):
+        k1 = rhs(t, y)
+        close(~np.all(np.isfinite(k1), axis=0), Termination.STEP_COLLAPSE, t, y,
+              note=lambda j: f"non-finite rhs at t={float(t[j])}")
+        g = event.func(t, y) if event is not None else None
+        rtol, h_min, h_max, t_max, cap, max_steps, h_init = limits
+        h = np.minimum(np.minimum(h_init, h_max), np.maximum(t_max - t, h_min))
+
+        while True:
+            if not alive.all():
+                lane, t, y, k1, g, h, n_att, vmax, limits, atol = (
+                    None if a is None else a[..., alive]
+                    for a in (lane, t, y, k1, g, h, n_att, vmax, limits, atol))
+                alive = np.ones(len(lane), dtype=bool)
+                rtol, h_min, h_max, t_max, cap, max_steps, _ = limits
+            if not len(lane):
+                break
+
+            close(n_att >= max_steps, Termination.STEP_COLLAPSE, t, y,
+                  note=lambda j: f"step budget exhausted at t={float(t[j])}")
+            close(alive & (t >= t_max), Termination.REACHED_HORIZON, t, y)
+            n_att += 1
+            h = np.where(h > t_max - t, t_max - t, h)
+            clamped = h < h_min
+            h = np.where(clamped, h_min, h)
+            t_new = t + h
+            close(alive & (t_new <= t), Termination.STEP_COLLAPSE, t, y,
+                  note=lambda j: f"time resolution exhausted at t={float(t[j])}")
+
+            k2 = rhs(t + _C2 * h, y + h * (_A21 * k1))
+            k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
+            k4 = rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+            k5 = rhs(t + _C5 * h,
+                     y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+            k6 = rhs(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3
+                                     + _A64 * k4 + _A65 * k5))
+            del k2
+            y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            k7 = rhs(t_new, y_new)
+
+            e = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+            del k3, k4, k5, k6
+            e = e / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+            e = e * e
+            err_acc = e[0]
+            for r in range(1, d):   # the scalar loop's summation order
+                err_acc = err_acc + e[r]
+            err = np.sqrt(err_acc / d)
+            ok = err <= 1.0
+
+            close(alive & ~ok & (clamped | (h <= h_min * 1.0001)),
+                  Termination.STEP_COLLAPSE, t, y,
+                  note=lambda j: f"step size collapsed at t={float(t[j])} "
+                                 f"(err={float(err[j]):.3g})")
+            shrink = np.flatnonzero(alive & ~ok)
+            if len(shrink):
+                e_r = err[shrink]
+                factor = np.full(len(shrink), 0.2)
+                finite = np.isfinite(e_r)
+                factor[finite] = np.maximum(0.2, _step_factors(e_r[finite]))
+                h[shrink] = np.maximum(h[shrink] * factor, h_min[shrink])
+
+            if event is not None:
+                g_new = event.func(t_new, y_new)
+                hit = alive & ok & _crossed(g, g_new, event.direction)
+                if hit.any():
+                    t_hit, y_hit = t_new.copy(), y_new.copy()
+                    t_hit[hit], y_hit[:, hit] = _bisect_lanes(
+                        event.func, t[hit], y[:, hit], k1[:, hit], t_new[hit],
+                        y_new[:, hit], k7[:, hit], g[hit])
+                    vmax = np.where(hit, np.maximum(vmax, np.max(np.abs(y_hit), axis=0)),
+                                    vmax)
+                    close(hit, Termination.EVENT, t_hit, y_hit)
+
+            step = alive & ok
+            mag = np.max(np.abs(y_new), axis=0)
+            vmax = np.where(step, np.maximum(vmax, mag), vmax)
+            js = np.flatnonzero(step)
+            i = lane[js]
+            slot = nb[i] % _BLOWUP_TAIL
+            tb[slot, i] = t_new[js]
+            yb[slot, :, i] = y_new[:, js].T
+            nb[i] += 1
+            if probe_t is not None:
+                at = step & (t <= probe_t) & (probe_t < t_new)
+                if at.any():
+                    probe[:, lane[at]] = _hermite_point(t[at], y[:, at], k1[:, at],
+                                                        t_new[at], y_new[:, at], k7[:, at],
+                                                        probe_t)
+                    has_probe[lane[at]] = True
+
+            big = step & (mag > cap)
+            if big.any():
+                comp = np.argmax(np.abs(y_new), axis=0)
+                cols = np.arange(len(lane))
+                feedback = y_new[comp, cols] * k7[comp, cols] > 0.0
+                blown = big & (feedback | (mag > 1e4 * cap))
+                for j in np.flatnonzero(blown):
+                    i = lane[j]
+                    m = min(nb[i], _BLOWUP_TAIL)
+                    slots = (nb[i] - m + np.arange(m)) % _BLOWUP_TAIL
+                    blowup_time[i] = _blowup_time_estimate(tb[slots, i], yb[slots, :, i],
+                                                           comp[j])
+                    blowup_comp[i] = comp[j]
+                close(blown, Termination.BLOWUP_DETECTED, t_new, y_new)
+
+            step &= alive
+            t = np.where(step, t_new, t)
+            y = np.where(step, y_new, y)
+            k1 = np.where(step, k7, k1)
+            if event is not None:
+                g = np.where(step, g_new, g)
+            js = np.flatnonzero(step)
+            e_a = err[js]
+            factor = np.full(len(js), 5.0)
+            nonzero = e_a != 0.0
+            factor[nonzero] = np.minimum(5.0, np.maximum(0.2, _step_factors(e_a[nonzero])))
+            h[js] = np.minimum(h[js] * factor, h_max[js])
+
+    def tail(i):
+        end = ends[i]
+        blown = end is Termination.BLOWUP_DETECTED
+        return TailRecord(
+            end, float(t_end[i]), y_end[:, i], float(max_abs[i]), notes.get(i, ""),
+            t_event=float(t_end[i]) if end is Termination.EVENT else None,
+            blowup_time=float(blowup_time[i]) if blown else None,
+            blowup_component=int(blowup_comp[i]) if blown else None,
+            probe=probe[:, i] if end is Termination.REACHED_HORIZON and has_probe[i]
+            else None)
+
+    return map(tail, range(n))
 
 
 def integrate_until_event(system: OdeSystem, y0: Sequence[float],

@@ -8,12 +8,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import AlignmentBounds, comparison_classify
-from .config import RunConfig, config_hash, parse_config_text, serialize_config
+from .config import ConfigError, RunConfig, config_hash
 from .core import CharState, Model, ModelParams
-from .euler_poisson import classify_ep
+from .euler_poisson import classify_ep, classify_ep_many
 from .odeint import ClassificationOutcome, IntegratorConfig, Verdict
 
 MAX_SWEEP_CELLS = 1_000_000
+
+# the config keys a sweep axis may vary, by model family
+_STATE_AXES = ("p0", "q0", "s0", "rho0")
+_ALIGNMENT_AXES = ("y0", "C0")
 
 VERDICT_CODES = {Verdict.GLOBAL_BOUNDED: 0,
                  Verdict.FINITE_TIME_BLOWUP: 2,
@@ -49,6 +53,14 @@ def bounds_from(cfg: RunConfig) -> AlignmentBounds:
                                     nu=a["nu"], C0=a["C0"])
 
 
+def _state_from(cfg: RunConfig, overrides: dict) -> CharState:
+    st = cfg["state"]
+    return CharState(p=overrides.get("p0", st["p0"]),
+                     q=overrides.get("q0", st["q0"]),
+                     s=overrides.get("s0", st["s0"]),
+                     rho=overrides.get("rho0", st["rho0"]))
+
+
 def classify_from_config(cfg: RunConfig,
                          overrides: dict | None = None) -> ClassificationOutcome:
     """Classify the configured initial state, with optional axis overrides.
@@ -66,12 +78,8 @@ def classify_from_config(cfg: RunConfig,
         bounds = bounds_from(cfg)
         return comparison_classify(a["kind"], y0, c0, bounds, params.n,
                                    config=integ, side=a["side"])
-    st = cfg["state"]
-    state = CharState(p=overrides.get("p0", st["p0"]),
-                      q=overrides.get("q0", st["q0"]),
-                      s=overrides.get("s0", st["s0"]),
-                      rho=overrides.get("rho0", st["rho0"]))
-    return classify_ep(state, params, integ, confirm=cfg["integrator"]["confirm"])
+    return classify_ep(_state_from(cfg, overrides), params, integ,
+                       confirm=cfg["integrator"]["confirm"])
 
 
 @dataclass
@@ -107,22 +115,43 @@ class SweepResult:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-_WORKER_CFG: RunConfig | None = None
+def _check_axes(cfg: RunConfig):
+    s = cfg["sweep"]
+    alignment = model_params_from(cfg).model is Model.EULER_ALIGNMENT
+    allowed = _ALIGNMENT_AXES if alignment else _STATE_AXES
+    for key in ("axis1", "axis2"):
+        if s[key] not in allowed:
+            raise ConfigError(f"[sweep] {key} = {s[key]!r} is not a sweep axis of "
+                              f"kind {cfg['model']['kind']}; expected one of "
+                              f"{', '.join(allowed)}")
+    if s["axis1"] == s["axis2"]:
+        raise ConfigError(f"[sweep] axis1 and axis2 are both {s['axis1']!r}")
 
 
-def _init_worker(cfg_text: str):
-    global _WORKER_CFG
-    _WORKER_CFG = parse_config_text(cfg_text)
-
-
-def _sweep_cell(cell) -> int:
-    name1, v1, name2, v2 = cell
-    out = classify_from_config(_WORKER_CFG, {name1: v1, name2: v2})
-    return VERDICT_CODES[out.verdict]
+def _sweep_rows(job) -> list[int]:
+    """Row-major codes of the cells (axis1 rows) x (axis2 columns)."""
+    cfg, rows, cols = job
+    name1, name2 = cfg["sweep"]["axis1"], cfg["sweep"]["axis2"]
+    cells = ({name1: float(v1), name2: float(v2)} for v1 in rows for v2 in cols)
+    params = model_params_from(cfg)
+    if params.model is Model.EULER_ALIGNMENT:
+        outs = [classify_from_config(cfg, cell) for cell in cells]
+    else:
+        outs = classify_ep_many([_state_from(cfg, cell) for cell in cells], params,
+                                integrator_from(cfg),
+                                confirm=cfg["integrator"]["confirm"])
+    return [VERDICT_CODES[out.verdict] for out in outs]
 
 
 def run_sweep(cfg: RunConfig, threads: int = 1) -> SweepResult:
-    """Row-major sweep over the two configured axes; deterministic output."""
+    """Row-major sweep over the two configured axes; deterministic output.
+
+    The grid is split into ``threads`` contiguous blocks of rows, each
+    classified in one batch, by its own worker process when there are
+    several.  Cells are independent, so the codes do not depend on the
+    split.
+    """
+    _check_axes(cfg)
     s = cfg["sweep"]
     axis1 = np.linspace(s["axis1_min"], s["axis1_max"], s["axis1_steps"])
     axis2 = np.linspace(s["axis2_min"], s["axis2_max"], s["axis2_steps"])
@@ -130,16 +159,14 @@ def run_sweep(cfg: RunConfig, threads: int = 1) -> SweepResult:
     if n_cells > MAX_SWEEP_CELLS:
         raise ValueError(f"sweep grid has {n_cells} cells "
                          f"(limit {MAX_SWEEP_CELLS}); refuse to run")
-    cells = [(s["axis1"], float(v1), s["axis2"], float(v2))
-             for v1 in axis1 for v2 in axis2]
-    if threads <= 1:
-        _init_worker(serialize_config(cfg))
-        codes = [_sweep_cell(c) for c in cells]
+    jobs = [(cfg, rows, axis2)
+            for rows in np.array_split(axis1, max(min(threads, len(axis1)), 1))]
+    if len(jobs) == 1:
+        blocks = [_sweep_rows(jobs[0])]
     else:
-        chunk = max(len(cells) // (threads * 24), 1)
-        with multiprocessing.Pool(threads, initializer=_init_worker,
-                                  initargs=(serialize_config(cfg),)) as pool:
-            codes = pool.map(_sweep_cell, cells, chunksize=chunk)
-    matrix = np.array(codes, dtype=int).reshape(len(axis1), len(axis2))
+        with multiprocessing.get_context("spawn").Pool(len(jobs)) as pool:
+            blocks = pool.map(_sweep_rows, jobs)
+    matrix = np.array([code for block in blocks for code in block],
+                      dtype=int).reshape(len(axis1), len(axis2))
     prov = f"config_sha256={config_hash(cfg)} tool=radial-euler"
     return SweepResult((s["axis1"], s["axis2"]), axis1, axis2, matrix, prov)

@@ -178,6 +178,37 @@ def test_sweep_oversize_grid_refused(tmp_path, capsys):
     assert "refuse" in capsys.readouterr().err
 
 
+EA_SWEEP_CFG = """
+[model]
+kind = euler-alignment
+n = 2
+
+[sweep]
+axis1 = y0
+axis1_min = -1.2
+axis1_max = -0.4
+axis1_steps = 3
+axis2 = C0
+axis2_min = 0.001
+axis2_max = 0.2
+axis2_steps = 3
+"""
+
+
+@pytest.mark.parametrize("base, old, new", [
+    (SWEEP_CFG, "axis1 = p0", "axis1 = pO"),       # typo of a state key
+    (SWEEP_CFG, "axis1 = p0", "axis1 = C0"),       # alignment key, EP model
+    (SWEEP_CFG, "axis2 = rho0", "axis2 = p0"),     # one axis twice
+    (EA_SWEEP_CFG, "axis1 = y0", "axis1 = p0"),    # state key, alignment model
+], ids=["typo", "alignment-key", "repeated", "state-key"])
+def test_sweep_bad_axis_refused(tmp_path, capsys, base, old, new):
+    path = write(tmp_path, "bad.cfg", base.replace(old, new))
+    rc = cli.main(["sweep", "--config", path, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "error: [sweep]" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_json_format(tmp_path, capsys):
     path = write(tmp_path, "s.cfg", SWEEP_CFG)
     rc = cli.main(["sweep", "--config", path, "--out", str(tmp_path),

@@ -6,13 +6,14 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from radial_euler import (CharState, IntegratorConfig, Model, ModelParams,
-                          Region, Verdict, classify_ep, compute_dcrit,
-                          compute_threshold_constants, constant,
+                          Region, Verdict, classify_ep, classify_ep_many,
+                          compute_dcrit, compute_threshold_constants, constant,
                           explicit_sigma_plus, gaussian_bump,
                           initial_s_from_density, qs_phase_portrait,
                           qshat_integrate, qshat_system, sigma_1d, wv_system)
+from radial_euler import euler_poisson
 from radial_euler.euler_poisson import integrate_qs
-from radial_euler.odeint import integrate
+from radial_euler.odeint import integrate, integrate_lanes
 
 EP1 = ModelParams(n=1, kappa=1, c=0)
 EP1C = ModelParams(n=1, kappa=1, c=1)
@@ -122,6 +123,84 @@ def test_inviscid_burgers_sharpness():
     assert classify_ep(CharState(p=0.0, q=0.1, rho=1.0), params).is_bounded
     assert classify_ep(CharState(p=-0.1, q=0.5, rho=1.0), params).is_blowup
     assert classify_ep(CharState(p=0.3, q=-0.05, rho=1.0), params).is_blowup
+
+
+def _grid(p0s, rho0s, **fixed):
+    return [CharState(p=float(p), rho=float(r), **fixed) for p in p0s for r in rho0s]
+
+
+def _exit_of(out, params):
+    if out.reason is not None:
+        return "confirm flip" if "flips" in out.reason else "step collapse"
+    early = out.diagnostics.get("early_exit", "")
+    for prefix, name in (("initial", "initial basin"), ("entered", "basin event"),
+                         ("closed", "one-period return")):
+        if early.startswith(prefix):
+            return name
+    if out.is_blowup:
+        return "blowup"
+    # with c > 0 in 1D the first run stops after one period, so reaching the
+    # full horizon means the ambiguous-return re-run happened
+    return "ambiguous return" if params.c > 0 else "horizon"
+
+
+def test_classify_many_matches_one_by_one(monkeypatch):
+    batches = []
+
+    def counted(system, y0, *args, **kwargs):
+        batches.append(y0.shape[1])
+        return integrate_lanes(system, y0, *args, **kwargs)
+
+    monkeypatch.setattr(euler_poisson, "integrate_lanes", counted)
+    tight = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
+    coarse = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5)
+    pinned = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, h_min=1e-2, h_init=1e-2)
+    one_d = _grid(np.linspace(-3, 1, 7), (0.5, 1.0, 2.0))
+    orbits = _grid(np.linspace(-1.5, 1.5, 6), np.linspace(0.6, 2.0, 6))
+    groups = [   # (params, config, states, lockstep batches)
+        (EP1, tight, one_d, 1),
+        (EP1, pinned, one_d, 1),
+        (EP1C, tight, orbits, 1),
+        # at coarse tolerances no one-period return closes, so every bounded
+        # cell re-runs to the horizon; (1.8, 2.125) flips under the confirm pass
+        (EP1C, coarse, orbits + [CharState(p=1.8, rho=2.125)], 2),
+        (ModelParams(n=3, kappa=1, c=0), tight,
+         _grid(np.linspace(-3, 1, 5), (0.5, 2.0), q=0.3, s=0.05)
+         + _grid(np.linspace(-3, 1, 5), (0.5, 2.0), q=-0.3, s=0.05), 1),
+        (ModelParams(n=3, kappa=1, model=Model.DAMPED_BURGERS, kappa_damp=0.5), tight,
+         [CharState(p=p, q=q, rho=1.0) for p in np.linspace(-1, 1, 9)
+          for q in (-0.7, -0.3, 0.3)], 1),
+    ]
+    seen = set()
+    for params, cfg, states, n_batches in groups:
+        batches.clear()
+        many = classify_ep_many(states, params, cfg)
+        assert len(batches) == n_batches
+        for state, out in zip(states, many):
+            ref = classify_ep(state, params, cfg)
+            assert (out.verdict, out.t_estimate, out.reason) == \
+                (ref.verdict, ref.t_estimate, ref.reason), state
+            diag, ref_diag = dict(out.diagnostics), dict(ref.diagnostics)
+            assert np.array_equal(diag.pop("final_state"), ref_diag.pop("final_state"))
+            assert diag == ref_diag, state
+            seen.add(_exit_of(out, params))
+    assert seen == {"initial basin", "basin event", "blowup", "one-period return",
+                    "ambiguous return", "horizon", "confirm flip", "step collapse"}
+
+
+def test_blowup_time_matches_closed_form_1d():
+    # c = 0: v = 1/rho obeys v'' = kappa along a characteristic, so
+    # v(t) = 1/rho0 + (p0/rho0) t + kappa t^2 / 2 and rho escapes at its first root
+    cells = [(p, r) for p in np.linspace(-4.0, 4.0, 25) for r in np.linspace(0.1, 4.0, 25)
+             if sigma_1d(p, r, 1.0, 0.0) is Region.SUPERCRITICAL]
+    outs = classify_ep_many([CharState(p=p, rho=r) for p, r in cells], EP1)
+    assert len(cells) == 168
+    for (p, r), out in zip(cells, outs):
+        v0, w0 = 1.0 / r, p / r
+        # smaller root of v0 + w0 t + t^2 / 2, written without cancellation
+        t_star = 2.0 * v0 / (-w0 + math.sqrt(w0 * w0 - 2.0 * v0))
+        assert out.is_blowup, (p, r)
+        assert abs(out.t_estimate - t_star) <= 1e-6 * t_star, (p, r)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from radial_euler import (EventSpec, IntegratorConfig, ModelParams, OdeSystem,
-                          Termination, estimate_decay_exponent, integrate,
-                          integrate_until_event, qs_system)
+                          TailRecord, Termination, estimate_decay_exponent,
+                          integrate, integrate_lanes, integrate_until_event,
+                          qs_system)
 from radial_euler.euler_poisson import integrate_qs
 
 RICCATI = OdeSystem(1, lambda t, y: (-y[0] * y[0],))
@@ -179,3 +180,46 @@ def test_initial_state_validation():
         integrate(RICCATI, [1.0, 2.0], IntegratorConfig())
     with pytest.raises(ValueError):
         integrate(RICCATI, [float("inf")], IntegratorConfig())
+
+
+def _same_tail(a, b):
+    assert (a.termination, a.note, a.t_final, a.max_abs, a.t_event,
+            a.blowup_time, a.blowup_component) == \
+        (b.termination, b.note, b.t_final, b.max_abs, b.t_event,
+         b.blowup_time, b.blowup_component)
+    assert np.array_equal(a.y_final, b.y_final)
+    assert (a.probe is None) == (b.probe is None)
+    assert a.probe is None or np.array_equal(a.probe, b.probe)
+
+
+def test_lanes_match_scalar_integrate():
+    # one batch, per-lane configs, every way a run can end
+    root = OdeSystem(1, lambda t, y: (np.sqrt(y[0]),))
+    cross = EventSpec("cross", lambda t, y: y[0] - 0.25, direction=-1)
+    cases = [
+        (RICCATI, 1.0, IntegratorConfig(t_max=30), "event"),
+        (RICCATI, 0.2, IntegratorConfig(t_max=30, rel_tol=1e-10, abs_tol=1e-12),
+         "reached-horizon"),
+        (RICCATI, -1.0, IntegratorConfig(t_max=30), "blowup-detected"),
+        (RICCATI, -1e-5, IntegratorConfig(t_max=1e6, magnitude_cap=1e300),
+         "time resolution"),
+        (RICCATI, -1.0, IntegratorConfig(t_max=30, h_min=1e-2, h_init=1e-2),
+         "step size collapsed"),
+        (RICCATI, 0.2, IntegratorConfig(t_max=1e6, max_steps=5), "budget"),
+        (root, -1.0, IntegratorConfig(t_max=5), "non-finite rhs"),
+        (root, 1.0, IntegratorConfig(t_max=5), "reached-horizon"),
+    ]
+    for system, event in ((RICCATI, cross), (root, None)):
+        sub = [(y, cfg, want) for s, y, cfg, want in cases if s is system]
+        events = (event,) if event is not None else ()
+        with np.errstate(invalid="ignore"):
+            lanes = list(integrate_lanes(system, np.array([[y for y, _, _ in sub]]),
+                                         [cfg for _, cfg, _ in sub], event=event,
+                                         probe_t=0.5))
+            scalar = [TailRecord.of(integrate(system, [y], cfg, events=events), 0.5)
+                      for y, cfg, _ in sub]
+        for lane, ref, (_, _, want) in zip(lanes, scalar, sub):
+            assert want in lane.termination.value or want in lane.note
+            if lane.termination is Termination.REACHED_HORIZON:
+                assert lane.probe is not None
+            _same_tail(lane, ref)
