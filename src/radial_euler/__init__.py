@@ -10,10 +10,10 @@ cross-validates everything against a characteristic-ensemble PDE solver.
 from .core import (CharState, Model, ModelParams, Region,
                    VelocityGradientSample, divergence, gap_consistency_check,
                    grad_u_matrix, spectral_gap, sphere_area)
-from .odeint import (ClassificationOutcome, EventSpec, IntegratorConfig,
-                     OdeSystem, TailRecord, Termination, TrajectoryRecord,
-                     Verdict, estimate_decay_exponent, integrate,
-                     integrate_lanes, integrate_until_event)
+from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
+                     IntegratorConfig, OdeSystem, TailRecord, Termination,
+                     TrajectoryRecord, Verdict, estimate_decay_exponent,
+                     integrate, integrate_lanes, integrate_until_event)
 from .profiles import (RadialProfile, ProfileKind, DENSITY_LIBRARY,
                        VELOCITY_LIBRARY, constant, gaussian_bump,
                        gaussian_velocity, indicator, integrate_weighted,

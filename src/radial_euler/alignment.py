@@ -24,8 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Region, sphere_area
-from .odeint import (ClassificationOutcome, EventSpec, IntegratorConfig,
-                     OdeSystem, Termination, Verdict, integrate, outcome_of)
+from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
+                     IntegratorConfig, OdeSystem, Termination, Verdict,
+                     integrate, outcome_of)
 from .profiles import RadialProfile
 
 
@@ -381,7 +382,7 @@ def enhanced_curve(kind: str, bounds: AlignmentBounds, n: float, x_max: float,
     xs = np.asarray(xs)
     vals = np.asarray(vals)
     if xs[-1] < x_max * (1 - 1e-9):
-        raise RuntimeError(f"curve integration stalled at x = {xs[-1]:.6g}")
+        raise IntegrationFailure(f"curve integration stalled at x = {xs[-1]:.6g}")
     keep = np.concatenate(([True], np.diff(xs) > 0))
     return ThresholdCurve(kind, xs[keep], vals[keep])
 

@@ -3,13 +3,18 @@
 All numeric output is bit-stable: floats print as %.12e, rows follow the
 configured axis order, and parallel sweeps reduce in deterministic
 order, so identical configs produce byte-identical files.  Exit codes:
-0 globally bounded / success, 1 usage or config error, 2 finite-time
-blowup (or crossing), 3 inconclusive.
+
+    0  globally bounded, or the command succeeded
+    1  usage or config error (including an unknown profile or influence name)
+    2  finite-time blowup (or a path crossing)
+    3  inconclusive: a verdict flipped under tighter tolerances, a step
+       collapsed, or a numerical method did not converge
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -18,20 +23,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .alignment import (CURVE_KINDS, INFLUENCE_LIBRARY, constant_influence,
-                        enhanced_curve, exponential_influence,
-                        power_law_influence)
+from .alignment import CURVE_KINDS, INFLUENCE_LIBRARY, enhanced_curve
 from .config import ConfigError, RunConfig, config_hash, parse_config
 from .core import Model
 from .euler_poisson import (compute_threshold_constants, explicit_sigma_plus,
                             qs_phase_portrait)
-from .odeint import Verdict
+from .odeint import IntegrationFailure, Verdict
 from .pde import diagnostics_series, simulate_ea, simulate_ep
-from .profiles import (constant, gaussian_bump, gaussian_velocity, indicator,
-                       linear_velocity, polynomial_decay, rexp_velocity,
-                       zero_velocity)
-from .sweep import (VERDICT_CODES, bounds_from, classify_from_config,
-                    integrator_from, model_params_from, run_sweep)
+from .profiles import DENSITY_LIBRARY, VELOCITY_LIBRARY
+from .sweep import (bounds_from, classify_from_config, integrator_from,
+                    model_params_from, run_sweep)
 
 log = logging.getLogger("radial_euler")
 
@@ -59,46 +60,32 @@ def _write(path: str, text: str):
     log.info("wrote %s", path)
 
 
+def _from_library(library: dict, key: str, name: str, **values):
+    """Call ``library[name]`` with those of ``values`` its parameters name."""
+    if name not in library:
+        raise ConfigError(f"{key} must be one of {sorted(library)}, got {name!r}")
+    factory = library[name]
+    accepted = inspect.signature(factory).parameters
+    return factory(**{k: v for k, v in values.items() if k in accepted})
+
+
 def _influence_from(cfg: RunConfig):
     a = cfg["alignment"]
-    name = a["phi"]
-    if name == "constant":
-        return constant_influence(a["phi_value"])
-    if name == "power-law":
-        return power_law_influence(a["phi_exponent"], a["phi_scale"])
-    if name == "exponential":
-        return exponential_influence(a["phi_scale"])
-    raise ConfigError(f"[alignment] phi must be one of {sorted(INFLUENCE_LIBRARY)} "
-                      f"for PDE runs, got {name!r}")
+    return _from_library(INFLUENCE_LIBRARY, "[alignment] phi", a["phi"],
+                         value=a["phi_value"], exponent=a["phi_exponent"],
+                         scale=a["phi_scale"])
 
 
 def _profiles_from(cfg: RunConfig):
     ini = cfg["initial"]
     nodes = ini["profile_nodes"]
-    r_max = ini["r_max"]
-    kind = ini["rho_profile"]
-    if kind == "gaussian-bump":
-        rho = gaussian_bump(ini["rho_amp"], ini["rho_width"], r_max, nodes)
-    elif kind == "indicator":
-        rho = indicator(ini["rho_amp"], ini["rho_radius"], nodes)
-    elif kind == "constant":
-        rho = constant(ini["rho_amp"], r_max, nodes)
-    elif kind == "polynomial-decay":
-        rho = polynomial_decay(ini["rho_amp"], ini["rho_width"], ini["rho_k"],
-                               r_max, nodes)
-    else:
-        raise ConfigError(f"unknown rho_profile {kind!r}")
-    ukind = ini["u_profile"]
-    if ukind == "linear":
-        u = linear_velocity(ini["u_amp"], rho.r_max, nodes)
-    elif ukind == "rexp":
-        u = rexp_velocity(ini["u_amp"], ini["u_width"], rho.r_max, nodes)
-    elif ukind == "gaussian":
-        u = gaussian_velocity(ini["u_amp"], ini["u_width"], rho.r_max, nodes)
-    elif ukind == "zero":
-        u = zero_velocity(rho.r_max, nodes)
-    else:
-        raise ConfigError(f"unknown u_profile {ukind!r}")
+    rho = _from_library(DENSITY_LIBRARY, "[initial] rho_profile",
+                        ini["rho_profile"], amp=ini["rho_amp"],
+                        width=ini["rho_width"], radius=ini["rho_radius"],
+                        k=ini["rho_k"], r_max=ini["r_max"], n_nodes=nodes)
+    u = _from_library(VELOCITY_LIBRARY, "[initial] u_profile", ini["u_profile"],
+                      amp=ini["u_amp"], width=ini["u_width"], r_max=rho.r_max,
+                      n_nodes=nodes)
     return rho, u
 
 
@@ -304,6 +291,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except IntegrationFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -27,9 +27,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import CharState, Model, ModelParams, Region
-from .odeint import (ClassificationOutcome, EventSpec, IntegratorConfig, OdeSystem,
-                     TailRecord, Termination, TrajectoryRecord, Verdict, integrate,
-                     integrate_lanes, outcome_of)
+from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
+                     IntegratorConfig, OdeSystem, TailRecord, Termination,
+                     TrajectoryRecord, Verdict, integrate, integrate_lanes,
+                     outcome_of)
 from .profiles import RadialProfile, integrate_weighted
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -182,10 +183,13 @@ def integrate_qs(params: ModelParams, q0: float, s0: float, t_end: float,
     if s0 <= -c / n:
         raise ValueError(f"s0 must exceed -c/n = {-c / n}")
 
+    qs_rhs = qs_system(params).rhs
+
     def rhs(tau, y):
         q, s, t = y
         w = math.sqrt(1.0 + q * q + kappa * (abs(s) + c))
-        return ((-q * q + kappa * s) / w, -(n * s + c) * q / w, 1.0 / w)
+        dq, ds = qs_rhs(tau, (q, s))
+        return (dq / w, ds / w, 1.0 / w)
 
     system = OdeSystem(3, rhs, labels=("q", "s", "t"))
     if config is None:
@@ -205,15 +209,14 @@ def integrate_qs(params: ModelParams, q0: float, s0: float, t_end: float,
     if rec.termination is Termination.BLOWUP_DETECTED:
         blowup_time = float(rec.y_final[2])
     elif rec.termination is Termination.STEP_COLLAPSE:
-        raise RuntimeError(f"regularized (q, s) integration collapsed: {rec.note}")
+        raise IntegrationFailure(f"regularized (q, s) integration collapsed: {rec.note}")
 
     # re-parametrize by real time, dropping stalled duplicates
     t_samples = rec.ys[:, 2]
     keep = np.concatenate((np.diff(t_samples) > 0, [True]))
     ts = t_samples[keep]
     ys = rec.ys[keep][:, :2]
-    fs = np.column_stack([-ys[:, 0] ** 2 + kappa * ys[:, 1],
-                          -(n * ys[:, 1] + c) * ys[:, 0]])
+    fs = np.column_stack(qs_rhs(None, ys.T))
     record_t = TrajectoryRecord(ts, ys, fs, rec.termination,
                                 event_name=rec.event_name, hits=rec.hits,
                                 note=rec.note)

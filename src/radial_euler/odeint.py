@@ -187,6 +187,10 @@ class TailRecord:
                    probe)
 
 
+class IntegrationFailure(RuntimeError):
+    """A numerical method that must reach its end point did not converge."""
+
+
 class Verdict(enum.Enum):
     GLOBAL_BOUNDED = "global-bounded"
     FINITE_TIME_BLOWUP = "finite-time-blowup"

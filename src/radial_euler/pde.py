@@ -23,11 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Model, ModelParams, divergence, spectral_gap, sphere_area
+from .core import Model, ModelParams, sphere_area
 from .odeint import IntegratorConfig, OdeSystem, Termination, integrate
 from .profiles import ProfileKind, RadialProfile, integrate_weighted
-from .euler_poisson import initial_s_from_density
-from .alignment import InfluenceSpec
+from .euler_poisson import burgers_system, ep_full_system, initial_s_from_density
+from .alignment import InfluenceSpec, _angular_rule
 
 
 class CrossingError(RuntimeError):
@@ -168,28 +168,23 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
 
 
 def _path_system(params: ModelParams) -> OdeSystem:
-    """Per-path characteristic state plus the path radius r' = r q."""
-    n, kappa, c = params.n, params.kappa, params.c
-    nm1 = n - 1.0
-    model = params.model
-    if model is Model.EULER_POISSON:
-        def rhs(t, y):
-            p, q, s, rho, r = y
-            return (-p * p + kappa * (rho - c - nm1 * s),
-                    -q * q + kappa * s,
-                    -(n * s + c) * q,
-                    -rho * (p + nm1 * q),
-                    r * q)
-    else:
-        kd = params.kappa_damp if model is Model.DAMPED_BURGERS else 0.0
+    """Per-path characteristic state (p, q, s, rho) plus the path radius r' = r q.
+
+    Burgers paths carry a frozen s slot, so both models share one layout;
+    the slot also counts in the step-error norm, which divides by the
+    dimension.
+    """
+    if params.model is Model.EULER_POISSON:
+        base = ep_full_system(params).rhs
 
         def rhs(t, y):
-            p, q, s, rho, r = y
-            return (-p * p - kd * p,
-                    -q * q - kd * q,
-                    0.0,
-                    -rho * (p + nm1 * q),
-                    r * q)
+            return (*base(t, y[:4]), y[4] * y[1])
+    else:
+        base = burgers_system(params).rhs
+
+        def rhs(t, y):
+            dp, dq, drho = base(t, (y[0], y[1], y[3]))
+            return (dp, dq, 0.0, drho, y[4] * y[1])
     return OdeSystem(5, rhs, labels=("p", "q", "s", "rho", "r"))
 
 
@@ -257,14 +252,6 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
 # Euler-alignment ensemble (globally coupled)
 
 
-def _angular_weights(n: int, order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    theta = 0.5 * math.pi * (x + 1.0)
-    w = 0.5 * math.pi * w * np.sin(theta) ** (n - 2)
-    w *= sphere_area(n - 1) / sphere_area(n)   # normalize: sum ~= 1 for phi = 1
-    return np.cos(theta), w
-
-
 def _particle_kernels(r: np.ndarray, phi: InfluenceSpec, n: int,
                       cos_theta: np.ndarray, w: np.ndarray):
     """Sphere-averaged kernel matrices K_phi[i,j], K_zeta[i,j] on the paths."""
@@ -303,7 +290,11 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
     n_steps = max(int(math.ceil(t_end / step)), 1)
     step = t_end / n_steps
 
-    cos_theta, w = (None, None) if n == 1 else _angular_weights(n, theta_order)
+    cos_theta, w = None, None
+    if n > 1:
+        theta, w = _angular_rule(n, theta_order)
+        # normalize: the weights sum to ~1 for phi = 1
+        cos_theta, w = np.cos(theta), w * (sphere_area(n - 1) / sphere_area(n))
 
     def deriv(r, u):
         k_phi, k_zeta = _particle_kernels(r, phi, n, cos_theta, w)
@@ -311,7 +302,8 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
         zeta = k_zeta @ (m * u)
         return u, zeta - psi * u, psi
 
-    snap_every = max(n_steps // max(n_snapshots - 1, 1), 1)
+    # the steps closest to an even split of [0, t_end] into n_snapshots times
+    snap_steps = set(np.rint(np.linspace(0, n_steps, n_snapshots)).astype(int).tolist())
     r, u = ens.r.copy(), ens.u.copy()
     snapshots = []
     blowup: Optional[BlowupReport] = None
@@ -344,7 +336,7 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
             i = int(np.argmax(~np.isfinite(u)))
             blowup = BlowupReport(t_new, "step-collapse", i, float(r[i]))
             break
-        if (k + 1) % snap_every == 0 or k + 1 == n_steps:
+        if k + 1 in snap_steps:
             take_snapshot(t_new, r, u)
     return SimulationResult(snapshots, blowup, params, n_paths)
 

@@ -25,7 +25,6 @@ from .core import sphere_area
 class ProfileKind(enum.Enum):
     DENSITY = "density"
     VELOCITY = "velocity"
-    POTENTIAL_SLOPE = "potential-slope"
 
 
 @dataclass
@@ -179,21 +178,21 @@ def gaussian_bump(amp: float = 1.0, width: float = 1.0, r_max: float = 6.0,
                          mass_exact=lambda n: amp * math.pi ** (n / 2.0) * width ** n)
 
 
-def indicator(height: float = 1.0, radius: float = 1.0,
+def indicator(amp: float = 1.0, radius: float = 1.0,
               n_nodes: int = 801) -> RadialProfile:
-    """rho = height on [0, radius]; mass = height * omega_{n-1} radius^n / n."""
-    r, v = _sample(lambda rr: np.full_like(rr, height), radius, n_nodes)
+    """rho = amp on [0, radius]; mass = amp * omega_{n-1} radius^n / n."""
+    r, v = _sample(lambda rr: np.full_like(rr, amp), radius, n_nodes)
     return RadialProfile(r, v, ProfileKind.DENSITY,
-                         mass_exact=lambda n: height * sphere_area(int(round(n)))
+                         mass_exact=lambda n: amp * sphere_area(int(round(n)))
                          * radius ** n / n)
 
 
-def constant(value: float = 1.0, r_max: float = 4.0,
+def constant(amp: float = 1.0, r_max: float = 4.0,
              n_nodes: int = 401) -> RadialProfile:
-    """Uniform density out to r_max (mass reported over the sampled ball)."""
-    r, v = _sample(lambda rr: np.full_like(rr, value), r_max, n_nodes)
+    """Uniform density amp out to r_max (mass reported over the sampled ball)."""
+    r, v = _sample(lambda rr: np.full_like(rr, amp), r_max, n_nodes)
     return RadialProfile(r, v, ProfileKind.DENSITY,
-                         mass_exact=lambda n: value * sphere_area(int(round(n)))
+                         mass_exact=lambda n: amp * sphere_area(int(round(n)))
                          * r_max ** n / n)
 
 
@@ -218,10 +217,10 @@ def polynomial_decay(amp: float = 1.0, width: float = 1.0, k: float = 4.0,
     return RadialProfile(r, v, ProfileKind.DENSITY, mass_exact=mass)
 
 
-def linear_velocity(rate: float = 1.0, r_max: float = 6.0,
+def linear_velocity(amp: float = 1.0, r_max: float = 6.0,
                     n_nodes: int = 801) -> RadialProfile:
-    """u(r) = rate * r (rigid expansion/compression)."""
-    r, v = _sample(lambda rr: rate * rr, r_max, n_nodes)
+    """u(r) = amp * r (rigid expansion/compression)."""
+    r, v = _sample(lambda rr: amp * rr, r_max, n_nodes)
     return RadialProfile(r, v, ProfileKind.VELOCITY)
 
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from radial_euler import cli
+from radial_euler.alignment import INFLUENCE_LIBRARY
 from radial_euler.config import (ConfigError, RunConfig, config_hash,
                                  parse_config_text, serialize_config)
 from radial_euler.odeint import ClassificationOutcome, Verdict
+from radial_euler.profiles import DENSITY_LIBRARY, VELOCITY_LIBRARY
 
 EP_SUB = """
 [model]
@@ -435,6 +437,75 @@ snapshots = 4
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["blowup"]["kind"] == "crossing"
     assert meta["blowup"]["time"] > 0
+
+
+SIM_SMALL = """
+[model]
+kind = {kind}
+n = 2
+
+[alignment]
+phi = {phi}
+
+[initial]
+rho_profile = {rho}
+u_profile = {u}
+profile_nodes = 101
+n_paths = 10
+
+[simulate]
+t_end = 1.0
+snapshots = 2
+"""
+
+
+@pytest.mark.parametrize("kind, phi, rho, u, library", [
+    ("euler-poisson", "constant", "top-hat", "linear", DENSITY_LIBRARY),
+    ("euler-poisson", "constant", "indicator", "swirl", VELOCITY_LIBRARY),
+    ("euler-alignment", "gaussian", "indicator", "linear", INFLUENCE_LIBRARY),
+    ("euler-alignment", "", "indicator", "linear", INFLUENCE_LIBRARY),
+], ids=["rho_profile", "u_profile", "phi", "phi-default"])
+def test_simulate_unknown_library_name(tmp_path, capsys, kind, phi, rho, u, library):
+    cfg = SIM_SMALL.format(kind=kind, phi=phi, rho=rho, u=u)
+    rc = cli.main(["simulate", "--config", write(tmp_path, "u.cfg", cfg),
+                   "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert str(sorted(library)) in err
+    assert not (tmp_path / "metadata.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("curves", """
+[model]
+kind = euler-alignment
+n = 2
+
+[alignment]
+psi_min = 0.1
+psi_max = 1.0
+nu = 0.05
+
+[curves]
+which = sigma_q_plus
+""", "curve integration stalled"),
+    ("phase-portrait", """
+[model]
+kind = euler-poisson
+n = 1.5
+
+[phase]
+seeds = -2.0:0.3
+t_end = 100
+""", "integration collapsed"),
+], ids=["curves", "phase-portrait"])
+def test_numerical_failure_is_inconclusive(tmp_path, capsys, command, cfg, message):
+    rc = cli.main([command, "--config", write(tmp_path, "f.cfg", cfg),
+                   "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and message in err
 
 
 # ---------------------------------------------------------------------------

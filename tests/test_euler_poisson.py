@@ -188,19 +188,53 @@ def test_classify_many_matches_one_by_one(monkeypatch):
                     "ambiguous return", "horizon", "confirm flip", "step collapse"}
 
 
-def test_blowup_time_matches_closed_form_1d():
-    # c = 0: v = 1/rho obeys v'' = kappa along a characteristic, so
-    # v(t) = 1/rho0 + (p0/rho0) t + kappa t^2 / 2 and rho escapes at its first root
+def _first_zero_1d(p0, rho0, c):
+    """First root of v = 1/rho, which obeys v'' = kappa (1 - c v) with kappa = 1."""
+    v0, w0 = 1.0 / rho0, p0 / rho0
+    if c == 0.0:
+        # v0 + w0 t + t^2 / 2, smaller root written without cancellation
+        return 2.0 * v0 / (-w0 + math.sqrt(w0 * w0 - 2.0 * v0))
+    # v = 1/c + amp cos(omega t - phase)
+    omega = math.sqrt(c)
+    a, b = v0 - 1.0 / c, w0 / omega
+    amp, phase = math.hypot(a, b), math.atan2(b, a)
+    alpha = math.acos(-1.0 / (c * amp))
+    return min(x for x in (phase - alpha, phase + alpha, phase - alpha + 2.0 * math.pi)
+               if x > 0.0) / omega
+
+
+@pytest.mark.parametrize("params, n_super", [(EP1, 168), (EP1C, 389)], ids=["c0", "c1"])
+def test_blowup_time_matches_closed_form_1d(params, n_super):
+    # along a characteristic rho escapes exactly when v = 1/rho reaches 0
+    c = params.c
     cells = [(p, r) for p in np.linspace(-4.0, 4.0, 25) for r in np.linspace(0.1, 4.0, 25)
-             if sigma_1d(p, r, 1.0, 0.0) is Region.SUPERCRITICAL]
-    outs = classify_ep_many([CharState(p=p, rho=r) for p, r in cells], EP1)
-    assert len(cells) == 168
+             if sigma_1d(p, r, 1.0, c) is Region.SUPERCRITICAL]
+    outs = classify_ep_many([CharState(p=p, rho=r) for p, r in cells], params)
+    assert len(cells) == n_super
     for (p, r), out in zip(cells, outs):
-        v0, w0 = 1.0 / r, p / r
-        # smaller root of v0 + w0 t + t^2 / 2, written without cancellation
-        t_star = 2.0 * v0 / (-w0 + math.sqrt(w0 * w0 - 2.0 * v0))
+        t_star = _first_zero_1d(p, r, c)
         assert out.is_blowup, (p, r)
         assert abs(out.t_estimate - t_star) <= 1e-6 * t_star, (p, r)
+
+
+@pytest.mark.parametrize("n, c, q0, s0", [(1, 0.0, 0.0, 0.0), (1, 1.0, 0.0, 0.0),
+                                          (3, 0.0, 0.3, 0.05)],
+                         ids=["1d-c0", "1d-c1", "3d"])
+def test_scaling_symmetry(n, c, q0, s0):
+    # t -> t / l maps solutions to solutions when (p, q) scale by l and
+    # (s, rho, c) by l^2, so the verdict holds and blowup comes l times sooner
+    def classify(l):
+        states = [CharState(p=l * p, q=l * q0, s=l * l * s0, rho=l * l * r)
+                  for p in np.linspace(-4.0, 4.0, 15) for r in np.linspace(0.1, 4.0, 15)]
+        return classify_ep_many(states, ModelParams(n=n, kappa=1, c=l * l * c))
+
+    base = classify(1.0)
+    assert any(out.is_blowup for out in base) and any(out.is_bounded for out in base)
+    for l in (2.0, 0.5, 3.0):
+        for ref, out in zip(base, classify(l)):
+            assert out.verdict is ref.verdict
+            if ref.is_blowup:
+                assert abs(out.t_estimate * l - ref.t_estimate) <= 1e-6 * ref.t_estimate
 
 
 # ---------------------------------------------------------------------------

@@ -262,3 +262,20 @@ def test_ea_diagnostics_bkm_accumulates():
     assert series["bkm_integral"][0] == 0.0
     assert np.all(np.diff(series["bkm_integral"]) >= 0.0)
     assert np.isfinite(series["bkm_integral"][-1])
+
+
+def test_ea_snapshot_count_and_times():
+    # the automatic step count here is not a multiple of 10 snapshot intervals
+    params = ModelParams(n=2, kappa=1, model=Model.EULER_ALIGNMENT)
+    rho0 = indicator(0.3, 1.0, n_nodes=201)
+    u0 = gaussian_velocity(0.4, 0.6, r_max=1.0, n_nodes=201)
+    phi = power_law_influence(0.5, 1.0)
+    res = simulate_ea(rho0, u0, phi, params, n_paths=20, t_end=25.0,
+                      n_snapshots=11)
+    psi_max = phi.sup_phi * float(np.sum(res.snapshots[0].masses))
+    n_steps = math.ceil(25.0 / min(0.1 / psi_max, 2.5))
+    assert n_steps % 10 != 0
+    step = 25.0 / n_steps
+    times = np.array([snap.time for snap in res.snapshots])
+    assert len(times) == 11
+    assert np.all(np.abs(times - np.linspace(0.0, 25.0, 11)) <= step)
