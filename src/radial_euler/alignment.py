@@ -200,18 +200,32 @@ def _kernel_integral(rho: RadialProfile, phi: InfluenceSpec, r: float, n: int,
     return sphere_area(n - 1) * float(np.dot(fs * s ** (n - 1), inner))
 
 
-def _refined_kernel(rho, phi, r, n, u, rel_tol=1e-9, abs_floor=None):
-    """Double both quadrature orders until the value settles."""
-    if abs_floor is None:
-        abs_floor = 1e-10 * (phi.sup_phi * max(abs(v := float(np.max(np.abs(rho.values)))), 1.0)
-                             * max(rho.r_max, 1.0) + 1.0)
-    prev = None
+# Two quadrature orders also agree when they differ by rounding only: this
+# fraction of the kernel's natural size, all that a vanishing value (zeta
+# at r = 0 or for constant phi) can settle to.
+_ROUNDING_FLOOR = 1e-13
+
+
+def _refined_kernel(rho, phi, r, n, u, rel_tol=1e-9):
+    """Double both quadrature orders until the value settles.
+
+    Successive orders agree when they differ by at most ``rel_tol`` of the
+    value, or by rounding: ``_ROUNDING_FLOOR`` of sup(phi) max|rho|
+    max(r_max, 1) (times max|u| for zeta).  Raises IntegrationFailure when
+    the (2, 48), (4, 96) and (8, 192) orders never agree.
+    """
+    size = phi.sup_phi * max(float(np.max(np.abs(rho.values))), 1.0) * max(rho.r_max, 1.0)
+    if u is not None:
+        size *= max(float(np.max(np.abs(u.values))), 1.0)
+    floor = _ROUNDING_FLOOR * (size + 1.0)
+    val = None
     for radial_order, theta_order in ((2, 48), (4, 96), (8, 192)):
-        val = _kernel_integral(rho, phi, r, n, u, radial_order, theta_order)
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), abs_floor):
+        prev, val = val, _kernel_integral(rho, phi, r, n, u, radial_order, theta_order)
+        if prev is not None and abs(val - prev) <= max(rel_tol * abs(val), floor):
             return val
-        prev = val
-    return prev
+    raise IntegrationFailure(
+        f"kernel quadrature at r={r:.6g} did not settle: orders (4, 96) and "
+        f"(8, 192) differ by {abs(val - prev):.3g} (rel_tol {rel_tol:g})")
 
 
 def eval_psi(rho: RadialProfile, phi: InfluenceSpec, r: float, n: int,

@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -181,6 +182,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
         result = simulate_ep(rho0, u0, params, n_paths=ini["n_paths"],
                              config=integrator_from(cfg), t_end=sim["t_end"],
                              n_snapshots=sim["snapshots"])
+    clock = time.perf_counter()
     prov = _prov(cfg)
     for i, snap in enumerate(result.snapshots):
         _write(os.path.join(out_dir, f"snapshot_{i:03d}.csv"),
@@ -202,6 +204,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
                           "radius": _json_num(result.blowup.radius)}
     _write(os.path.join(out_dir, "metadata.json"),
            json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    log.info("wrote %d files in %.3f s", len(result.snapshots) + 2,
+             time.perf_counter() - clock)
     print(os.path.join(out_dir, "metadata.json"))
     if result.blowup is not None:
         return EXIT_INCONCLUSIVE if result.blowup.kind == "step-collapse" \

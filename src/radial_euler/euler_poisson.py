@@ -131,16 +131,20 @@ def wv_system(params: ModelParams, qs_record: TrajectoryRecord,
     return OdeSystem(2, rhs, labels=("w", "v"))
 
 
-def initial_s_from_density(rho0: RadialProfile, c: float, r: float,
-                           n: float) -> float:
+def initial_s_from_density(rho0: RadialProfile, c: float, r, n: float):
     """s(r) = r^-n * integral_0^r tau^(n-1) (rho0(tau) - c) d tau.
 
-    Exceeds -c/n whenever the central density is positive.
+    Exceeds -c/n whenever the central density is positive.  ``r`` may be
+    an increasing array of radii, which shares one quadrature pass; each
+    entry equals the scalar call bit for bit.
     """
-    if not (0.0 < r <= rho0.r_max + 1e-12):
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    if not (0.0 < np.min(radii) and np.max(radii) <= rho0.r_max + 1e-12):
         raise ValueError(f"radius {r} outside the density profile support")
-    w = integrate_weighted(rho0.nodes, rho0.values, 0.0, r, n - 1.0)
-    return (w - c * r ** n / n) / r ** n
+    w = integrate_weighted(rho0.nodes, rho0.values, 0.0, radii, n - 1.0)
+    # element by element: the scalar power, not NumPy's vectorised one
+    s = np.array([(w_k - c * r_k ** n / n) / r_k ** n for w_k, r_k in zip(w, radii)])
+    return float(s[0]) if np.ndim(r) == 0 else s
 
 
 @dataclass
@@ -404,7 +408,7 @@ def classify_ep_many(states: Sequence[CharState], params: ModelParams,
         if (period is not None and tail.termination is Termination.REACHED_HORIZON
                 and tail.t_final < passes[k].t_max - 1e-9):
             scale = float(norm0[cell]) + 1.0
-            if float(np.max(np.abs(tail.probe - x0[:, cell]))) >= 1e-5 * scale:
+            if float(np.max(np.abs(tail.probe[0] - x0[:, cell]))) >= 1e-5 * scale:
                 ambiguous.append((k, cell, diag))
                 continue
             diag["early_exit"] = "closed periodic orbit after one period"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Sequence
@@ -37,6 +38,8 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 # 5th-order minus embedded 4th-order weights (error estimate).
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
+
+log = logging.getLogger(__name__)
 
 _EVENT_TIME_TOL = 1e-10
 # trailing accepted samples the blowup-time fit reads
@@ -162,8 +165,10 @@ class TailRecord:
 
     Holds what a classification reads: the termination with its final
     time and state, the largest |y_i| over the run, the event time or the
-    extrapolated singularity time, and, for a run that reached its
-    horizon past ``probe_t``, the dense-output sample there.
+    extrapolated singularity time, and the dense-output samples at the
+    probe times the run covered: one row per probe time up to
+    ``t_final``, the sample :meth:`TrajectoryRecord.sample_many` gives
+    there (None when it covered none, or ended at an event).
     """
 
     termination: Termination
@@ -177,11 +182,14 @@ class TailRecord:
     probe: Optional[np.ndarray] = None
 
     @classmethod
-    def of(cls, rec: TrajectoryRecord, probe_t: Optional[float] = None) -> "TailRecord":
+    def of(cls, rec: TrajectoryRecord, probe_t=None) -> "TailRecord":
+        """The tail of ``rec``, probed at the nondecreasing times ``probe_t``."""
         probe = None
-        if (probe_t is not None and rec.termination is Termination.REACHED_HORIZON
-                and rec.ts[0] <= probe_t < rec.t_final):
-            probe = rec.sample(probe_t)
+        if probe_t is not None and rec.termination is not Termination.EVENT:
+            times = np.atleast_1d(np.asarray(probe_t, dtype=float))
+            times = times[:np.searchsorted(times, rec.t_final, side="right")]
+            if len(times):
+                probe = rec.sample_many(times)
         return cls(rec.termination, rec.t_final, rec.y_final, rec.max_abs(),
                    rec.note, rec.t_event, rec.blowup_time, rec.blowup_component,
                    probe)
@@ -458,7 +466,7 @@ def _bisect_lanes(func, t0, y0, f0, t1, y1, f1, g0):
 def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                     configs: Sequence[IntegratorConfig],
                     event: Optional[EventSpec] = None,
-                    probe_t: Optional[float] = None) -> Iterator[TailRecord]:
+                    probe_t=None) -> Iterator[TailRecord]:
     """Integrate one copy of ``system`` per column of ``y0`` (dim x lanes) in lockstep.
 
     Lane j starts at t = 0 from ``y0[:, j]``, follows ``configs[j]`` with
@@ -467,14 +475,19 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     (located by per-lane bisection), at a detected blowup, or at a step
     collapse.  Every lane repeats the arithmetic of :func:`integrate` in
     the same order, so its tail equals ``TailRecord.of(integrate(system,
-    y0[:, j], configs[j], (event,)), probe_t)`` exactly.  For that, the
-    rhs and the event must work elementwise on (dim, k) arrays with the
-    same operations they apply to scalars, the rhs returning one (k,)
+    y0[:, j], configs[j], (event,)), probe_t[:, j])`` exactly.  For that,
+    the rhs and the event must work elementwise on (dim, k) arrays with
+    the same operations they apply to scalars, the rhs returning one (k,)
     array per component.
 
     Only the tail of each run is kept: the final state, the running
     max-norm, the last samples the blowup-time fit reads, and the
-    dense-output sample at ``probe_t``.  Returns an iterator over the
+    dense-output samples at the probe times.  ``probe_t`` holds P probe
+    times per lane, nondecreasing down each column of its (P, lanes)
+    shape; a scalar or a (P,) array applies to every lane.  Each probe is
+    the Hermite point on the accepted step that
+    :meth:`TrajectoryRecord.sample_many` would pick, so a probe at the
+    final time is the end of the last step.  Returns an iterator over the
     lanes' tail records, in lane order.
     """
     f = system.rhs
@@ -508,8 +521,17 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     blowup_time = np.zeros(n)
     blowup_comp = np.zeros(n, dtype=int)
     notes: dict[int, str] = {}
-    probe = np.zeros((d, n))
-    has_probe = np.zeros(n, dtype=bool)
+    pt = probe = None
+    if probe_t is not None:
+        pt = np.asarray(probe_t, dtype=float)
+        if pt.ndim < 2:
+            pt = pt.reshape(-1, 1)
+        pt = np.array(np.broadcast_to(pt, (len(pt), n)))
+        if np.any(pt < 0.0) or np.any(np.diff(pt, axis=0) < 0):
+            raise ValueError("probe times must be nonnegative and nondecreasing "
+                             "in every lane")
+        probe = np.full((len(pt), d, n), np.nan)
+    probe_times = pt    # every lane's, while pt keeps the running lanes' columns
     # ring buffer of the trailing accepted samples
     tb = np.zeros((_BLOWUP_TAIL, n))
     yb = np.zeros((_BLOWUP_TAIL, d, n))
@@ -517,10 +539,20 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
 
     lane = np.arange(n)
     alive = np.ones(n, dtype=bool)
+    iterations = accepted = rejected = 0
     t = np.zeros(n)
     vmax = np.max(np.abs(y), axis=0)
     n_att = np.zeros(n)
     tb[0], yb[0] = t, y
+
+    def take_probes(inside, t0, y0, f0, t1, y1, f1):
+        """Sample the probes marked in ``inside`` (P x running lanes) on [t0, t1]."""
+        if not inside.any():    # most steps cross no probe time
+            return
+        for row in np.flatnonzero(inside.any(axis=1)):
+            at = inside[row]
+            probe[row][:, lane[at]] = _hermite_point(
+                t0[at], y0[:, at], f0[:, at], t1[at], y1[:, at], f1[:, at], pt[row, at])
 
     def close(mask, termination, t_f, y_f, note=None):
         """Record the end of every lane in ``mask`` and retire it."""
@@ -539,18 +571,23 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
         close(~np.all(np.isfinite(k1), axis=0), Termination.STEP_COLLAPSE, t, y,
               note=lambda j: f"non-finite rhs at t={float(t[j])}")
         g = event.func(t, y) if event is not None else None
+        if pt is not None:
+            # a lane that never accepts a step is a one-sample record, which
+            # sample_many reads at s = 0 of a step from its start point
+            take_probes(pt <= t, t, y, k1, t + 1.0, y, k1)
         rtol, h_min, h_max, t_max, cap, max_steps, h_init = limits
         h = np.minimum(np.minimum(h_init, h_max), np.maximum(t_max - t, h_min))
 
         while True:
             if not alive.all():
-                lane, t, y, k1, g, h, n_att, vmax, limits, atol = (
+                lane, t, y, k1, g, h, n_att, vmax, limits, atol, pt = (
                     None if a is None else a[..., alive]
-                    for a in (lane, t, y, k1, g, h, n_att, vmax, limits, atol))
+                    for a in (lane, t, y, k1, g, h, n_att, vmax, limits, atol, pt))
                 alive = np.ones(len(lane), dtype=bool)
                 rtol, h_min, h_max, t_max, cap, max_steps, _ = limits
             if not len(lane):
                 break
+            iterations += 1
 
             close(n_att >= max_steps, Termination.STEP_COLLAPSE, t, y,
                   note=lambda j: f"step budget exhausted at t={float(t[j])}")
@@ -589,6 +626,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                   note=lambda j: f"step size collapsed at t={float(t[j])} "
                                  f"(err={float(err[j]):.3g})")
             shrink = np.flatnonzero(alive & ~ok)
+            rejected += len(shrink)
             if len(shrink):
                 e_r = err[shrink]
                 factor = np.full(len(shrink), 0.2)
@@ -612,18 +650,16 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             mag = np.max(np.abs(y_new), axis=0)
             vmax = np.where(step, np.maximum(vmax, mag), vmax)
             js = np.flatnonzero(step)
+            accepted += len(js)
             i = lane[js]
             slot = nb[i] % _BLOWUP_TAIL
             tb[slot, i] = t_new[js]
             yb[slot, :, i] = y_new[:, js].T
             nb[i] += 1
-            if probe_t is not None:
-                at = step & (t <= probe_t) & (probe_t < t_new)
-                if at.any():
-                    probe[:, lane[at]] = _hermite_point(t[at], y[:, at], k1[:, at],
-                                                        t_new[at], y_new[:, at], k7[:, at],
-                                                        probe_t)
-                    has_probe[lane[at]] = True
+            if pt is not None:
+                # a probe on t_new is taken again, at s = 0, by the next
+                # accepted step if there is one, as sample_many picks
+                take_probes(step & (t <= pt) & (pt <= t_new), t, y, k1, t_new, y_new, k7)
 
             big = step & (mag > cap)
             if big.any():
@@ -653,16 +689,21 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             factor[nonzero] = np.minimum(5.0, np.maximum(0.2, _step_factors(e_a[nonzero])))
             h[js] = np.minimum(h[js] * factor, h_max[js])
 
+    log.info("%d lanes in %d lockstep iterations: %d accepted and %d rejected "
+             "lane-steps", n, iterations, accepted, rejected)
+
     def tail(i):
         end = ends[i]
         blown = end is Termination.BLOWUP_DETECTED
+        covered = 0
+        if pt is not None and end is not Termination.EVENT:
+            covered = int(np.count_nonzero(probe_times[:, i] <= t_end[i]))
         return TailRecord(
             end, float(t_end[i]), y_end[:, i], float(max_abs[i]), notes.get(i, ""),
             t_event=float(t_end[i]) if end is Termination.EVENT else None,
             blowup_time=float(blowup_time[i]) if blown else None,
             blowup_component=int(blowup_comp[i]) if blown else None,
-            probe=probe[:, i] if end is Termination.REACHED_HORIZON and has_probe[i]
-            else None)
+            probe=probe[:covered, :, i] if covered else None)
 
     return map(tail, range(n))
 

@@ -17,17 +17,24 @@ construction.
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import Model, ModelParams, sphere_area
-from .odeint import IntegratorConfig, OdeSystem, Termination, integrate
+# ``integrate`` stays a module attribute: perfbench/tracer.py wraps pde.integrate
+from .odeint import (IntegratorConfig, OdeSystem, Termination, integrate,  # noqa: F401
+                     integrate_lanes)
 from .profiles import ProfileKind, RadialProfile, integrate_weighted
 from .euler_poisson import burgers_system, ep_full_system, initial_s_from_density
 from .alignment import InfluenceSpec, _angular_rule
+
+log = logging.getLogger(__name__)
 
 
 class CrossingError(RuntimeError):
@@ -113,6 +120,13 @@ def _seed_ensemble(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
                                   params=params)
 
 
+def _phase(message: str, *args, since: float) -> float:
+    """Log a finished phase of a run with its duration; returns the time now."""
+    now = time.perf_counter()
+    log.info(message + " in %.3f s", *args, now - since)
+    return now
+
+
 def _check_inputs(rho0: RadialProfile, u0: RadialProfile, params: ModelParams):
     if int(params.n) != params.n:
         raise ValueError("the PDE ensemble requires an integer dimension")
@@ -172,7 +186,7 @@ def _path_system(params: ModelParams) -> OdeSystem:
 
     Burgers paths carry a frozen s slot, so both models share one layout;
     the slot also counts in the step-error norm, which divides by the
-    dimension.
+    dimension.  Its rate 0 * s is 0 with the shape of s, one per lane.
     """
     if params.model is Model.EULER_POISSON:
         base = ep_full_system(params).rhs
@@ -184,7 +198,7 @@ def _path_system(params: ModelParams) -> OdeSystem:
 
         def rhs(t, y):
             dp, dq, drho = base(t, (y[0], y[1], y[3]))
-            return (dp, dq, 0.0, drho, y[4] * y[1])
+            return (dp, dq, 0.0 * y[2], drho, y[4] * y[1])
     return OdeSystem(5, rhs, labels=("p", "q", "s", "rho", "r"))
 
 
@@ -192,48 +206,62 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
                 n_paths: int = 200,
                 config: IntegratorConfig = IntegratorConfig(),
                 t_end: float = 20.0, n_snapshots: int = 11) -> SimulationResult:
-    """Evolve an Euler-Poisson (or Burgers) ensemble path by path.
+    """Evolve an Euler-Poisson (or Burgers) ensemble, every path a lane.
 
-    Each path advances the closed characteristic system independently;
-    the run halts with a BlowupReport when any p_i or rho_i escapes, a
-    step collapses, or paths cross.
+    Each path advances the closed characteristic system independently,
+    as one lane of a lockstep :func:`integrate_lanes` batch, and the
+    snapshots are the lanes' dense-output probes; the run halts with a
+    BlowupReport when any p_i or rho_i escapes, a step collapses, or
+    paths cross.
     """
     _check_inputs(rho0, u0, params)
+    clock = time.perf_counter()
     ens = _seed_ensemble(rho0, u0, params, n_paths)
-    n = params.n
+    r = ens.r
+    s = (initial_s_from_density(rho0, params.c, r, params.n)
+         if params.model is Model.EULER_POISSON else np.zeros(n_paths))
+    y0 = np.array([u0.derivative(r), ens.u / r, s, rho0(r), r])
+    clock = _phase("seeded %d paths", n_paths, since=clock)
+
     system = _path_system(params)
-    cfg = replace(config, t_max=t_end)
-
-    need_s = params.model is Model.EULER_POISSON
-    records = []
-    t_cover = t_end
-    blowup: Optional[BlowupReport] = None
-    for i, r_i in enumerate(ens.r):
-        p_i = float(u0.derivative(r_i))
-        q_i = float(ens.u[i] / r_i)
-        s_i = initial_s_from_density(rho0, params.c, r_i, n) if need_s else 0.0
-        rho_i = float(rho0(r_i))
-        rec = integrate(system, [p_i, q_i, s_i, rho_i, r_i], cfg)
-        records.append(rec)
-        if rec.termination is Termination.BLOWUP_DETECTED:
-            t_b = rec.blowup_time
-            if blowup is None or t_b < blowup.time:
-                blowup = BlowupReport(t_b, system.label(rec.blowup_component),
-                                      i, float(rec.y_final[4]))
-        elif rec.termination is Termination.STEP_COLLAPSE:
-            if blowup is None or rec.t_final < blowup.time:
-                blowup = BlowupReport(rec.t_final, "step-collapse", i,
-                                      float(rec.y_final[4]))
-        t_cover = min(t_cover, rec.t_final)
-
+    configs = [replace(config, t_max=t_end)] * n_paths
     times = np.linspace(0.0, t_end, n_snapshots)
-    times = times[times <= t_cover * (1 + 1e-12)]
-    if blowup is not None and t_cover * (1 - 1e-9) > (times[-1] if len(times) else 0.0):
+    tails = list(integrate_lanes(system, y0, configs, probe_t=times))
+    t_final = np.array([tail.t_final for tail in tails])
+    t_cover = min(t_end, float(np.min(t_final)))
+    blowup: Optional[BlowupReport] = None
+    for i, tail in enumerate(tails):
+        if tail.termination is Termination.BLOWUP_DETECTED:
+            t_b = tail.blowup_time
+            if blowup is None or t_b < blowup.time:
+                blowup = BlowupReport(t_b, system.label(tail.blowup_component),
+                                      i, float(tail.y_final[4]))
+        elif tail.termination is Termination.STEP_COLLAPSE:
+            if blowup is None or tail.t_final < blowup.time:
+                blowup = BlowupReport(tail.t_final, "step-collapse", i,
+                                      float(tail.y_final[4]))
+
+    snap_times = times[times <= t_cover * (1 + 1e-12)]
+    if blowup is not None and t_cover * (1 - 1e-9) > (snap_times[-1] if len(snap_times)
+                                                      else 0.0):
         # keep the last resolvable pre-blowup state
-        times = np.append(times, t_cover * (1 - 1e-9))
+        snap_times = np.append(snap_times, t_cover * (1 - 1e-9))
+    # each path is read no later than its own final time
+    probe_t = np.minimum(snap_times[:, None], t_final[None, :])
+    runs = 1
+    if not np.array_equal(probe_t, np.broadcast_to(times[:len(snap_times), None],
+                                                   probe_t.shape)):
+        # a path ended early: run the lanes again, probed where the
+        # snapshots read them (the runs are deterministic, so only the
+        # probes differ)
+        tails = list(integrate_lanes(system, y0, configs, probe_t=probe_t))
+        runs = 2
+    clock = _phase("integrated %d lanes (%d run%s)", n_paths, runs,
+                   "" if runs == 1 else "s", since=clock)
+
     snapshots = []
-    for t in times:
-        state = np.array([rec.sample(min(t, rec.t_final)) for rec in records])
+    for k, t in enumerate(snap_times):
+        state = np.array([tail.probe[k] for tail in tails])
         ens_t = CharacteristicEnsemble(
             t=float(t), r=state[:, 4], u=state[:, 4] * state[:, 1],
             masses=ens.masses, params=params, states=state[:, :4])
@@ -245,6 +273,7 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
             break
         snap.extras["states"] = ens_t.states
         snapshots.append(snap)
+    _phase("reconstructed %d snapshots", len(snapshots), since=clock)
     return SimulationResult(snapshots, blowup, params, n_paths)
 
 
@@ -252,19 +281,39 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
 # Euler-alignment ensemble (globally coupled)
 
 
+@functools.lru_cache(maxsize=4)
+def _pairs(n_paths: int):
+    """Row and column indices of the path pairs i <= j."""
+    return np.triu_indices(n_paths)
+
+
 def _particle_kernels(r: np.ndarray, phi: InfluenceSpec, n: int,
                       cos_theta: np.ndarray, w: np.ndarray):
-    """Sphere-averaged kernel matrices K_phi[i,j], K_zeta[i,j] on the paths."""
+    """Sphere-averaged kernel matrices K_phi[i,j], K_zeta[i,j] on the paths.
+
+    ``w`` stacks the angular weights and the weights times cos(theta),
+    shape (2, theta_order).  Both matrices are symmetric, and the
+    distance r_i^2 + r_j^2 - 2 r_i r_j cos(theta) is so bit for bit, so
+    phi is evaluated on the pairs i <= j only and each pair's sums fill
+    both halves.
+    """
+    i, j = _pairs(len(r))
+    a, b = r[i], r[j]
     if n == 1:
-        km = phi.phi(np.abs(r[:, None] - r[None, :]))
-        kp = phi.phi(r[:, None] + r[None, :])
-        return 0.5 * (km + kp), 0.5 * (km - kp)
-    rr = r[:, None, None]
-    ss = r[None, :, None]
-    dist = np.sqrt(np.maximum(rr * rr + ss * ss - 2.0 * rr * ss * cos_theta, 0.0))
-    vals = phi.phi(dist)
-    k_phi = vals @ w
-    k_zeta = vals @ (w * cos_theta)
+        km = phi.phi(np.abs(a - b))
+        kp = phi.phi(a + b)
+        pair_phi, pair_zeta = 0.5 * (km + kp), 0.5 * (km - kp)
+    else:
+        a, b = a[:, None], b[:, None]
+        # a * a + b * b - 2.0 * a * b * cos_theta, in one (pairs, T) buffer
+        dist = 2.0 * a * b * cos_theta
+        np.subtract(a * a + b * b, dist, out=dist)
+        vals = phi.phi(np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist))
+        pair_phi, pair_zeta = vals @ w[0], vals @ w[1]
+    k_phi = np.empty((len(r), len(r)))
+    k_zeta = np.empty((len(r), len(r)))
+    k_phi[i, j] = k_phi[j, i] = pair_phi
+    k_zeta[i, j] = k_zeta[j, i] = pair_zeta
     return k_phi, k_zeta
 
 
@@ -282,6 +331,7 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
     radius.  Halts with a crossing report when paths meet.
     """
     _check_inputs(rho0, u0, params)
+    clock = time.perf_counter()
     n = int(params.n)
     ens = _seed_ensemble(rho0, u0, params, n_paths)
     m = ens.masses
@@ -295,8 +345,14 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
         theta, w = _angular_rule(n, theta_order)
         # normalize: the weights sum to ~1 for phi = 1
         cos_theta, w = np.cos(theta), w * (sphere_area(n - 1) / sphere_area(n))
+        w = np.stack((w, w * cos_theta))
+    clock = _phase("seeded %d paths", n_paths, since=clock)
+
+    calls = 0
 
     def deriv(r, u):
+        nonlocal calls
+        calls += 1
         k_phi, k_zeta = _particle_kernels(r, phi, n, cos_theta, w)
         psi = k_phi @ m
         zeta = k_zeta @ (m * u)
@@ -307,9 +363,11 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
     r, u = ens.r.copy(), ens.u.copy()
     snapshots = []
     blowup: Optional[BlowupReport] = None
+    recon_s = 0.0
 
-    def take_snapshot(t, r, u):
-        _, _, psi = deriv(r, u)
+    def take_snapshot(t, r, u, psi):
+        nonlocal recon_s
+        start = time.perf_counter()
         ens_t = CharacteristicEnsemble(t=t, r=r.copy(), u=u.copy(), masses=m,
                                        params=params, psi=psi)
         snap = reconstruct_fields(ens_t)
@@ -317,17 +375,21 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
         snap.extras["G"] = snap.p + psi
         snap.extras["V"] = 2.0 * float(np.max(np.abs(u)))
         snapshots.append(snap)
+        recon_s += time.perf_counter() - start
 
-    take_snapshot(0.0, r, u)
+    # a step's first stage is the rate at the state it starts from, where
+    # a snapshot reads psi too
+    dr1, du1, psi = deriv(r, u)
+    take_snapshot(0.0, r, u, psi)
+    steps = 0
     for k in range(n_steps):
-        t = k * step
-        dr1, du1, _ = deriv(r, u)
         dr2, du2, _ = deriv(r + 0.5 * step * dr1, u + 0.5 * step * du1)
         dr3, du3, _ = deriv(r + 0.5 * step * dr2, u + 0.5 * step * du2)
         dr4, du4, _ = deriv(r + step * dr3, u + step * du3)
         r = r + step / 6.0 * (dr1 + 2 * dr2 + 2 * dr3 + dr4)
         u = u + step / 6.0 * (du1 + 2 * du2 + 2 * du3 + du4)
-        t_new = (k + 1) * step
+        steps = k + 1
+        t_new = steps * step
         if np.any(np.diff(r) <= 0):
             i = int(np.argmax(np.diff(r) <= 0))
             blowup = BlowupReport(t_new, "crossing", i, float(r[i]))
@@ -336,8 +398,13 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
             i = int(np.argmax(~np.isfinite(u)))
             blowup = BlowupReport(t_new, "step-collapse", i, float(r[i]))
             break
-        if k + 1 in snap_steps:
-            take_snapshot(t_new, r, u)
+        snap_here = steps in snap_steps
+        if steps < n_steps or snap_here:
+            dr1, du1, psi = deriv(r, u)
+        if snap_here:
+            take_snapshot(t_new, r, u, psi)
+    _phase("%d RK4 steps, %d kernel calls, %d snapshots (%.3f s reconstructing)",
+           steps, calls, len(snapshots), recon_s, since=clock)
     return SimulationResult(snapshots, blowup, params, n_paths)
 
 

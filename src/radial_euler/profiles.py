@@ -36,6 +36,7 @@ class RadialProfile:
     mass_exact: Optional[Callable[[float], float]] = None
     _interp: PchipInterpolator = field(init=False, repr=False)
     _smooth: object = field(init=False, repr=False, default=None)
+    _slope: object = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -101,7 +102,9 @@ class RadialProfile:
         return self._smooth(r)
 
     def derivative(self, r):
-        out = self._interp.derivative()(r)
+        if self._slope is None:
+            self._slope = self._interp.derivative()
+        out = self._slope(r)
         if np.any(np.isnan(out)):
             raise ValueError("evaluation outside the profile support")
         return out
@@ -115,20 +118,29 @@ class RadialProfile:
 
 
 def integrate_weighted(nodes: np.ndarray, values: np.ndarray,
-                       a: float, b: float, power: float) -> float:
+                       a: float, b, power: float):
     """integral_a^b tau^power f(tau) d tau for a sampled f.
 
     On each node interval f is replaced by the quadratic through the
     interval's endpoints and one flanking node; the monomial moments
     tau^(power+k) are integrated exactly.  Exact for f quadratic, and
     the tau^power weight costs no accuracy at the origin.
+
+    ``b`` may also be a nondecreasing array of upper limits.  The node
+    intervals are then walked once and entry k of the returned array is
+    bit for bit the scalar call with upper limit ``b[k]``: the running
+    total over the whole intervals below b[k], plus the part of the
+    interval b[k] ends in.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
-    if not (nodes[0] <= a <= b <= nodes[-1] + 1e-12):
+    limits = np.atleast_1d(np.asarray(b, dtype=float))
+    if limits.ndim != 1 or np.any(np.diff(limits) < 0):
+        raise ValueError("upper limits must be nondecreasing")
+    if len(limits) and not (nodes[0] <= a <= limits[0]
+                            and limits[-1] <= nodes[-1] + 1e-12):
         raise ValueError(f"integration range [{a}, {b}] outside profile support")
-    if a == b:
-        return 0.0
+
     def quad_coeffs(i0, i1, i2):
         x0, x1, x2 = nodes[i0], nodes[i1], nodes[i2]
         y0, y1, y2 = values[i0], values[i1], values[i2]
@@ -139,14 +151,21 @@ def integrate_weighted(nodes: np.ndarray, values: np.ndarray,
         c0 = y0 - f01 * x0 + c2 * x0 * x1
         return c0, c1, c2
 
-    total = 0.0
+    def add_moments(total, coeffs, lo, hi):
+        for k, coeff in enumerate(coeffs):
+            pk = power + k + 1.0
+            total += coeff * (hi ** pk - lo ** pk) / pk
+        return total
+
+    out = np.zeros(len(limits))
     last = len(nodes) - 1
     j0 = max(int(np.searchsorted(nodes, a, side="right")) - 1, 0)
-    j1 = min(int(np.searchsorted(nodes, b, side="left")), last)
-    for j in range(j0, j1):
-        lo, hi = max(a, nodes[j]), min(b, nodes[j + 1])
-        if hi <= lo:
-            continue
+    # one past the last interval each limit reaches
+    j1 = np.minimum(np.searchsorted(nodes, limits, side="left"), last)
+    k = int(np.searchsorted(limits, a, side="right"))   # limits equal to a give 0
+    total = 0.0
+    for j in range(j0, int(j1[-1]) if len(limits) else j0):
+        lo = max(a, nodes[j])
         if last == 1:  # two-node profile: straight line
             f01 = (values[1] - values[0]) / (nodes[1] - nodes[0])
             coeffs = (values[0] - f01 * nodes[0], f01, 0.0)
@@ -159,10 +178,14 @@ def integrate_weighted(nodes: np.ndarray, values: np.ndarray,
             if j + 2 <= last:
                 stencils.append(quad_coeffs(j, j + 1, j + 2))
             coeffs = tuple(sum(c) / len(stencils) for c in zip(*stencils))
-        for k, coeff in enumerate(coeffs):
-            pk = power + k + 1.0
-            total += coeff * (hi ** pk - lo ** pk) / pk
-    return float(total)
+        while k < len(limits) and j1[k] == j + 1:
+            hi = min(limits[k], nodes[j + 1])
+            out[k] = add_moments(total, coeffs, lo, hi) if hi > lo else total
+            k += 1
+        hi = nodes[j + 1]
+        if hi > lo:
+            total = add_moments(total, coeffs, lo, hi)
+    return float(out[0]) if np.ndim(b) == 0 else out
 
 
 def _sample(fn, r_max: float, n_nodes: int) -> np.ndarray:

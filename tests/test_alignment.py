@@ -311,3 +311,12 @@ def test_ea_char_state():
         EaCharState(q=0.0, G=0.0, rho=-1.0, B=0.0)
     with pytest.raises(ValueError):
         EaCharState(q=0.0, G=0.0, rho=1.0, B=-0.1)
+
+
+def test_unsettled_kernel_quadrature_raises(monkeypatch):
+    from radial_euler import IntegrationFailure, alignment
+    values = iter([1.0, 2.0, 3.0])
+    monkeypatch.setattr(alignment, "_kernel_integral", lambda *args: next(values))
+    rho = gaussian_bump(1.0, 1.0, r_max=2.0, n_nodes=201)
+    with pytest.raises(IntegrationFailure, match="did not settle"):
+        eval_psi(rho, power_law_influence(0.5, 1.0), 0.5, 2)

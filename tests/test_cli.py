@@ -567,3 +567,45 @@ def test_ct_log_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CT_LOG", "INFO")
     rc = cli.main(["classify", "--config", write(tmp_path, "a.cfg", EP_SUB)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("kind", ["euler-poisson", "euler-alignment"])
+def test_simulate_logs_phases(tmp_path, capsys, caplog, kind):
+    cfg = f"""
+[model]
+kind = {kind}
+n = 2
+
+[alignment]
+phi = power-law
+
+[initial]
+rho_profile = gaussian-bump
+r_max = 2.0
+u_profile = rexp
+profile_nodes = 201
+n_paths = 20
+
+[simulate]
+t_end = 1.0
+snapshots = 3
+"""
+    path = write(tmp_path, "sim.cfg", cfg)
+    with caplog.at_level("INFO", logger="radial_euler"):
+        assert cli.main(["simulate", "--config", path, "--out",
+                         str(tmp_path / "logged")]) == 0
+    text = "\n".join(r.getMessage() for r in caplog.records)
+    assert "seeded 20 paths in" in text
+    if kind == "euler-poisson":
+        assert "20 lanes in" in text and "lockstep iterations" in text
+        assert "integrated 20 lanes (1 run) in" in text
+        assert "reconstructed 3 snapshots in" in text
+    else:
+        assert re.search(r"\d+ RK4 steps, \d+ kernel calls, 3 snapshots", text)
+    assert "wrote 5 files in" in text
+    # logging leaves the artifacts alone
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "quiet")]) == 0
+    for name in ("snapshot_000.csv", "snapshot_002.csv", "diagnostics.csv",
+                 "metadata.json"):
+        assert ((tmp_path / "logged" / name).read_bytes()
+                == (tmp_path / "quiet" / name).read_bytes())

@@ -223,3 +223,34 @@ def test_lanes_match_scalar_integrate():
             if lane.termination is Termination.REACHED_HORIZON:
                 assert lane.probe is not None
             _same_tail(lane, ref)
+
+
+def test_lane_probes_match_sample_many():
+    # several probes per lane: the start, accepted-step boundaries, points
+    # inside steps and the final time, for runs ending every way but events
+    cases = [(0.2, IntegratorConfig(t_max=30)),                      # horizon
+             (-1.0, IntegratorConfig(t_max=30)),                     # blowup
+             (0.2, IntegratorConfig(t_max=1e6, max_steps=9)),        # budget
+             (-1.0, IntegratorConfig(t_max=30, h_min=1e-2, h_init=1e-2)),
+             (0.5, IntegratorConfig(t_max=0.0))]                     # no step
+    recs = [integrate(RICCATI, [y], cfg) for y, cfg in cases]
+    probes = []
+    for rec in recs:
+        ts = rec.ts
+        inner = [ts[len(ts) // 3], ts[len(ts) // 2], 0.5 * (ts[-2] + ts[-1])] \
+            if len(ts) > 2 else [ts[0]] * 3
+        probes.append(sorted([0.0, 0.0, *inner, rec.t_final]))
+    probe_t = np.array(probes).T
+    lanes = list(integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]),
+                                 [cfg for _, cfg in cases], probe_t=probe_t))
+    for j, (lane, rec) in enumerate(zip(lanes, recs)):
+        assert lane.probe.shape == (probe_t.shape[0], 1)
+        assert np.array_equal(lane.probe, rec.sample_many(probe_t[:, j]))
+        _same_tail(lane, TailRecord.of(rec, probe_t[:, j]))
+    # a probe past a lane's final time is left out: a prefix stays
+    lanes = list(integrate_lanes(RICCATI, np.array([[-1.0]]), [cases[1][1]],
+                                 probe_t=[0.5, 0.9, 5.0]))
+    assert np.array_equal(lanes[0].probe, recs[1].sample_many([0.5, 0.9]))
+    with pytest.raises(ValueError):
+        list(integrate_lanes(RICCATI, np.array([[1.0]]), [IntegratorConfig()],
+                             probe_t=[0.5, 0.2]))

@@ -279,3 +279,131 @@ def test_ea_snapshot_count_and_times():
     times = np.array([snap.time for snap in res.snapshots])
     assert len(times) == 11
     assert np.all(np.abs(times - np.linspace(0.0, 25.0, 11)) <= step)
+
+
+# ---------------------------------------------------------------------------
+# lockstep ensembles, bit for bit against the per-path and dense forms
+
+def _dense_kernels(r, phi, n, cos_theta, w):
+    """Every (i, j) pair evaluated, the form the triangle kernel replaces."""
+    if n == 1:
+        km = phi.phi(np.abs(r[:, None] - r[None, :]))
+        kp = phi.phi(r[:, None] + r[None, :])
+        return 0.5 * (km + kp), 0.5 * (km - kp)
+    rr = r[:, None, None]
+    ss = r[None, :, None]
+    dist = np.sqrt(np.maximum(rr * rr + ss * ss - 2.0 * rr * ss * cos_theta, 0.0))
+    vals = phi.phi(dist)
+    return vals @ w, vals @ (w * cos_theta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_triangle_kernels_match_dense(n):
+    from radial_euler.alignment import _angular_rule
+    from radial_euler.pde import _particle_kernels
+    rng = np.random.default_rng(n)
+    phi = power_law_influence(0.5, 1.0)
+    cos_theta = w = weights = None
+    if n > 1:
+        theta, w = _angular_rule(n, 32)
+        cos_theta = np.cos(theta)
+        weights = np.stack((w, w * cos_theta))
+    for n_paths in (1, 7, 8, 33, 80):
+        r = np.sort(rng.uniform(0.01, 2.5, n_paths))
+        got = _particle_kernels(r, phi, n, cos_theta, weights)
+        want = _dense_kernels(r, phi, n, cos_theta, w)
+        for k_got, k_want in zip(got, want):
+            assert np.array_equal(k_got, k_got.T)
+            if n == 1 or n_paths % 8 == 0:
+                assert np.array_equal(k_got, k_want)
+            else:
+                # The dense (N, N, T) @ (T,) runs one BLAS gemv per row of
+                # the (N, N) result, and OpenBLAS sums the last N % 4 entries
+                # of each in its remainder loop, whose rounding differs: the
+                # dense matrices are then not even symmetric.  The triangle
+                # runs one gemv over all pairs, so at most its last few pairs
+                # take that loop; both stay within a few ulps of the sum of
+                # |terms|, which phi <= 1 and weights summing to ~1 keep O(1).
+                assert np.max(np.abs(k_got - k_want)) <= 4 * np.finfo(float).eps
+
+
+def _simulate_ep_per_path(rho0, u0, params, n_paths, config, t_end, n_snapshots):
+    """simulate_ep with one scalar ``integrate`` per path, read back by sampling."""
+    from dataclasses import replace
+
+    from radial_euler.euler_poisson import initial_s_from_density
+    from radial_euler.odeint import Termination
+    from radial_euler.pde import BlowupReport, _path_system, _seed_ensemble
+    ens = _seed_ensemble(rho0, u0, params, n_paths)
+    system = _path_system(params)
+    cfg = replace(config, t_max=t_end)
+    records, blowup, t_cover = [], None, t_end
+    for i, r_i in enumerate(ens.r):
+        s_i = (initial_s_from_density(rho0, params.c, r_i, params.n)
+               if params.model is Model.EULER_POISSON else 0.0)
+        rec = integrate(system, [float(u0.derivative(r_i)), float(ens.u[i] / r_i),
+                                 s_i, float(rho0(r_i)), r_i], cfg)
+        records.append(rec)
+        end = rec.termination
+        if end is Termination.BLOWUP_DETECTED:
+            if blowup is None or rec.blowup_time < blowup.time:
+                blowup = BlowupReport(rec.blowup_time,
+                                      system.label(rec.blowup_component), i,
+                                      float(rec.y_final[4]))
+        elif end is Termination.STEP_COLLAPSE:
+            if blowup is None or rec.t_final < blowup.time:
+                blowup = BlowupReport(rec.t_final, "step-collapse", i,
+                                      float(rec.y_final[4]))
+        t_cover = min(t_cover, rec.t_final)
+    times = np.linspace(0.0, t_end, n_snapshots)
+    times = times[times <= t_cover * (1 + 1e-12)]
+    if blowup is not None and t_cover * (1 - 1e-9) > (times[-1] if len(times) else 0.0):
+        times = np.append(times, t_cover * (1 - 1e-9))
+    snapshots = []
+    for t in times:
+        state = np.array([rec.sample(min(t, rec.t_final)) for rec in records])
+        ens_t = CharacteristicEnsemble(t=float(t), r=state[:, 4],
+                                       u=state[:, 4] * state[:, 1],
+                                       masses=ens.masses, params=params,
+                                       states=state[:, :4])
+        try:
+            snap = reconstruct_fields(ens_t)
+        except CrossingError as exc:
+            if blowup is None or exc.time < blowup.time:
+                blowup = BlowupReport(exc.time, "crossing", exc.index, exc.radius)
+            break
+        snap.extras["states"] = ens_t.states
+        snapshots.append(snap)
+    return snapshots, blowup
+
+
+@pytest.mark.parametrize("case", ["ep3-expanding", "ep1-slab-blowup",
+                                  "burgers", "burgers-blowup"])
+def test_simulate_ep_lanes_match_per_path(case):
+    params, rho0, u0, t_end, n_snapshots = {
+        "ep3-expanding": (EP3, gaussian_bump(1.0, 1.0, r_max=2.5, n_nodes=801),
+                          rexp_velocity(1.0, 4.0, r_max=2.5, n_nodes=801), 20.0, 11),
+        "ep1-slab-blowup": (ModelParams(n=1, kappa=1, c=0),
+                            gaussian_bump(0.55, 1.0, r_max=2.0, n_nodes=801),
+                            linear_velocity(-0.9, r_max=2.0, n_nodes=801), 30.0, 4),
+        "burgers": (ModelParams(n=1, kappa=1, model=Model.INVISCID_BURGERS),
+                    gaussian_bump(1.0, 1.0, r_max=3.0, n_nodes=601),
+                    gaussian_velocity(0.3, 1.0, r_max=3.0, n_nodes=601), 0.5, 2),
+        "burgers-blowup": (ModelParams(n=2, kappa=1, model=Model.DAMPED_BURGERS,
+                                       kappa_damp=0.2),
+                           gaussian_bump(1.0, 1.0, r_max=2.0, n_nodes=401),
+                           gaussian_velocity(-1.0, 1.0, r_max=2.0, n_nodes=401),
+                           5.0, 6),
+    }[case]
+    cfg = IntegratorConfig()
+    res = simulate_ep(rho0, u0, params, n_paths=40, config=cfg, t_end=t_end,
+                      n_snapshots=n_snapshots)
+    ref_snaps, ref_blowup = _simulate_ep_per_path(rho0, u0, params, 40, cfg,
+                                                  t_end, n_snapshots)
+    assert res.blowup == ref_blowup
+    assert (res.blowup is not None) == case.endswith("blowup")
+    assert [s.time for s in res.snapshots] == [s.time for s in ref_snaps]
+    for snap, ref in zip(res.snapshots, ref_snaps):
+        assert np.array_equal(snap.extras["states"], ref.extras["states"])
+        for name in ("r", "u", "rho", "p", "q"):
+            assert np.array_equal(getattr(snap, name), getattr(ref, name))

@@ -97,3 +97,31 @@ def test_velocity_library_shapes():
     u = linear_velocity(0.7, r_max=2.0)
     assert u(1.5) == pytest.approx(1.05)
     assert u.derivative(0.0) == pytest.approx(0.7, abs=1e-9)
+
+
+def test_integrate_weighted_limits_array_matches_scalar_calls():
+    prof = gaussian_bump(1.0, 1.0, r_max=2.5, n_nodes=201)
+    nodes, vals = prof.nodes, prof.values
+    rng = np.random.default_rng(3)
+    for a in (0.0, 0.3, nodes[40]):
+        # off-node limits, limits on nodes, a repeated limit, b = a and b = r_max
+        b = np.sort(np.concatenate((rng.uniform(a, 2.5, 25), nodes[nodes > a][::17],
+                                    [a, 1.7, 1.7, 2.5])))
+        for power in (0.0, 1.0, 2.0, 1.5):
+            got = integrate_weighted(nodes, vals, a, b, power)
+            want = [integrate_weighted(nodes, vals, a, float(b_k), power) for b_k in b]
+            assert got.tolist() == want
+    with pytest.raises(ValueError):
+        integrate_weighted(nodes, vals, 0.0, np.array([1.0, 0.5]), 2.0)
+    with pytest.raises(ValueError):
+        integrate_weighted(nodes, vals, 0.5, np.array([0.4, 1.0]), 2.0)
+
+
+def test_derivative_cached_and_unchanged():
+    u = rexp_velocity(2.0, 1.5, r_max=4.0, n_nodes=201)
+    rr = np.linspace(0.0, 4.0, 57)
+    fresh = u._interp.derivative()(rr)
+    assert np.array_equal(u.derivative(rr), fresh)
+    slope = u._slope
+    assert np.array_equal(u.derivative(rr), fresh) and u._slope is slope
+    assert [float(u.derivative(r)) for r in rr] == fresh.tolist()
