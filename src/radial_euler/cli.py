@@ -167,8 +167,25 @@ def _snapshot_csv(snap, prov: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_run_size(cfg: RunConfig, model: Model):
+    """Refuse run sizes that cannot give a simulation, for both ensembles."""
+    ini, sim = cfg["initial"], cfg["simulate"]
+    checks = [("initial", "n_paths", ini["n_paths"] >= 2, "at least 2"),
+              ("simulate", "t_end", sim["t_end"] > 0, "positive"),
+              ("simulate", "snapshots", sim["snapshots"] >= 1, "at least 1")]
+    if model is Model.EULER_ALIGNMENT:
+        checks += [("simulate", "theta_order", sim["theta_order"] >= 1, "at least 1"),
+                   ("simulate", "dt", sim["dt"] >= 0,
+                    "nonnegative (0 picks the stability bound)")]
+    for section, key, ok, wanted in checks:
+        if not ok:
+            raise ConfigError(f"[{section}] {key} must be {wanted}, "
+                              f"got {cfg[section][key]!r}")
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
     params = model_params_from(cfg)
+    _check_run_size(cfg, params.model)
     rho0, u0 = _profiles_from(cfg)
     sim = cfg["simulate"]
     ini = cfg["initial"]

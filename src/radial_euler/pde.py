@@ -287,6 +287,21 @@ def _pairs(n_paths: int):
     return np.triu_indices(n_paths)
 
 
+# values per block of (pairs, theta) temporaries in the n >= 2 kernel: 64 KiB
+# of float64 stays in cache and on the heap, where a whole (pairs, theta)
+# array would come from fresh, zeroed pages on every call
+_BLOCK = 8192
+# a block starts at a multiple of this many pairs and is never shorter, so
+# each pair falls in the same 4-row group of the BLAS gemv kernel as it
+# does in one gemv over all pairs
+_MIN_ROWS = 32
+
+
+def _block_rows(theta_order: int) -> int:
+    """Pairs per block of the n >= 2 kernel at this many angular nodes."""
+    return max(_MIN_ROWS, _BLOCK // theta_order // _MIN_ROWS * _MIN_ROWS)
+
+
 def _particle_kernels(r: np.ndarray, phi: InfluenceSpec, n: int,
                       cos_theta: np.ndarray, w: np.ndarray):
     """Sphere-averaged kernel matrices K_phi[i,j], K_zeta[i,j] on the paths.
@@ -295,7 +310,11 @@ def _particle_kernels(r: np.ndarray, phi: InfluenceSpec, n: int,
     shape (2, theta_order).  Both matrices are symmetric, and the
     distance r_i^2 + r_j^2 - 2 r_i r_j cos(theta) is so bit for bit, so
     phi is evaluated on the pairs i <= j only and each pair's sums fill
-    both halves.
+    both halves.  For n >= 2 the pairs go through phi in blocks of
+    :func:`_block_rows`, each summed by one gemv.  A tail block shorter
+    than ``_MIN_ROWS`` joins the block before it, because OpenBLAS rounds
+    a one-row gemv differently; the sums are then bit for bit those of
+    one gemv over all pairs on one BLAS thread (the tests pin this).
     """
     i, j = _pairs(len(r))
     a, b = r[i], r[j]
@@ -304,12 +323,21 @@ def _particle_kernels(r: np.ndarray, phi: InfluenceSpec, n: int,
         kp = phi.phi(a + b)
         pair_phi, pair_zeta = 0.5 * (km + kp), 0.5 * (km - kp)
     else:
-        a, b = a[:, None], b[:, None]
-        # a * a + b * b - 2.0 * a * b * cos_theta, in one (pairs, T) buffer
-        dist = 2.0 * a * b * cos_theta
-        np.subtract(a * a + b * b, dist, out=dist)
-        vals = phi.phi(np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist))
-        pair_phi, pair_zeta = vals @ w[0], vals @ w[1]
+        # a * a + b * b - 2.0 * a * b * cos_theta, a block of pairs at a time
+        ab2, sq = 2.0 * a[:, None] * b[:, None], (a * a + b * b)[:, None]
+        pairs, rows = len(a), _block_rows(len(cos_theta))
+        pair_phi, pair_zeta = np.empty(pairs), np.empty(pairs)
+        lo = 0
+        while lo < pairs:
+            hi = lo + rows
+            if hi + _MIN_ROWS > pairs:
+                hi = pairs
+            dist = np.multiply(ab2[lo:hi], cos_theta)
+            np.subtract(sq[lo:hi], dist, out=dist)
+            vals = phi.phi(np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist))
+            np.dot(vals, w[0], out=pair_phi[lo:hi])
+            np.dot(vals, w[1], out=pair_zeta[lo:hi])
+            lo = hi
     k_phi = np.empty((len(r), len(r)))
     k_zeta = np.empty((len(r), len(r)))
     k_phi[i, j] = k_phi[j, i] = pair_phi
@@ -348,12 +376,14 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
         w = np.stack((w, w * cos_theta))
     clock = _phase("seeded %d paths", n_paths, since=clock)
 
-    calls = 0
+    calls, kernel_s = 0, 0.0
 
     def deriv(r, u):
-        nonlocal calls
+        nonlocal calls, kernel_s
         calls += 1
+        start = time.perf_counter()
         k_phi, k_zeta = _particle_kernels(r, phi, n, cos_theta, w)
+        kernel_s += time.perf_counter() - start
         psi = k_phi @ m
         zeta = k_zeta @ (m * u)
         return u, zeta - psi * u, psi
@@ -403,8 +433,12 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
             dr1, du1, psi = deriv(r, u)
         if snap_here:
             take_snapshot(t_new, r, u, psi)
-    _phase("%d RK4 steps, %d kernel calls, %d snapshots (%.3f s reconstructing)",
-           steps, calls, len(snapshots), recon_s, since=clock)
+    pairs = n_paths * (n_paths + 1) // 2
+    shape = (f"blocks of {min(_block_rows(theta_order), pairs)} pairs x "
+             f"{theta_order} nodes" if n > 1 else f"all {pairs} pairs at once")
+    _phase("%d RK4 steps, %d kernel calls, %d snapshots (%.3f s in kernel calls, "
+           "%s; %.3f s reconstructing)", steps, calls, len(snapshots), kernel_s,
+           shape, recon_s, since=clock)
     return SimulationResult(snapshots, blowup, params, n_paths)
 
 

@@ -476,6 +476,49 @@ def test_simulate_unknown_library_name(tmp_path, capsys, kind, phi, rho, u, libr
     assert not (tmp_path / "metadata.json").exists()
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("euler-alignment", "n_paths", "1"),
+    ("euler-alignment", "n_paths", "0"),
+    ("euler-alignment", "t_end", "0"),
+    ("euler-alignment", "t_end", "-1"),
+    ("euler-alignment", "snapshots", "0"),
+    ("euler-alignment", "theta_order", "0"),
+    ("euler-alignment", "dt", "-1"),
+    ("euler-poisson", "n_paths", "0"),
+    ("euler-poisson", "t_end", "0"),
+    ("euler-poisson", "snapshots", "0"),
+])
+def test_simulate_bad_run_size_refused(tmp_path, capsys, kind, key, value):
+    cfg = SIM_SMALL.format(kind=kind, phi="power-law", rho="gaussian-bump", u="rexp")
+    line = re.compile(rf"^{key} = .*$", re.M)
+    cfg = (line.sub(f"{key} = {value}", cfg) if line.search(cfg)
+           else cfg + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", write(tmp_path, "bad.cfg", cfg),
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and f"] {key} must be" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("theta_order, block", [(32, "55 pairs x 32 nodes"),
+                                                (192, "32 pairs x 192 nodes")])
+def test_simulate_logs_kernel_time_and_blocks(tmp_path, capsys, caplog,
+                                              theta_order, block):
+    cfg = (SIM_SMALL.format(kind="euler-alignment", phi="power-law",
+                            rho="gaussian-bump", u="rexp")
+           + f"theta_order = {theta_order}\n")
+    with caplog.at_level("INFO", logger="radial_euler"):
+        assert cli.main(["simulate", "--config", write(tmp_path, "k.cfg", cfg),
+                         "--out", str(tmp_path)]) == 0
+    text = "\n".join(r.getMessage() for r in caplog.records)
+    # 10 paths make 55 pairs; 192 nodes leave room for 32 pairs per block
+    assert re.search(r"\d+ RK4 steps, \d+ kernel calls, 2 snapshots "
+                     r"\(\d+\.\d{3} s in kernel calls, blocks of " + block
+                     + r"; \d+\.\d{3} s reconstructing\) in \d+\.\d{3} s", text)
+
+
 @pytest.mark.parametrize("command, cfg, message", [
     ("curves", """
 [model]

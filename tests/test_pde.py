@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radial_euler
 from radial_euler import (CharacteristicEnsemble, CrossingError,
                           IntegratorConfig, Model, ModelParams, Verdict,
                           classify_ep, constant_influence, diagnostics_series,
@@ -325,6 +330,86 @@ def test_triangle_kernels_match_dense(n):
                 # take that loop; both stay within a few ulps of the sum of
                 # |terms|, which phi <= 1 and weights summing to ~1 keep O(1).
                 assert np.max(np.abs(k_got - k_want)) <= 4 * np.finfo(float).eps
+
+
+def _one_shot_kernels(r, phi, n, cos_theta, w):
+    """The n >= 2 pair kernel with all (pairs, T) values in one array."""
+    i, j = np.triu_indices(len(r))
+    a, b = r[i][:, None], r[j][:, None]
+    dist = 2.0 * a * b * cos_theta
+    np.subtract(a * a + b * b, dist, out=dist)
+    vals = phi.phi(np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist))
+    pair_phi, pair_zeta = vals @ w[0], vals @ w[1]
+    k_phi = np.empty((len(r), len(r)))
+    k_zeta = np.empty((len(r), len(r)))
+    k_phi[i, j] = k_phi[j, i] = pair_phi
+    k_zeta[i, j] = k_zeta[j, i] = pair_zeta
+    return k_phi, k_zeta
+
+
+def _angular_weights(n, theta_order):
+    from radial_euler.alignment import _angular_rule
+    from radial_euler.core import sphere_area
+    theta, w = _angular_rule(n, theta_order)
+    cos_theta, w = np.cos(theta), w * (sphere_area(n - 1) / sphere_area(n))
+    return cos_theta, np.stack((w, w * cos_theta))
+
+
+def _blocked_mismatches():
+    """(n, T, N, phi) cases where the blocked kernel is not the one-shot's."""
+    from radial_euler.alignment import INFLUENCE_LIBRARY
+    from radial_euler.pde import _particle_kernels
+    rng = np.random.default_rng(5)
+    bad = []
+    for n in (2, 3):
+        for theta_order in (8, 32, 48, 192):
+            cos_theta, w = _angular_weights(n, theta_order)
+            # 62, 65, 126, 129 and 513 paths leave a one-pair tail at some T
+            for n_paths in (1, 2, 7, 33, 62, 65, 80, 81, 126, 129, 200, 513):
+                r = np.sort(rng.uniform(0.01, 2.5, n_paths))
+                if n_paths * (n_paths + 1) // 2 * theta_order > 5_000_000:
+                    continue   # keeps each one-shot array under 40 MB
+                for name, factory in sorted(INFLUENCE_LIBRARY.items()):
+                    got = _particle_kernels(r, factory(), n, cos_theta, w)
+                    want = _one_shot_kernels(r, factory(), n, cos_theta, w)
+                    if not all(map(np.array_equal, got, want)):
+                        bad.append((n, theta_order, n_paths, name))
+    return bad
+
+
+def test_blocked_kernels_match_one_shot():
+    # One BLAS thread: a threaded gemv over all pairs splits them at a
+    # thread boundary that is not a multiple of its 4-row kernel, so the
+    # one-shot sums themselves change with the thread count.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(radial_euler.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import test_pde; print(test_pde._blocked_mismatches())"],
+        cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
+        timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_kernel_memory_does_not_scale_with_theta():
+    import tracemalloc
+    from radial_euler.pde import _particle_kernels
+    r = np.sort(np.random.default_rng(0).uniform(0.01, 2.5, 200))
+    phi = power_law_influence(0.5, 1.0)
+    peaks = {}
+    for theta_order in (8, 192):
+        cos_theta, w = _angular_weights(2, theta_order)
+        _particle_kernels(r, phi, 2, cos_theta, w)   # caches the pair indices
+        tracemalloc.start()
+        try:
+            _particle_kernels(r, phi, 2, cos_theta, w)
+            peaks[theta_order] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # O(N^2) pair columns and matrices plus one block: about 1.7 MB here,
+    # where a (pairs, T) array alone is 20100 * 192 * 8 B = 31 MB
+    assert peaks[192] - peaks[8] < 256 * 1024
+    assert peaks[192] < 4 * 1024 * 1024
 
 
 def _simulate_ep_per_path(rho0, u0, params, n_paths, config, t_end, n_snapshots):
