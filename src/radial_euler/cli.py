@@ -30,7 +30,7 @@ from .core import Model
 from .euler_poisson import (compute_threshold_constants, explicit_sigma_plus,
                             qs_phase_portrait)
 from .odeint import IntegrationFailure, Verdict
-from .pde import diagnostics_series, simulate_ea, simulate_ep
+from .pde import diagnostics_series, run_size_problem, simulate_ea, simulate_ep
 from .profiles import DENSITY_LIBRARY, VELOCITY_LIBRARY
 from .sweep import (bounds_from, classify_from_config, integrator_from,
                     model_params_from, run_sweep)
@@ -167,20 +167,22 @@ def _snapshot_csv(snap, prov: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+# config (section, key) of each run-size argument of simulate_ep/simulate_ea
+_RUN_SIZE_KEYS = {"n_paths": ("initial", "n_paths"), "t_end": ("simulate", "t_end"),
+                  "n_snapshots": ("simulate", "snapshots"),
+                  "theta_order": ("simulate", "theta_order"), "dt": ("simulate", "dt")}
+
+
 def _check_run_size(cfg: RunConfig, model: Model):
-    """Refuse run sizes that cannot give a simulation, for both ensembles."""
+    """Refuse, before any file is written, run sizes the simulation refuses."""
     ini, sim = cfg["initial"], cfg["simulate"]
-    checks = [("initial", "n_paths", ini["n_paths"] >= 2, "at least 2"),
-              ("simulate", "t_end", sim["t_end"] > 0, "positive"),
-              ("simulate", "snapshots", sim["snapshots"] >= 1, "at least 1")]
-    if model is Model.EULER_ALIGNMENT:
-        checks += [("simulate", "theta_order", sim["theta_order"] >= 1, "at least 1"),
-                   ("simulate", "dt", sim["dt"] >= 0,
-                    "nonnegative (0 picks the stability bound)")]
-    for section, key, ok, wanted in checks:
-        if not ok:
-            raise ConfigError(f"[{section}] {key} must be {wanted}, "
-                              f"got {cfg[section][key]!r}")
+    problem = run_size_problem(model, ini["n_paths"], sim["t_end"], sim["snapshots"],
+                               sim["theta_order"], sim["dt"])
+    if problem is not None:
+        name, wanted = problem
+        section, key = _RUN_SIZE_KEYS[name]
+        raise ConfigError(f"[{section}] {key} must be {wanted}, "
+                          f"got {cfg[section][key]!r}")
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
@@ -194,7 +196,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
         result = simulate_ea(rho0, u0, phi, params, n_paths=ini["n_paths"],
                              t_end=sim["t_end"], n_snapshots=sim["snapshots"],
                              theta_order=sim["theta_order"],
-                             dt=sim["dt"] or None)
+                             dt=sim["dt"])
     else:
         result = simulate_ep(rho0, u0, params, n_paths=ini["n_paths"],
                              config=integrator_from(cfg), t_end=sim["t_end"],

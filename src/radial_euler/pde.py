@@ -140,6 +140,35 @@ def _check_inputs(rho0: RadialProfile, u0: RadialProfile, params: ModelParams):
         raise ValueError("velocity profile must cover the density support")
 
 
+def run_size_problem(model: Model, n_paths: int, t_end: float, n_snapshots: int,
+                     theta_order: int = 32, dt: Optional[float] = None):
+    """The first run-size argument a simulation cannot use, or None.
+
+    Returns (argument name, what it must be).  One rule set for
+    :func:`simulate_ep`, :func:`simulate_ea` and the CLI.  ``t_end = 0``
+    with a single snapshot is the initial data, which only an
+    Euler-Poisson (or Burgers) ensemble can give: the alignment run has
+    no zero-length step.  ``theta_order`` and ``dt`` bind only the
+    alignment run, where ``dt`` 0 or None picks the stability bound.
+    """
+    alignment = model is Model.EULER_ALIGNMENT
+    rules = [("n_paths", n_paths >= 2, "at least 2"),
+             ("t_end", t_end > 0 or (t_end == 0 and n_snapshots == 1 and not alignment),
+              "positive" if alignment else "positive, or 0 with a single snapshot"),
+             ("n_snapshots", n_snapshots >= 1, "at least 1")]
+    if alignment:
+        rules += [("theta_order", theta_order >= 1, "at least 1"),
+                  ("dt", dt is None or dt >= 0, "nonnegative (0 picks the stability bound)")]
+    return next(((name, wanted) for name, ok, wanted in rules if not ok), None)
+
+
+def _check_run_size(model: Model, **sizes):
+    problem = run_size_problem(model, **sizes)
+    if problem is not None:
+        name, wanted = problem
+        raise ValueError(f"{name} must be {wanted}, got {sizes[name]!r}")
+
+
 def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
     """Recover (rho, u, p, q) fields from the paths.
 
@@ -215,6 +244,7 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
     paths cross.
     """
     _check_inputs(rho0, u0, params)
+    _check_run_size(params.model, n_paths=n_paths, t_end=t_end, n_snapshots=n_snapshots)
     clock = time.perf_counter()
     ens = _seed_ensemble(rho0, u0, params, n_paths)
     r = ens.r
@@ -359,12 +389,14 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
     radius.  Halts with a crossing report when paths meet.
     """
     _check_inputs(rho0, u0, params)
+    _check_run_size(Model.EULER_ALIGNMENT, n_paths=n_paths, t_end=t_end,
+                    n_snapshots=n_snapshots, theta_order=theta_order, dt=dt)
     clock = time.perf_counter()
     n = int(params.n)
     ens = _seed_ensemble(rho0, u0, params, n_paths)
     m = ens.masses
     psi_max = phi.sup_phi * float(np.sum(m))
-    step = dt if dt is not None else min(0.1 / psi_max, t_end / 10.0)
+    step = dt or min(0.1 / psi_max, t_end / 10.0)
     n_steps = max(int(math.ceil(t_end / step)), 1)
     step = t_end / n_steps
 

@@ -3,8 +3,9 @@
 A RadialProfile stores one scalar field on a strictly increasing node
 set starting at r = 0, with the origin regularity conditions enforced:
 velocities vanish at the origin, densities have zero radial slope there.
-Evaluation and differentiation use monotone cubic (PCHIP) interpolation;
-weighted integrals against tau^power handle the radial volume element
+Evaluation and differentiation use monotone cubic (PCHIP) interpolation,
+computed here in NumPy so that importing this module does not load
+scipy; weighted integrals against tau^power handle the radial volume element
 analytically on piecewise-quadratic reconstructions, so they lose no
 order at the origin.
 """
@@ -12,12 +13,12 @@ order at the origin.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .core import sphere_area
 
@@ -34,7 +35,8 @@ class RadialProfile:
     kind: ProfileKind = ProfileKind.DENSITY
     # closed-form total mass in dimension n, when known (canned profiles)
     mass_exact: Optional[Callable[[float], float]] = None
-    _interp: PchipInterpolator = field(init=False, repr=False)
+    # (4, nodes - 1) PCHIP power-basis coefficients, highest power first
+    _pchip: np.ndarray = field(init=False, repr=False)
     _smooth: object = field(init=False, repr=False, default=None)
     _slope: object = field(init=False, repr=False, default=None)
 
@@ -45,6 +47,8 @@ class RadialProfile:
             raise ValueError("nodes and values must be 1-d arrays of equal length")
         if len(self.nodes) < 2:
             raise ValueError("a profile needs at least two nodes")
+        if not (np.all(np.isfinite(self.nodes)) and np.all(np.isfinite(self.values))):
+            raise ValueError("nodes and values must be finite")
         if self.nodes[0] != 0.0:
             raise ValueError("the first node must sit at r = 0")
         if np.any(np.diff(self.nodes) <= 0):
@@ -53,7 +57,7 @@ class RadialProfile:
             raise ValueError("velocity profiles must satisfy u(0) = 0")
         if self.kind is ProfileKind.DENSITY:
             self._check_origin_slope()
-        self._interp = PchipInterpolator(self.nodes, self.values, extrapolate=False)
+        self._pchip = _pchip_coeffs(self.nodes, self.values)
 
     def _check_origin_slope(self):
         # one-sided slope at the origin must be curvature-sized, not O(1)
@@ -82,20 +86,23 @@ class RadialProfile:
         return float(self.nodes[nz[-1]]) if len(nz) else 0.0
 
     def __call__(self, r):
-        out = self._interp(r)
-        if np.any(np.isnan(out)):
-            raise ValueError("evaluation outside the profile support")
-        return out
+        return _within_support(_piecewise_cubic(self.nodes, self._pchip, r))
 
     def smooth_eval(self, r):
         """Fourth-order (cubic-spline) evaluation for quadrature kernels.
 
         PCHIP is only third-order accurate, which shows up when kernel
         integrals are compared against closed-form masses at 1e-10.
+        Profiles with fewer than four nodes fall back to PCHIP.
         """
         if self._smooth is None:
-            self._smooth = CubicSpline(self.nodes, self.values) \
-                if len(self.nodes) >= 4 else self._interp
+            if len(self.nodes) >= 4:
+                # imported here: only kernel quadrature builds a spline, and
+                # scipy.interpolate costs most of the package's start-up
+                from scipy.interpolate import CubicSpline
+                self._smooth = CubicSpline(self.nodes, self.values)
+            else:
+                self._smooth = functools.partial(_piecewise_cubic, self.nodes, self._pchip)
         r = np.asarray(r, dtype=float)
         if np.any(r < self.nodes[0]) or np.any(r > self.nodes[-1] * (1 + 1e-12)):
             raise ValueError("evaluation outside the profile support")
@@ -103,11 +110,8 @@ class RadialProfile:
 
     def derivative(self, r):
         if self._slope is None:
-            self._slope = self._interp.derivative()
-        out = self._slope(r)
-        if np.any(np.isnan(out)):
-            raise ValueError("evaluation outside the profile support")
-        return out
+            self._slope = self._pchip[:-1] * np.array([[3.0], [2.0], [1.0]])
+        return _within_support(_piecewise_cubic(self.nodes, self._slope, r))
 
     def mass(self, n: float) -> float:
         """Total mass in R^n: omega_{n-1} * integral of rho(s) s^(n-1)."""
@@ -115,6 +119,73 @@ class RadialProfile:
             return self.mass_exact(n)
         return sphere_area(max(int(round(n)), 1)) * integrate_weighted(
             self.nodes, self.values, 0.0, self.r_max, n - 1.0)
+
+
+def _within_support(out: np.ndarray) -> np.ndarray:
+    if np.any(np.isnan(out)):
+        raise ValueError("evaluation outside the profile support")
+    return out
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept shape-preserving (Moler, pchiptx)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients of the PCHIP interpolant, highest power first.
+
+    The arithmetic repeats scipy's ``PchipInterpolator`` operation for
+    operation, so the interpolant is bit for bit the same: node slopes
+    are the Fritsch-Butland weighted harmonic mean of the neighbouring
+    secants (zero where they differ in sign or one vanishes), with the
+    one-sided rule at both ends and a straight line for two nodes.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.zeros_like(y)
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _piecewise_cubic(nodes: np.ndarray, coeffs: np.ndarray, r) -> np.ndarray:
+    """Evaluate power-basis pieces on the node intervals, as scipy's PPoly.
+
+    Interval k is [nodes[k], nodes[k+1]), the last one closed; points
+    outside [nodes[0], nodes[-1]] and NaN give NaN.  The sum runs from
+    the constant term up with a running power of (r - nodes[k]), as
+    PPoly does, so the results are the same bits.  The shape is that of
+    ``r`` (0-d for a scalar).
+    """
+    r = np.asarray(r, dtype=float)
+    x = r.ravel()
+    inside = (nodes[0] <= x) & (x <= nodes[-1])
+    k = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
+    s = np.where(inside, x - nodes[k], 0.0)   # no overflow far outside
+    out = 0.0 + coeffs[-1, k]                 # PPoly's sum starts at 0.0: -0.0 reads 0.0
+    power = s
+    for j in range(len(coeffs) - 2, -1, -1):
+        out = out + coeffs[j, k] * power
+        if j:
+            power = power * s
+    out[~inside] = np.nan
+    return out.reshape(r.shape)
 
 
 def integrate_weighted(nodes: np.ndarray, values: np.ndarray,

@@ -1,10 +1,14 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radial_euler
 from radial_euler import cli
 from radial_euler.alignment import INFLUENCE_LIBRARY
 from radial_euler.config import (ConfigError, RunConfig, config_hash,
@@ -652,3 +656,40 @@ snapshots = 3
                  "metadata.json"):
         assert ((tmp_path / "logged" / name).read_bytes()
                 == (tmp_path / "quiet" / name).read_bytes())
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from radial_euler import cli, constant_influence, eval_psi, indicator
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+codes = [cli.main([cmd, "--config", path] + (["--out", f"{out}/{i}"] if cmd != "classify" else []))
+         for i, (cmd, path) in enumerate(runs)]
+before = "scipy" in sys.modules
+rho = indicator(1.0, 1.0)
+psi = eval_psi(rho, constant_influence(0.7), 0.4, 2) / (0.7 * rho.mass(2))
+print(json.dumps({"codes": codes, "before": before, "after": "scipy" in sys.modules,
+                  "psi": psi}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    sim_ep = SIM_SMALL.format(kind="euler-poisson", phi="constant", rho="gaussian-bump",
+                              u="rexp")
+    sim_ea = SIM_SMALL.format(kind="euler-alignment", phi="power-law",
+                              rho="gaussian-bump", u="rexp")
+    curves = "[model]\nkind = euler-alignment\nn = 1\n\n[curves]\nsamples = 20\n"
+    runs = [("sweep", write(tmp_path, "s.cfg", SWEEP_CFG)),
+            ("classify", write(tmp_path, "c.cfg", EP_SUB)),
+            ("curves", write(tmp_path, "k.cfg", curves)),
+            ("simulate", write(tmp_path, "ep.cfg", sim_ep)),
+            ("simulate", write(tmp_path, "ea.cfg", sim_ea))]
+    env = dict(os.environ, PYTHONPATH=str(Path(radial_euler.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path / "out"),
+                          json.dumps(runs)], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    # no command loads scipy; kernel quadrature still imports it when asked
+    assert result["before"] is False and result["after"] is True
+    assert result["psi"] == pytest.approx(1.0, rel=1e-10)

@@ -492,3 +492,39 @@ def test_simulate_ep_lanes_match_per_path(case):
         assert np.array_equal(snap.extras["states"], ref.extras["states"])
         for name in ("r", "u", "rho", "p", "q"):
             assert np.array_equal(getattr(snap, name), getattr(ref, name))
+
+
+EA2 = ModelParams(n=2, kappa=1, c=0, model=Model.EULER_ALIGNMENT)
+
+
+@pytest.mark.parametrize("model, argument, value", [
+    (Model.EULER_ALIGNMENT, "n_paths", 1),
+    (Model.EULER_ALIGNMENT, "n_paths", 0),
+    (Model.EULER_ALIGNMENT, "t_end", 0.0),
+    (Model.EULER_ALIGNMENT, "t_end", -1.0),
+    (Model.EULER_ALIGNMENT, "t_end", math.nan),
+    (Model.EULER_ALIGNMENT, "n_snapshots", 0),
+    (Model.EULER_ALIGNMENT, "theta_order", 0),
+    (Model.EULER_ALIGNMENT, "dt", -0.1),
+    (Model.EULER_POISSON, "n_paths", 1),
+    (Model.EULER_POISSON, "t_end", 0.0),
+    (Model.EULER_POISSON, "t_end", -1.0),
+    (Model.EULER_POISSON, "n_snapshots", 0),
+])
+def test_simulate_bad_run_size_refused_from_python(model, argument, value):
+    rho0, u0 = gaussian_bump(1.0, 1.0, r_max=2.5, n_nodes=101), rexp_velocity(1.0, 4.0)
+    sizes = dict(n_paths=20, t_end=1.0, n_snapshots=3)
+    sizes[argument] = value
+    with pytest.raises(ValueError, match=rf"^{argument} must be .*, got "):
+        if model is Model.EULER_ALIGNMENT:
+            simulate_ea(rho0, u0, power_law_influence(0.5, 1.0), EA2, **sizes)
+        else:
+            simulate_ep(rho0, u0, EP3, **sizes)
+
+
+def test_simulate_ea_zero_dt_picks_stability_bound():
+    rho0, u0 = gaussian_bump(1.0, 1.0, r_max=2.5, n_nodes=101), rexp_velocity(1.0, 4.0)
+    runs = [simulate_ea(rho0, u0, power_law_influence(0.5, 1.0), EA2, n_paths=12,
+                        t_end=0.5, n_snapshots=2, dt=dt) for dt in (None, 0.0)]
+    assert all(np.array_equal(a.u, b.u) and a.time == b.time
+               for a, b in zip(runs[0].snapshots, runs[1].snapshots))

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
-from radial_euler import (ProfileKind, RadialProfile, constant, gaussian_bump,
-                          indicator, integrate_weighted, linear_velocity,
+from radial_euler import (DENSITY_LIBRARY, VELOCITY_LIBRARY, ProfileKind,
+                          RadialProfile, constant, gaussian_bump, indicator,
+                          integrate_weighted, linear_velocity,
                           polynomial_decay, rexp_velocity, sphere_area,
                           zero_velocity)
+from radial_euler.profiles import _pchip_coeffs, _piecewise_cubic
 
 
 def test_node_validation():
@@ -120,8 +123,87 @@ def test_integrate_weighted_limits_array_matches_scalar_calls():
 def test_derivative_cached_and_unchanged():
     u = rexp_velocity(2.0, 1.5, r_max=4.0, n_nodes=201)
     rr = np.linspace(0.0, 4.0, 57)
-    fresh = u._interp.derivative()(rr)
+    fresh = PchipInterpolator(u.nodes, u.values, extrapolate=False).derivative()(rr)
     assert np.array_equal(u.derivative(rr), fresh)
     slope = u._slope
     assert np.array_equal(u.derivative(rr), fresh) and u._slope is slope
     assert [float(u.derivative(r)) for r in rr] == fresh.tolist()
+
+
+def _same_bits(got, want):
+    """Equal shape, NaN positions and bits (so the sign of zero too)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(np.isnan(got), np.isnan(want))
+            and np.array_equal(np.where(np.isnan(got), 0.0, got).view(np.int64),
+                               np.where(np.isnan(want), 0.0, want).view(np.int64)))
+
+
+def _pchip_cases():
+    for library in (DENSITY_LIBRARY, VELOCITY_LIBRARY):
+        for name, factory in sorted(library.items()):
+            for n_nodes in (2, 3, 4, 5, 201, 801):
+                try:
+                    prof = factory(n_nodes=n_nodes)
+                except ValueError:   # two nodes cannot give a bump zero slope at r = 0
+                    assert n_nodes == 2 and name in ("gaussian-bump", "polynomial-decay")
+                    continue
+                yield prof.nodes, prof.values
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        size = int(rng.integers(2, 30))
+        x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 2.0, size - 1))))
+        y = rng.normal(size=size) * 10.0 ** float(rng.integers(-3, 4))
+        y[rng.random(size) < 0.3] = 0.0          # exact zeros
+        if rng.random() < 0.4:
+            y = np.round(y)                      # flat runs
+        if rng.random() < 0.5:
+            y = -y                               # sign changes both ways
+        yield x, y
+
+
+def test_pchip_matches_scipy_bit_for_bit():
+    cases = 0
+    for x, y in _pchip_cases():
+        ref = PchipInterpolator(x, y, extrapolate=False)
+        coeffs = _pchip_coeffs(x, y)
+        slope = coeffs[:-1] * np.array([[3.0], [2.0], [1.0]])
+        mids = 0.5 * (x[1:] + x[:-1])
+        points = np.concatenate((x, mids, [np.nan, np.nextafter(x[0], -np.inf),
+                                           np.nextafter(x[-1], np.inf), x[0] - 1.0,
+                                           x[-1] + 1.0]))
+        for r in (points, points[:6].reshape(2, 3), float(x[-1]), float(mids[-1]),
+                  np.nan, np.nextafter(x[-1], np.inf)):
+            assert _same_bits(_piecewise_cubic(x, coeffs, r), ref(r)), (x, y, r)
+            assert _same_bits(_piecewise_cubic(x, slope, r), ref.derivative()(r)), (x, y, r)
+        cases += 1
+    assert cases == 46 + 400
+
+
+def test_profile_pchip_public_calls():
+    u = rexp_velocity(2.0, 1.5, r_max=4.0, n_nodes=201)
+    ref = PchipInterpolator(u.nodes, u.values, extrapolate=False)
+    rr = np.linspace(0.0, 4.0, 57)
+    assert _same_bits(u(rr), ref(rr))
+    assert _same_bits(u(4.0), ref(4.0)) and np.ndim(u(4.0)) == 0
+    with pytest.raises(ValueError):
+        u(np.nextafter(4.0, np.inf))
+    with pytest.raises(ValueError):
+        u.derivative(-1e-300)
+    with pytest.raises(ValueError):
+        RadialProfile(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
+
+
+def test_smooth_eval_short_profile_is_pchip():
+    # fewer than four nodes: no cubic spline, PCHIP values, and NaN (not a
+    # raise) inside the 1e-12 tolerance just past the last node
+    for nodes, values in ((np.array([0.0, 1.0]), np.array([2.0, 2.0])),
+                          (np.array([0.0, 0.5, 2.0]), np.array([1.0, 1.0, 0.25]))):
+        prof = RadialProfile(nodes, values)
+        ref = PchipInterpolator(nodes, values, extrapolate=False)
+        rr = np.linspace(0.0, nodes[-1], 9)
+        assert _same_bits(prof.smooth_eval(rr), ref(rr))
+        past = nodes[-1] * (1 + 1e-13)
+        assert past > nodes[-1] and np.isnan(prof.smooth_eval(past))
+        with pytest.raises(ValueError):
+            prof.smooth_eval(nodes[-1] * (1 + 1e-11))
