@@ -20,6 +20,7 @@ D_crit, and the resulting explicit multi-D subcritical bound on p0/rho0.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
@@ -32,6 +33,8 @@ from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
                      TrajectoryRecord, Verdict, integrate, integrate_lanes,
                      outcome_of)
 from .profiles import RadialProfile, integrate_weighted
+
+log = logging.getLogger(__name__)
 
 DEFAULT_CONFIG = IntegratorConfig()
 
@@ -245,6 +248,46 @@ def sigma_1d(p0: float, rho0: float, kappa: float, c: float) -> Region:
     return Region.SUBCRITICAL if abs(p0) < math.sqrt(gap) else Region.SUPERCRITICAL
 
 
+# amplitude certificate of a 1D, c > 0 orbit: the amplitude may drift over
+# one period by this much relative to the orbit's size 1/c + A ...
+_CERT_DRIFT = 1e-4
+# ... and by this fraction of the margin 1/c - A to the threshold v = 0
+_CERT_MARGIN = 0.1
+
+
+def _orbit_amplitude(p, rho, kappa: float, c: float) -> float:
+    """Amplitude A = |(v - 1/c, w / sqrt(kappa c))| of a 1D orbit, c > 0.
+
+    With v = 1/rho and w = p/rho the n = 1 system is the linear oscillator
+    w' = kappa - kappa c v, v' = w, so A is exactly conserved, and rho
+    escapes (v reaches 0) iff A >= 1/c: A < 1/c is :func:`sigma_1d`'s
+    subcritical region.  Total: rho = 0 or non-finite input gives inf or
+    NaN, never an exception.
+    """
+    p, rho = np.float64(p), np.float64(rho)
+    with np.errstate(all="ignore"):
+        return float(np.hypot(1.0 / rho - 1.0 / c, p / rho / math.sqrt(kappa * c)))
+
+
+def _amplitude_certificate(y0, y1, kappa: float, c: float) -> Optional[tuple[float, float]]:
+    """(drift, margin) if the return ``y1`` of the (p, rho) orbit from ``y0``
+    after one period certifies it as exactly subcritical, else None.
+
+    The exact verdict depends on A(y0) alone.  The certificate asks that
+    A(y0) lie below 1/c by a margin, and that the run kept its amplitude to
+    within a small fraction of that margin, so the run tracked an orbit on
+    the same side of the threshold.  The exact orbit is periodic, so one
+    tracked period decides the whole horizon.  NaN or inf anywhere fails
+    every comparison, so the answer is then "not certified".
+    """
+    a0 = _orbit_amplitude(y0[0], y0[1], kappa, c)
+    drift = abs(_orbit_amplitude(y1[0], y1[1], kappa, c) - a0)
+    margin = 1.0 / c - a0
+    if drift <= _CERT_DRIFT * (a0 + 1.0 / c) and drift < _CERT_MARGIN * margin:
+        return drift, margin
+    return None
+
+
 def _basin_event(params: ModelParams) -> Optional[EventSpec]:
     """Forward-invariant bounded region, entered => globally bounded.
 
@@ -360,10 +403,15 @@ def classify_ep_many(states: Sequence[CharState], params: ModelParams,
     """:func:`classify_ep` for every state, with all runs in lockstep.
 
     Each state's run, and with ``confirm`` its 10x-tightened re-run, is
-    one lane of a single :func:`integrate_lanes` batch; the rare
-    ambiguous one-period returns re-run to the full horizon as a second
-    batch.  Lanes are independent, so every outcome is exactly the one
-    :func:`classify_ep` gives for that state alone.
+    one lane of a single :func:`integrate_lanes` batch.  Lanes are
+    independent, so every outcome is exactly the one :func:`classify_ep`
+    gives for that state alone.
+
+    For n = 1 and c > 0 the exact (w, v) orbit is periodic, so a run stops
+    after one period and ends there if its state returns to within
+    1e-5 (|y0| + 1), or if :func:`_amplitude_certificate` shows the orbit
+    exactly subcritical and tracked.  The rest re-run to the full horizon
+    as a second batch.
     """
     for y0 in states:
         _check_state(y0, params)
@@ -388,7 +436,7 @@ def classify_ep_many(states: Sequence[CharState], params: ModelParams,
     if (params.model is Model.EULER_POISSON and params.c > 0.0
             and params.n == 1.0):
         # the (w, v) = (p/rho, 1/rho) dynamics is an exact linear oscillator
-        # with period 2 pi / sqrt(kappa c); one clean return certifies the orbit
+        # with period 2 pi / sqrt(kappa c)
         period = 2.0 * math.pi / math.sqrt(params.kappa * params.c)
         first_run = tuple(replace(cfg, t_max=1.05 * period)
                           if 1.05 * period < cfg.t_max else cfg for cfg in passes)
@@ -402,6 +450,7 @@ def classify_ep_many(states: Sequence[CharState], params: ModelParams,
                        [first_run[k] for k in lane_pass], basin, period)
     runs = [[None] * len(states) for _ in passes]
     ambiguous = []
+    closed = certified = 0
     for k, cell, tail in zip(lane_pass, lane_cell, tails):
         diag = start_diag(cell)
         out = _settle(diag, tail, system)
@@ -409,10 +458,22 @@ def classify_ep_many(states: Sequence[CharState], params: ModelParams,
                 and tail.t_final < passes[k].t_max - 1e-9):
             scale = float(norm0[cell]) + 1.0
             if float(np.max(np.abs(tail.probe[0] - x0[:, cell]))) >= 1e-5 * scale:
-                ambiguous.append((k, cell, diag))
-                continue
-            diag["early_exit"] = "closed periodic orbit after one period"
+                cert = _amplitude_certificate(x0[:, cell], tail.probe[0],
+                                              params.kappa, params.c)
+                if cert is None:
+                    ambiguous.append((k, cell, diag))
+                    continue
+                diag["early_exit"] = ("periodic orbit certified by its (w, v) amplitude "
+                                      "after one period (drift %.2g, margin %.2g)" % cert)
+                certified += 1
+            else:
+                diag["early_exit"] = "closed periodic orbit after one period"
+                closed += 1
         runs[k][cell] = out
+    log.info("%d cells, %d inside the basin at t = 0; %d runs of the rest (one per "
+             "confirm pass): %d closed after one period, %d certified by amplitude, "
+             "%d re-ran to the horizon", len(states), int(np.count_nonzero(inside)),
+             len(lane_cell), closed, certified, len(ambiguous))
     if ambiguous:
         # ambiguous return: integrate the full horizon instead
         tails = _run_lanes(system, x0[:, [cell for _, cell, _ in ambiguous]],

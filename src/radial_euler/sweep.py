@@ -126,6 +126,13 @@ def _check_axes(cfg: RunConfig):
                               f"{', '.join(allowed)}")
     if s["axis1"] == s["axis2"]:
         raise ConfigError(f"[sweep] axis1 and axis2 are both {s['axis1']!r}")
+    for axis in ("axis1", "axis2"):
+        key = f"{axis}_steps"
+        if s[key] < 1:
+            raise ConfigError(f"[sweep] {key} must be at least 1, got {s[key]!r}")
+        for key in (f"{axis}_min", f"{axis}_max"):
+            if not np.isfinite(s[key]):
+                raise ConfigError(f"[sweep] {key} must be finite, got {s[key]!r}")
 
 
 def _sweep_rows(job) -> list[int]:

@@ -201,17 +201,25 @@ axis2_steps = 3
 """
 
 
-@pytest.mark.parametrize("base, old, new", [
-    (SWEEP_CFG, "axis1 = p0", "axis1 = pO"),       # typo of a state key
-    (SWEEP_CFG, "axis1 = p0", "axis1 = C0"),       # alignment key, EP model
-    (SWEEP_CFG, "axis2 = rho0", "axis2 = p0"),     # one axis twice
-    (EA_SWEEP_CFG, "axis1 = y0", "axis1 = p0"),    # state key, alignment model
-], ids=["typo", "alignment-key", "repeated", "state-key"])
-def test_sweep_bad_axis_refused(tmp_path, capsys, base, old, new):
+@pytest.mark.parametrize("base, old, new, key", [
+    (SWEEP_CFG, "axis1 = p0", "axis1 = pO", "axis1 ="),       # typo of a state key
+    (SWEEP_CFG, "axis1 = p0", "axis1 = C0", "axis1 ="),       # alignment key, EP model
+    (SWEEP_CFG, "axis2 = rho0", "axis2 = p0", "axis1 and"),   # one axis twice
+    (EA_SWEEP_CFG, "axis1 = y0", "axis1 = p0", "axis1 ="),    # state key, alignment model
+    (SWEEP_CFG, "axis1_steps = 5", "axis1_steps = 0", "axis1_steps"),
+    (SWEEP_CFG, "axis1_steps = 5", "axis1_steps = -3", "axis1_steps"),
+    (EA_SWEEP_CFG, "axis2_steps = 3", "axis2_steps = 0", "axis2_steps"),
+    (SWEEP_CFG, "axis1_min = -3.0", "axis1_min = nan", "axis1_min"),
+    (SWEEP_CFG, "axis1_max = 1.0", "axis1_max = inf", "axis1_max"),
+    (SWEEP_CFG, "axis2_min = 0.5", "axis2_min = -inf", "axis2_min"),
+    (EA_SWEEP_CFG, "axis2_max = 0.2", "axis2_max = nan", "axis2_max"),
+], ids=["typo", "alignment-key", "repeated", "state-key", "no-steps", "negative-steps",
+        "no-steps-axis2", "nan-min", "inf-max", "inf-min-axis2", "nan-max-axis2"])
+def test_sweep_bad_axis_refused(tmp_path, capsys, base, old, new, key):
     path = write(tmp_path, "bad.cfg", base.replace(old, new))
     rc = cli.main(["sweep", "--config", path, "--out", str(tmp_path)])
     assert rc == 1
-    assert "error: [sweep]" in capsys.readouterr().err
+    assert f"error: [sweep] {key}" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,7 +136,8 @@ def _exit_of(out, params):
         return "confirm flip" if "flips" in out.reason else "step collapse"
     early = out.diagnostics.get("early_exit", "")
     for prefix, name in (("initial", "initial basin"), ("entered", "basin event"),
-                         ("closed", "one-period return")):
+                         ("closed", "one-period return"),
+                         ("periodic orbit certified", "amplitude certificate")):
         if early.startswith(prefix):
             return name
     if out.is_blowup:
@@ -144,7 +147,9 @@ def _exit_of(out, params):
     return "ambiguous return" if params.c > 0 else "horizon"
 
 
-def test_classify_many_matches_one_by_one(monkeypatch):
+@pytest.fixture
+def lane_batches(monkeypatch):
+    """The lane count of every integrate_lanes batch classify_ep_many runs."""
     batches = []
 
     def counted(system, y0, *args, **kwargs):
@@ -152,6 +157,11 @@ def test_classify_many_matches_one_by_one(monkeypatch):
         return integrate_lanes(system, y0, *args, **kwargs)
 
     monkeypatch.setattr(euler_poisson, "integrate_lanes", counted)
+    return batches
+
+
+def test_classify_many_matches_one_by_one(lane_batches):
+    batches = lane_batches
     tight = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
     coarse = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5)
     pinned = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, h_min=1e-2, h_init=1e-2)
@@ -160,9 +170,12 @@ def test_classify_many_matches_one_by_one(monkeypatch):
     groups = [   # (params, config, states, lockstep batches)
         (EP1, tight, one_d, 1),
         (EP1, pinned, one_d, 1),
-        (EP1C, tight, orbits, 1),
-        # at coarse tolerances no one-period return closes, so every bounded
-        # cell re-runs to the horizon; (1.8, 2.125) flips under the confirm pass
+        # (1.8, 2.125), just inside the sharp region, misses the return test
+        # and passes the amplitude certificate
+        (EP1C, tight, orbits + [CharState(p=1.8, rho=2.125)], 1),
+        # at coarse tolerances no one-period return closes or certifies, so
+        # every bounded cell re-runs to the horizon; (1.8, 2.125) flips under
+        # the confirm pass
         (EP1C, coarse, orbits + [CharState(p=1.8, rho=2.125)], 2),
         (ModelParams(n=3, kappa=1, c=0), tight,
          _grid(np.linspace(-3, 1, 5), (0.5, 2.0), q=0.3, s=0.05)
@@ -185,7 +198,79 @@ def test_classify_many_matches_one_by_one(monkeypatch):
             assert diag == ref_diag, state
             seen.add(_exit_of(out, params))
     assert seen == {"initial basin", "basin event", "blowup", "one-period return",
-                    "ambiguous return", "horizon", "confirm flip", "step collapse"}
+                    "amplitude certificate", "ambiguous return", "horizon",
+                    "confirm flip", "step collapse"}
+
+
+def _state_on_orbit(amp, phase, kappa, c):
+    """(p, rho) at ``phase`` on the 1D orbit of amplitude ``amp`` (None if v <= 0)."""
+    v = 1.0 / c + amp * math.cos(phase)
+    w = -amp * math.sqrt(kappa * c) * math.sin(phase)
+    return (w / v, 1.0 / v) if v > 0.0 else None
+
+
+def test_amplitude_certificate_matches_sigma_1d():
+    # at coarse tolerances some supercritical runs step over v = 0 and
+    # survive their period; the certificate must still refuse them
+    coarse = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5)
+    certified = survived = 0
+    for c, kappa in itertools.product((0.5, 1.0, 2.0), (1.0, 2.0)):
+        states, regions = [], []
+        for eps, side in itertools.product((1e-2, 1e-4, 1e-6), (-1.0, 1.0)):
+            for phase in np.linspace(0.0, 2.0 * math.pi, 9)[:-1]:
+                state = _state_on_orbit((1.0 + side * eps) / c, phase, kappa, c)
+                if state is None:
+                    continue
+                region = sigma_1d(*state, kappa, c)
+                assert region is (Region.SUBCRITICAL if side < 0 else Region.SUPERCRITICAL)
+                # a return that kept the amplitude exactly certifies only
+                # subcritical orbits
+                cert = euler_poisson._amplitude_certificate(state, state, kappa, c)
+                assert (cert is not None) == (region is Region.SUBCRITICAL), state
+                states.append(CharState(p=state[0], rho=state[1]))
+                regions.append(region)
+        params = ModelParams(n=1, kappa=kappa, c=c)
+        for cfg, confirm in ((IntegratorConfig(), True), (coarse, False)):
+            outs = classify_ep_many(states, params, cfg, confirm=confirm)
+            for state, region, out in zip(states, regions, outs):
+                if "certified" in out.diagnostics.get("early_exit", ""):
+                    certified += 1
+                    assert region is Region.SUBCRITICAL, (c, kappa, state)
+                    assert out.verdict is Verdict.GLOBAL_BOUNDED, (c, kappa, state)
+                survived += region is Region.SUPERCRITICAL and out.is_bounded
+    assert certified > 0 and survived > 0
+
+
+@pytest.mark.parametrize("y1", [(0.5, 0.0), (0.5, -0.0), (0.5, 5e-324), (0.5, -1e-300),
+                                (1e308, 1e-308), (np.nan, 1.0), (0.5, np.nan),
+                                (np.inf, 1.0), (0.5, np.inf), (-np.inf, -np.inf)])
+def test_amplitude_certificate_is_total(y1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y0 in ((0.1, 1.5), y1):
+            assert euler_poisson._amplitude_certificate(y0, y1, 1.0, 1.0) is None
+            assert euler_poisson._amplitude_certificate(
+                np.array(y0), np.array(y1), 2.0, 0.5) is None
+
+
+def test_amplitude_certificate_replaces_horizon_reruns(lane_batches, caplog):
+    # the benchmark's c = 1 sweep: with the 1e-5 return test alone, 136 of
+    # its runs re-ran to the horizon as a second lockstep batch
+    caplog.set_level("INFO", logger="radial_euler.euler_poisson")
+    cells = [(p, r) for p in np.linspace(-4.0, 4.0, 40) for r in np.linspace(0.1, 4.0, 40)]
+    outs = classify_ep_many([CharState(p=float(p), rho=float(r)) for p, r in cells],
+                            EP1C, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8))
+    assert lane_batches == [3200]
+    certified = [cell for cell, out in zip(cells, outs)
+                 if "certified" in out.diagnostics.get("early_exit", "")]
+    assert len(certified) == 136
+    for p, r in certified:
+        assert sigma_1d(p, r, 1.0, 1.0) is Region.SUBCRITICAL
+    [line] = [rec.getMessage() for rec in caplog.records
+              if rec.name == "radial_euler.euler_poisson"]
+    assert line == ("1600 cells, 0 inside the basin at t = 0; 3200 runs of the rest "
+                    "(one per confirm pass): 1096 closed after one period, "
+                    "136 certified by amplitude, 0 re-ran to the horizon")
 
 
 def _first_zero_1d(p0, rho0, c):
