@@ -27,8 +27,9 @@ from .euler_poisson import (QsHatResult, ThresholdConstants, classify_ep,
                             sigma_1d, wv_system, burgers_system)
 from .alignment import (AlignmentBounds, EaCharState, InfluenceSpec,
                         ThresholdCurve,
-                        CURVE_KINDS, INFLUENCE_LIBRARY, comparison_classify,
-                        compute_bounds, constant_influence, enhanced_curve,
+                        CURVE_KINDS, INFLUENCE_LIBRARY, classify_ea_many,
+                        comparison_classify, compute_bounds,
+                        constant_influence, enhanced_curve,
                         eval_psi, eval_zeta, exponential_influence,
                         power_law_influence, rough_threshold_G,
                         rough_threshold_q)

@@ -17,17 +17,21 @@ their defining ODEs in the envelope amplitude x.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import Region, sphere_area
+from .euler_poisson import _MAX_BATCH_CELLS, _run_lanes
 from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
                      IntegratorConfig, OdeSystem, Termination, Verdict,
                      integrate, outcome_of)
 from .profiles import RadialProfile
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -415,21 +419,43 @@ def comparison_classify(kind: str, y0: float, C0: float, bounds: AlignmentBounds
     curve; side "-" integrates the favorable instantiation matching the
     supercritical curve.  B carries the decaying envelope C0 e^(-nu t).
     """
+    return classify_ea_many(kind, [y0], [C0], bounds, n, config, side)[0]
+
+
+def classify_ea_many(kind: str, y0s: Sequence[float], C0s: Sequence[float],
+                     bounds: AlignmentBounds, n: float,
+                     config: Optional[IntegratorConfig] = None,
+                     side: str = "+") -> list[ClassificationOutcome]:
+    """:func:`comparison_classify` for every cell (y0s[i], C0s[i]), in lockstep.
+
+    The run of each cell outside the bounded basin at t = 0 is one lane of
+    a single :func:`integrate_lanes` batch, with the cell's basin floor
+    1e-10 max(C0, 1) as its per-lane event constant.  Lanes are
+    independent, so every outcome is exactly the one the cell gives alone.
+    """
     if kind not in ("q", "G"):
         raise ValueError("kind must be 'q' or 'G'")
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    if C0 < 0:
+    y0s, C0s = np.asarray(y0s, dtype=float), np.asarray(C0s, dtype=float)
+    if y0s.ndim != 1 or y0s.shape != C0s.shape:
+        raise ValueError("need one C0 per y0")
+    if np.any(C0s < 0):
         raise ValueError("C0 must be nonnegative")
+    if len(y0s) > _MAX_BATCH_CELLS:
+        return [out for lo in range(0, len(y0s), _MAX_BATCH_CELLS)
+                for out in classify_ea_many(kind, y0s[lo:lo + _MAX_BATCH_CELLS],
+                                            C0s[lo:lo + _MAX_BATCH_CELLS],
+                                            bounds, n, config, side)]
     pm, pM, nu = bounds.psi_min, bounds.psi_max, bounds.nu
     cfg = config if config is not None else IntegratorConfig()
 
+    # elementwise, so one definition serves a single state and a batch of lanes
     if kind == "q":
         if side == "+":
             def rhs(t, y):
                 v, b = y
-                c1 = pm if v < 0.0 else pM
-                return (-v * v - c1 * v - b, -nu * b)
+                return (-v * v - np.where(v < 0.0, pm, pM) * v - b, -nu * b)
             safe = -pm
         else:
             def rhs(t, y):
@@ -448,19 +474,29 @@ def comparison_classify(kind: str, y0: float, C0: float, bounds: AlignmentBounds
                 return (-v * v + pM * v + gain * b, -nu * b)
         safe = 0.0
 
-    b_floor = 1e-10 * max(C0, 1.0)
     basin = EventSpec(
         "bounded-basin",
-        lambda t, y: min(b_floor - y[1], y[0] - (safe + 1e-6)),
+        lambda t, y, b_floor: np.minimum(b_floor - y[1], y[0] - (safe + 1e-6)),
         direction=+1, terminal=True)
-
     system = OdeSystem(2, rhs, labels=(kind, "B"))
-    state0 = np.array([y0, C0])
-    diag = {"labels": system.labels}
-    if basin.func(0.0, state0) >= 0.0:
-        diag["early_exit"] = "initial state inside bounded basin"
-        return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
-    rec = integrate(system, state0, cfg, events=(basin,))
-    diag["t_final"] = rec.t_final
-    diag["final_state"] = rec.y_final
-    return outcome_of(rec, diag)
+    x0 = np.array([y0s, C0s])
+    floors = 1e-10 * np.maximum(C0s, 1.0)
+    inside = basin.func(0.0, x0, floors) >= 0.0
+    run_cells = np.flatnonzero(~inside)
+    log.info("%d cells, %d inside the basin at t = 0; %d runs of the rest",
+             len(y0s), len(y0s) - len(run_cells), len(run_cells))
+    tails = iter(_run_lanes(system, x0[:, run_cells], [cfg] * len(run_cells),
+                            basin, None, floors[run_cells]))
+    outcomes = []
+    for cell in range(len(y0s)):
+        diag = {"labels": system.labels}
+        if inside[cell]:
+            diag["early_exit"] = "initial state inside bounded basin"
+            outcomes.append(ClassificationOutcome(Verdict.GLOBAL_BOUNDED,
+                                                  diagnostics=diag))
+            continue
+        tail = next(tails)
+        diag["t_final"] = tail.t_final
+        diag["final_state"] = tail.y_final
+        outcomes.append(outcome_of(tail, diag))
+    return outcomes

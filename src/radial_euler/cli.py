@@ -1,8 +1,8 @@
 """Command-line interface: classify | sweep | curves | simulate | phase-portrait.
 
-All numeric output is bit-stable: floats print as %.12e, rows follow the
-configured axis order, and parallel sweeps reduce in deterministic
-order, so identical configs produce byte-identical files.  Exit codes:
+All numeric output is bit-stable: floats print as %.12e and rows follow
+the configured axis order, so identical configs produce byte-identical
+files.  Exit codes:
 
     0  globally bounded, or the command succeeded
     1  usage or config error (including an unknown profile or influence name)
@@ -90,7 +90,7 @@ def _profiles_from(cfg: RunConfig):
     return rho, u
 
 
-def cmd_classify(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
+def cmd_classify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     out = classify_from_config(cfg)
     payload = {"verdict": out.verdict.value}
     if out.t_estimate is not None:
@@ -110,8 +110,8 @@ def cmd_classify(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
             Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE}[out.verdict]
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
-    result = run_sweep(cfg, threads=threads)
+def cmd_sweep(cfg: RunConfig, out_dir: str, fmt: str) -> int:
+    result = run_sweep(cfg)
     if fmt == "json":
         path = os.path.join(out_dir, "sweep.json")
         _write(path, result.to_json())
@@ -122,7 +122,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_curves(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
+def cmd_curves(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     cur = cfg["curves"]
     n = cfg["model"]["n"]
     bounds = bounds_from(cfg)
@@ -185,7 +185,7 @@ def _check_run_size(cfg: RunConfig, model: Model):
                           f"got {cfg[section][key]!r}")
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
+def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     params = model_params_from(cfg)
     _check_run_size(cfg, params.model)
     rho0, u0 = _profiles_from(cfg)
@@ -232,7 +232,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_phase_portrait(cfg: RunConfig, out_dir: str, fmt: str, threads: int) -> int:
+def cmd_phase_portrait(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     ph = cfg["phase"]
     params = model_params_from(cfg)
     integ = integrator_from(cfg)
@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored: it does not change the run or its output")
         p.add_argument("--format", choices=("csv", "json"), default=None)
     return parser
 
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
         out_dir = args.out if args.out is not None else cfg["output"]["out_dir"]
         os.makedirs(out_dir, exist_ok=True)
         fmt = args.format if args.format is not None else cfg["output"]["format"]
-        return COMMANDS[args.command](cfg, out_dir, fmt, max(args.threads, 1))
+        return COMMANDS[args.command](cfg, out_dir, fmt)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -361,13 +361,25 @@ _MAX_BATCH_CELLS = 4096
 
 def _run_lanes(system: OdeSystem, states0: np.ndarray,
                configs: list[IntegratorConfig], basin: Optional[EventSpec],
-               probe_t: Optional[float]) -> Iterable[TailRecord]:
-    """One tail record per column of ``states0``, each run under its config."""
+               probe_t: Optional[float], basin_consts=None) -> Iterable[TailRecord]:
+    """One tail record per column of ``states0``, each run under its config.
+
+    ``basin_consts`` are the basin's per-lane constants, as
+    :func:`integrate_lanes` takes them.
+    """
     if states0.shape[1] >= _MIN_BATCH_LANES:
         return integrate_lanes(system, states0, configs, event=basin,
-                               probe_t=probe_t)
-    events = (basin,) if basin is not None else ()
-    return [TailRecord.of(integrate(system, states0[:, j], cfg, events=events),
+                               probe_t=probe_t, event_consts=basin_consts)
+
+    def events(j):
+        if basin is None:
+            return ()
+        if basin_consts is None:
+            return (basin,)
+        const = np.asarray(basin_consts)[..., j]
+        return (replace(basin, func=lambda t, y: basin.func(t, y, const)),)
+
+    return [TailRecord.of(integrate(system, states0[:, j], cfg, events=events(j)),
                           probe_t) for j, cfg in enumerate(configs)]
 
 
@@ -411,7 +423,9 @@ def classify_ep_many(states: Sequence[CharState], params: ModelParams,
     after one period and ends there if its state returns to within
     1e-5 (|y0| + 1), or if :func:`_amplitude_certificate` shows the orbit
     exactly subcritical and tracked.  The rest re-run to the full horizon
-    as a second batch.
+    as a second batch.  A bounded verdict for a state whose amplitude
+    :func:`_orbit_amplitude` is at least 1/c, an exactly supercritical
+    orbit that the run stepped past v = 0, becomes INCONCLUSIVE.
     """
     for y0 in states:
         _check_state(y0, params)
@@ -496,6 +510,14 @@ def classify_ep_many(states: Sequence[CharState], params: ModelParams,
                 Verdict.INCONCLUSIVE,
                 reason="classification flips under 10x tighter tolerances",
                 diagnostics=out.diagnostics)
+        if period is not None and out.is_bounded:
+            amp = _orbit_amplitude(x0[0, cell], x0[1, cell], params.kappa, params.c)
+            if amp >= 1.0 / params.c:
+                out = ClassificationOutcome(
+                    Verdict.INCONCLUSIVE,
+                    reason=f"bounded run of an exactly supercritical orbit: (w, v) "
+                           f"amplitude {amp:.6g} >= 1/c = {1.0 / params.c:.6g}",
+                    diagnostics=out.diagnostics)
         outcomes.append(out)
     return outcomes
 

@@ -445,14 +445,18 @@ def _step_factors(err: np.ndarray) -> np.ndarray:
 
 
 def _bisect_lanes(func, t0, y0, f0, t1, y1, f1, g0):
-    """:func:`_bisect_event` for many lanes at once, each halving its own bracket."""
+    """:func:`_bisect_event` for many lanes at once, each halving its own bracket.
+
+    ``func(t, y, cols)`` evaluates the event on the lanes ``cols`` of the
+    bracketed ones.
+    """
     a, b, ga = t0.copy(), t1.copy(), g0.copy()
     open_ = b - a > _EVENT_TIME_TOL
     while open_.any():
         j = np.flatnonzero(open_)
         m = 0.5 * (a[j] + b[j])
         gm = func(m, _hermite_point(t0[j], y0[:, j], f0[:, j], t1[j], y1[:, j],
-                                    f1[:, j], m))
+                                    f1[:, j], m), j)
         zero = gm == 0.0
         left = (ga[j] < 0) != (gm < 0)
         a[j] = np.where(zero | ~left, m, a[j])
@@ -466,7 +470,7 @@ def _bisect_lanes(func, t0, y0, f0, t1, y1, f1, g0):
 def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                     configs: Sequence[IntegratorConfig],
                     event: Optional[EventSpec] = None,
-                    probe_t=None) -> Iterator[TailRecord]:
+                    probe_t=None, event_consts=None) -> Iterator[TailRecord]:
     """Integrate one copy of ``system`` per column of ``y0`` (dim x lanes) in lockstep.
 
     Lane j starts at t = 0 from ``y0[:, j]``, follows ``configs[j]`` with
@@ -479,6 +483,11 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     the rhs and the event must work elementwise on (dim, k) arrays with
     the same operations they apply to scalars, the rhs returning one (k,)
     array per component.
+
+    ``event_consts``, an array whose last axis runs over the lanes, gives
+    the event per-lane constants: it is then called as ``event.func(t, y,
+    consts)`` with the columns of the lanes in ``y``, and lane j matches
+    the scalar run of the event with ``event_consts[..., j]`` closed over.
 
     Only the tail of each run is kept: the final state, the running
     max-norm, the last samples the blowup-time fit reads, and the
@@ -500,9 +509,20 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
         raise ValueError("need one IntegratorConfig per lane")
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
+    consts = None
+    if event_consts is not None:
+        consts = np.asarray(event_consts, dtype=float)
+        if consts.ndim < 1 or consts.shape[-1] != n:
+            raise ValueError("event constants need one column per lane")
 
     def rhs(t, y):
         return np.array(f(t, y))
+
+    def event_at(t, y, cols=slice(None)):
+        """The event on the running lanes, or on their subset ``cols``."""
+        if consts is None:
+            return event.func(t, y)
+        return event.func(t, y, consts[..., cols])
 
     # per-lane settings, one row each
     limits = np.array([[getattr(c, name) for c in configs] for name in
@@ -570,7 +590,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
         k1 = rhs(t, y)
         close(~np.all(np.isfinite(k1), axis=0), Termination.STEP_COLLAPSE, t, y,
               note=lambda j: f"non-finite rhs at t={float(t[j])}")
-        g = event.func(t, y) if event is not None else None
+        g = event_at(t, y) if event is not None else None
         if pt is not None:
             # a lane that never accepts a step is a one-sample record, which
             # sample_many reads at s = 0 of a step from its start point
@@ -580,9 +600,10 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
 
         while True:
             if not alive.all():
-                lane, t, y, k1, g, h, n_att, vmax, limits, atol, pt = (
+                lane, t, y, k1, g, h, n_att, vmax, limits, atol, pt, consts = (
                     None if a is None else a[..., alive]
-                    for a in (lane, t, y, k1, g, h, n_att, vmax, limits, atol, pt))
+                    for a in (lane, t, y, k1, g, h, n_att, vmax, limits, atol, pt,
+                              consts))
                 alive = np.ones(len(lane), dtype=bool)
                 rtol, h_min, h_max, t_max, cap, max_steps, _ = limits
             if not len(lane):
@@ -635,12 +656,14 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                 h[shrink] = np.maximum(h[shrink] * factor, h_min[shrink])
 
             if event is not None:
-                g_new = event.func(t_new, y_new)
+                g_new = event_at(t_new, y_new)
                 hit = alive & ok & _crossed(g, g_new, event.direction)
                 if hit.any():
                     t_hit, y_hit = t_new.copy(), y_new.copy()
+                    cols = np.flatnonzero(hit)
                     t_hit[hit], y_hit[:, hit] = _bisect_lanes(
-                        event.func, t[hit], y[:, hit], k1[:, hit], t_new[hit],
+                        lambda tm, ym, j: event_at(tm, ym, cols[j]),
+                        t[hit], y[:, hit], k1[:, hit], t_new[hit],
                         y_new[:, hit], k7[:, hit], g[hit])
                     vmax = np.where(hit, np.maximum(vmax, np.max(np.abs(y_hit), axis=0)),
                                     vmax)

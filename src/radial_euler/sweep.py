@@ -1,16 +1,17 @@
-"""Classification dispatch and deterministic parallel parameter sweeps."""
+"""Classification dispatch and deterministic parameter sweeps."""
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .alignment import AlignmentBounds, comparison_classify
+from .alignment import AlignmentBounds, classify_ea_many
 from .config import ConfigError, RunConfig, config_hash
 from .core import CharState, Model, ModelParams
-from .euler_poisson import classify_ep, classify_ep_many
+# classify_ep is not called here; perfbench/tracer.py wraps sweep.classify_ep
+from .euler_poisson import classify_ep, classify_ep_many  # noqa: F401
 from .odeint import ClassificationOutcome, IntegratorConfig, Verdict
 
 MAX_SWEEP_CELLS = 1_000_000
@@ -61,25 +62,27 @@ def _state_from(cfg: RunConfig, overrides: dict) -> CharState:
                      rho=overrides.get("rho0", st["rho0"]))
 
 
-def classify_from_config(cfg: RunConfig,
-                         overrides: dict | None = None) -> ClassificationOutcome:
-    """Classify the configured initial state, with optional axis overrides.
+def classify_cells(cfg: RunConfig, cells: Sequence[dict]) -> list[ClassificationOutcome]:
+    """Classify the configured initial state once per cell of axis overrides.
 
-    Override keys: p0, q0, s0, rho0 patch the characteristic state;
-    y0, C0 patch the alignment comparison inputs.
+    A cell maps axis names to values: p0, q0, s0, rho0 patch the
+    characteristic state; y0, C0 patch the alignment comparison inputs.
+    All cells run as one lockstep batch.
     """
-    overrides = overrides or {}
     params = model_params_from(cfg)
     integ = integrator_from(cfg)
     if params.model is Model.EULER_ALIGNMENT:
         a = cfg["alignment"]
-        y0 = overrides.get("y0", a["y0"])
-        c0 = overrides.get("C0", a["C0"])
-        bounds = bounds_from(cfg)
-        return comparison_classify(a["kind"], y0, c0, bounds, params.n,
-                                   config=integ, side=a["side"])
-    return classify_ep(_state_from(cfg, overrides), params, integ,
-                       confirm=cfg["integrator"]["confirm"])
+        return classify_ea_many(a["kind"], [cell.get("y0", a["y0"]) for cell in cells],
+                                [cell.get("C0", a["C0"]) for cell in cells],
+                                bounds_from(cfg), params.n, config=integ, side=a["side"])
+    return classify_ep_many([_state_from(cfg, cell) for cell in cells], params, integ,
+                            confirm=cfg["integrator"]["confirm"])
+
+
+def classify_from_config(cfg: RunConfig) -> ClassificationOutcome:
+    """Classify the configured initial state."""
+    return classify_cells(cfg, [{}])[0]
 
 
 @dataclass
@@ -135,28 +138,10 @@ def _check_axes(cfg: RunConfig):
                 raise ConfigError(f"[sweep] {key} must be finite, got {s[key]!r}")
 
 
-def _sweep_rows(job) -> list[int]:
-    """Row-major codes of the cells (axis1 rows) x (axis2 columns)."""
-    cfg, rows, cols = job
-    name1, name2 = cfg["sweep"]["axis1"], cfg["sweep"]["axis2"]
-    cells = ({name1: float(v1), name2: float(v2)} for v1 in rows for v2 in cols)
-    params = model_params_from(cfg)
-    if params.model is Model.EULER_ALIGNMENT:
-        outs = [classify_from_config(cfg, cell) for cell in cells]
-    else:
-        outs = classify_ep_many([_state_from(cfg, cell) for cell in cells], params,
-                                integrator_from(cfg),
-                                confirm=cfg["integrator"]["confirm"])
-    return [VERDICT_CODES[out.verdict] for out in outs]
-
-
-def run_sweep(cfg: RunConfig, threads: int = 1) -> SweepResult:
+def run_sweep(cfg: RunConfig) -> SweepResult:
     """Row-major sweep over the two configured axes; deterministic output.
 
-    The grid is split into ``threads`` contiguous blocks of rows, each
-    classified in one batch, by its own worker process when there are
-    several.  Cells are independent, so the codes do not depend on the
-    split.
+    Every cell of the grid is classified in one lockstep batch.
     """
     _check_axes(cfg)
     s = cfg["sweep"]
@@ -166,14 +151,10 @@ def run_sweep(cfg: RunConfig, threads: int = 1) -> SweepResult:
     if n_cells > MAX_SWEEP_CELLS:
         raise ValueError(f"sweep grid has {n_cells} cells "
                          f"(limit {MAX_SWEEP_CELLS}); refuse to run")
-    jobs = [(cfg, rows, axis2)
-            for rows in np.array_split(axis1, max(min(threads, len(axis1)), 1))]
-    if len(jobs) == 1:
-        blocks = [_sweep_rows(jobs[0])]
-    else:
-        with multiprocessing.get_context("spawn").Pool(len(jobs)) as pool:
-            blocks = pool.map(_sweep_rows, jobs)
-    matrix = np.array([code for block in blocks for code in block],
+    name1, name2 = s["axis1"], s["axis2"]
+    outs = classify_cells(cfg, [{name1: float(v1), name2: float(v2)}
+                                for v1 in axis1 for v2 in axis2])
+    matrix = np.array([VERDICT_CODES[out.verdict] for out in outs],
                       dtype=int).reshape(len(axis1), len(axis2))
     prov = f"config_sha256={config_hash(cfg)} tool=radial-euler"
-    return SweepResult((s["axis1"], s["axis2"]), axis1, axis2, matrix, prov)
+    return SweepResult((name1, name2), axis1, axis2, matrix, prov)

@@ -27,8 +27,6 @@ from radial_euler.euler_poisson import initial_s_from_density, integrate_qs
 from radial_euler.odeint import estimate_decay_exponent
 from radial_euler.sweep import run_sweep
 
-THREADS = 2
-
 
 def report(num: int, desc: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -76,7 +74,7 @@ def test_criterion_01_sharp_1d_region():
     total_band = 0
     for c in (0.0, 1.0):
         cfg = parse_config_text(SWEEP_TEMPLATE.format(c=c))
-        res = run_sweep(cfg, threads=THREADS)
+        res = run_sweep(cfg)
         exact = np.array([[0 if sigma_1d(p, r, 1.0, c) is Region.SUBCRITICAL
                            else 2 for r in res.axis2] for p in res.axis1])
         band = _one_cell_band(exact)

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from radial_euler import (AlignmentBounds, IntegratorConfig, Region, Verdict,
+from radial_euler import (AlignmentBounds, EventSpec, IntegratorConfig, OdeSystem,
+                          Region, Verdict, classify_ea_many,
                           comparison_classify, compute_bounds,
                           constant_influence, enhanced_curve, eval_psi,
                           eval_zeta, exponential_influence, gaussian_bump,
                           indicator, linear_velocity, power_law_influence,
                           rough_threshold_G, rough_threshold_q)
+from radial_euler import euler_poisson
 from radial_euler.alignment import _kernel_integral
+from radial_euler.odeint import ClassificationOutcome, integrate, outcome_of
 
 FIG_BOUNDS = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.0)
 
@@ -301,6 +304,123 @@ def test_comparison_validation():
         comparison_classify("q", 0.0, 0.0, FIG_BOUNDS, 2, side="*")
     with pytest.raises(ValueError):
         comparison_classify("q", 0.0, -0.1, FIG_BOUNDS, 2)
+    with pytest.raises(ValueError, match="finite"):
+        comparison_classify("q", float("nan"), 0.0, FIG_BOUNDS, 2)
+
+
+def _scalar_comparison(kind, y0, C0, bounds, n, cfg, side):
+    """One cell through scalar ``integrate``, with Python scalar branching:
+    the reference every lane of the lockstep batch must match exactly."""
+    pm, pM, nu = bounds.psi_min, bounds.psi_max, bounds.nu
+    if kind == "q":
+        if side == "+":
+            def rhs(t, y):
+                v, b = y
+                c1 = pm if v < 0.0 else pM
+                return (-v * v - c1 * v - b, -nu * b)
+            safe = -pm
+        else:
+            def rhs(t, y):
+                v, b = y
+                return (-v * v - pM * v + b, -nu * b)
+            safe = -pM
+    else:
+        gain = n - 1.0
+        if side == "+":
+            def rhs(t, y):
+                v, b = y
+                return (-v * v + pm * v - gain * b, -nu * b)
+        else:
+            def rhs(t, y):
+                v, b = y
+                return (-v * v + pM * v + gain * b, -nu * b)
+        safe = 0.0
+    b_floor = 1e-10 * max(C0, 1.0)
+    basin = EventSpec("bounded-basin",
+                      lambda t, y: min(b_floor - y[1], y[0] - (safe + 1e-6)),
+                      direction=+1, terminal=True)
+    system = OdeSystem(2, rhs, labels=(kind, "B"))
+    state0 = np.array([y0, C0])
+    diag = {"labels": system.labels}
+    if basin.func(0.0, state0) >= 0.0:
+        diag["early_exit"] = "initial state inside bounded basin"
+        return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
+    rec = integrate(system, state0, cfg, events=(basin,))
+    diag["t_final"] = rec.t_final
+    diag["final_state"] = rec.y_final
+    return outcome_of(rec, diag)
+
+
+@pytest.fixture
+def ea_batches(monkeypatch):
+    """The lane count of every integrate_lanes batch the classifiers run."""
+    batches = []
+    lanes = euler_poisson.integrate_lanes
+
+    def counted(system, y0, *args, **kwargs):
+        batches.append(y0.shape[1])
+        return lanes(system, y0, *args, **kwargs)
+
+    monkeypatch.setattr(euler_poisson, "integrate_lanes", counted)
+    return batches
+
+
+@pytest.mark.parametrize("kind, side", [("q", "+"), ("q", "-"), ("G", "+"), ("G", "-")])
+def test_classify_ea_many_matches_scalar_runs(ea_batches, kind, side):
+    cfg = IntegratorConfig(rel_tol=1e-6)
+    # C0 on both sides of 1, where the basin floor 1e-10 max(C0, 1) differs
+    # per cell; the first 20 cells start outside the basin, so they fill
+    # a lockstep batch of 20 lanes
+    cells = [(y0, c0) for y0 in np.linspace(-3.0, 1.0, 15)
+             for c0 in np.linspace(0.0, 2.0, 10)]
+    refs = [_scalar_comparison(kind, y0, c0, FIG_BOUNDS, 2, cfg, side)
+            for y0, c0 in cells]
+    exits = set()
+    for size, lanes in ((1, []), (19, []), (20, [20]), (len(cells), None)):
+        ea_batches.clear()
+        outs = classify_ea_many(kind, [y0 for y0, _ in cells[:size]],
+                                [c0 for _, c0 in cells[:size]], FIG_BOUNDS, 2,
+                                config=cfg, side=side)
+        assert len(outs) == size
+        if lanes is not None:
+            assert ea_batches == lanes
+        else:
+            assert len(ea_batches) == 1
+        for cell, out, ref in zip(cells, outs, refs):
+            assert (out.verdict, out.t_estimate, out.reason) == \
+                (ref.verdict, ref.t_estimate, ref.reason), cell
+            diag, ref_diag = dict(out.diagnostics), dict(ref.diagnostics)
+            assert np.array_equal(diag.pop("final_state", None),
+                                  ref_diag.pop("final_state", None)), cell
+            assert diag == ref_diag, cell
+            exits.add(out.diagnostics.get("early_exit", out.verdict.value))
+    assert exits == {"initial state inside bounded basin", "global-bounded",
+                     "finite-time-blowup"}
+
+
+def test_classify_ea_many_refuses_negative_C0_before_running(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lane ran")
+
+    monkeypatch.setattr(euler_poisson, "integrate_lanes", refuse)
+    monkeypatch.setattr(euler_poisson, "integrate", refuse)
+    y0s = np.linspace(-2.0, 0.5, 30)
+    for bad in (0, 29):
+        C0s = np.full(30, 0.3)
+        C0s[bad] = -1e-3
+        with pytest.raises(ValueError, match="C0 must be nonnegative"):
+            classify_ea_many("q", y0s, C0s, FIG_BOUNDS, 2)
+
+
+def test_classify_ea_many_logs_its_batch(caplog):
+    caplog.set_level("INFO", logger="radial_euler.alignment")
+    # y0 >= -0.8 with C0 = 0 starts inside the basin of kind q, side +
+    y0s = [-1.5, -0.5, 0.2, -1.0, 0.0]
+    C0s = [0.1, 0.0, 0.0, 0.0, 0.4]
+    classify_ea_many("q", y0s, C0s, FIG_BOUNDS, 2)
+    [line] = [rec.getMessage() for rec in caplog.records
+              if rec.name == "radial_euler.alignment"]
+    assert line == "5 cells, 2 inside the basin at t = 0; 3 runs of the rest"
 
 
 def test_ea_char_state():

@@ -151,16 +151,18 @@ axis2_steps = 4
 
 
 def test_sweep_deterministic_output(tmp_path, capsys):
-    path = write(tmp_path, "s.cfg", SWEEP_CFG)
-    rc = cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o1")])
-    assert rc == 0
-    rc = cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o2"),
-                   "--threads", "2"])
-    assert rc == 0
-    a = (tmp_path / "o1" / "sweep.csv").read_bytes()
-    b = (tmp_path / "o2" / "sweep.csv").read_bytes()
-    assert a == b
-    lines = a.decode().splitlines()
+    for name, text in (("s", SWEEP_CFG), ("ea", EA_SWEEP_CFG)):
+        path = write(tmp_path, f"{name}.cfg", text)
+        rc = cli.main(["sweep", "--config", path, "--out", str(tmp_path / f"{name}1"),
+                       "--threads", "1"])
+        assert rc == 0
+        rc = cli.main(["sweep", "--config", path, "--out", str(tmp_path / f"{name}2"),
+                       "--threads", "2"])
+        assert rc == 0
+        a = (tmp_path / f"{name}1" / "sweep.csv").read_bytes()
+        b = (tmp_path / f"{name}2" / "sweep.csv").read_bytes()
+        assert a == b
+    lines = (tmp_path / "s1" / "sweep.csv").read_text().splitlines()
     assert lines[2].startswith("p0\\rho0,")
     assert len(lines) == 3 + 5
 

@@ -211,9 +211,10 @@ def _state_on_orbit(amp, phase, kappa, c):
 
 def test_amplitude_certificate_matches_sigma_1d():
     # at coarse tolerances some supercritical runs step over v = 0 and
-    # survive their period; the certificate must still refuse them
+    # survive their period; the certificate must still refuse them, and
+    # their bounded verdict becomes inconclusive
     coarse = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5)
-    certified = survived = 0
+    certified = refused = 0
     for c, kappa in itertools.product((0.5, 1.0, 2.0), (1.0, 2.0)):
         states, regions = [], []
         for eps, side in itertools.product((1e-2, 1e-4, 1e-6), (-1.0, 1.0)):
@@ -237,8 +238,33 @@ def test_amplitude_certificate_matches_sigma_1d():
                     certified += 1
                     assert region is Region.SUBCRITICAL, (c, kappa, state)
                     assert out.verdict is Verdict.GLOBAL_BOUNDED, (c, kappa, state)
-                survived += region is Region.SUPERCRITICAL and out.is_bounded
-    assert certified > 0 and survived > 0
+                if (out.reason or "").startswith("bounded run of an exactly supercritical"):
+                    refused += 1
+                    assert region is Region.SUPERCRITICAL, (c, kappa, state)
+    assert certified > 0 and refused > 0
+
+
+def test_supercritical_orbit_is_never_bounded():
+    # A0 = (1 + eps)/c: exactly supercritical, however close to the threshold;
+    # at coarse tolerances some runs step over v = 0 and stay bounded
+    coarse = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5)
+    refused = 0
+    for c, kappa in itertools.product((0.5, 1.0, 2.0), (1.0, 2.0)):
+        states = [CharState(p=state[0], rho=state[1])
+                  for eps in (1e-2, 1e-4, 1e-6)
+                  for phase in np.linspace(0.0, 2.0 * math.pi, 9)[:-1]
+                  if (state := _state_on_orbit((1.0 + eps) / c, phase, kappa, c))]
+        params = ModelParams(n=1, kappa=kappa, c=c)
+        for confirm in (False, True):
+            for state, out in zip(states, classify_ep_many(states, params, coarse,
+                                                           confirm=confirm)):
+                assert not out.is_bounded, (c, kappa, state)
+                amp = euler_poisson._orbit_amplitude(state.p, state.rho, kappa, c)
+                assert amp >= 1.0 / c
+                if (out.reason or "").startswith("bounded run of an exactly "
+                                                 "supercritical orbit: (w, v) amplitude"):
+                    refused += 1
+    assert refused > 0
 
 
 @pytest.mark.parametrize("y1", [(0.5, 0.0), (0.5, -0.0), (0.5, 5e-324), (0.5, -1e-300),

@@ -254,3 +254,53 @@ def test_lane_probes_match_sample_many():
     with pytest.raises(ValueError):
         list(integrate_lanes(RICCATI, np.array([[1.0]]), [IntegratorConfig()],
                              probe_t=[0.5, 0.2]))
+
+
+def test_lane_event_constants_follow_their_lanes(monkeypatch):
+    # lanes end in mixed order (events at t = 0.4, 1, 1.2, 1.5, 3 and 9.5, a
+    # blowup near t = 1, the horizon at 30), each with its own event level
+    # and scale; a lane's tail must match the scalar run of the event with
+    # that lane's constants closed over
+    from radial_euler import odeint
+
+    def g(t, y, c):
+        return c[1] * (y[0] - c[0])
+
+    cases = [(1.0, (0.25, 1.0), IntegratorConfig(t_max=30)),
+             (-1.0, (0.3, 2.0), IntegratorConfig(t_max=30)),
+             (2.0, (0.1, 0.5), IntegratorConfig(t_max=30, rel_tol=1e-6)),
+             (0.5, (0.01, 1.0), IntegratorConfig(t_max=30)),
+             (-2.0, (-10.0, 3.0), IntegratorConfig(t_max=30, h_init=1e-1)),
+             (1.0, (0.5, 1.0), IntegratorConfig(t_max=30, h_max=0.3)),
+             (1.0, (1 / 1.2, 1.0), IntegratorConfig(t_max=30, h_max=0.05)),
+             (1.0, (0.4, 4.0), IntegratorConfig(t_max=30, rel_tol=1e-4))]
+    consts = np.array([c for _, c, _ in cases]).T       # (2, lanes)
+    event = EventSpec("level", g, direction=-1)
+
+    subsets = []    # (lanes bracketed, lanes still open) per bisection evaluation
+    bisect = odeint._bisect_lanes
+
+    def recorded(func, t0, *args):
+        def counted(t, y, j):
+            subsets.append((len(t0), len(j)))
+            return func(t, y, j)
+        return bisect(counted, t0, *args)
+
+    monkeypatch.setattr(odeint, "_bisect_lanes", recorded)
+    lanes = list(integrate_lanes(RICCATI, np.array([[y for y, _, _ in cases]]),
+                                 [cfg for _, _, cfg in cases], event=event,
+                                 probe_t=0.5, event_consts=consts))
+    ends = []
+    for j, (lane, (y0, c, cfg)) in enumerate(zip(lanes, cases)):
+        closed = EventSpec("level", lambda t, y: g(t, y, consts[:, j]), direction=-1)
+        ref = TailRecord.of(integrate(RICCATI, [y0], cfg, events=(closed,)), 0.5)
+        _same_tail(lane, ref)
+        ends.append((lane.t_final, lane.termination))
+    assert {end for _, end in ends} == {Termination.EVENT, Termination.REACHED_HORIZON,
+                                        Termination.BLOWUP_DETECTED}
+    assert [t for t, _ in ends] != sorted(t for t, _ in ends)
+    # some bisection evaluated only part of the lanes it bracketed
+    assert any(open_ < bracketed for bracketed, open_ in subsets)
+    with pytest.raises(ValueError, match="one column per lane"):
+        list(integrate_lanes(RICCATI, np.array([[1.0, 2.0]]), [IntegratorConfig()] * 2,
+                             event=event, event_consts=consts))
