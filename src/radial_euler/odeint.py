@@ -44,6 +44,9 @@ log = logging.getLogger(__name__)
 _EVENT_TIME_TOL = 1e-10
 # trailing accepted samples the blowup-time fit reads
 _BLOWUP_TAIL = 12
+# share of a lane batch's working columns that must have retired before
+# integrate_lanes compacts its working arrays to the running lanes
+_COMPACT_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -80,12 +83,25 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not (0 < self.h_min <= self.h_init <= self.h_max):
-            raise ValueError("step bounds must satisfy 0 < h_min <= h_init <= h_max")
-        if self.rel_tol <= 0 or np.min(self.abs_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.magnitude_cap <= 0:
-            raise ValueError("magnitude_cap must be positive")
+        # each message starts with the setting's name, which is also its
+        # [integrator] config key
+        abs_tol = np.asarray(self.abs_tol, dtype=float)
+        rules = [
+            ("rel_tol", math.isfinite(self.rel_tol) and self.rel_tol > 0,
+             "finite and positive"),
+            ("abs_tol", bool(np.all(np.isfinite(abs_tol)) and np.all(abs_tol > 0)),
+             "finite and positive"),
+            ("h_min", math.isfinite(self.h_min) and self.h_min > 0, "finite and positive"),
+            ("h_max", self.h_max >= self.h_min, "at least h_min"),
+            ("h_init", self.h_min <= self.h_init <= self.h_max,
+             "between h_min and h_max"),
+            ("t_max", math.isfinite(self.t_max) and self.t_max >= 0,
+             "finite and nonnegative"),
+            ("magnitude_cap", math.isfinite(self.magnitude_cap) and self.magnitude_cap > 0,
+             "finite and positive")]
+        for name, ok, wanted in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {wanted}, got {getattr(self, name)!r}")
 
     def tightened(self, factor: float = 0.1) -> "IntegratorConfig":
         """A copy with both tolerances scaled by ``factor`` (default 10x tighter)."""
@@ -169,6 +185,10 @@ class TailRecord:
     probe times the run covered: one row per probe time up to
     ``t_final``, the sample :meth:`TrajectoryRecord.sample_many` gives
     there (None when it covered none, or ended at an event).
+
+    ``blowup`` is the singularity time of a blowup, or the escaping
+    component's trailing ``(t, y)`` samples, which the first read of
+    :attr:`blowup_time` fits and replaces by the time.
     """
 
     termination: Termination
@@ -177,9 +197,16 @@ class TailRecord:
     max_abs: float
     note: str = ""
     t_event: Optional[float] = None
-    blowup_time: Optional[float] = None
     blowup_component: Optional[int] = None
     probe: Optional[np.ndarray] = None
+    blowup: Optional[float | tuple] = field(default=None, repr=False)
+
+    @property
+    def blowup_time(self) -> Optional[float]:
+        if isinstance(self.blowup, tuple):
+            with np.errstate(all="ignore"):
+                self.blowup = _blowup_time_estimate(*self.blowup)
+        return self.blowup
 
     @classmethod
     def of(cls, rec: TrajectoryRecord, probe_t=None) -> "TailRecord":
@@ -191,8 +218,8 @@ class TailRecord:
             if len(times):
                 probe = rec.sample_many(times)
         return cls(rec.termination, rec.t_final, rec.y_final, rec.max_abs(),
-                   rec.note, rec.t_event, rec.blowup_time, rec.blowup_component,
-                   probe)
+                   rec.note, rec.t_event, rec.blowup_component, probe,
+                   rec.blowup_time)
 
 
 class IntegrationFailure(RuntimeError):
@@ -207,12 +234,18 @@ class Verdict(enum.Enum):
 
 @dataclass
 class ClassificationOutcome:
-    """Result of a threshold decision: a verdict plus trajectory diagnostics."""
+    """Result of a threshold decision: a verdict plus trajectory diagnostics.
+
+    With ``blown_run`` set, ``t_estimate`` is that run's ``blowup_time``,
+    read when first asked: a caller that keeps only the verdict never
+    runs the blowup-time fit of a :class:`TailRecord`.
+    """
 
     verdict: Verdict
     t_estimate: Optional[float] = None
     reason: Optional[str] = None
     diagnostics: dict = field(default_factory=dict)
+    blown_run: object = field(default=None, repr=False, compare=False)
 
     @property
     def is_bounded(self) -> bool:
@@ -221,6 +254,17 @@ class ClassificationOutcome:
     @property
     def is_blowup(self) -> bool:
         return self.verdict is Verdict.FINITE_TIME_BLOWUP
+
+
+def _set_t_estimate(out: ClassificationOutcome, value: Optional[float]):
+    out._t_estimate = value
+
+
+# installed after the dataclass is made, so that t_estimate stays a
+# constructor argument with its default
+ClassificationOutcome.t_estimate = property(
+    lambda out: out._t_estimate if out.blown_run is None else out.blown_run.blowup_time,
+    _set_t_estimate)
 
 
 def outcome_of(run, diagnostics: dict) -> ClassificationOutcome:
@@ -232,9 +276,8 @@ def outcome_of(run, diagnostics: dict) -> ClassificationOutcome:
     bounded-basin event is globally bounded.
     """
     if run.termination is Termination.BLOWUP_DETECTED:
-        return ClassificationOutcome(Verdict.FINITE_TIME_BLOWUP,
-                                     t_estimate=run.blowup_time,
-                                     diagnostics=diagnostics)
+        return ClassificationOutcome(Verdict.FINITE_TIME_BLOWUP, diagnostics=diagnostics,
+                                     blown_run=run)
     if run.termination is Termination.STEP_COLLAPSE:
         return ClassificationOutcome(Verdict.INCONCLUSIVE, reason=run.note,
                                      diagnostics=diagnostics)
@@ -276,10 +319,10 @@ def _crossed(g0, g1, direction: int):
     return valid & (((g0 < 0.0) != (g1 < 0.0)) | (g1 == 0.0))
 
 
-def _blowup_time_estimate(ts, ys, comp):
-    """Extrapolate 1/|y_comp| -> 0 linearly over the escaping tail."""
+def _blowup_time_estimate(ts, zs):
+    """Extrapolate 1/|z| -> 0 linearly over the escaping tail of the samples zs."""
     t_arr = np.asarray(ts, dtype=float)
-    y_arr = np.asarray([y[comp] for y in ys], dtype=float)
+    y_arr = np.asarray(zs, dtype=float)
     sgn = math.copysign(1.0, y_arr[-1])
     # trailing run with the escape sign and increasing magnitude
     mags = np.abs(y_arr)
@@ -416,7 +459,7 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
         if mag > cap:
             feedback = y_new[comp] * k7[comp] > 0.0
             if feedback or mag > 1e4 * cap:
-                t_est = _blowup_time_estimate(ts, ys, comp)
+                t_est = _blowup_time_estimate(ts, [y[comp] for y in ys])
                 return _finish(ts, ys, fs, Termination.BLOWUP_DETECTED,
                                hits=hits, blowup_time=t_est,
                                blowup_component=comp)
@@ -476,9 +519,10 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     Lane j starts at t = 0 from ``y0[:, j]``, follows ``configs[j]`` with
     its own step size and accept/reject decisions, and ends on its own:
     at its horizon, at the first sign change of the terminal ``event``
-    (located by per-lane bisection), at a detected blowup, or at a step
-    collapse.  Every lane repeats the arithmetic of :func:`integrate` in
-    the same order, so its tail equals ``TailRecord.of(integrate(system,
+    (a lane retires with its bracketing step, and one bisection after the
+    loop locates every lane's crossing), at a detected blowup, or at a
+    step collapse.  Every lane repeats the arithmetic of :func:`integrate`
+    in the same order, so its tail equals ``TailRecord.of(integrate(system,
     y0[:, j], configs[j], (event,)), probe_t[:, j])`` exactly.  For that,
     the rhs and the event must work elementwise on (dim, k) arrays with
     the same operations they apply to scalars, the rhs returning one (k,)
@@ -490,10 +534,12 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     the scalar run of the event with ``event_consts[..., j]`` closed over.
 
     Only the tail of each run is kept: the final state, the running
-    max-norm, the last samples the blowup-time fit reads, and the
-    dense-output samples at the probe times.  ``probe_t`` holds P probe
-    times per lane, nondecreasing down each column of its (P, lanes)
-    shape; a scalar or a (P,) array applies to every lane.  Each probe is
+    max-norm, the trailing samples the blowup-time fit reads (on the first
+    read of :attr:`TailRecord.blowup_time`, so a caller that reads only
+    the termination runs no fit), and the dense-output samples at the
+    probe times.  ``probe_t`` holds P probe times per lane, nondecreasing
+    down each column of its (P, lanes) shape; a scalar or a (P,) array
+    applies to every lane.  Each probe is
     the Hermite point on the accepted step that
     :meth:`TrajectoryRecord.sample_many` would pick, so a probe at the
     final time is the end of the last step.  Returns an iterator over the
@@ -524,23 +570,29 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             return event.func(t, y)
         return event.func(t, y, consts[..., cols])
 
-    # per-lane settings, one row each
-    limits = np.array([[getattr(c, name) for c in configs] for name in
+    # per-lane settings, one row each, gathered from the distinct configs
+    distinct = {id(c): c for c in configs}
+    column = {key: k for k, key in enumerate(distinct)}
+    which = [column[id(c)] for c in configs]
+    limits = np.array([[getattr(c, name) for c in distinct.values()] for name in
                        ("rel_tol", "h_min", "h_max", "t_max", "magnitude_cap",
-                        "max_steps", "h_init")], dtype=float).reshape(7, n)
-    atol = np.array([np.broadcast_to(c.abs_tol, (d,)) for c in configs],
-                    dtype=float).T.reshape(d, n)
+                        "max_steps", "h_init")], dtype=float).reshape(7, -1)[:, which]
+    atol = np.array([np.broadcast_to(c.abs_tol, (d,)) for c in distinct.values()],
+                    dtype=float).T.reshape(d, -1)[:, which]
 
-    # The working arrays hold the running lanes only; ``lane`` maps them to
+    # The working arrays hold the running lanes, and retired ones until
+    # _COMPACT_SHARE of their columns have retired; ``lane`` maps them to
     # the original lane, which indexes everything below so that retiring
     # lanes never copies it.
     ends = np.empty(n, dtype=object)       # Termination of each lane
     t_end = np.zeros(n)
     y_end = np.zeros((d, n))
     max_abs = np.zeros(n)
-    blowup_time = np.zeros(n)
     blowup_comp = np.zeros(n, dtype=int)
     notes: dict[int, str] = {}
+    # (lanes, t, y, k1, t_new, y_new, k7, g[, consts]) of the steps that
+    # crossed the event, located together after the loop
+    brackets = []
     pt = probe = None
     if probe_t is not None:
         pt = np.asarray(probe_t, dtype=float)
@@ -551,7 +603,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             raise ValueError("probe times must be nonnegative and nondecreasing "
                              "in every lane")
         probe = np.full((len(pt), d, n), np.nan)
-    probe_times = pt    # every lane's, while pt keeps the running lanes' columns
+    probe_times = pt    # every lane's, while pt keeps the working columns
     # ring buffer of the trailing accepted samples
     tb = np.zeros((_BLOWUP_TAIL, n))
     yb = np.zeros((_BLOWUP_TAIL, d, n))
@@ -566,7 +618,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     tb[0], yb[0] = t, y
 
     def take_probes(inside, t0, y0, f0, t1, y1, f1):
-        """Sample the probes marked in ``inside`` (P x running lanes) on [t0, t1]."""
+        """Sample the probes marked in ``inside`` (P x working lanes) on [t0, t1]."""
         if not inside.any():    # most steps cross no probe time
             return
         for row in np.flatnonzero(inside.any(axis=1)):
@@ -599,18 +651,19 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
         h = np.minimum(np.minimum(h_init, h_max), np.maximum(t_max - t, h_min))
 
         while True:
-            if not alive.all():
+            running = np.count_nonzero(alive)
+            if not running:
+                break
+            if len(lane) - running >= _COMPACT_SHARE * len(lane):
                 lane, t, y, k1, g, h, n_att, vmax, limits, atol, pt, consts = (
                     None if a is None else a[..., alive]
                     for a in (lane, t, y, k1, g, h, n_att, vmax, limits, atol, pt,
                               consts))
-                alive = np.ones(len(lane), dtype=bool)
+                alive = np.ones(running, dtype=bool)
                 rtol, h_min, h_max, t_max, cap, max_steps, _ = limits
-            if not len(lane):
-                break
             iterations += 1
 
-            close(n_att >= max_steps, Termination.STEP_COLLAPSE, t, y,
+            close(alive & (n_att >= max_steps), Termination.STEP_COLLAPSE, t, y,
                   note=lambda j: f"step budget exhausted at t={float(t[j])}")
             close(alive & (t >= t_max), Termination.REACHED_HORIZON, t, y)
             n_att += 1
@@ -646,28 +699,23 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                   Termination.STEP_COLLAPSE, t, y,
                   note=lambda j: f"step size collapsed at t={float(t[j])} "
                                  f"(err={float(err[j]):.3g})")
-            shrink = np.flatnonzero(alive & ~ok)
-            rejected += len(shrink)
-            if len(shrink):
-                e_r = err[shrink]
-                factor = np.full(len(shrink), 0.2)
-                finite = np.isfinite(e_r)
-                factor[finite] = np.maximum(0.2, _step_factors(e_r[finite]))
-                h[shrink] = np.maximum(h[shrink] * factor, h_min[shrink])
+            shrink = alive & ~ok
+            rejected += int(np.count_nonzero(shrink))
+            # the next step size of every running lane; an error of 0 (an
+            # accepted step) or a non-finite one (a rejected step) keeps
+            # the default factor
+            factor = np.where(ok, 5.0, 0.2)
+            scaled = np.flatnonzero(alive & (err != 0.0) & np.isfinite(err))
+            factor[scaled] = np.minimum(5.0, np.maximum(0.2, _step_factors(err[scaled])))
 
             if event is not None:
                 g_new = event_at(t_new, y_new)
                 hit = alive & ok & _crossed(g, g_new, event.direction)
                 if hit.any():
-                    t_hit, y_hit = t_new.copy(), y_new.copy()
-                    cols = np.flatnonzero(hit)
-                    t_hit[hit], y_hit[:, hit] = _bisect_lanes(
-                        lambda tm, ym, j: event_at(tm, ym, cols[j]),
-                        t[hit], y[:, hit], k1[:, hit], t_new[hit],
-                        y_new[:, hit], k7[:, hit], g[hit])
-                    vmax = np.where(hit, np.maximum(vmax, np.max(np.abs(y_hit), axis=0)),
-                                    vmax)
-                    close(hit, Termination.EVENT, t_hit, y_hit)
+                    brackets.append((lane[hit], t[hit], y[:, hit], k1[:, hit],
+                                     t_new[hit], y_new[:, hit], k7[:, hit], g[hit])
+                                    + (() if consts is None else (consts[..., hit],)))
+                    close(hit, Termination.EVENT, t_new, y_new)
 
             step = alive & ok
             mag = np.max(np.abs(y_new), axis=0)
@@ -690,13 +738,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                 cols = np.arange(len(lane))
                 feedback = y_new[comp, cols] * k7[comp, cols] > 0.0
                 blown = big & (feedback | (mag > 1e4 * cap))
-                for j in np.flatnonzero(blown):
-                    i = lane[j]
-                    m = min(nb[i], _BLOWUP_TAIL)
-                    slots = (nb[i] - m + np.arange(m)) % _BLOWUP_TAIL
-                    blowup_time[i] = _blowup_time_estimate(tb[slots, i], yb[slots, :, i],
-                                                           comp[j])
-                    blowup_comp[i] = comp[j]
+                blowup_comp[lane[blown]] = comp[blown]
                 close(blown, Termination.BLOWUP_DETECTED, t_new, y_new)
 
             step &= alive
@@ -705,15 +747,29 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             k1 = np.where(step, k7, k1)
             if event is not None:
                 g = np.where(step, g_new, g)
-            js = np.flatnonzero(step)
-            e_a = err[js]
-            factor = np.full(len(js), 5.0)
-            nonzero = e_a != 0.0
-            factor[nonzero] = np.minimum(5.0, np.maximum(0.2, _step_factors(e_a[nonzero])))
-            h[js] = np.minimum(h[js] * factor, h_max[js])
+            h = np.where(step, np.minimum(h * factor, h_max),
+                         np.where(shrink, np.maximum(h * factor, h_min), h))
+
+        located = rounds = 0
+        if brackets:
+            # every event crossing of the batch, in one bisection
+            hit, t0, y0, f0, t1, y1, f1, g0, *hit_consts = (
+                np.concatenate(part, axis=-1) for part in zip(*brackets))
+
+            def event_on(tm, ym, j):
+                nonlocal rounds
+                rounds += 1
+                if not hit_consts:
+                    return event.func(tm, ym)
+                return event.func(tm, ym, hit_consts[0][..., j])
+
+            t_end[hit], y_end[:, hit] = _bisect_lanes(event_on, t0, y0, f0, t1, y1, f1, g0)
+            max_abs[hit] = np.maximum(max_abs[hit], np.max(np.abs(y_end[:, hit]), axis=0))
+            located = len(hit)
 
     log.info("%d lanes in %d lockstep iterations: %d accepted and %d rejected "
-             "lane-steps", n, iterations, accepted, rejected)
+             "lane-steps; %d lanes bracketed an event, located in %d halving rounds",
+             n, iterations, accepted, rejected, located, rounds)
 
     def tail(i):
         end = ends[i]
@@ -721,12 +777,17 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
         covered = 0
         if pt is not None and end is not Termination.EVENT:
             covered = int(np.count_nonzero(probe_times[:, i] <= t_end[i]))
+        blowup = None
+        if blown:
+            # the escaping component's trailing samples, for the fit
+            m = min(nb[i], _BLOWUP_TAIL)
+            slots = (nb[i] - m + np.arange(m)) % _BLOWUP_TAIL
+            blowup = (tb[slots, i], yb[slots, blowup_comp[i], i])
         return TailRecord(
             end, float(t_end[i]), y_end[:, i], float(max_abs[i]), notes.get(i, ""),
             t_event=float(t_end[i]) if end is Termination.EVENT else None,
-            blowup_time=float(blowup_time[i]) if blown else None,
             blowup_component=int(blowup_comp[i]) if blown else None,
-            probe=probe[:covered, :, i] if covered else None)
+            probe=probe[:covered, :, i] if covered else None, blowup=blowup)
 
     return map(tail, range(n))
 

@@ -42,10 +42,14 @@ def model_params_from(cfg: RunConfig) -> ModelParams:
 
 def integrator_from(cfg: RunConfig) -> IntegratorConfig:
     i = cfg["integrator"]
-    return IntegratorConfig(rel_tol=i["rel_tol"], abs_tol=i["abs_tol"],
-                            h_init=i["h_init"], h_min=i["h_min"],
-                            h_max=i["h_max"], t_max=i["t_max"],
-                            magnitude_cap=i["magnitude_cap"])
+    try:
+        return IntegratorConfig(rel_tol=i["rel_tol"], abs_tol=i["abs_tol"],
+                                h_init=i["h_init"], h_min=i["h_min"],
+                                h_max=i["h_max"], t_max=i["t_max"],
+                                magnitude_cap=i["magnitude_cap"])
+    except ValueError as exc:
+        # the message starts with the setting's name, which is its config key
+        raise ConfigError(f"[integrator] {exc}") from exc
 
 
 def bounds_from(cfg: RunConfig) -> AlignmentBounds:
@@ -71,6 +75,10 @@ def classify_cells(cfg: RunConfig, cells: Sequence[dict]) -> list[Classification
     """
     params = model_params_from(cfg)
     integ = integrator_from(cfg)
+    if integ.t_max <= 0:
+        # a zero horizon would call every state bounded
+        raise ConfigError(f"[integrator] t_max must be positive to classify, "
+                          f"got {integ.t_max!r}")
     if params.model is Model.EULER_ALIGNMENT:
         a = cfg["alignment"]
         return classify_ea_many(a["kind"], [cell.get("y0", a["y0"]) for cell in cells],

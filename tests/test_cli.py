@@ -225,6 +225,60 @@ def test_sweep_bad_axis_refused(tmp_path, capsys, base, old, new, key):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+# a 3 x 3 c = 0 grid whose p0 = -4 row blows up
+SWEEP_3X3 = """
+[model]
+kind = euler-poisson
+n = 1
+
+[integrator]
+{integrator}
+[sweep]
+axis1 = p0
+axis1_min = -4.0
+axis1_max = 1.0
+axis1_steps = 3
+axis2 = rho0
+axis2_min = 0.5
+axis2_max = 2.0
+axis2_steps = 3
+"""
+
+
+@pytest.mark.parametrize("command", ["sweep", "classify"])
+@pytest.mark.parametrize("key, value", [
+    ("t_max", "-1.0"), ("t_max", "0.0"), ("t_max", "nan"), ("t_max", "inf"),
+    ("rel_tol", "nan"), ("rel_tol", "inf"), ("abs_tol", "nan"), ("abs_tol", "inf"),
+    ("magnitude_cap", "nan"), ("magnitude_cap", "inf"), ("h_max", "nan"),
+])
+def test_bad_integrator_setting_refused(tmp_path, capsys, command, key, value):
+    # each of these once gave a plausible-looking wrong grid with exit 0
+    # (t_max <= 0: all bounded; a NaN tolerance or cap: blowups inconclusive)
+    # or an error that named no key
+    settings = {"rel_tol": "1e-6", "abs_tol": "1e-8", key: value}
+    text = SWEEP_3X3.format(integrator="".join(f"{k} = {v}\n" for k, v in settings.items()))
+    if command == "classify":
+        text += "\n[state]\np0 = -4.0\nrho0 = 1.0\n"
+    rc = cli.main([command, "--config", write(tmp_path, "bad.cfg", text),
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: [integrator] {key} must be" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_3x3_grid(tmp_path, capsys):
+    # the grid the refusals above guard: blowup exactly where p0 < -sqrt(2 rho0)
+    text = SWEEP_3X3.format(integrator="rel_tol = 1e-6\nabs_tol = 1e-8\n")
+    rc = cli.main(["sweep", "--config", write(tmp_path, "ok.cfg", text),
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[3:]
+    assert [row.split(",")[1:] for row in rows] == [["2", "2", "2"], ["2", "0", "0"],
+                                                     ["0", "0", "0"]]
+
+
 def test_sweep_json_format(tmp_path, capsys):
     path = write(tmp_path, "s.cfg", SWEEP_CFG)
     rc = cli.main(["sweep", "--config", path, "--out", str(tmp_path),

@@ -299,6 +299,38 @@ def test_amplitude_certificate_replaces_horizon_reruns(lane_batches, caplog):
                     "136 certified by amplitude, 0 re-ran to the horizon")
 
 
+def test_sweep_runs_no_blowup_fit(lane_batches, monkeypatch):
+    # a lane batch keeps each blown lane's trailing samples, and the fit
+    # runs only when an outcome's t_estimate is read, once
+    from radial_euler import odeint
+    fits = []
+    fit = odeint._blowup_time_estimate
+
+    def counted(*args):
+        fits.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(odeint, "_blowup_time_estimate", counted)
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
+    states = _grid(np.linspace(-4.0, 1.0, 6), np.linspace(0.5, 2.0, 4))
+    outs = classify_ep_many(states, EP1, cfg)
+    assert len(lane_batches) == 1 and lane_batches[0] >= 20 and fits == []
+    blown = [(state, out) for state, out in zip(states, outs) if out.is_blowup]
+    assert len(blown) >= 10
+    for state, out in blown:
+        fits.clear()
+        t_estimate = out.t_estimate
+        assert len(fits) == 1
+        assert out.t_estimate == t_estimate and len(fits) == 1
+        ref = integrate(euler_poisson._system_for(EP1),
+                        euler_poisson._initial_state(state, EP1), cfg,
+                        events=(euler_poisson._basin_event(EP1),))
+        assert t_estimate == ref.blowup_time
+    # an outcome made with a time keeps it
+    from radial_euler.odeint import ClassificationOutcome
+    assert ClassificationOutcome(Verdict.FINITE_TIME_BLOWUP, 1.5).t_estimate == 1.5
+
+
 def _first_zero_1d(p0, rho0, c):
     """First root of v = 1/rho, which obeys v'' = kappa (1 - c v) with kappa = 1."""
     v0, w0 = 1.0 / rho0, p0 / rho0

@@ -182,6 +182,22 @@ def test_initial_state_validation():
         integrate(RICCATI, [float("inf")], IntegratorConfig())
 
 
+@pytest.mark.parametrize("name, value", [
+    ("rel_tol", math.nan), ("rel_tol", math.inf), ("rel_tol", 0.0),
+    ("abs_tol", math.nan), ("abs_tol", np.array([1e-10, math.inf])), ("abs_tol", -1.0),
+    ("h_min", 0.0), ("h_max", math.nan), ("h_init", 20.0),
+    ("t_max", -1.0), ("t_max", math.nan), ("t_max", math.inf),
+    ("magnitude_cap", math.nan), ("magnitude_cap", math.inf), ("magnitude_cap", 0.0)])
+def test_integrator_config_refuses_unusable_settings(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        IntegratorConfig(**{name: value})
+
+
+def test_zero_horizon_is_the_initial_state():
+    rec = integrate(RICCATI, [0.5], IntegratorConfig(t_max=0.0))
+    assert rec.termination is Termination.REACHED_HORIZON and rec.t_final == 0.0
+
+
 def _same_tail(a, b):
     assert (a.termination, a.note, a.t_final, a.max_abs, a.t_event,
             a.blowup_time, a.blowup_component) == \
@@ -278,9 +294,12 @@ def test_lane_event_constants_follow_their_lanes(monkeypatch):
     event = EventSpec("level", g, direction=-1)
 
     subsets = []    # (lanes bracketed, lanes still open) per bisection evaluation
+    batches = []    # lanes bracketed per bisection
     bisect = odeint._bisect_lanes
 
     def recorded(func, t0, *args):
+        batches.append(len(t0))
+
         def counted(t, y, j):
             subsets.append((len(t0), len(j)))
             return func(t, y, j)
@@ -290,6 +309,9 @@ def test_lane_event_constants_follow_their_lanes(monkeypatch):
     lanes = list(integrate_lanes(RICCATI, np.array([[y for y, _, _ in cases]]),
                                  [cfg for _, _, cfg in cases], event=event,
                                  probe_t=0.5, event_consts=consts))
+    # the lanes crossed their levels in different steps, and one bisection
+    # located every crossing after the loop
+    assert len(batches) == 1
     ends = []
     for j, (lane, (y0, c, cfg)) in enumerate(zip(lanes, cases)):
         closed = EventSpec("level", lambda t, y: g(t, y, consts[:, j]), direction=-1)
@@ -301,6 +323,48 @@ def test_lane_event_constants_follow_their_lanes(monkeypatch):
     assert [t for t, _ in ends] != sorted(t for t, _ in ends)
     # some bisection evaluated only part of the lanes it bracketed
     assert any(open_ < bracketed for bracketed, open_ in subsets)
+    assert batches == [sum(end is Termination.EVENT for _, end in ends)]
     with pytest.raises(ValueError, match="one column per lane"):
         list(integrate_lanes(RICCATI, np.array([[1.0, 2.0]]), [IntegratorConfig()] * 2,
                              event=event, event_consts=consts))
+
+
+def test_lanes_retiring_one_at_a_time_match_scalar(caplog):
+    # 14 lanes that retire at 14 different lockstep iterations (given as
+    # "it N"), by event, horizon, step budget and blowup.  A retired lane
+    # stays in the working arrays until an eighth of them have retired, so
+    # the first one (budget 9, retired at iteration 7) is still there when
+    # its attempt count reaches its budget, and so is the blowup at 299
+    # with budget 305.
+    cross = EventSpec("cross", lambda t, y: y[0] - 0.25, direction=-1)
+    cases = [(0.3, dict(max_steps=9)),              # event, it 7
+             (0.2, dict(t_max=2.0)),                # horizon, it 12
+             (0.5, {}),                             # event, it 16
+             (0.2, dict(t_max=1e6, max_steps=20)),  # budget, it 21
+             (0.2, dict(t_max=10.0)),               # horizon, it 26
+             (1.0, {}),                             # event, it 29
+             (0.2, dict(t_max=1e6, max_steps=38)),  # budget, it 39
+             (2.0, {}),                             # event, it 41
+             (0.2, dict(t_max=40.0)),               # horizon, it 45
+             (4.0, {}),                             # event, it 53
+             (0.2, dict(t_max=100.0)),              # horizon, it 60
+             (-4.0, {}),                            # blowup, it 276
+             (-1.0, dict(max_steps=305)),           # blowup, it 299
+             (-0.25, {})]                           # blowup, it 322
+    configs = [IntegratorConfig(**{"t_max": 30.0, **kw}) for _, kw in cases]
+    caplog.set_level("INFO", logger="radial_euler.odeint")
+    lanes = list(integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]), configs,
+                                 event=cross, probe_t=0.5))
+    # the step counts are those of the running lanes, which the scalar runs
+    # repeat: 1231 accepted steps, and no rejected one
+    [line] = [rec.getMessage() for rec in caplog.records]
+    assert line == ("14 lanes in 322 lockstep iterations: 1231 accepted and 0 rejected "
+                    "lane-steps; 5 lanes bracketed an event, located in 32 halving rounds")
+    ends = []
+    for lane, (y0, _), cfg in zip(lanes, cases, configs):
+        _same_tail(lane, TailRecord.of(integrate(RICCATI, [y0], cfg, events=(cross,)), 0.5))
+        ends.append(lane.note.split(" at ")[0] or lane.termination.value)
+    assert ends == ["event", "reached-horizon", "event", "step budget exhausted",
+                    "reached-horizon", "event", "step budget exhausted", "event",
+                    "reached-horizon", "event", "reached-horizon", "blowup-detected",
+                    "blowup-detected", "blowup-detected"]
