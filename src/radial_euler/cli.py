@@ -17,6 +17,7 @@ import argparse
 import inspect
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -68,6 +69,19 @@ def _from_library(library: dict, key: str, name: str, **values):
     factory = library[name]
     accepted = inspect.signature(factory).parameters
     return factory(**{k: v for k, v in values.items() if k in accepted})
+
+
+# (test, wanted) rules for _check_keys
+_AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
+_FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and positive")
+
+
+def _check_keys(cfg: RunConfig, section: str, **rules):
+    """Refuse, before any work, the first ``[section]`` key that breaks its rule."""
+    for key, (ok, wanted) in rules.items():
+        value = cfg[section][key]
+        if not ok(value):
+            raise ConfigError(f"[{section}] {key} must be {wanted}, got {value!r}")
 
 
 def _influence_from(cfg: RunConfig):
@@ -124,6 +138,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, fmt: str) -> int:
 
 def cmd_curves(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     cur = cfg["curves"]
+    _check_keys(cfg, "curves", samples=_AT_LEAST_ONE, x_max=_FINITE_POSITIVE,
+                **({"v0_max": _FINITE_POSITIVE} if cur["include_ep"] else {}))
     n = cfg["model"]["n"]
     bounds = bounds_from(cfg)
     which = (list(CURVE_KINDS) if cur["which"] == "all"
@@ -234,6 +250,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
 
 def cmd_phase_portrait(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     ph = cfg["phase"]
+    _check_keys(cfg, "phase", t_end=_FINITE_POSITIVE, samples=_AT_LEAST_ONE)
     params = model_params_from(cfg)
     integ = integrator_from(cfg)
     from dataclasses import replace

@@ -460,18 +460,28 @@ def classify_ep_many(states: Sequence[CharState], params: ModelParams,
     run_cells = np.flatnonzero(~inside)
     lane_pass = np.repeat(np.arange(len(passes)), len(run_cells)).tolist()
     lane_cell = np.tile(run_cells, len(passes)).tolist()
-    tails = _run_lanes(system, x0[:, lane_cell],
-                       [first_run[k] for k in lane_pass], basin, period)
+    tails = list(_run_lanes(system, x0[:, lane_cell],
+                            [first_run[k] for k in lane_pass], basin, period))
+    # lanes stopped after one period -> whether their state missed the
+    # start by 1e-5 (|y0| + 1) or more, tested for all of them at once
+    missed = {}
+    if period is not None:
+        stopped = [j for j, (k, tail) in enumerate(zip(lane_pass, tails))
+                   if tail.termination is Termination.REACHED_HORIZON
+                   and tail.t_final < passes[k].t_max - 1e-9]
+        if stopped:
+            cells = [lane_cell[j] for j in stopped]
+            back = np.array([tails[j].probe[0] for j in stopped]).T
+            miss = np.max(np.abs(back - x0[:, cells]), axis=0)
+            missed = dict(zip(stopped, (miss >= 1e-5 * (norm0[cells] + 1.0)).tolist()))
     runs = [[None] * len(states) for _ in passes]
     ambiguous = []
     closed = certified = 0
-    for k, cell, tail in zip(lane_pass, lane_cell, tails):
+    for j, (k, cell, tail) in enumerate(zip(lane_pass, lane_cell, tails)):
         diag = start_diag(cell)
         out = _settle(diag, tail, system)
-        if (period is not None and tail.termination is Termination.REACHED_HORIZON
-                and tail.t_final < passes[k].t_max - 1e-9):
-            scale = float(norm0[cell]) + 1.0
-            if float(np.max(np.abs(tail.probe[0] - x0[:, cell]))) >= 1e-5 * scale:
+        if j in missed:
+            if missed[j]:
                 cert = _amplitude_certificate(x0[:, cell], tail.probe[0],
                                               params.kappa, params.c)
                 if cert is None:

@@ -19,7 +19,6 @@ integration matter here:
 from __future__ import annotations
 
 import enum
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -478,13 +477,17 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
 
 
 def _step_factors(err: np.ndarray) -> np.ndarray:
-    """0.9 * err ** -0.2 per lane, with the power taken in Python floats.
+    """0.9 * err ** -0.2 per lane, bit for bit the Python float power.
 
-    NumPy's vectorised ``power`` is not correctly rounded on every CPU,
-    and one ulp in a step factor is enough to move a trajectory off the
-    one :func:`integrate` takes.
+    One ulp in a step factor is enough to move a trajectory off the one
+    :func:`integrate` takes, so the power must be the one Python takes.
+    CPython's ``float ** float`` calls the C library ``pow`` for a
+    positive finite base, and so does the float64 loop of
+    ``np.float_power``.  ``np.power`` does not: on CPUs with AVX-512,
+    NumPy computes it with its own SIMD routines, whose results differ
+    from ``pow`` in the last bit on some inputs.
     """
-    return 0.9 * np.array(list(map(pow, err.tolist(), itertools.repeat(-0.2))))
+    return 0.9 * np.float_power(err, -0.2)
 
 
 def _bisect_lanes(func, t0, y0, f0, t1, y1, f1, g0):
@@ -701,12 +704,11 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                                  f"(err={float(err[j]):.3g})")
             shrink = alive & ~ok
             rejected += int(np.count_nonzero(shrink))
-            # the next step size of every running lane; an error of 0 (an
-            # accepted step) or a non-finite one (a rejected step) keeps
-            # the default factor
-            factor = np.where(ok, 5.0, 0.2)
-            scaled = np.flatnonzero(alive & (err != 0.0) & np.isfinite(err))
-            factor[scaled] = np.minimum(5.0, np.maximum(0.2, _step_factors(err[scaled])))
+            # the next step size factor of every working lane, as integrate
+            # takes it: 0.9 err^-0.2 clamped to [0.2, 5], so 5 after an
+            # error of 0 (an accepted step) and 0.2 after a non-finite one
+            # (a rejected step; fmax drops a NaN)
+            factor = np.minimum(5.0, np.fmax(0.2, _step_factors(err)))
 
             if event is not None:
                 g_new = event_at(t_new, y_new)
@@ -771,23 +773,28 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
              "lane-steps; %d lanes bracketed an event, located in %d halving rounds",
              n, iterations, accepted, rejected, located, rounds)
 
+    # per-lane scalars, converted once for the whole batch
+    ends, t_last, v_last, comps = (ends.tolist(), t_end.tolist(), max_abs.tolist(),
+                                   blowup_comp.tolist())
+    y_last = list(y_end.T)
+    covered = (np.count_nonzero(probe_times <= t_end, axis=0).tolist()
+               if probe_times is not None else [0] * n)
+
     def tail(i):
         end = ends[i]
         blown = end is Termination.BLOWUP_DETECTED
-        covered = 0
-        if pt is not None and end is not Termination.EVENT:
-            covered = int(np.count_nonzero(probe_times[:, i] <= t_end[i]))
         blowup = None
         if blown:
             # the escaping component's trailing samples, for the fit
             m = min(nb[i], _BLOWUP_TAIL)
             slots = (nb[i] - m + np.arange(m)) % _BLOWUP_TAIL
-            blowup = (tb[slots, i], yb[slots, blowup_comp[i], i])
+            blowup = (tb[slots, i], yb[slots, comps[i], i])
+        rows = covered[i] if end is not Termination.EVENT else 0
         return TailRecord(
-            end, float(t_end[i]), y_end[:, i], float(max_abs[i]), notes.get(i, ""),
-            t_event=float(t_end[i]) if end is Termination.EVENT else None,
-            blowup_component=int(blowup_comp[i]) if blown else None,
-            probe=probe[:covered, :, i] if covered else None, blowup=blowup)
+            end, t_last[i], y_last[i], v_last[i], notes.get(i, ""),
+            t_event=t_last[i] if end is Termination.EVENT else None,
+            blowup_component=comps[i] if blown else None,
+            probe=probe[:rows, :, i] if rows else None, blowup=blowup)
 
     return map(tail, range(n))
 

@@ -440,6 +440,69 @@ ep_s0 = 0.01
     assert "ep_w0_threshold," in text
 
 
+CURVES_EP = """
+[model]
+kind = euler-poisson
+n = 3
+
+[curves]
+include_ep = true
+samples = 10
+x_max = 0.2
+v0_max = 2.0
+ep_q0 = 1.0
+ep_s0 = 0.01
+"""
+
+PHASE = """
+[model]
+kind = euler-poisson
+n = 2
+
+[phase]
+seeds = 1:1
+t_end = 5.0
+samples = 10
+"""
+
+
+def _with_setting(text, key, value):
+    return re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("curves", "samples", "0"), ("curves", "samples", "-3"),
+    ("curves", "x_max", "nan"), ("curves", "x_max", "inf"), ("curves", "x_max", "0.0"),
+    ("curves", "x_max", "-1.0"),
+    ("curves", "v0_max", "nan"), ("curves", "v0_max", "inf"), ("curves", "v0_max", "0.0"),
+    ("curves", "v0_max", "-2.0"),
+    ("phase-portrait", "t_end", "nan"), ("phase-portrait", "t_end", "inf"),
+    ("phase-portrait", "t_end", "0.0"), ("phase-portrait", "t_end", "-1.0"),
+    ("phase-portrait", "samples", "0"), ("phase-portrait", "samples", "-3"),
+])
+def test_bad_output_setting_refused(tmp_path, capsys, command, key, value):
+    # each of these once wrote a header-only or NaN file with exit 0, or
+    # failed with a message that named no [section] key
+    section, base, artifact = (("curves", CURVES_EP, "curves.csv") if command == "curves"
+                               else ("phase", PHASE, "portrait.csv"))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config",
+                   write(tmp_path, "bad.cfg", _with_setting(base, key, value)),
+                   "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: [{section}] {key} must be ")
+    assert captured.out == ""
+    assert not (out / artifact).exists()
+
+
+def test_curves_v0_max_read_only_with_ep_threshold(tmp_path, capsys):
+    text = _with_setting(CURVES_EP, "include_ep", "false")
+    path = write(tmp_path, "c.cfg", _with_setting(text, "v0_max", "nan"))
+    assert cli.main(["curves", "--config", path, "--out", str(tmp_path)]) == 0
+    assert "ep_w0_threshold" not in (tmp_path / "curves.csv").read_text()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

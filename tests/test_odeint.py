@@ -368,3 +368,49 @@ def test_lanes_retiring_one_at_a_time_match_scalar(caplog):
                     "reached-horizon", "event", "step budget exhausted", "event",
                     "reached-horizon", "event", "reached-horizon", "blowup-detected",
                     "blowup-detected", "blowup-detected"]
+
+
+def test_float_power_matches_python_pow():
+    # integrate_lanes takes its step factors from np.float_power, and each
+    # lane must repeat the factor integrate computes with Python's float
+    # power, bit for bit
+    rng = np.random.default_rng(20261018)
+    log_uniform = 10.0 ** rng.uniform(-12.0, 4.0, 1_000_000)
+    uniform = rng.uniform(0.0, 2.0, 200_000)
+    tiny = np.finfo(float).tiny
+    clamp_lo, clamp_hi = (0.9 / 5.0) ** 5, (0.9 / 0.2) ** 5   # 1.89e-4 and 1845
+    near = [np.nextafter(v, direction)
+            for v in (clamp_lo, clamp_hi, 1.0) for direction in (0.0, np.inf)]
+    edges = np.array([5e-324, 1e-320, tiny / 3, tiny / 2**20, np.nextafter(tiny, 0.0),
+                      tiny, 1.0, clamp_lo, clamp_hi, 1.89e-4, 1845.0, 1e300,
+                      np.finfo(float).max] + near
+                     + list(clamp_lo * (1 + 1e-12 * np.arange(-50, 51)))
+                     + list(clamp_hi * (1 + 1e-12 * np.arange(-50, 51))))
+    x = np.concatenate([log_uniform, uniform[uniform > 0.0], edges])
+
+    def same_bits(got, values):
+        want = np.array([v ** -0.2 for v in values.tolist()])
+        return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    assert same_bits(np.float_power(x, -0.2), x)
+    strided = x[1::3]
+    assert not strided.flags.contiguous
+    assert same_bits(np.float_power(strided, -0.2), strided)
+    in_place = x.copy()
+    np.float_power(in_place, -0.2, out=in_place)
+    assert same_bits(in_place, x)
+
+
+def test_lane_step_factors_at_zero_and_non_finite_errors():
+    # a step with error 0 grows h fivefold; a non-finite error (here NaN
+    # from sqrt of a negative trial state) shrinks it fivefold; both as in
+    # integrate
+    drain = OdeSystem(1, lambda t, y: (-np.sqrt(y[0]),))
+    still = OdeSystem(1, lambda t, y: (0.0 * y[0],))
+    for system, y0, cfg in ((drain, [1.0, 0.3, 2.5], IntegratorConfig(t_max=5)),
+                            (still, [1.0, -2.0, 0.0], IntegratorConfig(t_max=50))):
+        configs = [cfg] * len(y0)
+        with np.errstate(invalid="ignore"):
+            lanes = list(integrate_lanes(system, np.array([y0]), configs, probe_t=0.5))
+            for lane, y in zip(lanes, y0):
+                _same_tail(lane, TailRecord.of(integrate(system, [y], cfg), 0.5))
