@@ -11,16 +11,16 @@ from .core import (CharState, Model, ModelParams, Region,
                    VelocityGradientSample, divergence, gap_consistency_check,
                    grad_u_matrix, spectral_gap, sphere_area)
 from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
-                     IntegratorConfig, OdeSystem, TailRecord, Termination,
+                     IntegratorConfig, LaneBatch, OdeSystem, TailRecord, Termination,
                      TrajectoryRecord, Verdict, estimate_decay_exponent,
-                     integrate, integrate_lanes, integrate_until_event)
+                     integrate, integrate_lanes)
 from .profiles import (RadialProfile, ProfileKind, DENSITY_LIBRARY,
                        VELOCITY_LIBRARY, constant, gaussian_bump,
                        gaussian_velocity, indicator, integrate_weighted,
                        linear_velocity, polynomial_decay, rexp_velocity,
                        zero_velocity)
 from .euler_poisson import (QsHatResult, ThresholdConstants, classify_ep,
-                            classify_ep_many, compute_dcrit,
+                            classify_ep_columns, classify_ep_many, compute_dcrit,
                             compute_threshold_constants, ep_1d_system, ep_full_system, explicit_sigma_plus,
                             initial_s_from_density, qs_phase_portrait,
                             qs_system, qshat_integrate, qshat_system,

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Region, sphere_area
-from .euler_poisson import _MAX_BATCH_CELLS, _run_lanes
+from .euler_poisson import Verdicts, _in_batches, _run_cells
 from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
                      IntegratorConfig, OdeSystem, Termination, Verdict,
                      integrate, outcome_of)
@@ -425,13 +425,15 @@ def comparison_classify(kind: str, y0: float, C0: float, bounds: AlignmentBounds
 def classify_ea_many(kind: str, y0s: Sequence[float], C0s: Sequence[float],
                      bounds: AlignmentBounds, n: float,
                      config: Optional[IntegratorConfig] = None,
-                     side: str = "+") -> list[ClassificationOutcome]:
+                     side: str = "+") -> Verdicts:
     """:func:`comparison_classify` for every cell (y0s[i], C0s[i]), in lockstep.
 
     The run of each cell outside the bounded basin at t = 0 is one lane of
     a single :func:`integrate_lanes` batch, with the cell's basin floor
     1e-10 max(C0, 1) as its per-lane event constant.  Lanes are
     independent, so every outcome is exactly the one the cell gives alone.
+    The verdict codes come from the lanes' terminations; an outcome is
+    built only when it is read.
     """
     if kind not in ("q", "G"):
         raise ValueError("kind must be 'q' or 'G'")
@@ -442,61 +444,48 @@ def classify_ea_many(kind: str, y0s: Sequence[float], C0s: Sequence[float],
         raise ValueError("need one C0 per y0")
     if np.any(C0s < 0):
         raise ValueError("C0 must be nonnegative")
-    if len(y0s) > _MAX_BATCH_CELLS:
-        return [out for lo in range(0, len(y0s), _MAX_BATCH_CELLS)
-                for out in classify_ea_many(kind, y0s[lo:lo + _MAX_BATCH_CELLS],
-                                            C0s[lo:lo + _MAX_BATCH_CELLS],
-                                            bounds, n, config, side)]
     pm, pM, nu = bounds.psi_min, bounds.psi_max, bounds.nu
     cfg = config if config is not None else IntegratorConfig()
 
-    # elementwise, so one definition serves a single state and a batch of lanes
-    if kind == "q":
-        if side == "+":
-            def rhs(t, y):
-                v, b = y
-                return (-v * v - np.where(v < 0.0, pm, pM) * v - b, -nu * b)
-            safe = -pm
-        else:
-            def rhs(t, y):
-                v, b = y
-                return (-v * v - pM * v + b, -nu * b)
-            safe = -pM
-    else:
-        gain = n - 1.0
-        if side == "+":
-            def rhs(t, y):
-                v, b = y
-                return (-v * v + pm * v - gain * b, -nu * b)
-        else:
-            def rhs(t, y):
-                v, b = y
-                return (-v * v + pM * v + gain * b, -nu * b)
-        safe = 0.0
+    # v' = -v^2 - a v - g b, B' = -nu B with the instantiation's (a, g); the
+    # q "+" rate a switches from psi_min to psi_max where v turns positive.
+    # The basin is v above the rest point ``safe`` with B negligible.
+    a, g, safe = {("q", "+"): (None, 1.0, -pm),
+                  ("q", "-"): (pM, -1.0, -pM),
+                  ("G", "+"): (-pm, n - 1.0, 0.0),
+                  ("G", "-"): (-pM, -(n - 1.0), 0.0)}[kind, side]
+
+    def rhs(t, y):
+        # elementwise, so one definition serves a single state and a batch of lanes
+        v, b = y
+        return (-v * v - (np.where(v < 0.0, pm, pM) if a is None else a) * v - g * b,
+                -nu * b)
 
     basin = EventSpec(
         "bounded-basin",
         lambda t, y, b_floor: np.minimum(b_floor - y[1], y[0] - (safe + 1e-6)),
         direction=+1, terminal=True)
     system = OdeSystem(2, rhs, labels=(kind, "B"))
-    x0 = np.array([y0s, C0s])
-    floors = 1e-10 * np.maximum(C0s, 1.0)
-    inside = basin.func(0.0, x0, floors) >= 0.0
-    run_cells = np.flatnonzero(~inside)
-    log.info("%d cells, %d inside the basin at t = 0; %d runs of the rest",
-             len(y0s), len(y0s) - len(run_cells), len(run_cells))
-    tails = iter(_run_lanes(system, x0[:, run_cells], [cfg] * len(run_cells),
-                            basin, None, floors[run_cells]))
-    outcomes = []
-    for cell in range(len(y0s)):
-        diag = {"labels": system.labels}
-        if inside[cell]:
-            diag["early_exit"] = "initial state inside bounded basin"
-            outcomes.append(ClassificationOutcome(Verdict.GLOBAL_BOUNDED,
-                                                  diagnostics=diag))
-            continue
-        tail = next(tails)
-        diag["t_final"] = tail.t_final
-        diag["final_state"] = tail.y_final
-        outcomes.append(outcome_of(tail, diag))
-    return outcomes
+
+    def classify(lo, hi):
+        x0 = np.array([y0s[lo:hi], C0s[lo:hi]])
+        inside, cells, batch, codes = _run_cells(system, x0, [cfg], basin,
+                                                 basin_consts=1e-10 * np.maximum(x0[1], 1.0))
+        log.info("%d cells, %d inside the basin at t = 0; %d runs of the rest",
+                 hi - lo, hi - lo - len(cells), len(cells))
+
+        def outcome(cell):
+            diag = {"labels": system.labels}
+            if inside[cell]:
+                diag["early_exit"] = "initial state inside bounded basin"
+                return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
+            tail = batch[int(np.searchsorted(cells, cell))]
+            diag["t_final"] = tail.t_final
+            diag["final_state"] = tail.y_final
+            return outcome_of(tail, diag)
+
+        verdicts = np.zeros(hi - lo, dtype=int)
+        verdicts[cells] = codes
+        return Verdicts(verdicts, outcome)
+
+    return _in_batches(len(y0s), classify)

@@ -33,8 +33,8 @@ from .euler_poisson import (compute_threshold_constants, explicit_sigma_plus,
 from .odeint import IntegrationFailure, Verdict
 from .pde import diagnostics_series, run_size_problem, simulate_ea, simulate_ep
 from .profiles import DENSITY_LIBRARY, VELOCITY_LIBRARY
-from .sweep import (bounds_from, classify_from_config, integrator_from,
-                    model_params_from, run_sweep)
+from .sweep import (bounds_from, classify_cells, integrator_from, model_params_from,
+                    run_sweep)
 
 log = logging.getLogger("radial_euler")
 
@@ -105,7 +105,7 @@ def _profiles_from(cfg: RunConfig):
 
 
 def cmd_classify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
-    out = classify_from_config(cfg)
+    out = classify_cells(cfg)[0]
     payload = {"verdict": out.verdict.value}
     if out.t_estimate is not None:
         payload["t_estimate"] = _json_num(out.t_estimate)

@@ -23,15 +23,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .core import CharState, Model, ModelParams, Region
-from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
-                     IntegratorConfig, OdeSystem, TailRecord, Termination,
-                     TrajectoryRecord, Verdict, integrate, integrate_lanes,
-                     outcome_of)
+from .odeint import (END_CODES, TERMINATIONS, VERDICT_CODES, ClassificationOutcome,
+                     EventSpec, IntegrationFailure, IntegratorConfig, LaneBatch,
+                     OdeSystem, TailRecord, Termination, TrajectoryRecord, Verdict,
+                     integrate, integrate_lanes, outcome_of)
 from .profiles import RadialProfile, integrate_weighted
 
 log = logging.getLogger(__name__)
@@ -255,23 +255,23 @@ _CERT_DRIFT = 1e-4
 _CERT_MARGIN = 0.1
 
 
-def _orbit_amplitude(p, rho, kappa: float, c: float) -> float:
+def _orbit_amplitude(p, rho, kappa: float, c: float):
     """Amplitude A = |(v - 1/c, w / sqrt(kappa c))| of a 1D orbit, c > 0.
 
     With v = 1/rho and w = p/rho the n = 1 system is the linear oscillator
     w' = kappa - kappa c v, v' = w, so A is exactly conserved, and rho
     escapes (v reaches 0) iff A >= 1/c: A < 1/c is :func:`sigma_1d`'s
-    subcritical region.  Total: rho = 0 or non-finite input gives inf or
-    NaN, never an exception.
+    subcritical region.  Elementwise on arrays.  Total: rho = 0 or
+    non-finite input gives inf or NaN, never an exception.
     """
-    p, rho = np.float64(p), np.float64(rho)
+    p, rho = np.asarray(p, dtype=float), np.asarray(rho, dtype=float)
     with np.errstate(all="ignore"):
-        return float(np.hypot(1.0 / rho - 1.0 / c, p / rho / math.sqrt(kappa * c)))
+        return np.hypot(1.0 / rho - 1.0 / c, p / rho / math.sqrt(kappa * c))
 
 
-def _amplitude_certificate(y0, y1, kappa: float, c: float) -> Optional[tuple[float, float]]:
-    """(drift, margin) if the return ``y1`` of the (p, rho) orbit from ``y0``
-    after one period certifies it as exactly subcritical, else None.
+def _certify(y0, y1, kappa: float, c: float):
+    """(certified, drift, margin) of the return ``y1`` of the (p, rho) orbit
+    from ``y0`` after one period, elementwise over their columns.
 
     The exact verdict depends on A(y0) alone.  The certificate asks that
     A(y0) lie below 1/c by a margin, and that the run kept its amplitude to
@@ -280,12 +280,12 @@ def _amplitude_certificate(y0, y1, kappa: float, c: float) -> Optional[tuple[flo
     tracked period decides the whole horizon.  NaN or inf anywhere fails
     every comparison, so the answer is then "not certified".
     """
-    a0 = _orbit_amplitude(y0[0], y0[1], kappa, c)
-    drift = abs(_orbit_amplitude(y1[0], y1[1], kappa, c) - a0)
-    margin = 1.0 / c - a0
-    if drift <= _CERT_DRIFT * (a0 + 1.0 / c) and drift < _CERT_MARGIN * margin:
-        return drift, margin
-    return None
+    with np.errstate(all="ignore"):
+        a0 = _orbit_amplitude(y0[0], y0[1], kappa, c)
+        drift = np.abs(_orbit_amplitude(y1[0], y1[1], kappa, c) - a0)
+        margin = 1.0 / c - a0
+        return ((drift <= _CERT_DRIFT * (a0 + 1.0 / c)) & (drift < _CERT_MARGIN * margin),
+                drift, margin)
 
 
 def _basin_event(params: ModelParams) -> Optional[EventSpec]:
@@ -327,12 +327,15 @@ def _basin_event(params: ModelParams) -> Optional[EventSpec]:
     return EventSpec("bounded-basin", g, direction=+1, terminal=True)
 
 
-def _initial_state(y0: CharState, params: ModelParams) -> np.ndarray:
+def _state_rows(params: ModelParams) -> list[int]:
+    """The rows of (p, q, s, rho) that the model's characteristic system carries."""
     if params.model is Model.EULER_POISSON:
-        if params.n == 1.0:
-            return np.array([y0.p, y0.rho])
-        return np.array([y0.p, y0.q, y0.s, y0.rho])
-    return np.array([y0.p, y0.q, y0.rho])
+        return [0, 3] if params.n == 1.0 else [0, 1, 2, 3]
+    return [0, 1, 3]
+
+
+def _initial_state(y0: CharState, params: ModelParams) -> np.ndarray:
+    return y0.as_array()[_state_rows(params)]
 
 
 def _system_for(params: ModelParams) -> OdeSystem:
@@ -343,12 +346,15 @@ def _system_for(params: ModelParams) -> OdeSystem:
     raise ValueError(f"classify_ep does not handle model {params.model}")
 
 
-def _check_state(y0: CharState, params: ModelParams):
-    if y0.rho < 0.0:
-        raise ValueError("rho0 must be nonnegative")
-    if params.model is Model.EULER_POISSON and params.n > 1.0:
-        if y0.s <= -params.c / params.n:
-            raise ValueError(f"s0 must exceed -c/n = {-params.c / params.n}")
+def _check_states(x: np.ndarray, params: ModelParams):
+    """Refuse the first (p, q, s, rho) column that no classifier run can start from."""
+    bad_rho = x[3] < 0.0
+    bad_s = (x[2] <= -params.c / params.n) & (params.model is Model.EULER_POISSON
+                                              and params.n > 1.0)
+    first = np.flatnonzero(bad_rho | bad_s)
+    if len(first):
+        raise ValueError("rho0 must be nonnegative" if bad_rho[first[0]]
+                         else f"s0 must exceed -c/n = {-params.c / params.n}")
 
 
 # Below this many lanes a batch runs lane by lane through the scalar
@@ -359,10 +365,43 @@ _MIN_BATCH_LANES = 20
 _MAX_BATCH_CELLS = 4096
 
 
+class Verdicts:
+    """The verdicts of a batch of cells: codes, and outcomes on request.
+
+    ``codes[i]`` is the :data:`VERDICT_CODES` value of cell i's verdict.
+    Indexing (or iterating) builds a cell's :class:`ClassificationOutcome`,
+    diagnostics and reason included, exactly as the one-cell classifier
+    gives it; a sweep reads only the codes and builds none.
+    """
+
+    def __init__(self, codes: np.ndarray, outcome: Callable[[int], ClassificationOutcome]):
+        self.codes = codes
+        self._outcome = outcome
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, cell: int) -> ClassificationOutcome:
+        return self._outcome(range(len(self.codes))[cell])
+
+    def __iter__(self) -> Iterator[ClassificationOutcome]:
+        return map(self._outcome, range(len(self.codes)))
+
+
+def _in_batches(n_cells: int, classify: Callable[[int, int], Verdicts]) -> Verdicts:
+    """``classify(lo, hi)`` of the cells lo..hi-1, _MAX_BATCH_CELLS at a time."""
+    if n_cells <= _MAX_BATCH_CELLS:
+        return classify(0, n_cells)
+    parts = [classify(lo, min(lo + _MAX_BATCH_CELLS, n_cells))
+             for lo in range(0, n_cells, _MAX_BATCH_CELLS)]
+    return Verdicts(np.concatenate([part.codes for part in parts]),
+                    lambda cell: parts[cell // _MAX_BATCH_CELLS][cell % _MAX_BATCH_CELLS])
+
+
 def _run_lanes(system: OdeSystem, states0: np.ndarray,
                configs: list[IntegratorConfig], basin: Optional[EventSpec],
-               probe_t: Optional[float], basin_consts=None) -> Iterable[TailRecord]:
-    """One tail record per column of ``states0``, each run under its config.
+               probe_t: Optional[float], basin_consts=None) -> LaneBatch:
+    """The lane batch of one run per column of ``states0``, each under its config.
 
     ``basin_consts`` are the basin's per-lane constants, as
     :func:`integrate_lanes` takes them.
@@ -379,8 +418,32 @@ def _run_lanes(system: OdeSystem, states0: np.ndarray,
         const = np.asarray(basin_consts)[..., j]
         return (replace(basin, func=lambda t, y: basin.func(t, y, const)),)
 
-    return [TailRecord.of(integrate(system, states0[:, j], cfg, events=events(j)),
-                          probe_t) for j, cfg in enumerate(configs)]
+    return LaneBatch.of([TailRecord.of(integrate(system, states0[:, j], cfg,
+                                                 events=events(j)), probe_t)
+                         for j, cfg in enumerate(configs)],
+                        system.dimension, 0 if probe_t is None else np.size(probe_t))
+
+
+def _run_cells(system: OdeSystem, x0: np.ndarray, passes: Sequence[IntegratorConfig],
+               basin: Optional[EventSpec], probe_t: Optional[float] = None,
+               basin_consts=None):
+    """The t = 0 basin split of the cells ``x0`` (dim x cells), then their runs.
+
+    A cell whose state starts inside the bounded basin is settled there.
+    Every other cell runs once per config in ``passes``, all as lanes of
+    one batch: lane k m + i is pass k of the i-th of the m cells outside.
+    Returns the mask of cells inside, the cells outside, their lane batch
+    and the verdict code each lane's termination implies.
+    """
+    consts = () if basin_consts is None else (basin_consts,)
+    inside = (basin.func(0.0, x0, *consts) >= 0.0 if basin is not None
+              else np.zeros(x0.shape[1], dtype=bool))
+    cells = np.flatnonzero(~inside)
+    batch = _run_lanes(system, np.tile(x0[:, cells], len(passes)),
+                       [cfg for cfg in passes for _ in cells], basin, probe_t,
+                       None if basin_consts is None
+                       else np.tile(basin_consts[..., cells], len(passes)))
+    return inside, cells, batch, END_CODES[batch.ends]
 
 
 def _settle(diag: dict, tail: TailRecord, system: OdeSystem) -> ClassificationOutcome:
@@ -411,39 +474,45 @@ def classify_ep(y0: CharState, params: ModelParams,
 
 def classify_ep_many(states: Sequence[CharState], params: ModelParams,
                      config: IntegratorConfig = DEFAULT_CONFIG,
-                     confirm: bool = True) -> list[ClassificationOutcome]:
-    """:func:`classify_ep` for every state, with all runs in lockstep.
+                     confirm: bool = True) -> Verdicts:
+    """:func:`classify_ep` for every state: :func:`classify_ep_columns` of their
+    (p, q, s, rho) columns."""
+    return classify_ep_columns(np.array([y0.as_array() for y0 in states]).reshape(-1, 4).T,
+                               params, config, confirm)
+
+
+def classify_ep_columns(x: np.ndarray, params: ModelParams,
+                        config: IntegratorConfig = DEFAULT_CONFIG,
+                        confirm: bool = True) -> Verdicts:
+    """:func:`classify_ep` for every column (p, q, s, rho) of ``x``, in lockstep.
 
     Each state's run, and with ``confirm`` its 10x-tightened re-run, is
     one lane of a single :func:`integrate_lanes` batch.  Lanes are
     independent, so every outcome is exactly the one :func:`classify_ep`
-    gives for that state alone.
+    gives for that state alone.  The verdict codes come from array passes
+    over the lanes; an outcome is built only when it is read.
 
     For n = 1 and c > 0 the exact (w, v) orbit is periodic, so a run stops
     after one period and ends there if its state returns to within
-    1e-5 (|y0| + 1), or if :func:`_amplitude_certificate` shows the orbit
-    exactly subcritical and tracked.  The rest re-run to the full horizon
-    as a second batch.  A bounded verdict for a state whose amplitude
+    1e-5 (|y0| + 1), or if the amplitude certificate :func:`_certify` shows
+    the orbit exactly subcritical and tracked.  The rest re-run to the full
+    horizon as a second batch.  A bounded verdict for a state whose amplitude
     :func:`_orbit_amplitude` is at least 1/c, an exactly supercritical
     orbit that the run stepped past v = 0, becomes INCONCLUSIVE.
     """
-    for y0 in states:
-        _check_state(y0, params)
-    if len(states) > _MAX_BATCH_CELLS:
-        return [out for lo in range(0, len(states), _MAX_BATCH_CELLS)
-                for out in classify_ep_many(states[lo:lo + _MAX_BATCH_CELLS],
-                                            params, config, confirm)]
-    if not states:
-        return []
+    x = np.asarray(x, dtype=float)
+    _check_states(x, params)
+    return _in_batches(x.shape[1], lambda lo, hi: _classify_ep_batch(
+        x[:, lo:hi], params, config, confirm))
+
+
+def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorConfig,
+                       confirm: bool) -> Verdicts:
     system = _system_for(params)
     basin = _basin_event(params)
-    x0 = np.array([_initial_state(y0, params) for y0 in states]).T
+    x0 = x[_state_rows(params)]
     norm0 = np.max(np.abs(x0), axis=0)
     passes = (config, config.tightened(0.1)) if confirm else (config,)
-
-    def start_diag(cell):
-        return {"t_final": 0.0, "max_norm": float(norm0[cell]),
-                "final_state": x0[:, cell], "labels": system.labels}
 
     first_run = passes
     period = None
@@ -455,81 +524,74 @@ def classify_ep_many(states: Sequence[CharState], params: ModelParams,
         first_run = tuple(replace(cfg, t_max=1.05 * period)
                           if 1.05 * period < cfg.t_max else cfg for cfg in passes)
 
-    inside = (basin.func(0.0, x0) >= 0.0 if basin is not None
-              else np.zeros(len(states), dtype=bool))
-    run_cells = np.flatnonzero(~inside)
-    lane_pass = np.repeat(np.arange(len(passes)), len(run_cells)).tolist()
-    lane_cell = np.tile(run_cells, len(passes)).tolist()
-    tails = list(_run_lanes(system, x0[:, lane_cell],
-                            [first_run[k] for k in lane_pass], basin, period))
-    # lanes stopped after one period -> whether their state missed the
-    # start by 1e-5 (|y0| + 1) or more, tested for all of them at once
-    missed = {}
+    inside, cells, batch, code = _run_cells(system, x0, first_run, basin, period)
+    m, lanes = len(cells), len(code)
+    lane_cell = np.tile(cells, len(passes))
+    closed, certified = np.zeros(lanes, dtype=bool), np.zeros(lanes, dtype=bool)
+    drift, margin = np.zeros(lanes), np.zeros(lanes)
+    rerun, again = {}, None     # lane -> its lane in ``again``, the re-run batch
     if period is not None:
-        stopped = [j for j, (k, tail) in enumerate(zip(lane_pass, tails))
-                   if tail.termination is Termination.REACHED_HORIZON
-                   and tail.t_final < passes[k].t_max - 1e-9]
-        if stopped:
-            cells = [lane_cell[j] for j in stopped]
-            back = np.array([tails[j].probe[0] for j in stopped]).T
-            miss = np.max(np.abs(back - x0[:, cells]), axis=0)
-            missed = dict(zip(stopped, (miss >= 1e-5 * (norm0[cells] + 1.0)).tolist()))
-    runs = [[None] * len(states) for _ in passes]
-    ambiguous = []
-    closed = certified = 0
-    for j, (k, cell, tail) in enumerate(zip(lane_pass, lane_cell, tails)):
-        diag = start_diag(cell)
-        out = _settle(diag, tail, system)
-        if j in missed:
-            if missed[j]:
-                cert = _amplitude_certificate(x0[:, cell], tail.probe[0],
-                                              params.kappa, params.c)
-                if cert is None:
-                    ambiguous.append((k, cell, diag))
-                    continue
-                diag["early_exit"] = ("periodic orbit certified by its (w, v) amplitude "
-                                      "after one period (drift %.2g, margin %.2g)" % cert)
-                certified += 1
-            else:
-                diag["early_exit"] = "closed periodic orbit after one period"
-                closed += 1
-        runs[k][cell] = out
+        # lanes stopped after one period -> whether their state missed the
+        # start by 1e-5 (|y0| + 1) or more, else whether the amplitude
+        # certifies the orbit
+        stopped = np.flatnonzero((batch.ends == TERMINATIONS.index(Termination.REACHED_HORIZON))
+                                 & (batch.t_final < config.t_max - 1e-9))
+        start = lane_cell[stopped]
+        back = batch.probe[0][:, stopped]
+        miss = np.max(np.abs(back - x0[:, start]), axis=0) >= 1e-5 * (norm0[start] + 1.0)
+        ok, drift[stopped], margin[stopped] = _certify(x0[:, start], back,
+                                                       params.kappa, params.c)
+        closed[stopped[~miss]] = True
+        certified[stopped[miss & ok]] = True
+        # ambiguous return: integrate the full horizon instead
+        ambiguous = stopped[miss & ~ok]
+        if len(ambiguous):
+            again = _run_lanes(system, x0[:, lane_cell[ambiguous]],
+                               [passes[k] for k in (ambiguous // m).tolist()], basin, None)
+            code[ambiguous] = END_CODES[again.ends]
+            rerun = dict(zip(ambiguous.tolist(), range(len(ambiguous))))
     log.info("%d cells, %d inside the basin at t = 0; %d runs of the rest (one per "
              "confirm pass): %d closed after one period, %d certified by amplitude, "
-             "%d re-ran to the horizon", len(states), int(np.count_nonzero(inside)),
-             len(lane_cell), closed, certified, len(ambiguous))
-    if ambiguous:
-        # ambiguous return: integrate the full horizon instead
-        tails = _run_lanes(system, x0[:, [cell for _, cell, _ in ambiguous]],
-                           [passes[k] for k, _, _ in ambiguous], basin, None)
-        for (k, cell, diag), tail in zip(ambiguous, tails):
-            runs[k][cell] = _settle(diag, tail, system)
+             "%d re-ran to the horizon", x.shape[1], x.shape[1] - m, lanes,
+             np.count_nonzero(closed), np.count_nonzero(certified), len(rerun))
 
-    outcomes = []
-    for cell in range(len(states)):
+    verdict = code[:m].copy()
+    flips = np.zeros(m, dtype=bool)
+    if confirm:
+        flips = (verdict != VERDICT_CODES[Verdict.INCONCLUSIVE]) & (code[m:] != verdict)
+        verdict[flips] = VERDICT_CODES[Verdict.INCONCLUSIVE]
+    refused = np.zeros(m, dtype=bool)
+    if period is not None:
+        amp = _orbit_amplitude(x0[0, cells], x0[1, cells], params.kappa, params.c)
+        refused = (verdict == VERDICT_CODES[Verdict.GLOBAL_BOUNDED]) & (amp >= 1.0 / params.c)
+        verdict[refused] = VERDICT_CODES[Verdict.INCONCLUSIVE]
+    codes = np.zeros(x.shape[1], dtype=int)
+    codes[cells] = verdict
+
+    def outcome(cell):
+        diag = {"t_final": 0.0, "max_norm": float(norm0[cell]),
+                "final_state": x0[:, cell], "labels": system.labels}
         if inside[cell]:
-            diag = start_diag(cell)
             diag["early_exit"] = "initial state inside bounded basin"
-            outcomes.append(ClassificationOutcome(Verdict.GLOBAL_BOUNDED,
-                                                  diagnostics=diag))
-            continue
-        out = runs[0][cell]
-        if (confirm and out.verdict is not Verdict.INCONCLUSIVE
-                and runs[1][cell].verdict is not out.verdict):
-            out = ClassificationOutcome(
-                Verdict.INCONCLUSIVE,
-                reason="classification flips under 10x tighter tolerances",
-                diagnostics=out.diagnostics)
-        if period is not None and out.is_bounded:
-            amp = _orbit_amplitude(x0[0, cell], x0[1, cell], params.kappa, params.c)
-            if amp >= 1.0 / params.c:
-                out = ClassificationOutcome(
-                    Verdict.INCONCLUSIVE,
-                    reason=f"bounded run of an exactly supercritical orbit: (w, v) "
-                           f"amplitude {amp:.6g} >= 1/c = {1.0 / params.c:.6g}",
-                    diagnostics=out.diagnostics)
-        outcomes.append(out)
-    return outcomes
+            return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
+        j = int(np.searchsorted(cells, cell))    # the cell's first-pass lane
+        out = _settle(diag, batch[j], system)
+        if j in rerun:
+            out = _settle(diag, again[rerun[j]], system)
+        elif closed[j]:
+            diag["early_exit"] = "closed periodic orbit after one period"
+        elif certified[j]:
+            diag["early_exit"] = ("periodic orbit certified by its (w, v) amplitude "
+                                  "after one period (drift %.2g, margin %.2g)"
+                                  % (drift[j], margin[j]))
+        if not (flips[j] or refused[j]):
+            return out
+        reason = ("classification flips under 10x tighter tolerances" if flips[j] else
+                  f"bounded run of an exactly supercritical orbit: (w, v) amplitude "
+                  f"{amp[j]:.6g} >= 1/c = {1.0 / params.c:.6g}")
+        return ClassificationOutcome(Verdict.INCONCLUSIVE, reason=reason, diagnostics=diag)
+
+    return Verdicts(codes, outcome)
 
 
 @dataclass

@@ -221,6 +221,90 @@ class TailRecord:
                    rec.blowup_time)
 
 
+# a lane batch's termination codes index this tuple
+TERMINATIONS = tuple(Termination)
+_EVENT = TERMINATIONS.index(Termination.EVENT)
+
+
+@dataclass(eq=False)
+class LaneBatch:
+    """How every lane of a batch ended, as arrays over the lanes.
+
+    ``ends`` indexes :data:`TERMINATIONS`, ``y_final`` is dim x lanes and
+    ``blowup_component`` is -1 unless the lane blew up.  Lane j's record
+    covers the first ``covered[j]`` rows of ``probe`` (probe times x dim x
+    lanes), none after an event.  A blown lane's time is fitted when first
+    read, from the ring ``(t, y, count)`` of its trailing accepted samples.
+    The counters are each lane's step attempts (six stage evaluations
+    each), accepted and rejected steps and rhs evaluations; the step that
+    crosses the event and a collapsing step are attempts only.
+    ``batch[j]`` is lane j's :class:`TailRecord`: for a batch stacked from
+    scalar runs, which has no ring or counters, the one in ``tails``.
+    """
+
+    ends: np.ndarray
+    t_final: np.ndarray
+    y_final: np.ndarray
+    max_abs: np.ndarray
+    blowup_component: np.ndarray
+    probe: np.ndarray
+    covered: np.ndarray
+    notes: dict
+    ring: Optional[tuple] = None
+    tails: Optional[list] = None
+    attempts: Optional[np.ndarray] = None
+    accepted: Optional[np.ndarray] = None
+    rejected: Optional[np.ndarray] = None
+    rhs_evals: Optional[np.ndarray] = None
+
+    @property
+    def t_event(self) -> np.ndarray:
+        """Each lane's event time, NaN for a lane that ended otherwise."""
+        return np.where(self.ends == _EVENT, self.t_final, np.nan)
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __iter__(self) -> Iterator[TailRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, j) -> TailRecord:
+        j = range(len(self))[j]     # a lane index, or IndexError
+        if self.tails is not None:
+            return self.tails[j]
+        end, t_final, rows = TERMINATIONS[self.ends[j]], float(self.t_final[j]), self.covered[j]
+        blowup = component = None
+        if end is Termination.BLOWUP_DETECTED:
+            # the escaping component's trailing samples, for the fit
+            component = int(self.blowup_component[j])
+            tb, yb, nb = self.ring
+            m = min(nb[j], _BLOWUP_TAIL)
+            slots = (nb[j] - m + np.arange(m)) % _BLOWUP_TAIL
+            blowup = (tb[slots, j], yb[slots, component, j])
+        return TailRecord(end, t_final, self.y_final[:, j], float(self.max_abs[j]),
+                          self.notes.get(j, ""), t_final if end is Termination.EVENT else None,
+                          component, self.probe[:rows, :, j] if rows else None, blowup)
+
+    @classmethod
+    def of(cls, tails: Sequence[TailRecord], dim: int, n_probes: int) -> "LaneBatch":
+        """The batch of the tail records of ``n_probes``-probed scalar runs."""
+        n = len(tails)
+        probe = np.full((n_probes, dim, n), np.nan)
+        covered = np.zeros(n, dtype=int)
+        for j, tail in enumerate(tails):
+            if tail.probe is not None:
+                covered[j] = len(tail.probe)
+                probe[:covered[j], :, j] = tail.probe
+        return cls(np.array([TERMINATIONS.index(t.termination) for t in tails], dtype=int),
+                   np.array([t.t_final for t in tails], dtype=float),
+                   np.array([t.y_final for t in tails], dtype=float).reshape(n, dim).T,
+                   np.array([t.max_abs for t in tails], dtype=float),
+                   np.array([-1 if t.blowup_component is None else t.blowup_component
+                             for t in tails], dtype=int),
+                   probe, covered, {j: t.note for j, t in enumerate(tails) if t.note},
+                   tails=list(tails))
+
+
 class IntegrationFailure(RuntimeError):
     """A numerical method that must reach its end point did not converge."""
 
@@ -231,20 +315,43 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
+# the integer code of each verdict in sweep grids
+VERDICT_CODES = {Verdict.GLOBAL_BOUNDED: 0,
+                 Verdict.FINITE_TIME_BLOWUP: 2,
+                 Verdict.INCONCLUSIVE: 3}
+# the verdict a run's termination implies: a detected blowup is finite-time
+# blowup, a step collapse inconclusive, the horizon or a terminal
+# bounded-basin event globally bounded
+VERDICT_OF = {Termination.REACHED_HORIZON: Verdict.GLOBAL_BOUNDED,
+              Termination.EVENT: Verdict.GLOBAL_BOUNDED,
+              Termination.BLOWUP_DETECTED: Verdict.FINITE_TIME_BLOWUP,
+              Termination.STEP_COLLAPSE: Verdict.INCONCLUSIVE}
+# the same, from a lane batch's termination codes to verdict codes
+END_CODES = np.array([VERDICT_CODES[VERDICT_OF[end]] for end in TERMINATIONS])
+
+
 class ClassificationOutcome:
     """Result of a threshold decision: a verdict plus trajectory diagnostics.
 
-    With ``blown_run`` set, ``t_estimate`` is that run's ``blowup_time``,
-    read when first asked: a caller that keeps only the verdict never
-    runs the blowup-time fit of a :class:`TailRecord`.
+    With ``blown_run`` given, ``t_estimate`` is that run's
+    ``blowup_time``, read when first asked: a caller that keeps only the
+    verdict never runs the blowup-time fit of a :class:`TailRecord`.
     """
 
-    verdict: Verdict
-    t_estimate: Optional[float] = None
-    reason: Optional[str] = None
-    diagnostics: dict = field(default_factory=dict)
-    blown_run: object = field(default=None, repr=False, compare=False)
+    def __init__(self, verdict: Verdict, t_estimate: Optional[float] = None,
+                 reason: Optional[str] = None, diagnostics: Optional[dict] = None,
+                 blown_run=None):
+        self.verdict = verdict
+        self.reason = reason
+        self.diagnostics = {} if diagnostics is None else diagnostics
+        self._t_estimate = t_estimate
+        self._blown_run = blown_run
+
+    @property
+    def t_estimate(self) -> Optional[float]:
+        if self._blown_run is not None:
+            self._t_estimate, self._blown_run = self._blown_run.blowup_time, None
+        return self._t_estimate
 
     @property
     def is_bounded(self) -> bool:
@@ -255,32 +362,17 @@ class ClassificationOutcome:
         return self.verdict is Verdict.FINITE_TIME_BLOWUP
 
 
-def _set_t_estimate(out: ClassificationOutcome, value: Optional[float]):
-    out._t_estimate = value
-
-
-# installed after the dataclass is made, so that t_estimate stays a
-# constructor argument with its default
-ClassificationOutcome.t_estimate = property(
-    lambda out: out._t_estimate if out.blown_run is None else out.blown_run.blowup_time,
-    _set_t_estimate)
-
-
 def outcome_of(run, diagnostics: dict) -> ClassificationOutcome:
     """The verdict a run's termination implies (``run``: a trajectory or tail record).
 
-    A detected blowup is finite-time blowup at the extrapolated time, a
-    step collapse is inconclusive with the integrator's note as the
-    reason, and a run that reached its horizon or a terminal
-    bounded-basin event is globally bounded.
+    A step collapse gives the integrator's note as the reason, and a
+    detected blowup the extrapolated time as ``t_estimate``.
     """
-    if run.termination is Termination.BLOWUP_DETECTED:
-        return ClassificationOutcome(Verdict.FINITE_TIME_BLOWUP, diagnostics=diagnostics,
-                                     blown_run=run)
-    if run.termination is Termination.STEP_COLLAPSE:
-        return ClassificationOutcome(Verdict.INCONCLUSIVE, reason=run.note,
-                                     diagnostics=diagnostics)
-    return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diagnostics)
+    verdict = VERDICT_OF[run.termination]
+    return ClassificationOutcome(
+        verdict, reason=run.note if verdict is Verdict.INCONCLUSIVE else None,
+        diagnostics=diagnostics,
+        blown_run=run if verdict is Verdict.FINITE_TIME_BLOWUP else None)
 
 
 def _hermite_point(t0, y0, f0, t1, y1, f1, t):
@@ -516,7 +608,7 @@ def _bisect_lanes(func, t0, y0, f0, t1, y1, f1, g0):
 def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                     configs: Sequence[IntegratorConfig],
                     event: Optional[EventSpec] = None,
-                    probe_t=None, event_consts=None) -> Iterator[TailRecord]:
+                    probe_t=None, event_consts=None) -> LaneBatch:
     """Integrate one copy of ``system`` per column of ``y0`` (dim x lanes) in lockstep.
 
     Lane j starts at t = 0 from ``y0[:, j]``, follows ``configs[j]`` with
@@ -525,8 +617,9 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     (a lane retires with its bracketing step, and one bisection after the
     loop locates every lane's crossing), at a detected blowup, or at a
     step collapse.  Every lane repeats the arithmetic of :func:`integrate`
-    in the same order, so its tail equals ``TailRecord.of(integrate(system,
-    y0[:, j], configs[j], (event,)), probe_t[:, j])`` exactly.  For that,
+    in the same order, so lane j of the returned :class:`LaneBatch` equals
+    ``TailRecord.of(integrate(system, y0[:, j], configs[j], (event,)),
+    probe_t[:, j])`` exactly.  For that,
     the rhs and the event must work elementwise on (dim, k) arrays with
     the same operations they apply to scalars, the rhs returning one (k,)
     array per component.
@@ -536,17 +629,13 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     consts)`` with the columns of the lanes in ``y``, and lane j matches
     the scalar run of the event with ``event_consts[..., j]`` closed over.
 
-    Only the tail of each run is kept: the final state, the running
-    max-norm, the trailing samples the blowup-time fit reads (on the first
-    read of :attr:`TailRecord.blowup_time`, so a caller that reads only
-    the termination runs no fit), and the dense-output samples at the
-    probe times.  ``probe_t`` holds P probe times per lane, nondecreasing
-    down each column of its (P, lanes) shape; a scalar or a (P,) array
-    applies to every lane.  Each probe is
-    the Hermite point on the accepted step that
-    :meth:`TrajectoryRecord.sample_many` would pick, so a probe at the
-    final time is the end of the last step.  Returns an iterator over the
-    lanes' tail records, in lane order.
+    Only the tail of each run is kept, as the arrays of a
+    :class:`LaneBatch`; a caller that reads only the terminations runs no
+    blowup-time fit.  ``probe_t`` holds P probe times per lane,
+    nondecreasing down each column of its (P, lanes) shape; a scalar or a
+    (P,) array applies to every lane.  Each probe is the Hermite point on
+    the accepted step that :meth:`TrajectoryRecord.sample_many` would
+    pick, so a probe at the final time is the end of the last step.
     """
     f = system.rhs
     d = system.dimension
@@ -587,11 +676,11 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     # _COMPACT_SHARE of their columns have retired; ``lane`` maps them to
     # the original lane, which indexes everything below so that retiring
     # lanes never copies it.
-    ends = np.empty(n, dtype=object)       # Termination of each lane
+    ends = np.zeros(n, dtype=int)          # index into TERMINATIONS
     t_end = np.zeros(n)
     y_end = np.zeros((d, n))
     max_abs = np.zeros(n)
-    blowup_comp = np.zeros(n, dtype=int)
+    blowup_comp = np.full(n, -1)
     notes: dict[int, str] = {}
     # (lanes, t, y, k1, t_new, y_new, k7, g[, consts]) of the steps that
     # crossed the event, located together after the loop
@@ -614,10 +703,14 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
 
     lane = np.arange(n)
     alive = np.ones(n, dtype=bool)
-    iterations = accepted = rejected = 0
+    iterations = 0
     t = np.zeros(n)
     vmax = np.max(np.abs(y), axis=0)
-    n_att = np.zeros(n)
+    n_att = np.zeros(n)     # attempts that evaluated the stages
+    # each lane's attempts when it retired, and whether its last one was
+    # neither accepted nor rejected (an event crossing or a step collapse)
+    attempts = np.zeros(n, dtype=int)
+    unsettled = np.zeros(n, dtype=int)
     tb[0], yb[0] = t, y
 
     def take_probes(inside, t0, y0, f0, t1, y1, f1):
@@ -629,13 +722,15 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             probe[row][:, lane[at]] = _hermite_point(
                 t0[at], y0[:, at], f0[:, at], t1[at], y1[:, at], f1[:, at], pt[row, at])
 
-    def close(mask, termination, t_f, y_f, note=None):
+    def close(mask, termination, t_f, y_f, note=None, last_unsettled=False):
         """Record the end of every lane in ``mask`` and retire it."""
         if not mask.any():
             return
         i = lane[mask]
-        ends[i] = termination
+        ends[i] = TERMINATIONS.index(termination)
         t_end[i], y_end[:, i], max_abs[i] = t_f[mask], y_f[:, mask], vmax[mask]
+        attempts[i] = n_att[mask]
+        unsettled[i] = last_unsettled
         if note is not None:
             for j in np.flatnonzero(mask):
                 notes[lane[j]] = note(j)
@@ -669,13 +764,13 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             close(alive & (n_att >= max_steps), Termination.STEP_COLLAPSE, t, y,
                   note=lambda j: f"step budget exhausted at t={float(t[j])}")
             close(alive & (t >= t_max), Termination.REACHED_HORIZON, t, y)
-            n_att += 1
             h = np.where(h > t_max - t, t_max - t, h)
             clamped = h < h_min
             h = np.where(clamped, h_min, h)
             t_new = t + h
             close(alive & (t_new <= t), Termination.STEP_COLLAPSE, t, y,
                   note=lambda j: f"time resolution exhausted at t={float(t[j])}")
+            n_att += 1
 
             k2 = rhs(t + _C2 * h, y + h * (_A21 * k1))
             k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
@@ -701,9 +796,8 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             close(alive & ~ok & (clamped | (h <= h_min * 1.0001)),
                   Termination.STEP_COLLAPSE, t, y,
                   note=lambda j: f"step size collapsed at t={float(t[j])} "
-                                 f"(err={float(err[j]):.3g})")
+                                 f"(err={float(err[j]):.3g})", last_unsettled=True)
             shrink = alive & ~ok
-            rejected += int(np.count_nonzero(shrink))
             # the next step size factor of every working lane, as integrate
             # takes it: 0.9 err^-0.2 clamped to [0.2, 5], so 5 after an
             # error of 0 (an accepted step) and 0.2 after a non-finite one
@@ -717,13 +811,12 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                     brackets.append((lane[hit], t[hit], y[:, hit], k1[:, hit],
                                      t_new[hit], y_new[:, hit], k7[:, hit], g[hit])
                                     + (() if consts is None else (consts[..., hit],)))
-                    close(hit, Termination.EVENT, t_new, y_new)
+                    close(hit, Termination.EVENT, t_new, y_new, last_unsettled=True)
 
             step = alive & ok
             mag = np.max(np.abs(y_new), axis=0)
             vmax = np.where(step, np.maximum(vmax, mag), vmax)
             js = np.flatnonzero(step)
-            accepted += len(js)
             i = lane[js]
             slot = nb[i] % _BLOWUP_TAIL
             tb[slot, i] = t_new[js]
@@ -769,42 +862,19 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             max_abs[hit] = np.maximum(max_abs[hit], np.max(np.abs(y_end[:, hit]), axis=0))
             located = len(hit)
 
+    accepted = nb - 1
+    rejected = attempts - accepted - unsettled
     log.info("%d lanes in %d lockstep iterations: %d accepted and %d rejected "
              "lane-steps; %d lanes bracketed an event, located in %d halving rounds",
-             n, iterations, accepted, rejected, located, rounds)
+             n, iterations, accepted.sum(), rejected.sum(), located, rounds)
 
-    # per-lane scalars, converted once for the whole batch
-    ends, t_last, v_last, comps = (ends.tolist(), t_end.tolist(), max_abs.tolist(),
-                                   blowup_comp.tolist())
-    y_last = list(y_end.T)
-    covered = (np.count_nonzero(probe_times <= t_end, axis=0).tolist()
-               if probe_times is not None else [0] * n)
-
-    def tail(i):
-        end = ends[i]
-        blown = end is Termination.BLOWUP_DETECTED
-        blowup = None
-        if blown:
-            # the escaping component's trailing samples, for the fit
-            m = min(nb[i], _BLOWUP_TAIL)
-            slots = (nb[i] - m + np.arange(m)) % _BLOWUP_TAIL
-            blowup = (tb[slots, i], yb[slots, comps[i], i])
-        rows = covered[i] if end is not Termination.EVENT else 0
-        return TailRecord(
-            end, t_last[i], y_last[i], v_last[i], notes.get(i, ""),
-            t_event=t_last[i] if end is Termination.EVENT else None,
-            blowup_component=comps[i] if blown else None,
-            probe=probe[:rows, :, i] if rows else None, blowup=blowup)
-
-    return map(tail, range(n))
-
-
-def integrate_until_event(system: OdeSystem, y0: Sequence[float],
-                          config: IntegratorConfig, event: EventSpec,
-                          t0: float = 0.0) -> TrajectoryRecord:
-    """Integrate until the first sign change of ``event`` (or the horizon)."""
-    ev = replace(event, terminal=True)
-    return integrate(system, y0, config, events=(ev,), t0=t0)
+    covered = (np.count_nonzero(probe_times <= t_end, axis=0)
+               if probe_times is not None else np.zeros(n, dtype=int))
+    covered[ends == _EVENT] = 0
+    return LaneBatch(ends, t_end, y_end, max_abs, blowup_comp,
+                     probe if probe is not None else np.empty((0, d, n)), covered, notes,
+                     ring=(tb, yb, nb), attempts=attempts, accepted=accepted,
+                     rejected=rejected, rhs_evals=1 + 6 * attempts)
 
 
 def estimate_decay_exponent(record: TrajectoryRecord, component: int,

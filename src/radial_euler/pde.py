@@ -256,11 +256,11 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
     system = _path_system(params)
     configs = [replace(config, t_max=t_end)] * n_paths
     times = np.linspace(0.0, t_end, n_snapshots)
-    tails = list(integrate_lanes(system, y0, configs, probe_t=times))
-    t_final = np.array([tail.t_final for tail in tails])
+    batch = integrate_lanes(system, y0, configs, probe_t=times)
+    t_final = batch.t_final
     t_cover = min(t_end, float(np.min(t_final)))
     blowup: Optional[BlowupReport] = None
-    for i, tail in enumerate(tails):
+    for i, tail in enumerate(batch):
         if tail.termination is Termination.BLOWUP_DETECTED:
             t_b = tail.blowup_time
             if blowup is None or t_b < blowup.time:
@@ -284,14 +284,14 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
         # a path ended early: run the lanes again, probed where the
         # snapshots read them (the runs are deterministic, so only the
         # probes differ)
-        tails = list(integrate_lanes(system, y0, configs, probe_t=probe_t))
+        batch = integrate_lanes(system, y0, configs, probe_t=probe_t)
         runs = 2
     clock = _phase("integrated %d lanes (%d run%s)", n_paths, runs,
                    "" if runs == 1 else "s", since=clock)
 
     snapshots = []
     for k, t in enumerate(snap_times):
-        state = np.array([tail.probe[k] for tail in tails])
+        state = batch.probe[k].T.copy()
         ens_t = CharacteristicEnsemble(
             t=float(t), r=state[:, 4], u=state[:, 4] * state[:, 1],
             masses=ens.masses, params=params, states=state[:, :4])

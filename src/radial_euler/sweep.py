@@ -3,26 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .alignment import AlignmentBounds, classify_ea_many
 from .config import ConfigError, RunConfig, config_hash
-from .core import CharState, Model, ModelParams
+from .core import Model, ModelParams
 # classify_ep is not called here; perfbench/tracer.py wraps sweep.classify_ep
-from .euler_poisson import classify_ep, classify_ep_many  # noqa: F401
-from .odeint import ClassificationOutcome, IntegratorConfig, Verdict
+from .euler_poisson import Verdicts, classify_ep, classify_ep_columns  # noqa: F401
+from .odeint import VERDICT_CODES, IntegratorConfig  # noqa: F401
 
 MAX_SWEEP_CELLS = 1_000_000
 
 # the config keys a sweep axis may vary, by model family
 _STATE_AXES = ("p0", "q0", "s0", "rho0")
 _ALIGNMENT_AXES = ("y0", "C0")
-
-VERDICT_CODES = {Verdict.GLOBAL_BOUNDED: 0,
-                 Verdict.FINITE_TIME_BLOWUP: 2,
-                 Verdict.INCONCLUSIVE: 3}
 
 _MODEL_KINDS = {
     "euler-poisson": Model.EULER_POISSON,
@@ -58,20 +53,13 @@ def bounds_from(cfg: RunConfig) -> AlignmentBounds:
                                     nu=a["nu"], C0=a["C0"])
 
 
-def _state_from(cfg: RunConfig, overrides: dict) -> CharState:
-    st = cfg["state"]
-    return CharState(p=overrides.get("p0", st["p0"]),
-                     q=overrides.get("q0", st["q0"]),
-                     s=overrides.get("s0", st["s0"]),
-                     rho=overrides.get("rho0", st["rho0"]))
+def classify_cells(cfg: RunConfig, **axes: np.ndarray) -> Verdicts:
+    """Classify the configured initial state once per cell.
 
-
-def classify_cells(cfg: RunConfig, cells: Sequence[dict]) -> list[ClassificationOutcome]:
-    """Classify the configured initial state once per cell of axis overrides.
-
-    A cell maps axis names to values: p0, q0, s0, rho0 patch the
-    characteristic state; y0, C0 patch the alignment comparison inputs.
-    All cells run as one lockstep batch.
+    ``axes`` maps axis names to one value per cell: p0, q0, s0, rho0 patch
+    the characteristic state; y0, C0 patch the alignment comparison
+    inputs.  Without axes there is one cell, the configured state.  All
+    cells run as one lockstep batch.
     """
     params = model_params_from(cfg)
     integ = integrator_from(cfg)
@@ -79,18 +67,18 @@ def classify_cells(cfg: RunConfig, cells: Sequence[dict]) -> list[Classification
         # a zero horizon would call every state bounded
         raise ConfigError(f"[integrator] t_max must be positive to classify, "
                           f"got {integ.t_max!r}")
+    n_cells = len(next(iter(axes.values()))) if axes else 1
+
+    def column(section, key):
+        return axes[key] if key in axes else np.full(n_cells, cfg[section][key], dtype=float)
+
     if params.model is Model.EULER_ALIGNMENT:
         a = cfg["alignment"]
-        return classify_ea_many(a["kind"], [cell.get("y0", a["y0"]) for cell in cells],
-                                [cell.get("C0", a["C0"]) for cell in cells],
-                                bounds_from(cfg), params.n, config=integ, side=a["side"])
-    return classify_ep_many([_state_from(cfg, cell) for cell in cells], params, integ,
-                            confirm=cfg["integrator"]["confirm"])
-
-
-def classify_from_config(cfg: RunConfig) -> ClassificationOutcome:
-    """Classify the configured initial state."""
-    return classify_cells(cfg, [{}])[0]
+        return classify_ea_many(a["kind"], column("alignment", "y0"),
+                                column("alignment", "C0"), bounds_from(cfg), params.n,
+                                config=integ, side=a["side"])
+    return classify_ep_columns(np.array([column("state", key) for key in _STATE_AXES]),
+                               params, integ, confirm=cfg["integrator"]["confirm"])
 
 
 @dataclass
@@ -160,9 +148,9 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
         raise ValueError(f"sweep grid has {n_cells} cells "
                          f"(limit {MAX_SWEEP_CELLS}); refuse to run")
     name1, name2 = s["axis1"], s["axis2"]
-    outs = classify_cells(cfg, [{name1: float(v1), name2: float(v2)}
-                                for v1 in axis1 for v2 in axis2])
-    matrix = np.array([VERDICT_CODES[out.verdict] for out in outs],
-                      dtype=int).reshape(len(axis1), len(axis2))
+    # row-major: cell i len(axis2) + j is (axis1[i], axis2[j])
+    verdicts = classify_cells(cfg, **{name1: np.repeat(axis1, len(axis2)),
+                                      name2: np.tile(axis2, len(axis1))})
+    matrix = verdicts.codes.reshape(len(axis1), len(axis2))
     prov = f"config_sha256={config_hash(cfg)} tool=radial-euler"
     return SweepResult((name1, name2), axis1, axis2, matrix, prov)

@@ -12,7 +12,9 @@ from radial_euler import (AlignmentBounds, EventSpec, IntegratorConfig, OdeSyste
                           rough_threshold_G, rough_threshold_q)
 from radial_euler import euler_poisson
 from radial_euler.alignment import _kernel_integral
-from radial_euler.odeint import ClassificationOutcome, integrate, outcome_of
+from radial_euler.config import RunConfig
+from radial_euler.odeint import VERDICT_CODES, ClassificationOutcome, integrate, outcome_of
+from radial_euler.sweep import classify_cells
 
 FIG_BOUNDS = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.0)
 
@@ -396,6 +398,23 @@ def test_classify_ea_many_matches_scalar_runs(ea_batches, kind, side):
             exits.add(out.diagnostics.get("early_exit", out.verdict.value))
     assert exits == {"initial state inside bounded basin", "global-bounded",
                      "finite-time-blowup"}
+
+
+def test_sweep_codes_match_comparison_classify():
+    # a sweep takes its codes from the lanes' terminations and builds no
+    # outcome; every cell's code must be the one of its one-cell verdict
+    cfg = IntegratorConfig(rel_tol=1e-6)
+    run = RunConfig({"model": {"kind": "euler-alignment", "n": 2.0},
+                     "alignment": {"psi_min": 0.8, "psi_max": 1.0, "nu": 0.8,
+                                   "kind": "q", "side": "+"},
+                     "integrator": {"rel_tol": 1e-6}})
+    cells = [(y0, c0) for y0 in np.linspace(-3.0, 1.0, 15) for c0 in np.linspace(0.0, 2.0, 10)]
+    codes = classify_cells(run, y0=np.array([y0 for y0, _ in cells]),
+                           C0=np.array([c0 for _, c0 in cells])).codes
+    assert sorted(set(codes.tolist())) == [0, 2]
+    for (y0, c0), code in zip(cells, codes):
+        ref = comparison_classify("q", y0, c0, FIG_BOUNDS, 2, config=cfg, side="+")
+        assert code == VERDICT_CODES[ref.verdict], (y0, c0)
 
 
 def test_classify_ea_many_refuses_negative_C0_before_running(monkeypatch):

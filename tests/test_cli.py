@@ -93,8 +93,8 @@ def test_classify_exit_blowup(tmp_path, capsys):
 
 def test_classify_exit_inconclusive(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "classify_from_config",
-        lambda cfg: ClassificationOutcome(Verdict.INCONCLUSIVE, reason="test"))
+        cli, "classify_cells",
+        lambda cfg: [ClassificationOutcome(Verdict.INCONCLUSIVE, reason="test")])
     rc = cli.main(["classify", "--config", write(tmp_path, "a.cfg", EP_SUB)])
     assert rc == 3
     assert json.loads(capsys.readouterr().out)["reason"] == "test"
@@ -820,3 +820,49 @@ def test_commands_run_without_scipy(tmp_path):
     # no command loads scipy; kernel quadrature still imports it when asked
     assert result["before"] is False and result["after"] is True
     assert result["psi"] == pytest.approx(1.0, rel=1e-10)
+
+
+_TRACER_SCRIPT = """
+import json, sys
+from tracer import Tracer, layer_metrics
+from radial_euler import alignment, cli, euler_poisson, odeint, pde, sweep
+tracer = Tracer()
+tracer.install()
+points = {"sweep.classify_ep": sweep.classify_ep,
+          "euler_poisson.integrate": euler_poisson.integrate,
+          "alignment.integrate": alignment.integrate, "pde.integrate": pde.integrate,
+          "cli.run_sweep": cli.run_sweep, "SweepResult.to_csv": sweep.SweepResult.to_csv,
+          "SweepResult.to_json": sweep.SweepResult.to_json,
+          "odeint.TrajectoryRecord.sample": odeint.TrajectoryRecord.sample}
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+codes = [cli.main([cmd, "--config", path] + (["--out", f"{out}/{i}"] if cmd != "classify" else []))
+         for i, (cmd, path) in enumerate(runs)]
+metrics, counts = layer_metrics(tracer.spans)
+print(json.dumps({"unwrapped": [name for name, fn in points.items()
+                                if not hasattr(fn, "__wrapped__")],
+                  "codes": codes, "spans": sorted({span[0] for span in tracer.spans}),
+                  "integrate_calls": counts["odeint.calls"]}))
+"""
+
+
+def test_benchmark_tracer_installs_on_the_package(tmp_path):
+    # perfbench/tracer.py wraps module attributes of the package by name; a
+    # renamed or removed one breaks the traced benchmark, not the program
+    sim_ep = SIM_SMALL.format(kind="euler-poisson", phi="constant", rho="gaussian-bump",
+                              u="rexp")
+    runs = [("sweep", write(tmp_path, "s.cfg", SWEEP_3X3.format(integrator=""))),
+            ("classify", write(tmp_path, "c.cfg", EP_SUB)),
+            ("simulate", write(tmp_path, "ep.cfg", sim_ep))]
+    root = Path(radial_euler.__file__).parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(radial_euler.__file__).parents[1]), str(root / "perfbench")]))
+    run = subprocess.run([sys.executable, "-c", _TRACER_SCRIPT, str(tmp_path / "out"),
+                          json.dumps(runs)], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["unwrapped"] == [] and result["codes"] == [0, 0, 0]
+    assert {"cli.command", "sweep.run_sweep", "sweep.format", "odeint.integrate",
+            "pde.simulate", "pde.reconstruct_fields", "profiles.integrate_weighted",
+            "cli.format", "cli.write"} <= set(result["spans"])
+    assert result["integrate_calls"] > 0

@@ -15,7 +15,9 @@ from radial_euler import (CharState, IntegratorConfig, Model, ModelParams,
                           qshat_integrate, qshat_system, sigma_1d, wv_system)
 from radial_euler import euler_poisson
 from radial_euler.euler_poisson import integrate_qs
-from radial_euler.odeint import integrate, integrate_lanes
+from radial_euler.config import RunConfig
+from radial_euler.odeint import VERDICT_CODES, integrate, integrate_lanes
+from radial_euler.sweep import classify_cells
 
 EP1 = ModelParams(n=1, kappa=1, c=0)
 EP1C = ModelParams(n=1, kappa=1, c=1)
@@ -160,8 +162,8 @@ def lane_batches(monkeypatch):
     return batches
 
 
-def test_classify_many_matches_one_by_one(lane_batches):
-    batches = lane_batches
+def _oracle_groups():
+    """(params, config, states, lockstep batches) that take all nine exit paths."""
     tight = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
     coarse = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5)
     pinned = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, h_min=1e-2, h_init=1e-2)
@@ -184,8 +186,13 @@ def test_classify_many_matches_one_by_one(lane_batches):
          [CharState(p=p, q=q, rho=1.0) for p in np.linspace(-1, 1, 9)
           for q in (-0.7, -0.3, 0.3)], 1),
     ]
+    return groups
+
+
+def test_classify_many_matches_one_by_one(lane_batches):
+    batches = lane_batches
     seen = set()
-    for params, cfg, states, n_batches in groups:
+    for params, cfg, states, n_batches in _oracle_groups():
         batches.clear()
         many = classify_ep_many(states, params, cfg)
         assert len(batches) == n_batches
@@ -200,6 +207,40 @@ def test_classify_many_matches_one_by_one(lane_batches):
     assert seen == {"initial basin", "basin event", "blowup", "one-period return",
                     "amplitude certificate", "ambiguous return", "horizon",
                     "confirm flip", "step collapse"}
+
+
+def test_sweep_codes_match_one_cell_verdicts():
+    # a sweep takes its codes from array passes over the lanes and builds no
+    # outcome; every cell's code must be the one of its one-cell verdict.
+    # Besides the nine exit paths: states just outside the 1D c = 1 region,
+    # some of whose bounded coarse runs are refused as exactly supercritical
+    supercritical = [CharState(p=state[0], rho=state[1]) for eps in (1e-2, 1e-4, 1e-6)
+                     for phase in np.linspace(0.0, 2.0 * math.pi, 9)[:-1]
+                     if (state := _state_on_orbit(1.0 + eps, phase, 1.0, 1.0))]
+    coarse = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5)
+    for params, cfg, states, _ in _oracle_groups() + [(EP1C, coarse, supercritical, 1)]:
+        run = RunConfig({
+            "model": {"kind": params.model.value, "n": float(params.n),
+                      "kappa": float(params.kappa), "c": float(params.c),
+                      "kappa_damp": params.kappa_damp},
+            "integrator": {key: float(getattr(cfg, key)) for key in
+                           ("rel_tol", "abs_tol", "h_init", "h_min", "h_max", "t_max",
+                            "magnitude_cap")}})
+        axes = {f"{key}0": np.array([getattr(state, key) for state in states], dtype=float)
+                for key in ("p", "q", "s", "rho")}
+        verdicts = classify_cells(run, **axes)
+        assert len(verdicts.codes) == len(states)
+        for state, code in zip(states, verdicts.codes):
+            assert code == VERDICT_CODES[classify_ep(state, params, cfg).verdict], state
+        # the outcomes, built on request, index as a list does
+        assert [VERDICT_CODES[out.verdict] for out in verdicts] == verdicts.codes.tolist()
+        def summary(out):
+            return out.verdict, out.reason, out.diagnostics["t_final"], out.diagnostics["max_norm"]
+
+        assert ([summary(verdicts[cell - len(states)]) for cell in range(len(states))]
+                == [summary(out) for out in verdicts])
+        with pytest.raises(IndexError):
+            verdicts[len(states)]
 
 
 def _state_on_orbit(amp, phase, kappa, c):
@@ -226,8 +267,8 @@ def test_amplitude_certificate_matches_sigma_1d():
                 assert region is (Region.SUBCRITICAL if side < 0 else Region.SUPERCRITICAL)
                 # a return that kept the amplitude exactly certifies only
                 # subcritical orbits
-                cert = euler_poisson._amplitude_certificate(state, state, kappa, c)
-                assert (cert is not None) == (region is Region.SUBCRITICAL), state
+                ok, _, _ = euler_poisson._certify(state, state, kappa, c)
+                assert ok == (region is Region.SUBCRITICAL), state
                 states.append(CharState(p=state[0], rho=state[1]))
                 regions.append(region)
         params = ModelParams(n=1, kappa=kappa, c=c)
@@ -274,9 +315,8 @@ def test_amplitude_certificate_is_total(y1):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for y0 in ((0.1, 1.5), y1):
-            assert euler_poisson._amplitude_certificate(y0, y1, 1.0, 1.0) is None
-            assert euler_poisson._amplitude_certificate(
-                np.array(y0), np.array(y1), 2.0, 0.5) is None
+            assert not euler_poisson._certify(y0, y1, 1.0, 1.0)[0]
+            assert not euler_poisson._certify(np.array(y0), np.array(y1), 2.0, 0.5)[0]
 
 
 def test_amplitude_certificate_replaces_horizon_reruns(lane_batches, caplog):

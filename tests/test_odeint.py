@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from radial_euler import (EventSpec, IntegratorConfig, ModelParams, OdeSystem,
                           TailRecord, Termination, estimate_decay_exponent,
-                          integrate, integrate_lanes, integrate_until_event,
+                          integrate, integrate_lanes,
                           qs_system)
 from radial_euler.euler_poisson import integrate_qs
 
@@ -42,7 +43,7 @@ def test_riccati_decay_reaches_horizon():
 def test_linear_event_crossing():
     sys = OdeSystem(1, lambda t, y: (1.0,))
     ev = EventSpec("zero", lambda t, y: y[0])
-    rec = integrate_until_event(sys, [-1.0], IntegratorConfig(t_max=5), ev)
+    rec = integrate(sys, [-1.0], IntegratorConfig(t_max=5), (ev,))
     assert rec.termination is Termination.EVENT
     assert abs(rec.t_event - 1.0) < 1e-9
 
@@ -53,7 +54,7 @@ def test_event_refinement_independent_of_h_init():
     times = []
     for h0 in (1e-4, 1e-2, 0.5):
         cfg = IntegratorConfig(t_max=5, h_init=h0)
-        times.append(integrate_until_event(sys, [-1.0], cfg, ev).t_event)
+        times.append(integrate(sys, [-1.0], cfg, (ev,)).t_event)
     assert max(times) - min(times) < 1e-9
 
 
@@ -63,7 +64,7 @@ def test_event_refinement_smooth_system():
     times = []
     for h0 in (1e-4, 0.3):
         cfg = IntegratorConfig(t_max=3, h_init=h0, rel_tol=1e-11, abs_tol=1e-13)
-        times.append(integrate_until_event(sys, [-0.5], cfg, ev).t_event)
+        times.append(integrate(sys, [-0.5], cfg, (ev,)).t_event)
     assert abs(times[0] - math.pi / 6) < 1e-8
     assert abs(times[0] - times[1]) < 1e-9
 
@@ -73,7 +74,7 @@ def test_event_on_qs_dynamics_marks_s_maximum():
     params = ModelParams(n=2, kappa=1, c=0)
     sys = qs_system(params)
     ev = EventSpec("q-zero", lambda t, y: y[0], direction=+1)
-    rec = integrate_until_event(sys, [-0.3, 1.0], IntegratorConfig(t_max=50), ev)
+    rec = integrate(sys, [-0.3, 1.0], IntegratorConfig(t_max=50), (ev,))
     assert rec.termination is Termination.EVENT
     t_star = rec.t_event
     full = integrate(sys, [-0.3, 1.0], IntegratorConfig(t_max=2 * t_star + 1))
@@ -85,7 +86,7 @@ def test_event_on_qs_dynamics_marks_s_maximum():
 def test_event_never_fires():
     sys = OdeSystem(1, lambda t, y: (-y[0],))
     ev = EventSpec("zero", lambda t, y: y[0])   # y stays positive
-    rec = integrate_until_event(sys, [1.0], IntegratorConfig(t_max=5), ev)
+    rec = integrate(sys, [1.0], IntegratorConfig(t_max=5), (ev,))
     assert rec.termination is Termination.REACHED_HORIZON
 
 
@@ -414,3 +415,83 @@ def test_lane_step_factors_at_zero_and_non_finite_errors():
             lanes = list(integrate_lanes(system, np.array([y0]), configs, probe_t=0.5))
             for lane, y in zip(lanes, y0):
                 _same_tail(lane, TailRecord.of(integrate(system, [y], cfg), 0.5))
+
+
+def _counted(system):
+    """``system`` with an rhs that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return system.rhs(t, y)
+    return OdeSystem(system.dimension, rhs), calls
+
+
+def test_lane_batch_arrays_and_counters(caplog):
+    # one batch whose lanes end every way a run with an event can end, with
+    # rejected steps (large first steps, and stiff growth near blowup); each
+    # array entry must be lane j's TailRecord and the scalar run's tail, and
+    # the counters must repeat the scalar run's work
+    from radial_euler.odeint import TERMINATIONS
+    cross = EventSpec("cross", lambda t, y: y[0] - 0.25, direction=-1)
+    cases = [(0.5, IntegratorConfig(t_max=30)),                          # event
+             (0.5, IntegratorConfig(t_max=30, h_init=5.0)),              # event
+             (0.2, IntegratorConfig(t_max=1.5, h_init=2.0, rel_tol=1e-10)),  # horizon
+             (-1.0, IntegratorConfig(t_max=30)),                         # blowup
+             (-3.0, IntegratorConfig(t_max=30, h_init=1.0)),             # blowup
+             (-1.0, IntegratorConfig(t_max=30, h_min=1e-2, h_init=1e-2)),  # step size
+             (-1e-5, IntegratorConfig(t_max=1e6, magnitude_cap=1e300)),  # time resolution
+             (0.2, IntegratorConfig(t_max=1e6, max_steps=7))]            # budget
+    probe_t = [0.0, 0.5, 1.2]
+    caplog.set_level("INFO", logger="radial_euler.odeint")
+    batch = integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]),
+                            [cfg for _, cfg in cases], event=cross, probe_t=probe_t)
+    [line] = [rec.getMessage() for rec in caplog.records]
+    accepted, rejected = (int(v) for v in
+                          re.search(r"(\d+) accepted and (\d+) rejected", line).groups())
+    assert len(batch) == len(cases) and batch.probe.shape == (3, 1, len(cases))
+    assert (batch.accepted.sum(), batch.rejected.sum()) == (accepted, rejected)
+    assert rejected > 0
+    ends = set()
+    for j, (y0, cfg) in enumerate(cases):
+        counted, calls = _counted(RICCATI)
+        rec = integrate(counted, [y0], cfg, events=(cross,))
+        tail = batch[j]
+        _same_tail(tail, TailRecord.of(rec, probe_t))
+        ends.add(tail.note.split(" at ")[0] or tail.termination.value)
+        # the arrays hold what lane j's record holds
+        assert TERMINATIONS[batch.ends[j]] is tail.termination
+        assert (batch.t_final[j], batch.max_abs[j]) == (tail.t_final, tail.max_abs)
+        assert np.array_equal(batch.y_final[:, j], tail.y_final)
+        assert (batch.t_event[j] if tail.t_event is not None else None) == tail.t_event
+        assert np.isnan(batch.t_event[j]) == (tail.t_event is None)
+        assert batch.blowup_component[j] == (-1 if tail.blowup_component is None
+                                             else tail.blowup_component)
+        rows = batch.covered[j]
+        assert (tail.probe is None) == (rows == 0)
+        assert rows == 0 or np.array_equal(batch.probe[:rows, :, j], tail.probe)
+        # the scalar run evaluates k1, six stages per attempt, and the rhs
+        # at a located event
+        event = tail.termination is Termination.EVENT
+        assert batch.rhs_evals[j] == 1 + 6 * batch.attempts[j]
+        assert calls[0] == batch.rhs_evals[j] + event
+        unsettled = event or tail.note.startswith("step size collapsed")
+        assert batch.attempts[j] == batch.accepted[j] + batch.rejected[j] + unsettled
+        if tail.termination in (Termination.REACHED_HORIZON, Termination.BLOWUP_DETECTED):
+            assert batch.accepted[j] == len(rec.ts) - 1
+        if event:
+            # the event point takes the place of the step that crossed it
+            assert batch.accepted[j] == len(rec.ts) - 2
+    assert ends == {"event", "reached-horizon", "blowup-detected", "step size collapsed",
+                    "time resolution exhausted", "step budget exhausted"}
+    assert batch.rejected[1] > 0 and batch.rejected[2] > 0
+    # a negative index counts from the end, as in a list
+    _same_tail(batch[-1], batch[len(cases) - 1])
+    with pytest.raises(IndexError):
+        batch[len(cases)]
+    # a lane whose rhs is not finite at t = 0 evaluates it once
+    root = OdeSystem(1, lambda t, y: (np.sqrt(y[0]),))
+    with np.errstate(invalid="ignore"):
+        batch = integrate_lanes(root, np.array([[-1.0, 1.0]]), [IntegratorConfig(t_max=5)] * 2)
+    assert batch.rhs_evals[0] == 1 and batch.attempts[0] == batch.accepted[0] == 0
+    assert batch.rhs_evals[1] == 1 + 6 * (batch.accepted[1] + batch.rejected[1])
