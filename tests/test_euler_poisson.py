@@ -218,6 +218,10 @@ def test_sweep_codes_match_one_cell_verdicts():
                      for phase in np.linspace(0.0, 2.0 * math.pi, 9)[:-1]
                      if (state := _state_on_orbit(1.0 + eps, phase, 1.0, 1.0))]
     coarse = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5)
+
+    def summary(out):
+        return out.verdict, out.reason, out.diagnostics["t_final"], out.diagnostics["max_norm"]
+
     for params, cfg, states, _ in _oracle_groups() + [(EP1C, coarse, supercritical, 1)]:
         run = RunConfig({
             "model": {"kind": params.model.value, "n": float(params.n),
@@ -234,9 +238,6 @@ def test_sweep_codes_match_one_cell_verdicts():
             assert code == VERDICT_CODES[classify_ep(state, params, cfg).verdict], state
         # the outcomes, built on request, index as a list does
         assert [VERDICT_CODES[out.verdict] for out in verdicts] == verdicts.codes.tolist()
-        def summary(out):
-            return out.verdict, out.reason, out.diagnostics["t_final"], out.diagnostics["max_norm"]
-
         assert ([summary(verdicts[cell - len(states)]) for cell in range(len(states))]
                 == [summary(out) for out in verdicts])
         with pytest.raises(IndexError):
