@@ -1,0 +1,147 @@
+"""Byte pins: CLI outputs and exit codes that must not move.
+
+Each case runs one command in process on a small config and compares its
+exit code and output with ``tests/data/pins/<case>.out``: the JSON that
+``classify`` prints, or the file that ``curves`` or ``sweep`` writes.
+The first line of a pin file is ``exit <code>``.
+
+The classify cases take every exit path of both classifiers: a blowup
+with its fitted time, the basin at t = 0 and as an event, the one-period
+return, the amplitude certificate, the re-run to the horizon, a confirm
+flip, the supercritical refusal, a step collapse, and the four
+Euler-alignment kind/side pairs.  The curves cases have nu != psi_min.
+
+To rewrite the pins from the current code, run this file as a script:
+``PYTHONPATH=src python tests/test_byte_pins.py``.
+"""
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from radial_euler import cli
+
+PINS = Path(__file__).parent / "data" / "pins"
+
+TIGHT = "[integrator]\nrel_tol = 1e-6\nabs_tol = 1e-8\n"
+COARSE = "[integrator]\nrel_tol = 1e-3\nabs_tol = 1e-5\n"
+PINNED = "[integrator]\nrel_tol = 1e-6\nabs_tol = 1e-8\nh_min = 1e-2\nh_init = 1e-2\n"
+
+
+def _ep(n, c, p0, rho0, q0=0.0, s0=0.0, integrator="", kind="euler-poisson", extra=""):
+    return (f"[model]\nkind = {kind}\nn = {n}\nc = {c}\n{extra}\n"
+            f"[state]\np0 = {p0}\nq0 = {q0}\ns0 = {s0}\nrho0 = {rho0}\n\n{integrator}")
+
+
+def _ea(kind, side, y0, C0, n=2, psi_min=0.8, psi_max=1.0, nu=0.8):
+    return (f"[model]\nkind = euler-alignment\nn = {n}\n\n"
+            f"[alignment]\npsi_min = {psi_min}\npsi_max = {psi_max}\nnu = {nu}\n"
+            f"C0 = {C0}\nkind = {kind}\nside = {side}\ny0 = {y0}\n")
+
+
+def _curves(n, psi_min, psi_max, nu, x_max, samples, ep=""):
+    return (f"[model]\nn = {n}\n\n"
+            f"[alignment]\npsi_min = {psi_min}\npsi_max = {psi_max}\nnu = {nu}\n\n"
+            f"[curves]\nx_max = {x_max}\nsamples = {samples}\n{ep}")
+
+
+def _sweep(model, axes, integrator=""):
+    return f"{model}\n[sweep]\n{axes}\n{integrator}"
+
+
+CASES = {
+    # Euler-Poisson and Burgers: (command, config)
+    "classify-ep1-blowup": ("classify", _ep(1, 0.0, -3.0, 2.0)),
+    "classify-ep1-blowup-no-confirm": ("classify", _ep(1, 0.0, -3.0, 2.0, integrator=(
+        "[integrator]\nconfirm = false\n"))),
+    "classify-ep1-basin-event": ("classify", _ep(1, 0.0, -1.9, 2.0)),
+    "classify-ep1-basin-start": ("classify", _ep(1, 0.0, 0.5, 1.0)),
+    "classify-ep1-step-collapse": ("classify", _ep(1, 0.0, -3.0, 0.5, integrator=PINNED)),
+    "classify-ep1c-closed": ("classify", _ep(1, 1.0, -2.358974358974359, 3.4,
+                                             integrator=TIGHT)),
+    "classify-ep1c-certified": ("classify", _ep(1, 1.0, -2.564102564102564, 3.8,
+                                                integrator=TIGHT)),
+    "classify-ep1c-rerun": ("classify", _ep(1, 1.0, 0.3, 1.16, integrator=COARSE)),
+    "classify-ep1c-confirm-flip": ("classify", _ep(1, 1.0, 1.8, 2.125, integrator=COARSE)),
+    "classify-ep1c-refused": ("classify", _ep(1, 1.0, 0.0, 0.49997500124993755,
+                                              integrator=COARSE)),
+    "classify-ep1c-blowup": ("classify", _ep(1, 1.0, -4.0, 0.1)),
+    "classify-ep3-blowup": ("classify", _ep(3, 0.0, -3.0, 0.5, q0=0.3, s0=0.05)),
+    "classify-ep3-bounded": ("classify", _ep(3, 0.0, -1.0, 2.0, q0=0.3, s0=0.05,
+                                             integrator=TIGHT)),
+    "classify-ep2c-bounded": ("classify", _ep(2, 0.5, -1.0, 4.0, q0=0.3, s0=0.2,
+                                              integrator="[integrator]\nt_max = 40\n")),
+    "classify-damped-burgers-blowup": ("classify", _ep(3, 0.0, -0.8, 1.0, q0=0.3,
+                                                       kind="damped-burgers",
+                                                       extra="kappa_damp = 0.5\n")),
+    "classify-inviscid-burgers-blowup": ("classify", _ep(2, 0.0, -0.1, 1.0, q0=0.5,
+                                                         kind="inviscid-burgers")),
+    # Euler-alignment comparison systems
+    "classify-ea-q-plus-switch": ("classify", _ea("q", "+", -0.5, 0.1)),
+    "classify-ea-q-plus-blowup": ("classify", _ea("q", "+", -1.5, 0.1)),
+    "classify-ea-q-plus-basin-start": ("classify", _ea("q", "+", 0.0, 0.0)),
+    "classify-ea-q-minus": ("classify", _ea("q", "-", -0.9, 0.1, psi_max=1.2, nu=0.5)),
+    "classify-ea-q-minus-blowup": ("classify", _ea("q", "-", -1.5, 0.3)),
+    "classify-ea-G-plus": ("classify", _ea("G", "+", 0.5, 0.2, n=3, nu=0.6)),
+    "classify-ea-G-plus-blowup": ("classify", _ea("G", "+", -0.4, 0.2, n=3)),
+    "classify-ea-G-minus": ("classify", _ea("G", "-", 0.3, 0.1, psi_max=1.2)),
+    "classify-ea-G-minus-blowup": ("classify", _ea("G", "-", -1.0, 0.5, n=1)),
+    # threshold curves
+    "curves-nu-below-psi-min": ("curves", _curves(2, 0.8, 1.2, 0.5, 0.5, 41)),
+    "curves-nu-above-psi-min": ("curves", _curves(3, 0.6, 1.0, 0.9, 0.3, 31)),
+    "curves-with-ep-bound": ("curves", _curves(3, 0.8, 1.0, 0.8, 0.4, 11, ep=(
+        "include_ep = true\nv0_max = 2.0\n"))),
+    "curves-ep-unsupported": ("curves", _curves(2, 0.8, 1.0, 0.8, 0.4, 11, ep=(
+        "include_ep = true\n"))),
+    # sweeps: one lockstep batch, and two batches small enough for the scalar loop
+    "sweep-ep1c": ("sweep", _sweep(
+        "[model]\nn = 1\nc = 1.0\n",
+        "axis1_min = -3\naxis1_max = 3\naxis1_steps = 8\n"
+        "axis2_min = 0.2\naxis2_max = 3\naxis2_steps = 8\n", TIGHT)),
+    "sweep-ep3-small": ("sweep", _sweep(
+        "[model]\nn = 3\n\n[state]\nq0 = 0.3\ns0 = 0.05\n",
+        "axis1_min = -3\naxis1_max = 1\naxis1_steps = 3\n"
+        "axis2_min = 0.5\naxis2_max = 2\naxis2_steps = 3\n", TIGHT)),
+    "sweep-ea-small": ("sweep", _sweep(
+        "[model]\nkind = euler-alignment\nn = 2\n\n[alignment]\nC0 = 0.1\n",
+        "axis1 = y0\naxis1_min = -2\naxis1_max = 1\naxis1_steps = 4\n"
+        "axis2 = C0\naxis2_min = 0\naxis2_max = 0.4\naxis2_steps = 3\n")),
+}
+
+ARTIFACT = {"curves": "curves.csv", "sweep": "sweep.csv"}
+
+
+def run_case(name: str, out_dir: str) -> str:
+    """``exit <code>`` and the case's output, as its pin file holds them."""
+    command, text = CASES[name]
+    path = os.path.join(out_dir, f"{name}.cfg")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([command, "--config", path, "--out", out_dir])
+    if command in ARTIFACT:
+        with open(os.path.join(out_dir, ARTIFACT[command]), encoding="utf-8") as fh:
+            output = fh.read()
+    else:
+        output = stdout.getvalue()
+    return f"exit {code}\n{output}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_pinned(tmp_path, name):
+    want = (PINS / f"{name}.out").read_text(encoding="utf-8")
+    assert run_case(name, str(tmp_path)) == want
+
+
+if __name__ == "__main__":
+    PINS.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            (PINS / f"{name}.out").write_text(run_case(name, tmp), encoding="utf-8")
+            print(name, file=sys.stderr)
