@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Region, sphere_area
+from .core import Region, refuse_broken, sphere_area
 from .euler_poisson import Verdicts, _in_batches, _run_cells
 from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
                      IntegratorConfig, OdeSystem, Termination, Verdict,
@@ -105,10 +105,13 @@ class AlignmentBounds:
     C0: float
 
     def __post_init__(self):
-        if not (0.0 < self.psi_min <= self.psi_max):
-            raise ValueError("bounds need 0 < psi_min <= psi_max")
-        if self.C0 < 0.0 or self.nu <= 0.0:
-            raise ValueError("bounds need C0 >= 0 and nu > 0")
+        finite = math.isfinite
+        refuse_broken(self, [
+            ("psi_min", finite(self.psi_min) and self.psi_min > 0.0, "finite and positive"),
+            ("psi_max", finite(self.psi_max) and self.psi_max >= self.psi_min,
+             "finite and at least psi_min"),
+            ("nu", finite(self.nu) and self.nu > 0.0, "finite and positive"),
+            ("C0", finite(self.C0) and self.C0 >= 0.0, "finite and nonnegative")])
 
     @classmethod
     def explicit(cls, psi_min: float, psi_max: float, nu: float,
@@ -288,7 +291,26 @@ def rough_threshold_G(G0: float, bounds: AlignmentBounds, n: float) -> Region:
 # ---------------------------------------------------------------------------
 # enhanced threshold curves
 
-CURVE_KINDS = ("sigma_q_plus", "sigma_q_minus", "sigma_G_plus", "sigma_G_minus")
+# each threshold curve is the separatrix of one comparison instantiation
+_CURVE_SYSTEMS = {"sigma_q_plus": ("q", "+"), "sigma_q_minus": ("q", "-"),
+                  "sigma_G_plus": ("G", "+"), "sigma_G_minus": ("G", "-")}
+CURVE_KINDS = tuple(_CURVE_SYSTEMS)
+
+
+def _instantiation(kind: str, side: str, bounds: AlignmentBounds, n: float):
+    """(a, g, rest) of the frozen-coefficient comparison system of ``kind`` on ``side``.
+
+    The system is v' = -v^2 - a v - g B with B' = -nu B, and v = rest, B = 0
+    is its rest point.  Side "+" takes the worst admissible coefficients for
+    regularity, side "-" the favorable ones.  For q on side "+", ``a`` is the
+    pair (psi_min, psi_max): the rate switches from the first to the second
+    where v turns positive.
+    """
+    pm, pM = bounds.psi_min, bounds.psi_max
+    return {("q", "+"): ((pm, pM), 1.0, -pm),
+            ("q", "-"): (pM, -1.0, -pM),
+            ("G", "+"): (-pm, n - 1.0, 0.0),
+            ("G", "-"): (-pM, -(n - 1.0), 0.0)}[kind, side]
 
 
 @dataclass
@@ -310,42 +332,6 @@ class ThresholdCurve:
         return float(self.values[0])
 
 
-def _curve_start(kind: str, bounds: AlignmentBounds, n: float):
-    pm, pM, nu = bounds.psi_min, bounds.psi_max, bounds.nu
-    if kind == "sigma_q_plus":
-        return -pm, 1.0 / (2.0 * pm)
-    if kind == "sigma_q_minus":
-        return -pM, -1.0 / (pM + nu)
-    if kind == "sigma_G_plus":
-        return 0.0, (n - 1.0) / (2.0 * pm)
-    if kind == "sigma_G_minus":
-        return 0.0, -(n - 1.0) / (pM + nu)
-    raise ValueError(f"unknown curve kind {kind!r}")
-
-
-def _curve_rhs(kind: str, bounds: AlignmentBounds, n: float, branch_high: bool):
-    pm, pM, nu = bounds.psi_min, bounds.psi_max, bounds.nu
-    if kind == "sigma_q_plus":
-        c1 = pM if branch_high else pm
-
-        def rhs(x, y):
-            s = y[0]
-            return ((-s * s - c1 * s - x) / (-nu * x),)
-    elif kind == "sigma_q_minus":
-        def rhs(x, y):
-            s = y[0]
-            return ((-s * s - pM * s + x) / (-nu * x),)
-    elif kind == "sigma_G_plus":
-        def rhs(x, y):
-            s = y[0]
-            return ((-s * s + pm * s - (n - 1.0) * x) / (-nu * x),)
-    else:
-        def rhs(x, y):
-            s = y[0]
-            return ((-s * s + pM * s + (n - 1.0) * x) / (-nu * x),)
-    return rhs
-
-
 def enhanced_curve(kind: str, bounds: AlignmentBounds, n: float, x_max: float,
                    config: Optional[IntegratorConfig] = None,
                    x_eps: Optional[float] = None) -> ThresholdCurve:
@@ -363,7 +349,13 @@ def enhanced_curve(kind: str, bounds: AlignmentBounds, n: float, x_max: float,
     eps = x_eps if x_eps is not None else 1e-6 * max(1.0, bounds.psi_min ** 2)
     if eps >= x_max:
         raise ValueError("series start offset exceeds x_max; refine x_eps")
-    sigma0, slope0 = _curve_start(kind, bounds, n)
+    pm, pM, nu = bounds.psi_min, bounds.psi_max, bounds.nu
+    a, g, sigma0 = _instantiation(*_CURVE_SYSTEMS[kind], bounds, n)
+    # the paper's sigma'(0+), which is the slope of the linearisation at
+    # the rest point only when nu = psi_min
+    slope0 = {"sigma_q_plus": 1.0 / (2.0 * pm), "sigma_q_minus": -1.0 / (pM + nu),
+              "sigma_G_plus": (n - 1.0) / (2.0 * pm),
+              "sigma_G_minus": -(n - 1.0) / (pM + nu)}[kind]
     if config is None:
         config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, h_init=eps / 4,
                                   h_min=1e-18, h_max=max(x_max / 64.0, eps),
@@ -371,29 +363,27 @@ def enhanced_curve(kind: str, bounds: AlignmentBounds, n: float, x_max: float,
     else:
         config = replace(config, t_max=x_max)
 
+    def curve(rate):
+        """d sigma / dx = (-sigma^2 - rate sigma - g x) / (-nu x)."""
+        return OdeSystem(1, lambda x, y: ((-y[0] * y[0] - rate * y[0] - g * x) / (-nu * x),),
+                         labels=("sigma",))
+
     xs = [0.0]
     vals = [sigma0]
     y_start = np.array([sigma0 + slope0 * eps])
-
-    if kind == "sigma_q_plus" and sigma0 + slope0 * eps < 0.0:
+    switching = isinstance(a, tuple)
+    if switching and y_start[0] < 0.0:
         switch = EventSpec("branch-switch", lambda x, y: y[0],
                            direction=+1, terminal=True)
-        system = OdeSystem(1, _curve_rhs(kind, bounds, n, branch_high=False),
-                           labels=("sigma",))
-        rec = integrate(system, y_start, config, events=(switch,), t0=eps)
+        rec = integrate(curve(a[0]), y_start, config, events=(switch,), t0=eps)
         xs.extend(rec.ts.tolist())
         vals.extend(rec.ys[:, 0].tolist())
         if rec.termination is Termination.EVENT and rec.t_final < x_max:
-            system2 = OdeSystem(1, _curve_rhs(kind, bounds, n, branch_high=True),
-                                labels=("sigma",))
-            rec2 = integrate(system2, rec.y_final, config, t0=rec.t_final)
+            rec2 = integrate(curve(a[1]), rec.y_final, config, t0=rec.t_final)
             xs.extend(rec2.ts[1:].tolist())
             vals.extend(rec2.ys[1:, 0].tolist())
     else:
-        system = OdeSystem(1, _curve_rhs(kind, bounds, n,
-                                         branch_high=(kind == "sigma_q_plus")),
-                           labels=("sigma",))
-        rec = integrate(system, y_start, config, t0=eps)
+        rec = integrate(curve(a[1] if switching else a), y_start, config, t0=eps)
         xs.extend(rec.ts.tolist())
         vals.extend(rec.ys[:, 0].tolist())
 
@@ -444,26 +434,20 @@ def classify_ea_many(kind: str, y0s: Sequence[float], C0s: Sequence[float],
         raise ValueError("need one C0 per y0")
     if np.any(C0s < 0):
         raise ValueError("C0 must be nonnegative")
-    pm, pM, nu = bounds.psi_min, bounds.psi_max, bounds.nu
+    nu = bounds.nu
     cfg = config if config is not None else IntegratorConfig()
-
-    # v' = -v^2 - a v - g b, B' = -nu B with the instantiation's (a, g); the
-    # q "+" rate a switches from psi_min to psi_max where v turns positive.
-    # The basin is v above the rest point ``safe`` with B negligible.
-    a, g, safe = {("q", "+"): (None, 1.0, -pm),
-                  ("q", "-"): (pM, -1.0, -pM),
-                  ("G", "+"): (-pm, n - 1.0, 0.0),
-                  ("G", "-"): (-pM, -(n - 1.0), 0.0)}[kind, side]
+    # the basin is v above the rest point with B negligible
+    a, g, rest = _instantiation(kind, side, bounds, n)
 
     def rhs(t, y):
         # elementwise, so one definition serves a single state and a batch of lanes
         v, b = y
-        return (-v * v - (np.where(v < 0.0, pm, pM) if a is None else a) * v - g * b,
+        return (-v * v - (np.where(v < 0.0, *a) if isinstance(a, tuple) else a) * v - g * b,
                 -nu * b)
 
     basin = EventSpec(
         "bounded-basin",
-        lambda t, y, b_floor: np.minimum(b_floor - y[1], y[0] - (safe + 1e-6)),
+        lambda t, y, b_floor: np.minimum(b_floor - y[1], y[0] - (rest + 1e-6)),
         direction=+1, terminal=True)
     system = OdeSystem(2, rhs, labels=(kind, "B"))
 

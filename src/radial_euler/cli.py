@@ -30,7 +30,7 @@ from .config import ConfigError, RunConfig, config_hash, parse_config
 from .core import Model
 from .euler_poisson import (compute_threshold_constants, explicit_sigma_plus,
                             qs_phase_portrait)
-from .odeint import IntegrationFailure, Verdict
+from .odeint import VERDICT_CODES, IntegrationFailure
 from .pde import diagnostics_series, run_size_problem, simulate_ea, simulate_ep
 from .profiles import DENSITY_LIBRARY, VELOCITY_LIBRARY
 from .sweep import (bounds_from, classify_cells, integrator_from, model_params_from,
@@ -119,9 +119,7 @@ def cmd_classify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         diag["early_exit"] = out.diagnostics["early_exit"]
     payload["diagnostics"] = diag
     print(json.dumps(payload, sort_keys=True, indent=2))
-    return {Verdict.GLOBAL_BOUNDED: EXIT_OK,
-            Verdict.FINITE_TIME_BLOWUP: EXIT_BLOWUP,
-            Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE}[out.verdict]
+    return VERDICT_CODES[out.verdict]
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: str, fmt: str) -> int:
@@ -140,7 +138,7 @@ def cmd_curves(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     cur = cfg["curves"]
     _check_keys(cfg, "curves", samples=_AT_LEAST_ONE, x_max=_FINITE_POSITIVE,
                 **({"v0_max": _FINITE_POSITIVE} if cur["include_ep"] else {}))
-    n = cfg["model"]["n"]
+    params = model_params_from(cfg)
     bounds = bounds_from(cfg)
     which = (list(CURVE_KINDS) if cur["which"] == "all"
              else [w.strip() for w in cur["which"].split(",")])
@@ -149,12 +147,11 @@ def cmd_curves(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     for kind in which:
         if kind not in CURVE_KINDS:
             raise ConfigError(f"unknown curve kind {kind!r}")
-        curve = enhanced_curve(kind, bounds, n, cur["x_max"])
+        curve = enhanced_curve(kind, bounds, params.n, cur["x_max"])
         for x, v in zip(xs, curve(xs)):
             lines.append(f"{kind},{_f(x)},{_f(v)}")
     if cur["include_ep"]:
         try:
-            params = model_params_from(cfg)
             consts = compute_threshold_constants(params,
                                                  (cur["ep_q0"], cur["ep_s0"]))
             v0s = np.linspace(cur["v0_max"] / cur["samples"], cur["v0_max"],

@@ -22,6 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def refuse_broken(obj, rules):
+    """Raise ValueError for the first ``(name, ok, wanted)`` rule that fails.
+
+    The message starts with the attribute's name, which is also its config
+    key, followed by what it must be and its value.
+    """
+    for name, ok, wanted in rules:
+        if not ok:
+            raise ValueError(f"{name} must be {wanted}, got {getattr(obj, name)!r}")
+
+
 class Model(enum.Enum):
     """Which forcing closes the characteristic dynamics."""
 
@@ -50,7 +61,8 @@ class ModelParams:
     n >= 1 even though the PDE ensemble solver requires an integer
     dimension.  kappa is the force strength (> 0), c the constant
     background density (>= 0, Euler-Poisson only).  DAMPED_BURGERS
-    carries its own damping constant kappa_damp.
+    carries its own damping constant kappa_damp.  Every parameter must be
+    finite.
     """
 
     n: float
@@ -60,14 +72,14 @@ class ModelParams:
     kappa_damp: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension n must be >= 1, got {self.n}")
-        if self.kappa <= 0:
-            raise ValueError(f"force strength kappa must be > 0, got {self.kappa}")
-        if self.c < 0:
-            raise ValueError(f"background c must be >= 0, got {self.c}")
-        if self.model is Model.DAMPED_BURGERS and self.kappa_damp <= 0:
-            raise ValueError("damped Burgers requires kappa_damp > 0")
+        finite = math.isfinite
+        refuse_broken(self, [
+            ("n", finite(self.n) and self.n >= 1, "finite and at least 1"),
+            ("kappa", finite(self.kappa) and self.kappa > 0, "finite and positive"),
+            ("c", finite(self.c) and self.c >= 0, "finite and nonnegative"),
+            ("kappa_damp", finite(self.kappa_damp)
+             and (self.model is not Model.DAMPED_BURGERS or self.kappa_damp > 0),
+             "finite, and positive for damped Burgers")])
 
 
 @dataclass(frozen=True)

@@ -418,10 +418,8 @@ def _run_lanes(system: OdeSystem, states0: np.ndarray,
         const = np.asarray(basin_consts)[..., j]
         return (replace(basin, func=lambda t, y: basin.func(t, y, const)),)
 
-    return LaneBatch.of([TailRecord.of(integrate(system, states0[:, j], cfg,
-                                                 events=events(j)), probe_t)
-                         for j, cfg in enumerate(configs)],
-                        system.dimension, 0 if probe_t is None else np.size(probe_t))
+    return LaneBatch.of([integrate(system, states0[:, j], cfg, events=events(j))
+                         for j, cfg in enumerate(configs)], probe_t, system.dimension)
 
 
 def _run_cells(system: OdeSystem, x0: np.ndarray, passes: Sequence[IntegratorConfig],

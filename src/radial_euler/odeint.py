@@ -26,6 +26,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .core import refuse_broken
+
 # Dormand-Prince 5(4) tableau.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
@@ -82,10 +84,8 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        # each message starts with the setting's name, which is also its
-        # [integrator] config key
         abs_tol = np.asarray(self.abs_tol, dtype=float)
-        rules = [
+        refuse_broken(self, [
             ("rel_tol", math.isfinite(self.rel_tol) and self.rel_tol > 0,
              "finite and positive"),
             ("abs_tol", bool(np.all(np.isfinite(abs_tol)) and np.all(abs_tol > 0)),
@@ -97,10 +97,7 @@ class IntegratorConfig:
             ("t_max", math.isfinite(self.t_max) and self.t_max >= 0,
              "finite and nonnegative"),
             ("magnitude_cap", math.isfinite(self.magnitude_cap) and self.magnitude_cap > 0,
-             "finite and positive")]
-        for name, ok, wanted in rules:
-            if not ok:
-                raise ValueError(f"{name} must be {wanted}, got {getattr(self, name)!r}")
+             "finite and positive")])
 
     def tightened(self, factor: float = 0.1) -> "IntegratorConfig":
         """A copy with both tolerances scaled by ``factor`` (default 10x tighter)."""
@@ -184,10 +181,6 @@ class TailRecord:
     probe times the run covered: one row per probe time up to
     ``t_final``, the sample :meth:`TrajectoryRecord.sample_many` gives
     there (None when it covered none, or ended at an event).
-
-    ``blowup`` is the singularity time of a blowup, or the escaping
-    component's trailing ``(t, y)`` samples, which the first read of
-    :attr:`blowup_time` fits and replaces by the time.
     """
 
     termination: Termination
@@ -198,14 +191,7 @@ class TailRecord:
     t_event: Optional[float] = None
     blowup_component: Optional[int] = None
     probe: Optional[np.ndarray] = None
-    blowup: Optional[float | tuple] = field(default=None, repr=False)
-
-    @property
-    def blowup_time(self) -> Optional[float]:
-        if isinstance(self.blowup, tuple):
-            with np.errstate(all="ignore"):
-                self.blowup = _blowup_time_estimate(*self.blowup)
-        return self.blowup
+    blowup_time: Optional[float] = None
 
     @classmethod
     def of(cls, rec: TrajectoryRecord, probe_t=None) -> "TailRecord":
@@ -233,13 +219,13 @@ class LaneBatch:
     ``ends`` indexes :data:`TERMINATIONS`, ``y_final`` is dim x lanes and
     ``blowup_component`` is -1 unless the lane blew up.  Lane j's record
     covers the first ``covered[j]`` rows of ``probe`` (probe times x dim x
-    lanes), none after an event.  A blown lane's time is fitted when first
-    read, from the ring ``(t, y, count)`` of its trailing accepted samples.
-    The counters are each lane's step attempts (six stage evaluations
-    each), accepted and rejected steps and rhs evaluations; the step that
-    crosses the event and a collapsing step are attempts only.
-    ``batch[j]`` is lane j's :class:`TailRecord`: for a batch stacked from
-    scalar runs, which has no ring or counters, the one in ``tails``.
+    lanes), none after an event.  The ring ``(t, y, count)`` holds each
+    lane's trailing accepted samples, from which ``batch[j]``, lane j's
+    :class:`TailRecord`, fits a blown lane's singularity time.  The
+    counters are each lane's step attempts (six stage evaluations each),
+    accepted and rejected steps and rhs evaluations; the step that crosses
+    the event and a collapsing step are attempts only.  A batch stacked
+    from scalar runs has no counters.
     """
 
     ends: np.ndarray
@@ -250,8 +236,7 @@ class LaneBatch:
     probe: np.ndarray
     covered: np.ndarray
     notes: dict
-    ring: Optional[tuple] = None
-    tails: Optional[list] = None
+    ring: tuple
     attempts: Optional[np.ndarray] = None
     accepted: Optional[np.ndarray] = None
     rejected: Optional[np.ndarray] = None
@@ -270,39 +255,50 @@ class LaneBatch:
 
     def __getitem__(self, j) -> TailRecord:
         j = range(len(self))[j]     # a lane index, or IndexError
-        if self.tails is not None:
-            return self.tails[j]
         end, t_final, rows = TERMINATIONS[self.ends[j]], float(self.t_final[j]), self.covered[j]
-        blowup = component = None
+        blowup_time = component = None
         if end is Termination.BLOWUP_DETECTED:
-            # the escaping component's trailing samples, for the fit
+            # fit the escaping component's trailing samples
             component = int(self.blowup_component[j])
             tb, yb, nb = self.ring
             m = min(nb[j], _BLOWUP_TAIL)
             slots = (nb[j] - m + np.arange(m)) % _BLOWUP_TAIL
-            blowup = (tb[slots, j], yb[slots, component, j])
+            with np.errstate(all="ignore"):
+                blowup_time = _blowup_time_estimate(tb[slots, j], yb[slots, component, j])
         return TailRecord(end, t_final, self.y_final[:, j], float(self.max_abs[j]),
                           self.notes.get(j, ""), t_final if end is Termination.EVENT else None,
-                          component, self.probe[:rows, :, j] if rows else None, blowup)
+                          component, self.probe[:rows, :, j] if rows else None, blowup_time)
 
     @classmethod
-    def of(cls, tails: Sequence[TailRecord], dim: int, n_probes: int) -> "LaneBatch":
-        """The batch of the tail records of ``n_probes``-probed scalar runs."""
-        n = len(tails)
-        probe = np.full((n_probes, dim, n), np.nan)
-        covered = np.zeros(n, dtype=int)
-        for j, tail in enumerate(tails):
-            if tail.probe is not None:
-                covered[j] = len(tail.probe)
-                probe[:covered[j], :, j] = tail.probe
-        return cls(np.array([TERMINATIONS.index(t.termination) for t in tails], dtype=int),
-                   np.array([t.t_final for t in tails], dtype=float),
-                   np.array([t.y_final for t in tails], dtype=float).reshape(n, dim).T,
-                   np.array([t.max_abs for t in tails], dtype=float),
-                   np.array([-1 if t.blowup_component is None else t.blowup_component
-                             for t in tails], dtype=int),
-                   probe, covered, {j: t.note for j, t in enumerate(tails) if t.note},
-                   tails=list(tails))
+    def of(cls, records: Sequence[TrajectoryRecord], probe_t, dim: int) -> "LaneBatch":
+        """The batch of the scalar runs ``records`` of a ``dim``-dimensional system.
+
+        ``probe_t`` is None, or the nondecreasing probe times of every run;
+        ``batch[j]`` is then ``TailRecord.of(records[j], probe_t)``.
+        """
+        n = len(records)
+        times = np.atleast_1d(np.asarray([] if probe_t is None else probe_t, dtype=float))
+        batch = cls(np.zeros(n, dtype=int), np.zeros(n), np.zeros((dim, n)), np.zeros(n),
+                    np.full(n, -1), np.full((len(times), dim, n), np.nan),
+                    np.zeros(n, dtype=int), {},
+                    (np.zeros((_BLOWUP_TAIL, n)), np.zeros((_BLOWUP_TAIL, dim, n)),
+                     np.zeros(n, dtype=int)))
+        tb, yb, nb = batch.ring
+        for j, rec in enumerate(records):
+            batch.ends[j] = TERMINATIONS.index(rec.termination)
+            batch.t_final[j], batch.y_final[:, j] = rec.t_final, rec.y_final
+            batch.max_abs[j] = rec.max_abs()
+            if rec.blowup_component is not None:
+                batch.blowup_component[j] = rec.blowup_component
+            if rec.note:
+                batch.notes[j] = rec.note
+            if rec.termination is not Termination.EVENT:
+                rows = batch.covered[j] = np.searchsorted(times, rec.t_final, side="right")
+                if rows:
+                    batch.probe[:rows, :, j] = rec.sample_many(times[:rows])
+            m = nb[j] = min(len(rec.ts), _BLOWUP_TAIL)
+            tb[:m, j], yb[:m, :, j] = rec.ts[-m:], rec.ys[-m:]
+        return batch
 
 
 class IntegrationFailure(RuntimeError):
@@ -315,7 +311,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-# the integer code of each verdict in sweep grids
+# the integer code of each verdict in sweep grids, also the exit code of classify
 VERDICT_CODES = {Verdict.GLOBAL_BOUNDED: 0,
                  Verdict.FINITE_TIME_BLOWUP: 2,
                  Verdict.INCONCLUSIVE: 3}
@@ -330,28 +326,14 @@ VERDICT_OF = {Termination.REACHED_HORIZON: Verdict.GLOBAL_BOUNDED,
 END_CODES = np.array([VERDICT_CODES[VERDICT_OF[end]] for end in TERMINATIONS])
 
 
+@dataclass(frozen=True, eq=False)
 class ClassificationOutcome:
-    """Result of a threshold decision: a verdict plus trajectory diagnostics.
+    """Result of a threshold decision: a verdict plus trajectory diagnostics."""
 
-    With ``blown_run`` given, ``t_estimate`` is that run's
-    ``blowup_time``, read when first asked: a caller that keeps only the
-    verdict never runs the blowup-time fit of a :class:`TailRecord`.
-    """
-
-    def __init__(self, verdict: Verdict, t_estimate: Optional[float] = None,
-                 reason: Optional[str] = None, diagnostics: Optional[dict] = None,
-                 blown_run=None):
-        self.verdict = verdict
-        self.reason = reason
-        self.diagnostics = {} if diagnostics is None else diagnostics
-        self._t_estimate = t_estimate
-        self._blown_run = blown_run
-
-    @property
-    def t_estimate(self) -> Optional[float]:
-        if self._blown_run is not None:
-            self._t_estimate, self._blown_run = self._blown_run.blowup_time, None
-        return self._t_estimate
+    verdict: Verdict
+    t_estimate: Optional[float] = None
+    reason: Optional[str] = None
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def is_bounded(self) -> bool:
@@ -369,10 +351,9 @@ def outcome_of(run, diagnostics: dict) -> ClassificationOutcome:
     detected blowup the extrapolated time as ``t_estimate``.
     """
     verdict = VERDICT_OF[run.termination]
-    return ClassificationOutcome(
-        verdict, reason=run.note if verdict is Verdict.INCONCLUSIVE else None,
-        diagnostics=diagnostics,
-        blown_run=run if verdict is Verdict.FINITE_TIME_BLOWUP else None)
+    return ClassificationOutcome(verdict, run.blowup_time,
+                                 run.note if verdict is Verdict.INCONCLUSIVE else None,
+                                 diagnostics)
 
 
 def _hermite_point(t0, y0, f0, t1, y1, f1, t):
@@ -630,8 +611,8 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     the scalar run of the event with ``event_consts[..., j]`` closed over.
 
     Only the tail of each run is kept, as the arrays of a
-    :class:`LaneBatch`; a caller that reads only the terminations runs no
-    blowup-time fit.  ``probe_t`` holds P probe times per lane,
+    :class:`LaneBatch`; a blowup time is fitted only for the lanes whose
+    record is built.  ``probe_t`` holds P probe times per lane,
     nondecreasing down each column of its (P, lanes) shape; a scalar or a
     (P,) array applies to every lane.  Each probe is the Hermite point on
     the accepted step that :meth:`TrajectoryRecord.sample_many` would

@@ -64,9 +64,6 @@ class CharacteristicEnsemble:
     def n_paths(self) -> int:
         return len(self.r)
 
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
 
 @dataclass
 class FieldSnapshot:
@@ -99,10 +96,6 @@ class SimulationResult:
     blowup: Optional[BlowupReport]
     params: ModelParams
     n_paths: int
-
-    @property
-    def blew_up(self) -> bool:
-        return self.blowup is not None
 
 
 def _seed_ensemble(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,

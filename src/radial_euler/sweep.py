@@ -11,7 +11,7 @@ from .config import ConfigError, RunConfig, config_hash
 from .core import Model, ModelParams
 # classify_ep is not called here; perfbench/tracer.py wraps sweep.classify_ep
 from .euler_poisson import Verdicts, classify_ep, classify_ep_columns  # noqa: F401
-from .odeint import VERDICT_CODES, IntegratorConfig  # noqa: F401
+from .odeint import IntegratorConfig
 
 MAX_SWEEP_CELLS = 1_000_000
 
@@ -31,8 +31,12 @@ def model_params_from(cfg: RunConfig) -> ModelParams:
     m = cfg["model"]
     if m["kind"] not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind {m['kind']!r}")
-    return ModelParams(n=m["n"], kappa=m["kappa"], c=m["c"],
-                       model=_MODEL_KINDS[m["kind"]], kappa_damp=m["kappa_damp"])
+    try:
+        return ModelParams(n=m["n"], kappa=m["kappa"], c=m["c"],
+                           model=_MODEL_KINDS[m["kind"]], kappa_damp=m["kappa_damp"])
+    except ValueError as exc:
+        # the message starts with the parameter's name, which is its config key
+        raise ConfigError(f"[model] {exc}") from exc
 
 
 def integrator_from(cfg: RunConfig) -> IntegratorConfig:
@@ -49,8 +53,12 @@ def integrator_from(cfg: RunConfig) -> IntegratorConfig:
 
 def bounds_from(cfg: RunConfig) -> AlignmentBounds:
     a = cfg["alignment"]
-    return AlignmentBounds.explicit(psi_min=a["psi_min"], psi_max=a["psi_max"],
-                                    nu=a["nu"], C0=a["C0"])
+    try:
+        return AlignmentBounds.explicit(psi_min=a["psi_min"], psi_max=a["psi_max"],
+                                        nu=a["nu"], C0=a["C0"])
+    except ValueError as exc:
+        # the message starts with the bound's name, which is its config key
+        raise ConfigError(f"[alignment] {exc}") from exc
 
 
 def classify_cells(cfg: RunConfig, **axes: np.ndarray) -> Verdicts:

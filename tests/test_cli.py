@@ -268,6 +268,31 @@ def test_bad_integrator_setting_refused(tmp_path, capsys, command, key, value):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["classify", "sweep", "curves"])
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "n", "inf"), ("model", "n", "nan"), ("model", "kappa", "nan"),
+    ("model", "kappa", "inf"), ("model", "c", "nan"), ("model", "c", "inf"),
+    ("model", "kappa_damp", "nan"), ("model", "kappa_damp", "-inf"),
+    ("alignment", "nu", "nan"), ("alignment", "nu", "inf"), ("alignment", "psi_min", "nan"),
+    ("alignment", "psi_max", "inf"), ("alignment", "C0", "nan"), ("alignment", "C0", "inf"),
+])
+def test_non_finite_model_setting_refused(tmp_path, capsys, command, section, key, value):
+    # these once gave a plausible-looking grid or verdict with exit 0, or an
+    # error that named no key (n = inf: "s0 must exceed -c/n = -0.0")
+    if section == "model":
+        text = f"[model]\nkind = euler-poisson\n{key} = {value}\n"
+    else:
+        text = (f"[model]\nkind = euler-alignment\nn = 2\n\n[alignment]\n{key} = {value}\n"
+                "\n[sweep]\naxis1 = y0\naxis2 = C0\naxis2_min = 0\n")
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", write(tmp_path, "bad.cfg", text), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: [{section}] {key} must be finite" in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_3x3_grid(tmp_path, capsys):
     # the grid the refusals above guard: blowup exactly where p0 < -sqrt(2 rho0)
     text = SWEEP_3X3.format(integrator="rel_tol = 1e-6\nabs_tol = 1e-8\n")

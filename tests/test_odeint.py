@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from radial_euler import (EventSpec, IntegratorConfig, ModelParams, OdeSystem,
+from radial_euler import (EventSpec, IntegratorConfig, LaneBatch, ModelParams, OdeSystem,
                           TailRecord, Termination, estimate_decay_exponent,
                           integrate, integrate_lanes,
                           qs_system)
@@ -369,6 +369,34 @@ def test_lanes_retiring_one_at_a_time_match_scalar(caplog):
                     "reached-horizon", "event", "step budget exhausted", "event",
                     "reached-horizon", "event", "reached-horizon", "blowup-detected",
                     "blowup-detected", "blowup-detected"]
+
+
+def test_lane_batch_of_scalar_runs_matches_their_tails():
+    # a batch stacked from scalar runs must give each run's TailRecord,
+    # probes and fitted blowup time included, for runs that end every way
+    # and keep fewer or more samples than the fit reads
+    pair = OdeSystem(2, lambda t, y: (-y[0] * y[0], -0.5 * y[1]))
+    cross = EventSpec("cross", lambda t, y: y[0] - 0.25, direction=-1)
+    cases = [(0.2, IntegratorConfig(t_max=0.5, h_init=0.1)),             # horizon
+             (0.2, IntegratorConfig(t_max=30)),                          # horizon
+             (1.0, IntegratorConfig(t_max=30)),                          # event
+             (-1.0, IntegratorConfig(t_max=30)),                         # blowup
+             (-5.0, IntegratorConfig(t_max=30, h_init=0.1, magnitude_cap=10.0)),
+             (-20.0, IntegratorConfig(t_max=30, h_init=0.1, magnitude_cap=10.0)),
+             (-1.0, IntegratorConfig(t_max=30, h_min=1e-2, h_init=1e-2))]  # collapse
+    records = [integrate(pair, [y0, 1.0], cfg, events=(cross,)) for y0, cfg in cases]
+    assert {rec.termination for rec in records} == set(Termination)
+    sizes = {(rec.termination, int(np.sign(len(rec.ts) - 12))) for rec in records}
+    assert {(Termination.REACHED_HORIZON, -1), (Termination.REACHED_HORIZON, 1),
+            (Termination.BLOWUP_DETECTED, -1), (Termination.BLOWUP_DETECTED, 0),
+            (Termination.BLOWUP_DETECTED, 1)} <= sizes
+    for probe_t in (None, 0.5, [0.0, 0.5, 2.0]):
+        batch = LaneBatch.of(records, probe_t, 2)
+        assert len(batch) == len(records)
+        for j, rec in enumerate(records):
+            _same_tail(batch[j], TailRecord.of(rec, probe_t))
+    empty = LaneBatch.of([], 0.5, 2)
+    assert len(empty) == 0 and empty.y_final.shape == (2, 0) and empty.probe.shape == (1, 2, 0)
 
 
 def test_float_power_matches_python_pow():
