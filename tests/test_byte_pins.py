@@ -11,8 +11,10 @@ return, the amplitude certificate, the re-run to the horizon, a confirm
 flip, the supercritical refusal, a step collapse, and the four
 Euler-alignment kind/side pairs.  The curves cases have nu != psi_min.
 
-To rewrite the pins from the current code, run this file as a script:
-``PYTHONPATH=src python tests/test_byte_pins.py``.
+To write the pins of new cases, run this file as a script:
+``PYTHONPATH=src python tests/test_byte_pins.py``.  It writes only the
+pins that are missing, and exits 1 naming every existing pin whose output
+the current code no longer reproduces; such a pin is never rewritten.
 """
 
 import contextlib
@@ -98,11 +100,25 @@ CASES = {
         "include_ep = true\nv0_max = 2.0\n"))),
     "curves-ep-unsupported": ("curves", _curves(2, 0.8, 1.0, 0.8, 0.4, 11, ep=(
         "include_ep = true\n"))),
-    # sweeps: one lockstep batch, and two batches small enough for the scalar loop
+    # sweeps: lockstep batches (at least 20 lanes), and two batches small enough
+    # for the scalar loop
     "sweep-ep1c": ("sweep", _sweep(
         "[model]\nn = 1\nc = 1.0\n",
         "axis1_min = -3\naxis1_max = 3\naxis1_steps = 8\n"
         "axis2_min = 0.2\naxis2_max = 3\naxis2_steps = 8\n", TIGHT)),
+    # blowups and basin events at n = 1, c = 0
+    "sweep-ep1-lanes": ("sweep", _sweep(
+        "[model]\nn = 1\nc = 0.0\n",
+        "axis1_min = -3\naxis1_max = 1\naxis1_steps = 6\n"
+        "axis2_min = 0.5\naxis2_max = 3\naxis2_steps = 6\n")),
+    "sweep-ep3-lanes": ("sweep", _sweep(
+        "[model]\nn = 3\n\n[state]\nq0 = 0.3\ns0 = 0.05\n",
+        "axis1_min = -3\naxis1_max = 1\naxis1_steps = 6\n"
+        "axis2_min = 0.5\naxis2_max = 2\naxis2_steps = 5\n")),
+    "sweep-ea-lanes": ("sweep", _sweep(
+        "[model]\nkind = euler-alignment\nn = 2\n\n[alignment]\nC0 = 0.1\n",
+        "axis1 = y0\naxis1_min = -2\naxis1_max = 0.5\naxis1_steps = 6\n"
+        "axis2 = C0\naxis2_min = 0\naxis2_max = 0.5\naxis2_steps = 5\n")),
     "sweep-ep3-small": ("sweep", _sweep(
         "[model]\nn = 3\n\n[state]\nq0 = 0.3\ns0 = 0.05\n",
         "axis1_min = -3\naxis1_max = 1\naxis1_steps = 3\n"
@@ -139,9 +155,22 @@ def test_cli_output_is_pinned(tmp_path, name):
     assert run_case(name, str(tmp_path)) == want
 
 
-if __name__ == "__main__":
+def write_missing_pins() -> int:
+    """Write the missing pins; 1 if an existing pin differs from its output."""
     PINS.mkdir(parents=True, exist_ok=True)
+    moved = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
-            (PINS / f"{name}.out").write_text(run_case(name, tmp), encoding="utf-8")
-            print(name, file=sys.stderr)
+            pin, output = PINS / f"{name}.out", run_case(name, tmp)
+            if not pin.exists():
+                pin.write_text(output, encoding="utf-8")
+                print(f"wrote {pin.name}", file=sys.stderr)
+            elif pin.read_text(encoding="utf-8") != output:
+                moved.append(pin.name)
+    for name in moved:
+        print(f"differs from its pin, left unchanged: {name}", file=sys.stderr)
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(write_missing_pins())
