@@ -415,7 +415,7 @@ def comparison_classify(kind: str, y0: float, C0: float, bounds: AlignmentBounds
 def classify_ea_many(kind: str, y0s: Sequence[float], C0s: Sequence[float],
                      bounds: AlignmentBounds, n: float,
                      config: Optional[IntegratorConfig] = None,
-                     side: str = "+") -> Verdicts:
+                     side: str = "+", outcomes: bool = True) -> Verdicts:
     """:func:`comparison_classify` for every cell (y0s[i], C0s[i]), in lockstep.
 
     The run of each cell outside the bounded basin at t = 0 is one lane of
@@ -423,7 +423,8 @@ def classify_ea_many(kind: str, y0s: Sequence[float], C0s: Sequence[float],
     1e-10 max(C0, 1) as its per-lane event constant.  Lanes are
     independent, so every outcome is exactly the one the cell gives alone.
     The verdict codes come from the lanes' terminations; an outcome is
-    built only when it is read.
+    built only when it is read, and without ``outcomes`` never: the
+    verdicts then hold the codes only.
     """
     if kind not in ("q", "G"):
         raise ValueError("kind must be 'q' or 'G'")
@@ -454,7 +455,8 @@ def classify_ea_many(kind: str, y0s: Sequence[float], C0s: Sequence[float],
     def classify(lo, hi):
         x0 = np.array([y0s[lo:hi], C0s[lo:hi]])
         inside, cells, batch, codes = _run_cells(system, x0, [cfg], basin,
-                                                 basin_consts=1e-10 * np.maximum(x0[1], 1.0))
+                                                 basin_consts=1e-10 * np.maximum(x0[1], 1.0),
+                                                 outcomes=outcomes)
         log.info("%d cells, %d inside the basin at t = 0; %d runs of the rest",
                  hi - lo, hi - lo - len(cells), len(cells))
 
@@ -470,6 +472,6 @@ def classify_ea_many(kind: str, y0s: Sequence[float], C0s: Sequence[float],
 
         verdicts = np.zeros(hi - lo, dtype=int)
         verdicts[cells] = codes
-        return Verdicts(verdicts, outcome)
+        return Verdicts(verdicts, outcome if outcomes else None)
 
     return _in_batches(len(y0s), classify)

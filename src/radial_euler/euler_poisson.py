@@ -371,10 +371,12 @@ class Verdicts:
     ``codes[i]`` is the :data:`VERDICT_CODES` value of cell i's verdict.
     Indexing (or iterating) builds a cell's :class:`ClassificationOutcome`,
     diagnostics and reason included, exactly as the one-cell classifier
-    gives it; a sweep reads only the codes and builds none.
+    gives it.  Verdicts classified without outcomes (``outcome`` None), as
+    a sweep's are, hold the codes only and refuse to be indexed.
     """
 
-    def __init__(self, codes: np.ndarray, outcome: Callable[[int], ClassificationOutcome]):
+    def __init__(self, codes: np.ndarray,
+                 outcome: Optional[Callable[[int], ClassificationOutcome]]):
         self.codes = codes
         self._outcome = outcome
 
@@ -382,10 +384,14 @@ class Verdicts:
         return len(self.codes)
 
     def __getitem__(self, cell: int) -> ClassificationOutcome:
-        return self._outcome(range(len(self.codes))[cell])
+        cell = range(len(self.codes))[cell]
+        if self._outcome is None:
+            raise ValueError("these verdicts were classified without outcomes; "
+                             "only their codes can be read")
+        return self._outcome(cell)
 
     def __iter__(self) -> Iterator[ClassificationOutcome]:
-        return map(self._outcome, range(len(self.codes)))
+        return map(self.__getitem__, range(len(self.codes)))
 
 
 def _in_batches(n_cells: int, classify: Callable[[int, int], Verdicts]) -> Verdicts:
@@ -400,15 +406,18 @@ def _in_batches(n_cells: int, classify: Callable[[int, int], Verdicts]) -> Verdi
 
 def _run_lanes(system: OdeSystem, states0: np.ndarray,
                configs: list[IntegratorConfig], basin: Optional[EventSpec],
-               probe_t: Optional[float], basin_consts=None) -> LaneBatch:
+               probe_t: Optional[float], basin_consts=None,
+               outcomes: bool = True) -> LaneBatch:
     """The lane batch of one run per column of ``states0``, each under its config.
 
     ``basin_consts`` are the basin's per-lane constants, as
-    :func:`integrate_lanes` takes them.
+    :func:`integrate_lanes` takes them.  Without ``outcomes`` a lockstep
+    batch keeps no samples to fit blowup times from.
     """
     if states0.shape[1] >= _MIN_BATCH_LANES:
         return integrate_lanes(system, states0, configs, event=basin,
-                               probe_t=probe_t, event_consts=basin_consts)
+                               probe_t=probe_t, event_consts=basin_consts,
+                               blowup_times=outcomes)
 
     def events(j):
         if basin is None:
@@ -424,14 +433,16 @@ def _run_lanes(system: OdeSystem, states0: np.ndarray,
 
 def _run_cells(system: OdeSystem, x0: np.ndarray, passes: Sequence[IntegratorConfig],
                basin: Optional[EventSpec], probe_t: Optional[float] = None,
-               basin_consts=None):
+               basin_consts=None, outcomes: bool = True):
     """The t = 0 basin split of the cells ``x0`` (dim x cells), then their runs.
 
     A cell whose state starts inside the bounded basin is settled there.
     Every other cell runs once per config in ``passes``, all as lanes of
     one batch: lane k m + i is pass k of the i-th of the m cells outside.
     Returns the mask of cells inside, the cells outside, their lane batch
-    and the verdict code each lane's termination implies.
+    and the verdict code each lane's termination implies.  ``outcomes``
+    says whether the caller builds outcomes from the batch, as
+    :func:`_run_lanes` takes it.
     """
     consts = () if basin_consts is None else (basin_consts,)
     inside = (basin.func(0.0, x0, *consts) >= 0.0 if basin is not None
@@ -440,7 +451,7 @@ def _run_cells(system: OdeSystem, x0: np.ndarray, passes: Sequence[IntegratorCon
     batch = _run_lanes(system, np.tile(x0[:, cells], len(passes)),
                        [cfg for cfg in passes for _ in cells], basin, probe_t,
                        None if basin_consts is None
-                       else np.tile(basin_consts[..., cells], len(passes)))
+                       else np.tile(basin_consts[..., cells], len(passes)), outcomes)
     return inside, cells, batch, END_CODES[batch.ends]
 
 
@@ -481,14 +492,16 @@ def classify_ep_many(states: Sequence[CharState], params: ModelParams,
 
 def classify_ep_columns(x: np.ndarray, params: ModelParams,
                         config: IntegratorConfig = DEFAULT_CONFIG,
-                        confirm: bool = True) -> Verdicts:
+                        confirm: bool = True, outcomes: bool = True) -> Verdicts:
     """:func:`classify_ep` for every column (p, q, s, rho) of ``x``, in lockstep.
 
     Each state's run, and with ``confirm`` its 10x-tightened re-run, is
     one lane of a single :func:`integrate_lanes` batch.  Lanes are
     independent, so every outcome is exactly the one :func:`classify_ep`
     gives for that state alone.  The verdict codes come from array passes
-    over the lanes; an outcome is built only when it is read.
+    over the lanes; an outcome is built only when it is read.  Without
+    ``outcomes`` the verdicts hold the codes only, and the runs keep no
+    samples to fit blowup times from.
 
     For n = 1 and c > 0 the exact (w, v) orbit is periodic, so a run stops
     after one period and ends there if its state returns to within
@@ -501,11 +514,11 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
     x = np.asarray(x, dtype=float)
     _check_states(x, params)
     return _in_batches(x.shape[1], lambda lo, hi: _classify_ep_batch(
-        x[:, lo:hi], params, config, confirm))
+        x[:, lo:hi], params, config, confirm, outcomes))
 
 
 def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorConfig,
-                       confirm: bool) -> Verdicts:
+                       confirm: bool, outcomes: bool) -> Verdicts:
     system = _system_for(params)
     basin = _basin_event(params)
     x0 = x[_state_rows(params)]
@@ -522,7 +535,8 @@ def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorCon
         first_run = tuple(replace(cfg, t_max=1.05 * period)
                           if 1.05 * period < cfg.t_max else cfg for cfg in passes)
 
-    inside, cells, batch, code = _run_cells(system, x0, first_run, basin, period)
+    inside, cells, batch, code = _run_cells(system, x0, first_run, basin, period,
+                                            outcomes=outcomes)
     m, lanes = len(cells), len(code)
     lane_cell = np.tile(cells, len(passes))
     closed, certified = np.zeros(lanes, dtype=bool), np.zeros(lanes, dtype=bool)
@@ -545,7 +559,8 @@ def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorCon
         ambiguous = stopped[miss & ~ok]
         if len(ambiguous):
             again = _run_lanes(system, x0[:, lane_cell[ambiguous]],
-                               [passes[k] for k in (ambiguous // m).tolist()], basin, None)
+                               [passes[k] for k in (ambiguous // m).tolist()], basin, None,
+                               outcomes=outcomes)
             code[ambiguous] = END_CODES[again.ends]
             rerun = dict(zip(ambiguous.tolist(), range(len(ambiguous))))
     log.info("%d cells, %d inside the basin at t = 0; %d runs of the rest (one per "
@@ -589,7 +604,7 @@ def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorCon
                   f"{amp[j]:.6g} >= 1/c = {1.0 / params.c:.6g}")
         return ClassificationOutcome(Verdict.INCONCLUSIVE, reason=reason, diagnostics=diag)
 
-    return Verdicts(codes, outcome)
+    return Verdicts(codes, outcome if outcomes else None)
 
 
 @dataclass

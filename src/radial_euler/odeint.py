@@ -221,10 +221,11 @@ class LaneBatch:
     covers the first ``covered[j]`` rows of ``probe`` (probe times x dim x
     lanes), none after an event.  The ring ``(t, y, count)`` holds each
     lane's trailing accepted samples, from which ``batch[j]``, lane j's
-    :class:`TailRecord`, fits a blown lane's singularity time.  The
-    counters are each lane's step attempts (six stage evaluations each),
-    accepted and rejected steps and rhs evaluations; the step that crosses
-    the event and a collapsing step are attempts only.  A batch stacked
+    :class:`TailRecord`, fits a blown lane's singularity time; a batch run
+    without blowup times has no ring (None) and refuses to build a blown
+    lane's record.  The counters are each lane's step attempts (six stage
+    evaluations each), accepted and rejected steps and rhs evaluations; the
+    step that crosses the event and a collapsing step are attempts only.  A batch stacked
     from scalar runs has no counters.
     """
 
@@ -236,7 +237,7 @@ class LaneBatch:
     probe: np.ndarray
     covered: np.ndarray
     notes: dict
-    ring: tuple
+    ring: Optional[tuple]
     attempts: Optional[np.ndarray] = None
     accepted: Optional[np.ndarray] = None
     rejected: Optional[np.ndarray] = None
@@ -260,6 +261,9 @@ class LaneBatch:
         if end is Termination.BLOWUP_DETECTED:
             # fit the escaping component's trailing samples
             component = int(self.blowup_component[j])
+            if self.ring is None:
+                raise ValueError(f"lane {j} blew up, and its batch ran without "
+                                 "the samples that fit a blowup time")
             tb, yb, nb = self.ring
             m = min(nb[j], _BLOWUP_TAIL)
             slots = (nb[j] - m + np.arange(m)) % _BLOWUP_TAIL
@@ -589,7 +593,8 @@ def _bisect_lanes(func, t0, y0, f0, t1, y1, f1, g0):
 def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                     configs: Sequence[IntegratorConfig],
                     event: Optional[EventSpec] = None,
-                    probe_t=None, event_consts=None) -> LaneBatch:
+                    probe_t=None, event_consts=None,
+                    blowup_times: bool = True) -> LaneBatch:
     """Integrate one copy of ``system`` per column of ``y0`` (dim x lanes) in lockstep.
 
     Lane j starts at t = 0 from ``y0[:, j]``, follows ``configs[j]`` with
@@ -612,7 +617,10 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
 
     Only the tail of each run is kept, as the arrays of a
     :class:`LaneBatch`; a blowup time is fitted only for the lanes whose
-    record is built.  ``probe_t`` holds P probe times per lane,
+    record is built, from the trailing accepted samples each lane keeps.
+    A caller that reads no blowup time passes ``blowup_times=False``: the
+    batch then keeps no samples, and everything else in it is the same.
+    ``probe_t`` holds P probe times per lane,
     nondecreasing down each column of its (P, lanes) shape; a scalar or a
     (P,) array applies to every lane.  Each probe is the Hermite point on
     the accepted step that :meth:`TrajectoryRecord.sample_many` would
@@ -677,22 +685,25 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                              "in every lane")
         probe = np.full((len(pt), d, n), np.nan)
     probe_times = pt    # every lane's, while pt keeps the working columns
-    # ring buffer of the trailing accepted samples
-    tb = np.zeros((_BLOWUP_TAIL, n))
-    yb = np.zeros((_BLOWUP_TAIL, d, n))
-    nb = np.ones(n, dtype=int)
-
     lane = np.arange(n)
     alive = np.ones(n, dtype=bool)
     iterations = 0
     t = np.zeros(n)
     vmax = np.max(np.abs(y), axis=0)
     n_att = np.zeros(n)     # attempts that evaluated the stages
-    # each lane's attempts when it retired, and whether its last one was
-    # neither accepted nor rejected (an event crossing or a step collapse)
+    n_acc = np.zeros(n, dtype=int)      # accepted steps
+    # each lane's attempts and accepted steps when it retired, and whether
+    # its last attempt was neither accepted nor rejected (an event crossing
+    # or a step collapse)
     attempts = np.zeros(n, dtype=int)
+    accepted = np.zeros(n, dtype=int)
     unsettled = np.zeros(n, dtype=int)
-    tb[0], yb[0] = t, y
+    tb = yb = None
+    if blowup_times:
+        # ring buffer of the trailing accepted samples: a lane's k-th sample
+        # (the start is the 0-th) sits in slot k % _BLOWUP_TAIL
+        tb, yb = np.zeros((_BLOWUP_TAIL, n)), np.zeros((_BLOWUP_TAIL, d, n))
+        tb[0], yb[0] = t, y
 
     def take_probes(inside, t0, y0, f0, t1, y1, f1):
         """Sample the probes marked in ``inside`` (P x working lanes) on [t0, t1]."""
@@ -710,7 +721,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
         i = lane[mask]
         ends[i] = TERMINATIONS.index(termination)
         t_end[i], y_end[:, i], max_abs[i] = t_f[mask], y_f[:, mask], vmax[mask]
-        attempts[i] = n_att[mask]
+        attempts[i], accepted[i] = n_att[mask], n_acc[mask]
         unsettled[i] = last_unsettled
         if note is not None:
             for j in np.flatnonzero(mask):
@@ -734,9 +745,9 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             if not running:
                 break
             if len(lane) - running >= _COMPACT_SHARE * len(lane):
-                lane, t, y, k1, g, h, n_att, vmax, limits, atol, pt, consts = (
+                lane, t, y, k1, g, h, n_att, n_acc, vmax, limits, atol, pt, consts = (
                     None if a is None else a[..., alive]
-                    for a in (lane, t, y, k1, g, h, n_att, vmax, limits, atol, pt,
+                    for a in (lane, t, y, k1, g, h, n_att, n_acc, vmax, limits, atol, pt,
                               consts))
                 alive = np.ones(running, dtype=bool)
                 rtol, h_min, h_max, t_max, cap, max_steps, _ = limits
@@ -795,14 +806,15 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                     close(hit, Termination.EVENT, t_new, y_new, last_unsettled=True)
 
             step = alive & ok
+            n_acc += step
             mag = np.max(np.abs(y_new), axis=0)
             vmax = np.where(step, np.maximum(vmax, mag), vmax)
-            js = np.flatnonzero(step)
-            i = lane[js]
-            slot = nb[i] % _BLOWUP_TAIL
-            tb[slot, i] = t_new[js]
-            yb[slot, :, i] = y_new[:, js].T
-            nb[i] += 1
+            if tb is not None:
+                js = np.flatnonzero(step)
+                i = lane[js]
+                slot = n_acc[js] % _BLOWUP_TAIL
+                tb[slot, i] = t_new[js]
+                yb[slot, :, i] = y_new[:, js].T
             if pt is not None:
                 # a probe on t_new is taken again, at s = 0, by the next
                 # accepted step if there is one, as sample_many picks
@@ -843,7 +855,6 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             max_abs[hit] = np.maximum(max_abs[hit], np.max(np.abs(y_end[:, hit]), axis=0))
             located = len(hit)
 
-    accepted = nb - 1
     rejected = attempts - accepted - unsettled
     log.info("%d lanes in %d lockstep iterations: %d accepted and %d rejected "
              "lane-steps; %d lanes bracketed an event, located in %d halving rounds",
@@ -854,8 +865,8 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     covered[ends == _EVENT] = 0
     return LaneBatch(ends, t_end, y_end, max_abs, blowup_comp,
                      probe if probe is not None else np.empty((0, d, n)), covered, notes,
-                     ring=(tb, yb, nb), attempts=attempts, accepted=accepted,
-                     rejected=rejected, rhs_evals=1 + 6 * attempts)
+                     None if tb is None else (tb, yb, accepted + 1), attempts=attempts,
+                     accepted=accepted, rejected=rejected, rhs_evals=1 + 6 * attempts)
 
 
 def estimate_decay_exponent(record: TrajectoryRecord, component: int,

@@ -61,13 +61,14 @@ def bounds_from(cfg: RunConfig) -> AlignmentBounds:
         raise ConfigError(f"[alignment] {exc}") from exc
 
 
-def classify_cells(cfg: RunConfig, **axes: np.ndarray) -> Verdicts:
+def classify_cells(cfg: RunConfig, *, outcomes: bool = True, **axes: np.ndarray) -> Verdicts:
     """Classify the configured initial state once per cell.
 
     ``axes`` maps axis names to one value per cell: p0, q0, s0, rho0 patch
     the characteristic state; y0, C0 patch the alignment comparison
     inputs.  Without axes there is one cell, the configured state.  All
-    cells run as one lockstep batch.
+    cells run as one lockstep batch.  Without ``outcomes`` the verdicts
+    hold the codes only.
     """
     params = model_params_from(cfg)
     integ = integrator_from(cfg)
@@ -75,18 +76,25 @@ def classify_cells(cfg: RunConfig, **axes: np.ndarray) -> Verdicts:
         # a zero horizon would call every state bounded
         raise ConfigError(f"[integrator] t_max must be positive to classify, "
                           f"got {integ.t_max!r}")
+    alignment = params.model is Model.EULER_ALIGNMENT
+    section, keys = ("alignment", ("y0",)) if alignment else ("state", _STATE_AXES)
+    for key in keys:
+        # also where an axis replaces the value: no run starts from a non-finite one
+        if not np.isfinite(cfg[section][key]):
+            raise ConfigError(f"[{section}] {key} must be finite, got {cfg[section][key]!r}")
     n_cells = len(next(iter(axes.values()))) if axes else 1
 
     def column(section, key):
         return axes[key] if key in axes else np.full(n_cells, cfg[section][key], dtype=float)
 
-    if params.model is Model.EULER_ALIGNMENT:
+    if alignment:
         a = cfg["alignment"]
         return classify_ea_many(a["kind"], column("alignment", "y0"),
                                 column("alignment", "C0"), bounds_from(cfg), params.n,
-                                config=integ, side=a["side"])
+                                config=integ, side=a["side"], outcomes=outcomes)
     return classify_ep_columns(np.array([column("state", key) for key in _STATE_AXES]),
-                               params, integ, confirm=cfg["integrator"]["confirm"])
+                               params, integ, confirm=cfg["integrator"]["confirm"],
+                               outcomes=outcomes)
 
 
 @dataclass
@@ -157,8 +165,9 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
                          f"(limit {MAX_SWEEP_CELLS}); refuse to run")
     name1, name2 = s["axis1"], s["axis2"]
     # row-major: cell i len(axis2) + j is (axis1[i], axis2[j])
-    verdicts = classify_cells(cfg, **{name1: np.repeat(axis1, len(axis2)),
-                                      name2: np.tile(axis2, len(axis1))})
+    verdicts = classify_cells(cfg, outcomes=False,
+                              **{name1: np.repeat(axis1, len(axis2)),
+                                 name2: np.tile(axis2, len(axis1))})
     matrix = verdicts.codes.reshape(len(axis1), len(axis2))
     prov = f"config_sha256={config_hash(cfg)} tool=radial-euler"
     return SweepResult((name1, name2), axis1, axis2, matrix, prov)

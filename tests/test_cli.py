@@ -293,6 +293,33 @@ def test_non_finite_model_setting_refused(tmp_path, capsys, command, section, ke
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["p0", "q0", "s0", "rho0", "y0"])
+def test_non_finite_state_refused(tmp_path, capsys, command, key, value):
+    # n = 1 with rho0 = inf or nan started in the basin and printed
+    # global-bounded with exit 0; other values said "initial state must be
+    # finite" without naming the key.  A sweep refuses the value also where
+    # an axis replaces it: an Euler-alignment sweep always varies y0.
+    if key == "y0":
+        section = "alignment"
+        text = (f"[model]\nkind = euler-alignment\nn = 2\n\n[alignment]\ny0 = {value}\n"
+                "\n[sweep]\naxis1 = y0\naxis2 = C0\naxis2_min = 0\n")
+    else:
+        section = "state"
+        axis1, axis2 = [k for k in ("p0", "q0", "s0", "rho0") if k != key][:2]
+        text = (f"[model]\nkind = euler-poisson\nn = 1\n\n[state]\n{key} = {value}\n"
+                f"\n[sweep]\naxis1 = {axis1}\naxis2 = {axis2}\n")
+    text += "axis1_steps = 3\naxis2_steps = 3\n"
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", write(tmp_path, "bad.cfg", text), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: [{section}] {key} must be finite, got {float(value)!r}" in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_3x3_grid(tmp_path, capsys):
     # the grid the refusals above guard: blowup exactly where p0 < -sqrt(2 rho0)
     text = SWEEP_3X3.format(integrator="rel_tol = 1e-6\nabs_tol = 1e-8\n")

@@ -14,10 +14,11 @@ from radial_euler import (CharState, IntegratorConfig, Model, ModelParams,
                           initial_s_from_density, qs_phase_portrait,
                           qshat_integrate, qshat_system, sigma_1d, wv_system)
 from radial_euler import euler_poisson
-from radial_euler.euler_poisson import integrate_qs
-from radial_euler.config import RunConfig
+from radial_euler.euler_poisson import classify_ep_columns, integrate_qs
+from radial_euler.alignment import AlignmentBounds, classify_ea_many
+from radial_euler.config import RunConfig, parse_config_text
 from radial_euler.odeint import VERDICT_CODES, integrate, integrate_lanes
-from radial_euler.sweep import classify_cells
+from radial_euler.sweep import classify_cells, run_sweep
 
 EP1 = ModelParams(n=1, kappa=1, c=0)
 EP1C = ModelParams(n=1, kappa=1, c=1)
@@ -172,8 +173,9 @@ def _oracle_groups():
     groups = [   # (params, config, states, lockstep batches)
         (EP1, tight, one_d, 1),
         (EP1, pinned, one_d, 1),
-        # (1.8, 2.125), just inside the sharp region, misses the return test
-        # and passes the amplitude certificate
+        # (1.8, 2.125), just inside the sharp region, closes after one period,
+        # and (-1.5, 1.72) of the grid misses the return test and passes the
+        # amplitude certificate (test_oracle_group_comments_hold)
         (EP1C, tight, orbits + [CharState(p=1.8, rho=2.125)], 1),
         # at coarse tolerances no one-period return closes or certifies, so
         # every bounded cell re-runs to the horizon; (1.8, 2.125) flips under
@@ -187,6 +189,21 @@ def _oracle_groups():
           for q in (-0.7, -0.3, 0.3)], 1),
     ]
     return groups
+
+
+def test_oracle_group_comments_hold():
+    # the exits the comments in _oracle_groups name for these two states
+    (params, tight, states, _), (_, coarse, _, _) = _oracle_groups()[2:4]
+    edge, grid_state = states[-1], states[4]
+    assert (edge.p, edge.rho) == (1.8, 2.125)
+    assert grid_state.p == -1.5 and grid_state.rho == pytest.approx(1.72)
+    closed = classify_ep(edge, params, tight)
+    assert closed.diagnostics["early_exit"] == "closed periodic orbit after one period"
+    certified = classify_ep(grid_state, params, tight)
+    assert certified.diagnostics["early_exit"].startswith(
+        "periodic orbit certified by its (w, v) amplitude after one period")
+    flipped = classify_ep(edge, params, coarse)
+    assert flipped.reason == "classification flips under 10x tighter tolerances"
 
 
 def test_classify_many_matches_one_by_one(lane_batches):
@@ -370,6 +387,68 @@ def test_sweep_runs_no_blowup_fit(lane_batches, monkeypatch):
     # an outcome made with a time keeps it
     from radial_euler.odeint import ClassificationOutcome
     assert ClassificationOutcome(Verdict.FINITE_TIME_BLOWUP, 1.5).t_estimate == 1.5
+
+
+def test_codes_only_verdicts_refuse_outcomes(monkeypatch):
+    # classified without outcomes, the verdicts hold the same codes and
+    # refuse to build an outcome, also when the cells ran in several batches
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
+    x = np.array([state.as_array() for state in
+                  _grid(np.linspace(-4.0, 1.0, 6), np.linspace(0.5, 2.0, 4))]).T
+    y0s, C0s = np.repeat(np.linspace(-2.0, 0.5, 6), 5), np.tile(np.linspace(0, 0.5, 5), 6)
+    bounds = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.1)
+    for batch_cells in (euler_poisson._MAX_BATCH_CELLS, 10):
+        monkeypatch.setattr(euler_poisson, "_MAX_BATCH_CELLS", batch_cells)
+        for classify in (lambda **kw: classify_ep_columns(x, EP1, cfg, **kw),
+                         lambda **kw: classify_ea_many("q", y0s, C0s, bounds, 2.0, **kw)):
+            full, codes_only = classify(), classify(outcomes=False)
+            assert np.array_equal(codes_only.codes, full.codes)
+            assert len(set(full.codes.tolist())) > 1
+            assert full[0].verdict is not None and len(codes_only) == len(full)
+            for cell in (0, -1):
+                with pytest.raises(ValueError, match="without outcomes"):
+                    codes_only[cell]
+            with pytest.raises(ValueError, match="without outcomes"):
+                list(codes_only)
+            with pytest.raises(IndexError):
+                codes_only[len(full)]
+
+
+def test_only_sweeps_run_lanes_without_blowup_times(monkeypatch):
+    # run_sweep reads codes only, so its lane batches keep no samples for
+    # blowup-time fits; classify_cells keeps them for the outcomes it builds
+    requested = []
+
+    def recorded(*args, blowup_times=True, **kwargs):
+        requested.append(blowup_times)
+        return integrate_lanes(*args, blowup_times=blowup_times, **kwargs)
+
+    monkeypatch.setattr(euler_poisson, "integrate_lanes", recorded)
+    grid = ("axis1_min = -3\naxis1_max = 1\naxis1_steps = 6\n"
+            "axis2_min = 0.5\naxis2_max = 3\naxis2_steps = 6\n")
+    sweeps = {
+        "ep": "[model]\nn = 1\nc = 0.0\n\n[sweep]\n" + grid,
+        "ep-c1-coarse": ("[model]\nn = 1\nc = 1.0\n\n[integrator]\nrel_tol = 1e-3\n"
+                         "abs_tol = 1e-5\n\n[sweep]\n" + grid),
+        "ea": ("[model]\nkind = euler-alignment\nn = 2\n\n[alignment]\nC0 = 0.1\n\n"
+               "[sweep]\naxis1 = y0\naxis1_min = -2\naxis1_max = 0.5\naxis1_steps = 6\n"
+               "axis2 = C0\naxis2_min = 0\naxis2_max = 0.5\naxis2_steps = 5\n"),
+    }
+    for name, text in sweeps.items():
+        requested.clear()
+        cfg = parse_config_text(text)
+        codes = run_sweep(cfg).codes
+        assert requested and not any(requested), name
+        requested.clear()
+        axis1, axis2 = np.linspace(-3, 1, 6), np.linspace(0.5, 3, 6)
+        axes = ({"y0": np.repeat(np.linspace(-2, 0.5, 6), 5),
+                 "C0": np.tile(np.linspace(0, 0.5, 5), 6)} if name == "ea" else
+                {"p0": np.repeat(axis1, 6), "rho0": np.tile(axis2, 6)})
+        verdicts = classify_cells(cfg, **axes)
+        assert requested and all(requested), name
+        assert np.array_equal(verdicts.codes, codes.ravel()), name
+        blown = np.flatnonzero(verdicts.codes == VERDICT_CODES[Verdict.FINITE_TIME_BLOWUP])
+        assert len(blown) and all(verdicts[cell].t_estimate > 0.0 for cell in blown), name
 
 
 def _first_zero_1d(p0, rho0, c):

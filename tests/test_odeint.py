@@ -455,14 +455,11 @@ def _counted(system):
     return OdeSystem(system.dimension, rhs), calls
 
 
-def test_lane_batch_arrays_and_counters(caplog):
-    # one batch whose lanes end every way a run with an event can end, with
-    # rejected steps (large first steps, and stiff growth near blowup); each
-    # array entry must be lane j's TailRecord and the scalar run's tail, and
-    # the counters must repeat the scalar run's work
-    from radial_euler.odeint import TERMINATIONS
-    cross = EventSpec("cross", lambda t, y: y[0] - 0.25, direction=-1)
-    cases = [(0.5, IntegratorConfig(t_max=30)),                          # event
+# (y0, config) of Riccati lanes that end every way a run with the event
+# CROSS can end, with rejected steps (large first steps, and stiff growth
+# near blowup)
+CROSS = EventSpec("cross", lambda t, y: y[0] - 0.25, direction=-1)
+EVERY_END = [(0.5, IntegratorConfig(t_max=30)),                          # event
              (0.5, IntegratorConfig(t_max=30, h_init=5.0)),              # event
              (0.2, IntegratorConfig(t_max=1.5, h_init=2.0, rel_tol=1e-10)),  # horizon
              (-1.0, IntegratorConfig(t_max=30)),                         # blowup
@@ -470,6 +467,14 @@ def test_lane_batch_arrays_and_counters(caplog):
              (-1.0, IntegratorConfig(t_max=30, h_min=1e-2, h_init=1e-2)),  # step size
              (-1e-5, IntegratorConfig(t_max=1e6, magnitude_cap=1e300)),  # time resolution
              (0.2, IntegratorConfig(t_max=1e6, max_steps=7))]            # budget
+
+
+def test_lane_batch_arrays_and_counters(caplog):
+    # one batch of EVERY_END; each array entry must be lane j's TailRecord
+    # and the scalar run's tail, and the counters must repeat the scalar
+    # run's work
+    from radial_euler.odeint import TERMINATIONS
+    cross, cases = CROSS, EVERY_END
     probe_t = [0.0, 0.5, 1.2]
     caplog.set_level("INFO", logger="radial_euler.odeint")
     batch = integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]),
@@ -523,3 +528,44 @@ def test_lane_batch_arrays_and_counters(caplog):
         batch = integrate_lanes(root, np.array([[-1.0, 1.0]]), [IntegratorConfig(t_max=5)] * 2)
     assert batch.rhs_evals[0] == 1 and batch.attempts[0] == batch.accepted[0] == 0
     assert batch.rhs_evals[1] == 1 + 6 * (batch.accepted[1] + batch.rejected[1])
+
+
+def test_lane_batch_without_blowup_times(caplog):
+    # a batch that keeps no samples for blowup-time fits must hold
+    # everything else exactly as the batch that keeps them, counters and
+    # INFO line included, and refuse to build a blown lane's record.  The
+    # lanes come twice in a different order, so that working columns are
+    # compacted while lanes of every kind still run.
+    from radial_euler.odeint import TERMINATIONS
+    order = list(range(len(EVERY_END))) + list(reversed(range(len(EVERY_END))))
+    y0 = np.array([[EVERY_END[k][0] for k in order]])
+    configs = [EVERY_END[k][1] for k in order]
+    probe_t = [0.0, 0.5, 1.2, 40.0]
+    caplog.set_level("INFO", logger="radial_euler.odeint")
+    batches, lines = {}, {}
+    for keep in (True, False):
+        caplog.clear()
+        batches[keep] = integrate_lanes(RICCATI, y0, configs, event=CROSS, probe_t=probe_t,
+                                        blowup_times=keep)
+        [lines[keep]] = [rec.getMessage() for rec in caplog.records]
+    with_ring, without = batches[True], batches[False]
+    assert with_ring.ring is not None and without.ring is None
+    assert lines[False] == lines[True]
+    for name in ("ends", "t_final", "y_final", "max_abs", "blowup_component", "covered",
+                 "attempts", "accepted", "rejected", "rhs_evals"):
+        assert np.array_equal(getattr(without, name), getattr(with_ring, name)), name
+    assert np.array_equal(without.probe, with_ring.probe, equal_nan=True)
+    assert without.notes == with_ring.notes and len(without.notes) == 6
+    assert with_ring.rejected.sum() > 0
+    # the ring's counts are the accepted samples plus the start
+    assert np.array_equal(with_ring.ring[2], with_ring.accepted + 1)
+    blown = 0
+    for j in range(len(order)):
+        if TERMINATIONS[without.ends[j]] is Termination.BLOWUP_DETECTED:
+            blown += 1
+            assert with_ring[j].blowup_time is not None
+            with pytest.raises(ValueError, match="blew up"):
+                without[j]
+        else:
+            _same_tail(without[j], with_ring[j])
+    assert blown == 4
