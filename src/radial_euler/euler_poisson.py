@@ -441,8 +441,7 @@ def _run_cells(system: OdeSystem, x0: np.ndarray, passes: Sequence[IntegratorCon
     one batch: lane k m + i is pass k of the i-th of the m cells outside.
     Returns the mask of cells inside, the cells outside, their lane batch
     and the verdict code each lane's termination implies.  ``outcomes``
-    says whether the caller builds outcomes from the batch, as
-    :func:`_run_lanes` takes it.
+    goes to :func:`_run_lanes`.
     """
     consts = () if basin_consts is None else (basin_consts,)
     inside = (basin.func(0.0, x0, *consts) >= 0.0 if basin is not None

@@ -225,8 +225,8 @@ class LaneBatch:
     without blowup times has no ring (None) and refuses to build a blown
     lane's record.  The counters are each lane's step attempts (six stage
     evaluations each), accepted and rejected steps and rhs evaluations; the
-    step that crosses the event and a collapsing step are attempts only.  A batch stacked
-    from scalar runs has no counters.
+    step that crosses the event and a collapsing step are attempts only.
+    A batch stacked from scalar runs has no counters.
     """
 
     ends: np.ndarray
