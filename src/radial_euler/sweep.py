@@ -79,7 +79,7 @@ def classify_cells(cfg: RunConfig, *, outcomes: bool = True, **axes: np.ndarray)
     alignment = params.model is Model.EULER_ALIGNMENT
     section, keys = ("alignment", ("y0",)) if alignment else ("state", _STATE_AXES)
     for key in keys:
-        # also where an axis replaces the value: no run starts from a non-finite one
+        # also where an axis replaces the value: a config never means a non-finite one
         if not np.isfinite(cfg[section][key]):
             raise ConfigError(f"[{section}] {key} must be finite, got {cfg[section][key]!r}")
     n_cells = len(next(iter(axes.values()))) if axes else 1

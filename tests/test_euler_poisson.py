@@ -437,16 +437,14 @@ def test_only_sweeps_run_lanes_without_blowup_times(monkeypatch):
     for name, text in sweeps.items():
         requested.clear()
         cfg = parse_config_text(text)
-        codes = run_sweep(cfg).codes
+        swept = run_sweep(cfg)
         assert requested and not any(requested), name
         requested.clear()
-        axis1, axis2 = np.linspace(-3, 1, 6), np.linspace(0.5, 3, 6)
-        axes = ({"y0": np.repeat(np.linspace(-2, 0.5, 6), 5),
-                 "C0": np.tile(np.linspace(0, 0.5, 5), 6)} if name == "ea" else
-                {"p0": np.repeat(axis1, 6), "rho0": np.tile(axis2, 6)})
-        verdicts = classify_cells(cfg, **axes)
+        (name1, name2), axis1, axis2 = swept.axis_names, swept.axis1, swept.axis2
+        verdicts = classify_cells(cfg, **{name1: np.repeat(axis1, len(axis2)),
+                                          name2: np.tile(axis2, len(axis1))})
         assert requested and all(requested), name
-        assert np.array_equal(verdicts.codes, codes.ravel()), name
+        assert np.array_equal(verdicts.codes, swept.codes.ravel()), name
         blown = np.flatnonzero(verdicts.codes == VERDICT_CODES[Verdict.FINITE_TIME_BLOWUP])
         assert len(blown) and all(verdicts[cell].t_estimate > 0.0 for cell in blown), name
 
