@@ -2,8 +2,10 @@
 
 Each case runs one command in process on a small config and compares its
 exit code and output with ``tests/data/pins/<case>.out``: the JSON that
-``classify`` prints, or the file that ``curves`` or ``sweep`` writes.
-The first line of a pin file is ``exit <code>``.
+``classify`` prints, the file that ``curves`` or ``sweep`` writes, or for
+``simulate`` its ``metadata.json``, ``diagnostics.csv`` and last snapshot,
+each headed by a ``== <file name> ==`` line.  The first line of a pin file
+is ``exit <code>``.
 
 The classify cases take every exit path of both classifiers: a blowup
 with its fitted time, the basin at t = 0 and as an event, the one-period
@@ -54,6 +56,15 @@ def _curves(n, psi_min, psi_max, nu, x_max, samples, ep=""):
 
 def _sweep(model, axes, integrator=""):
     return f"{model}\n[sweep]\n{axes}\n{integrator}"
+
+
+def _simulate(model, initial, simulate, alignment=""):
+    return (f"[model]\n{model}\n{alignment}\n[initial]\n{initial}\n"
+            f"[simulate]\n{simulate}")
+
+
+EP3_BUMP = ("rho_profile = gaussian-bump\nrho_amp = 1.0\nrho_width = 1.0\nr_max = 2.5\n"
+            "u_width = 1.0\nprofile_nodes = 201\nn_paths = 24\n")
 
 
 CASES = {
@@ -127,26 +138,55 @@ CASES = {
         "[model]\nkind = euler-alignment\nn = 2\n\n[alignment]\nC0 = 0.1\n",
         "axis1 = y0\naxis1_min = -2\naxis1_max = 1\naxis1_steps = 4\n"
         "axis2 = C0\naxis2_min = 0\naxis2_max = 0.4\naxis2_steps = 3\n")),
+    # ensembles: four of the 24 Euler-Poisson paths blow up in p (the run
+    # then probes again where each path ended), none do, and Euler-alignment
+    "simulate-ep3-blowup": ("simulate", _simulate(
+        "kind = euler-poisson\nn = 3\n",
+        EP3_BUMP + "u_profile = rexp\nu_amp = -1.0\n", "t_end = 5\nsnapshots = 4\n")),
+    "simulate-ep3-bounded": ("simulate", _simulate(
+        "kind = euler-poisson\nn = 3\n",
+        EP3_BUMP + "u_profile = gaussian\nu_amp = -0.5\n", "t_end = 5\nsnapshots = 4\n")),
+    "simulate-ea2": ("simulate", _simulate(
+        "kind = euler-alignment\nn = 2\n",
+        "rho_profile = indicator\nrho_amp = 0.3\nrho_radius = 1.0\nr_max = 1.0\n"
+        "u_profile = gaussian\nu_amp = 0.4\nu_width = 0.6\nprofile_nodes = 101\n"
+        "n_paths = 16\n", "t_end = 2\nsnapshots = 3\ntheta_order = 8\n",
+        "\n[alignment]\nphi = power-law\nphi_exponent = 0.5\nD = 1.6\n")),
 }
 
 ARTIFACT = {"curves": "curves.csv", "sweep": "sweep.csv"}
 
 
+def _artifacts(command: str, out_dir: str) -> list:
+    """The files of ``out_dir`` the pin of a ``command`` case holds."""
+    if command == "simulate":
+        snapshots = sorted(n for n in os.listdir(out_dir) if n.startswith("snapshot_"))
+        return ["metadata.json", "diagnostics.csv", snapshots[-1]]
+    return [ARTIFACT[command]] if command in ARTIFACT else []
+
+
 def run_case(name: str, out_dir: str) -> str:
     """``exit <code>`` and the case's output, as its pin file holds them."""
     command, text = CASES[name]
+    out_dir = os.path.join(out_dir, name)     # no file left by another case
+    os.makedirs(out_dir)
     path = os.path.join(out_dir, f"{name}.cfg")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main([command, "--config", path, "--out", out_dir])
-    if command in ARTIFACT:
-        with open(os.path.join(out_dir, ARTIFACT[command]), encoding="utf-8") as fh:
-            output = fh.read()
-    else:
-        output = stdout.getvalue()
-    return f"exit {code}\n{output}"
+    files = _artifacts(command, out_dir)
+    if not files:
+        return f"exit {code}\n{stdout.getvalue()}"
+    texts = []
+    for file in files:
+        with open(os.path.join(out_dir, file), encoding="utf-8") as fh:
+            texts.append(fh.read())
+    if len(files) == 1:
+        return f"exit {code}\n{texts[0]}"
+    return f"exit {code}\n" + "".join(f"== {file} ==\n{text}"
+                                       for file, text in zip(files, texts))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
