@@ -11,7 +11,7 @@ from .core import (CharState, Model, ModelParams, Region,
                    VelocityGradientSample, divergence, gap_consistency_check,
                    grad_u_matrix, spectral_gap, sphere_area)
 from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
-                     IntegratorConfig, LaneBatch, OdeSystem, TailRecord, Termination,
+                     IntegratorConfig, LaneBatch, OdeSystem, Termination,
                      TrajectoryRecord, Verdict, estimate_decay_exponent,
                      integrate, integrate_lanes)
 from .profiles import (RadialProfile, ProfileKind, DENSITY_LIBRARY,

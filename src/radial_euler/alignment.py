@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -211,13 +211,15 @@ def _kernel_integral(rho: RadialProfile, phi: InfluenceSpec, r: float, n: int,
 # fraction of the kernel's natural size, all that a vanishing value (zeta
 # at r = 0 or for constant phi) can settle to.
 _ROUNDING_FLOOR = 1e-13
+# the share of the value by which two quadrature orders may differ
+_KERNEL_REL_TOL = 1e-9
 
 
-def _refined_kernel(rho, phi, r, n, u, rel_tol=1e-9):
+def _refined_kernel(rho, phi, r, n, u):
     """Double both quadrature orders until the value settles.
 
-    Successive orders agree when they differ by at most ``rel_tol`` of the
-    value, or by rounding: ``_ROUNDING_FLOOR`` of sup(phi) max|rho|
+    Successive orders agree when they differ by at most ``_KERNEL_REL_TOL``
+    of the value, or by rounding: ``_ROUNDING_FLOOR`` of sup(phi) max|rho|
     max(r_max, 1) (times max|u| for zeta).  Raises IntegrationFailure when
     the (2, 48), (4, 96) and (8, 192) orders never agree.
     """
@@ -228,15 +230,14 @@ def _refined_kernel(rho, phi, r, n, u, rel_tol=1e-9):
     val = None
     for radial_order, theta_order in ((2, 48), (4, 96), (8, 192)):
         prev, val = val, _kernel_integral(rho, phi, r, n, u, radial_order, theta_order)
-        if prev is not None and abs(val - prev) <= max(rel_tol * abs(val), floor):
+        if prev is not None and abs(val - prev) <= max(_KERNEL_REL_TOL * abs(val), floor):
             return val
     raise IntegrationFailure(
         f"kernel quadrature at r={r:.6g} did not settle: orders (4, 96) and "
-        f"(8, 192) differ by {abs(val - prev):.3g} (rel_tol {rel_tol:g})")
+        f"(8, 192) differ by {abs(val - prev):.3g} (rel_tol {_KERNEL_REL_TOL:g})")
 
 
-def eval_psi(rho: RadialProfile, phi: InfluenceSpec, r: float, n: int,
-             rel_tol: float = 1e-9) -> float:
+def eval_psi(rho: RadialProfile, phi: InfluenceSpec, r: float, n: int) -> float:
     """psi(r): the influence-weighted mass seen from radius r.
 
     Reduced to int_0^inf int_0^pi phi(sqrt(r^2 + s^2 - 2 r s cos(theta)))
@@ -245,11 +246,11 @@ def eval_psi(rho: RadialProfile, phi: InfluenceSpec, r: float, n: int,
     """
     if n < 1 or int(n) != n:
         raise ValueError("eval_psi requires integer dimension n >= 1")
-    return _refined_kernel(rho, phi, float(r), int(n), None, rel_tol)
+    return _refined_kernel(rho, phi, float(r), int(n), None)
 
 
 def eval_zeta(rho: RadialProfile, u: RadialProfile, phi: InfluenceSpec,
-              r: float, n: int, rel_tol: float = 1e-9) -> float:
+              r: float, n: int) -> float:
     """zeta(r): the radial component of the influence-weighted momentum.
 
     Same reduction as psi with an extra cos(theta) u(s) factor; obeys
@@ -260,7 +261,7 @@ def eval_zeta(rho: RadialProfile, u: RadialProfile, phi: InfluenceSpec,
         raise ValueError("eval_zeta requires integer dimension n >= 1")
     if abs(float(u(0.0))) > 1e-12:
         raise ValueError("velocity profile must vanish at the origin")
-    return _refined_kernel(rho, phi, float(r), int(n), u, rel_tol)
+    return _refined_kernel(rho, phi, float(r), int(n), u)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +333,8 @@ class ThresholdCurve:
         return float(self.values[0])
 
 
-def enhanced_curve(kind: str, bounds: AlignmentBounds, n: float, x_max: float,
-                   config: Optional[IntegratorConfig] = None,
-                   x_eps: Optional[float] = None) -> ThresholdCurve:
+def enhanced_curve(kind: str, bounds: AlignmentBounds, n: float,
+                   x_max: float) -> ThresholdCurve:
     """Integrate a threshold curve sigma(x) from its closed-form endpoint.
 
     The defining ODEs are singular at x = 0, so integration starts at a
@@ -346,9 +346,10 @@ def enhanced_curve(kind: str, bounds: AlignmentBounds, n: float, x_max: float,
         raise ValueError(f"curve kind must be one of {CURVE_KINDS}")
     if x_max <= 0:
         raise ValueError("x_max must be positive")
-    eps = x_eps if x_eps is not None else 1e-6 * max(1.0, bounds.psi_min ** 2)
+    eps = 1e-6 * max(1.0, bounds.psi_min ** 2)
     if eps >= x_max:
-        raise ValueError("series start offset exceeds x_max; refine x_eps")
+        raise ValueError(f"x_max must exceed the series start offset {eps:g}, "
+                         f"got {x_max:g}")
     pm, pM, nu = bounds.psi_min, bounds.psi_max, bounds.nu
     a, g, sigma0 = _instantiation(*_CURVE_SYSTEMS[kind], bounds, n)
     # the paper's sigma'(0+), which is the slope of the linearisation at
@@ -356,12 +357,8 @@ def enhanced_curve(kind: str, bounds: AlignmentBounds, n: float, x_max: float,
     slope0 = {"sigma_q_plus": 1.0 / (2.0 * pm), "sigma_q_minus": -1.0 / (pM + nu),
               "sigma_G_plus": (n - 1.0) / (2.0 * pm),
               "sigma_G_minus": -(n - 1.0) / (pM + nu)}[kind]
-    if config is None:
-        config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, h_init=eps / 4,
-                                  h_min=1e-18, h_max=max(x_max / 64.0, eps),
-                                  t_max=x_max)
-    else:
-        config = replace(config, t_max=x_max)
+    config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, h_init=eps / 4,
+                              h_min=1e-18, h_max=max(x_max / 64.0, eps), t_max=x_max)
 
     def curve(rate):
         """d sigma / dx = (-sigma^2 - rate sigma - g x) / (-nu x)."""
@@ -465,10 +462,10 @@ def classify_ea_many(kind: str, y0s: Sequence[float], C0s: Sequence[float],
             if inside[cell]:
                 diag["early_exit"] = "initial state inside bounded basin"
                 return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
-            tail = batch[int(np.searchsorted(cells, cell))]
-            diag["t_final"] = tail.t_final
-            diag["final_state"] = tail.y_final
-            return outcome_of(tail, diag)
+            j = int(np.searchsorted(cells, cell))
+            diag["t_final"] = float(batch.t_final[j])
+            diag["final_state"] = batch.y_final[:, j]
+            return outcome_of(batch, j, diag)
 
         verdicts = np.zeros(hi - lo, dtype=int)
         verdicts[cells] = codes

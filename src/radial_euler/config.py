@@ -123,9 +123,6 @@ class RunConfig:
     def __getitem__(self, section: str) -> dict[str, Any]:
         return self.values[section]
 
-    def get(self, section: str, key: str) -> Any:
-        return self.values[section][key]
-
 
 def _convert(section: str, key: str, raw: str) -> Any:
     typ, _ = SCHEMA[section][key]

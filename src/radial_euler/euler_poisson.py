@@ -30,7 +30,7 @@ import numpy as np
 from .core import CharState, Model, ModelParams, Region
 from .odeint import (END_CODES, TERMINATIONS, VERDICT_CODES, ClassificationOutcome,
                      EventSpec, IntegrationFailure, IntegratorConfig, LaneBatch,
-                     OdeSystem, TailRecord, Termination, TrajectoryRecord, Verdict,
+                     OdeSystem, Termination, TrajectoryRecord, Verdict,
                      integrate, integrate_lanes, outcome_of)
 from .profiles import RadialProfile, integrate_weighted
 
@@ -454,16 +454,17 @@ def _run_cells(system: OdeSystem, x0: np.ndarray, passes: Sequence[IntegratorCon
     return inside, cells, batch, END_CODES[batch.ends]
 
 
-def _settle(diag: dict, tail: TailRecord, system: OdeSystem) -> ClassificationOutcome:
-    """Fold one run into the diagnostics and map its termination to a verdict."""
-    diag["t_final"] = tail.t_final
-    diag["max_norm"] = max(diag["max_norm"], tail.max_abs)
-    diag["final_state"] = tail.y_final
-    if tail.termination is Termination.EVENT:
-        diag["early_exit"] = f"entered bounded basin at t={tail.t_event:.6g}"
-    elif tail.termination is Termination.BLOWUP_DETECTED:
-        diag["blowup_component"] = system.label(tail.blowup_component)
-    return outcome_of(tail, diag)
+def _settle(diag: dict, batch: LaneBatch, j: int, system: OdeSystem) -> ClassificationOutcome:
+    """Fold lane ``j``'s run into the diagnostics and map its termination to a verdict."""
+    diag["t_final"] = float(batch.t_final[j])
+    diag["max_norm"] = max(diag["max_norm"], float(batch.max_abs[j]))
+    diag["final_state"] = batch.y_final[:, j]
+    end = TERMINATIONS[batch.ends[j]]
+    if end is Termination.EVENT:
+        diag["early_exit"] = f"entered bounded basin at t={diag['t_final']:.6g}"
+    elif end is Termination.BLOWUP_DETECTED:
+        diag["blowup_component"] = system.label(int(batch.blowup_component[j]))
+    return outcome_of(batch, j, diag)
 
 
 def classify_ep(y0: CharState, params: ModelParams,
@@ -587,9 +588,9 @@ def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorCon
             diag["early_exit"] = "initial state inside bounded basin"
             return ClassificationOutcome(Verdict.GLOBAL_BOUNDED, diagnostics=diag)
         j = int(np.searchsorted(cells, cell))    # the cell's first-pass lane
-        out = _settle(diag, batch[j], system)
+        out = _settle(diag, batch, j, system)
         if j in rerun:
-            out = _settle(diag, again[rerun[j]], system)
+            out = _settle(diag, again, rerun[j], system)
         elif closed[j]:
             diag["early_exit"] = "closed periodic orbit after one period"
         elif certified[j]:
@@ -743,8 +744,7 @@ def compute_threshold_constants(params: ModelParams, y0: tuple,
     return ThresholdConstants(C_q=c_q, C_s=c_s, C=c_drift, gamma=gamma)
 
 
-def compute_dcrit(v0: float, gamma: float, kappa: float,
-                  z_tol: float = 1e-12) -> float:
+def compute_dcrit(v0: float, gamma: float, kappa: float) -> float:
     """Largest drift D keeping y(t) = v0 + (kappa/(gamma+1) - D) t
     - kappa/(gamma (gamma+1)) (1 - (t+1)^-gamma) positive forever.
 
@@ -766,7 +766,7 @@ def compute_dcrit(v0: float, gamma: float, kappa: float,
                 - d_max * (z + 1.0 / gamma))
 
     lo, hi = 0.0, 1.0
-    while hi - lo > z_tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid

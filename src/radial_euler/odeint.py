@@ -22,7 +22,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -171,42 +171,6 @@ class TrajectoryRecord:
                 + h01[:, None] * self.ys[idx + 1] + (h11 * h)[:, None] * self.fs[idx + 1])
 
 
-@dataclass(slots=True)
-class TailRecord:
-    """How one run ended, without its trajectory.
-
-    Holds what a classification reads: the termination with its final
-    time and state, the largest |y_i| over the run, the event time or the
-    extrapolated singularity time, and the dense-output samples at the
-    probe times the run covered: one row per probe time up to
-    ``t_final``, the sample :meth:`TrajectoryRecord.sample_many` gives
-    there (None when it covered none, or ended at an event).
-    """
-
-    termination: Termination
-    t_final: float
-    y_final: np.ndarray
-    max_abs: float
-    note: str = ""
-    t_event: Optional[float] = None
-    blowup_component: Optional[int] = None
-    probe: Optional[np.ndarray] = None
-    blowup_time: Optional[float] = None
-
-    @classmethod
-    def of(cls, rec: TrajectoryRecord, probe_t=None) -> "TailRecord":
-        """The tail of ``rec``, probed at the nondecreasing times ``probe_t``."""
-        probe = None
-        if probe_t is not None and rec.termination is not Termination.EVENT:
-            times = np.atleast_1d(np.asarray(probe_t, dtype=float))
-            times = times[:np.searchsorted(times, rec.t_final, side="right")]
-            if len(times):
-                probe = rec.sample_many(times)
-        return cls(rec.termination, rec.t_final, rec.y_final, rec.max_abs(),
-                   rec.note, rec.t_event, rec.blowup_component, probe,
-                   rec.blowup_time)
-
-
 # a lane batch's termination codes index this tuple
 TERMINATIONS = tuple(Termination)
 _EVENT = TERMINATIONS.index(Termination.EVENT)
@@ -217,16 +181,15 @@ class LaneBatch:
     """How every lane of a batch ended, as arrays over the lanes.
 
     ``ends`` indexes :data:`TERMINATIONS`, ``y_final`` is dim x lanes and
-    ``blowup_component`` is -1 unless the lane blew up.  Lane j's record
+    ``blowup_component`` is -1 unless the lane blew up.  ``blowup_time``
+    is a blown lane's extrapolated singularity time, NaN for every other
+    lane and for every lane of a batch run without blowup times.  Lane j
     covers the first ``covered[j]`` rows of ``probe`` (probe times x dim x
-    lanes), none after an event.  The ring ``(t, y, count)`` holds each
-    lane's trailing accepted samples, from which ``batch[j]``, lane j's
-    :class:`TailRecord`, fits a blown lane's singularity time; a batch run
-    without blowup times has no ring (None) and refuses to build a blown
-    lane's record.  The counters are each lane's step attempts (six stage
-    evaluations each), accepted and rejected steps and rhs evaluations; the
-    step that crosses the event and a collapsing step are attempts only.
-    A batch stacked from scalar runs has no counters.
+    lanes), none after an event, and ``notes`` maps a lane to its
+    integrator note.  The counters are each lane's step attempts (six
+    stage evaluations each), accepted and rejected steps and rhs
+    evaluations; the step that crosses the event and a collapsing step
+    are attempts only.  A batch stacked from scalar runs has no counters.
     """
 
     ends: np.ndarray
@@ -234,10 +197,10 @@ class LaneBatch:
     y_final: np.ndarray
     max_abs: np.ndarray
     blowup_component: np.ndarray
+    blowup_time: np.ndarray
     probe: np.ndarray
     covered: np.ndarray
     notes: dict
-    ring: Optional[tuple]
     attempts: Optional[np.ndarray] = None
     accepted: Optional[np.ndarray] = None
     rejected: Optional[np.ndarray] = None
@@ -251,57 +214,30 @@ class LaneBatch:
     def __len__(self) -> int:
         return len(self.ends)
 
-    def __iter__(self) -> Iterator[TailRecord]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __getitem__(self, j) -> TailRecord:
-        j = range(len(self))[j]     # a lane index, or IndexError
-        end, t_final, rows = TERMINATIONS[self.ends[j]], float(self.t_final[j]), self.covered[j]
-        blowup_time = component = None
-        if end is Termination.BLOWUP_DETECTED:
-            # fit the escaping component's trailing samples
-            component = int(self.blowup_component[j])
-            if self.ring is None:
-                raise ValueError(f"lane {j} blew up, and its batch ran without "
-                                 "the samples that fit a blowup time")
-            tb, yb, nb = self.ring
-            m = min(nb[j], _BLOWUP_TAIL)
-            slots = (nb[j] - m + np.arange(m)) % _BLOWUP_TAIL
-            with np.errstate(all="ignore"):
-                blowup_time = _blowup_time_estimate(tb[slots, j], yb[slots, component, j])
-        return TailRecord(end, t_final, self.y_final[:, j], float(self.max_abs[j]),
-                          self.notes.get(j, ""), t_final if end is Termination.EVENT else None,
-                          component, self.probe[:rows, :, j] if rows else None, blowup_time)
-
     @classmethod
     def of(cls, records: Sequence[TrajectoryRecord], probe_t, dim: int) -> "LaneBatch":
         """The batch of the scalar runs ``records`` of a ``dim``-dimensional system.
 
-        ``probe_t`` is None, or the nondecreasing probe times of every run;
-        ``batch[j]`` is then ``TailRecord.of(records[j], probe_t)``.
+        ``probe_t`` is None, or the nondecreasing probe times of every run.
         """
         n = len(records)
         times = np.atleast_1d(np.asarray([] if probe_t is None else probe_t, dtype=float))
         batch = cls(np.zeros(n, dtype=int), np.zeros(n), np.zeros((dim, n)), np.zeros(n),
-                    np.full(n, -1), np.full((len(times), dim, n), np.nan),
-                    np.zeros(n, dtype=int), {},
-                    (np.zeros((_BLOWUP_TAIL, n)), np.zeros((_BLOWUP_TAIL, dim, n)),
-                     np.zeros(n, dtype=int)))
-        tb, yb, nb = batch.ring
+                    np.full(n, -1), np.full(n, np.nan), np.full((len(times), dim, n), np.nan),
+                    np.zeros(n, dtype=int), {})
         for j, rec in enumerate(records):
             batch.ends[j] = TERMINATIONS.index(rec.termination)
             batch.t_final[j], batch.y_final[:, j] = rec.t_final, rec.y_final
             batch.max_abs[j] = rec.max_abs()
             if rec.blowup_component is not None:
                 batch.blowup_component[j] = rec.blowup_component
+                batch.blowup_time[j] = rec.blowup_time
             if rec.note:
                 batch.notes[j] = rec.note
             if rec.termination is not Termination.EVENT:
                 rows = batch.covered[j] = np.searchsorted(times, rec.t_final, side="right")
                 if rows:
                     batch.probe[:rows, :, j] = rec.sample_many(times[:rows])
-            m = nb[j] = min(len(rec.ts), _BLOWUP_TAIL)
-            tb[:m, j], yb[:m, :, j] = rec.ts[-m:], rec.ys[-m:]
         return batch
 
 
@@ -348,16 +284,22 @@ class ClassificationOutcome:
         return self.verdict is Verdict.FINITE_TIME_BLOWUP
 
 
-def outcome_of(run, diagnostics: dict) -> ClassificationOutcome:
-    """The verdict a run's termination implies (``run``: a trajectory or tail record).
+def outcome_of(batch: LaneBatch, j: int, diagnostics: dict) -> ClassificationOutcome:
+    """The verdict lane ``j`` of ``batch`` implies by its termination.
 
     A step collapse gives the integrator's note as the reason, and a
     detected blowup the extrapolated time as ``t_estimate``.
     """
-    verdict = VERDICT_OF[run.termination]
-    return ClassificationOutcome(verdict, run.blowup_time,
-                                 run.note if verdict is Verdict.INCONCLUSIVE else None,
-                                 diagnostics)
+    verdict = VERDICT_OF[TERMINATIONS[batch.ends[j]]]
+    t_estimate = None
+    if verdict is Verdict.FINITE_TIME_BLOWUP:
+        t_estimate = float(batch.blowup_time[j])
+        if math.isnan(t_estimate):
+            raise ValueError(f"lane {j} blew up, and its batch ran without "
+                             "the samples that fit a blowup time")
+    return ClassificationOutcome(verdict, t_estimate,
+                                 batch.notes.get(j, "") if verdict is Verdict.INCONCLUSIVE
+                                 else None, diagnostics)
 
 
 def _hermite_point(t0, y0, f0, t1, y1, f1, t):
@@ -604,8 +546,8 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     loop locates every lane's crossing), at a detected blowup, or at a
     step collapse.  Every lane repeats the arithmetic of :func:`integrate`
     in the same order, so lane j of the returned :class:`LaneBatch` equals
-    ``TailRecord.of(integrate(system, y0[:, j], configs[j], (event,)),
-    probe_t[:, j])`` exactly.  For that,
+    lane 0 of ``LaneBatch.of([integrate(system, y0[:, j], configs[j],
+    (event,))], probe_t[:, j], dim)`` exactly.  For that,
     the rhs and the event must work elementwise on (dim, k) arrays with
     the same operations they apply to scalars, the rhs returning one (k,)
     array per component.
@@ -616,10 +558,11 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     the scalar run of the event with ``event_consts[..., j]`` closed over.
 
     Only the tail of each run is kept, as the arrays of a
-    :class:`LaneBatch`; a blowup time is fitted only for the lanes whose
-    record is built, from the trailing accepted samples each lane keeps.
-    A caller that reads no blowup time passes ``blowup_times=False``: the
-    batch then keeps no samples, and everything else in it is the same.
+    :class:`LaneBatch`.  A lane that blows up gets its blowup time when it
+    retires, fitted from the trailing accepted samples each lane keeps
+    while it runs.  A caller that reads no blowup time passes
+    ``blowup_times=False``: the lanes then keep no samples, every
+    ``blowup_time`` is NaN, and everything else is the same.
     ``probe_t`` holds P probe times per lane,
     nondecreasing down each column of its (P, lanes) shape; a scalar or a
     (P,) array applies to every lane.  Each probe is the Hermite point on
@@ -670,6 +613,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     y_end = np.zeros((d, n))
     max_abs = np.zeros(n)
     blowup_comp = np.full(n, -1)
+    blowup_time = np.full(n, np.nan)
     notes: dict[int, str] = {}
     # (lanes, t, y, k1, t_new, y_new, k7, g[, consts]) of the steps that
     # crossed the event, located together after the loop
@@ -827,6 +771,12 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                 feedback = y_new[comp, cols] * k7[comp, cols] > 0.0
                 blown = big & (feedback | (mag > 1e4 * cap))
                 blowup_comp[lane[blown]] = comp[blown]
+                if tb is not None:
+                    # fit the escaping component over a lane's last (up to
+                    # _BLOWUP_TAIL) of its nb samples, oldest first
+                    for i, c, nb in zip(lane[blown], comp[blown], n_acc[blown] + 1):
+                        slots = np.arange(nb - min(nb, _BLOWUP_TAIL), nb) % _BLOWUP_TAIL
+                        blowup_time[i] = _blowup_time_estimate(tb[slots, i], yb[slots, c, i])
                 close(blown, Termination.BLOWUP_DETECTED, t_new, y_new)
 
             step &= alive
@@ -863,14 +813,14 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     covered = (np.count_nonzero(probe_times <= t_end, axis=0)
                if probe_times is not None else np.zeros(n, dtype=int))
     covered[ends == _EVENT] = 0
-    return LaneBatch(ends, t_end, y_end, max_abs, blowup_comp,
+    return LaneBatch(ends, t_end, y_end, max_abs, blowup_comp, blowup_time,
                      probe if probe is not None else np.empty((0, d, n)), covered, notes,
-                     None if tb is None else (tb, yb, accepted + 1), attempts=attempts,
-                     accepted=accepted, rejected=rejected, rhs_evals=1 + 6 * attempts)
+                     attempts=attempts, accepted=accepted, rejected=rejected,
+                     rhs_evals=1 + 6 * attempts)
 
 
 def estimate_decay_exponent(record: TrajectoryRecord, component: int,
-                            window: tuple[float, float], n_samples: int = 200) -> float:
+                            window: tuple[float, float]) -> float:
     """Least-squares slope of log|y_component| against log(t + 1) over the window.
 
     The component must be strictly positive in magnitude throughout;
@@ -881,7 +831,7 @@ def estimate_decay_exponent(record: TrajectoryRecord, component: int,
         raise ValueError("window must satisfy t_b > t_a >= 1")
     if record.ts[-1] < t_b or record.ts[0] > t_a:
         raise ValueError("record does not cover the fitting window")
-    tt = np.linspace(t_a, t_b, n_samples)
+    tt = np.linspace(t_a, t_b, 200)
     vals = record.sample_many(tt)[:, component]
     if np.min(vals) <= 0.0:
         raise ValueError("component has non-positive samples in the window")

@@ -28,8 +28,8 @@ import numpy as np
 
 from .core import Model, ModelParams, sphere_area
 # ``integrate`` stays a module attribute: perfbench/tracer.py wraps pde.integrate
-from .odeint import (IntegratorConfig, OdeSystem, Termination, integrate,  # noqa: F401
-                     integrate_lanes)
+from .odeint import (TERMINATIONS, IntegratorConfig, OdeSystem, Termination,  # noqa: F401
+                     integrate, integrate_lanes)
 from .profiles import ProfileKind, RadialProfile, integrate_weighted
 from .euler_poisson import burgers_system, ep_full_system, initial_s_from_density
 from .alignment import InfluenceSpec, _angular_rule
@@ -60,10 +60,6 @@ class CharacteristicEnsemble:
     states: Optional[np.ndarray] = None   # (N, 4) rows (p, q, s, rho) when evolved
     psi: Optional[np.ndarray] = None      # alignment influence at the paths
 
-    @property
-    def n_paths(self) -> int:
-        return len(self.r)
-
 
 @dataclass
 class FieldSnapshot:
@@ -76,8 +72,6 @@ class FieldSnapshot:
     d: np.ndarray
     eta: np.ndarray
     max_grad: float
-    rho_profile: RadialProfile
-    u_profile: RadialProfile
     masses: np.ndarray
     extras: dict = field(default_factory=dict)
 
@@ -166,9 +160,9 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
     """Recover (rho, u, p, q) fields from the paths.
 
     rho_i is the path mass divided by the shell volume between midpoint
-    boundaries; u is interpolated monotone-cubically; p uses
-    second-order differences of u along r (one-sided at the ends) and
-    q = u/r.  Crossed paths raise CrossingError.
+    boundaries; p uses second-order differences of u along r (one-sided
+    at the ends) and q = u/r.  Crossed paths raise CrossingError; a first path at r <= 0,
+    or a non-finite radius, velocity or mass, raises ValueError.
     """
     r, u, m = ensemble.r, ensemble.u, ensemble.masses
     n = int(ensemble.params.n)
@@ -176,6 +170,10 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
     if np.any(dr <= 0):
         i = int(np.argmax(dr <= 0))
         raise CrossingError(ensemble.t, i, float(r[i]))
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(u)) and np.all(np.isfinite(m))):
+        raise ValueError("path radii, velocities and masses must be finite")
+    if r[0] <= 0.0:
+        raise ValueError(f"the first path must lie at r > 0, got r = {r[0]:.6g}")
 
     edges = np.empty(len(r) + 1)
     edges[1:-1] = 0.5 * (r[:-1] + r[1:])
@@ -189,16 +187,8 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
     d = p + (n - 1.0) * q
     eta = (n - 1.0) * (p - q) ** 2
     max_grad = float(max(np.max(np.abs(p)), np.max(np.abs(q))))
-
-    nodes = np.concatenate(([0.0], r))
-    rho_profile = RadialProfile(nodes, np.concatenate(([rho[0]], rho)),
-                                ProfileKind.DENSITY)
-    u_profile = RadialProfile(nodes, np.concatenate(([0.0], u)),
-                              ProfileKind.VELOCITY)
     return FieldSnapshot(time=ensemble.t, r=r.copy(), rho=rho, u=u.copy(),
-                         p=p, q=q, d=d, eta=eta, max_grad=max_grad,
-                         rho_profile=rho_profile, u_profile=u_profile,
-                         masses=m.copy(),
+                         p=p, q=q, d=d, eta=eta, max_grad=max_grad, masses=m.copy(),
                          extras=dict(psi=None if ensemble.psi is None
                                      else ensemble.psi.copy()))
 
@@ -253,16 +243,14 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
     t_final = batch.t_final
     t_cover = min(t_end, float(np.min(t_final)))
     blowup: Optional[BlowupReport] = None
-    for i, tail in enumerate(batch):
-        if tail.termination is Termination.BLOWUP_DETECTED:
-            t_b = tail.blowup_time
-            if blowup is None or t_b < blowup.time:
-                blowup = BlowupReport(t_b, system.label(tail.blowup_component),
-                                      i, float(tail.y_final[4]))
-        elif tail.termination is Termination.STEP_COLLAPSE:
-            if blowup is None or tail.t_final < blowup.time:
-                blowup = BlowupReport(tail.t_final, "step-collapse", i,
-                                      float(tail.y_final[4]))
+    # the earliest blowup or step collapse, the first path on ties
+    blown = batch.ends == TERMINATIONS.index(Termination.BLOWUP_DETECTED)
+    t_stop = np.where(blown, batch.blowup_time, np.where(
+        batch.ends == TERMINATIONS.index(Termination.STEP_COLLAPSE), t_final, np.inf))
+    i = int(np.argmin(t_stop))
+    if t_stop[i] < np.inf:
+        kind = system.label(int(batch.blowup_component[i])) if blown[i] else "step-collapse"
+        blowup = BlowupReport(float(t_stop[i]), kind, i, float(batch.y_final[4, i]))
 
     snap_times = times[times <= t_cover * (1 + 1e-12)]
     if blowup is not None and t_cover * (1 - 1e-9) > (snap_times[-1] if len(snap_times)

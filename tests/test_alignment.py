@@ -13,7 +13,8 @@ from radial_euler import (AlignmentBounds, EventSpec, IntegratorConfig, OdeSyste
 from radial_euler import euler_poisson
 from radial_euler.alignment import _kernel_integral
 from radial_euler.config import RunConfig
-from radial_euler.odeint import VERDICT_CODES, ClassificationOutcome, integrate, outcome_of
+from radial_euler.odeint import (VERDICT_CODES, ClassificationOutcome, LaneBatch, integrate,
+                                 outcome_of)
 from radial_euler.sweep import classify_cells
 
 FIG_BOUNDS = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.0)
@@ -263,6 +264,10 @@ def test_curve_input_validation():
         enhanced_curve("sigma_x", FIG_BOUNDS, 2, 0.2)
     with pytest.raises(ValueError):
         enhanced_curve("sigma_q_plus", FIG_BOUNDS, 2, -0.1)
+    # the curve starts at a series offset of 1e-6 max(1, psi_min^2)
+    with pytest.raises(ValueError, match=r"^x_max must exceed the series start offset "
+                                         r"1e-06, got 5e-07$"):
+        enhanced_curve("sigma_q_plus", FIG_BOUNDS, 2, 5e-7)
     c = enhanced_curve("sigma_q_plus", FIG_BOUNDS, 2, 0.2)
     with pytest.raises(ValueError):
         c(0.3)
@@ -350,7 +355,7 @@ def _scalar_comparison(kind, y0, C0, bounds, n, cfg, side):
     rec = integrate(system, state0, cfg, events=(basin,))
     diag["t_final"] = rec.t_final
     diag["final_state"] = rec.y_final
-    return outcome_of(rec, diag)
+    return outcome_of(LaneBatch.of([rec], None, 2), 0, diag)
 
 
 @pytest.fixture

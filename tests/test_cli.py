@@ -548,6 +548,17 @@ def test_bad_output_setting_refused(tmp_path, capsys, command, key, value):
     assert not (out / artifact).exists()
 
 
+def test_curves_x_max_inside_series_offset_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["curves", "--config",
+                   write(tmp_path, "bad.cfg", _with_setting(CURVES_EP, "x_max", "5e-7")),
+                   "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: x_max must exceed the series start offset 1e-06")
+    assert not (out / "curves.csv").exists()
+
+
 def test_curves_v0_max_read_only_with_ep_threshold(tmp_path, capsys):
     text = _with_setting(CURVES_EP, "include_ep", "false")
     path = write(tmp_path, "c.cfg", _with_setting(text, "v0_max", "nan"))

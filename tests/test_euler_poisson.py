@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 import warnings
 
@@ -13,11 +16,12 @@ from radial_euler import (CharState, IntegratorConfig, Model, ModelParams,
                           explicit_sigma_plus, gaussian_bump,
                           initial_s_from_density, qs_phase_portrait,
                           qshat_integrate, qshat_system, sigma_1d, wv_system)
-from radial_euler import euler_poisson
+from radial_euler import cli, euler_poisson
 from radial_euler.euler_poisson import classify_ep_columns, integrate_qs
 from radial_euler.alignment import AlignmentBounds, classify_ea_many
 from radial_euler.config import RunConfig, parse_config_text
-from radial_euler.odeint import VERDICT_CODES, integrate, integrate_lanes
+from radial_euler.odeint import (TERMINATIONS, VERDICT_CODES, Termination, integrate,
+                                 integrate_lanes)
 from radial_euler.sweep import classify_cells, run_sweep
 
 EP1 = ModelParams(n=1, kappa=1, c=0)
@@ -357,29 +361,49 @@ def test_amplitude_certificate_replaces_horizon_reruns(lane_batches, caplog):
                     "136 certified by amplitude, 0 re-ran to the horizon")
 
 
-def test_sweep_runs_no_blowup_fit(lane_batches, monkeypatch):
-    # a sweep reads only the verdict codes and runs no blowup-time fit;
-    # building a blown cell's outcome fits once, from the lane's trailing
-    # samples, and gives the scalar run's time
+@pytest.fixture
+def fits(monkeypatch):
+    """The arguments of every blowup-time fit run."""
     from radial_euler import odeint
-    fits = []
+    calls = []
     fit = odeint._blowup_time_estimate
 
     def counted(*args):
-        fits.append(args)
+        calls.append(args)
         return fit(*args)
 
     monkeypatch.setattr(odeint, "_blowup_time_estimate", counted)
+    return calls
+
+
+def test_sweep_runs_no_blowup_fit(monkeypatch, fits):
+    # a sweep reads only the verdict codes and runs no blowup-time fit; with
+    # outcomes, a lockstep batch fits each blown lane once, while it runs,
+    # and reading the outcome fits nothing more and gives the scalar run's
+    # time
+    batches = []
+
+    def kept(*args, **kwargs):
+        batches.append(integrate_lanes(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(euler_poisson, "integrate_lanes", kept)
     cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
     states = _grid(np.linspace(-4.0, 1.0, 6), np.linspace(0.5, 2.0, 4))
+    x = np.array([state.as_array() for state in states]).T
+    codes_only = classify_ep_columns(x, EP1, cfg, outcomes=False)
+    assert len(batches) == 1 and fits == []
     outs = classify_ep_many(states, EP1, cfg)
-    assert len(lane_batches) == 1 and lane_batches[0] >= 20 and fits == []
+    assert np.array_equal(outs.codes, codes_only.codes)
+    assert len(batches) == 2 and len(batches[1]) >= 20
+    blown_lanes = batches[1].ends == TERMINATIONS.index(Termination.BLOWUP_DETECTED)
+    assert len(fits) == np.count_nonzero(blown_lanes)
     blown = np.flatnonzero(outs.codes == VERDICT_CODES[Verdict.FINITE_TIME_BLOWUP])
     assert len(blown) >= 10
-    for cell in blown:
-        fits.clear()
-        out = outs[cell]
-        assert out.is_blowup and len(fits) == 1
+    fits.clear()
+    read = [outs[cell] for cell in blown]
+    assert fits == [] and all(out.is_blowup for out in read)
+    for cell, out in zip(blown, read):
         ref = integrate(euler_poisson._system_for(EP1),
                         euler_poisson._initial_state(states[cell], EP1), cfg,
                         events=(euler_poisson._basin_event(EP1),))
@@ -387,6 +411,20 @@ def test_sweep_runs_no_blowup_fit(lane_batches, monkeypatch):
     # an outcome made with a time keeps it
     from radial_euler.odeint import ClassificationOutcome
     assert ClassificationOutcome(Verdict.FINITE_TIME_BLOWUP, 1.5).t_estimate == 1.5
+
+
+def test_one_cell_classify_fits_once_per_run(tmp_path, fits):
+    # the blowup of one cell runs its scalar run and its confirm run, and
+    # each fits its blowup time once; the printed time is the first run's
+    path = tmp_path / "blowup.cfg"
+    path.write_text("[model]\nn = 1\nc = 0.0\n\n[state]\np0 = -3.0\nrho0 = 2.0\n")
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(["classify", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2 and len(fits) == 2
+    ref = integrate(euler_poisson._system_for(EP1),
+                    euler_poisson._initial_state(CharState(p=-3.0, rho=2.0), EP1),
+                    IntegratorConfig(), events=(euler_poisson._basin_event(EP1),))
+    assert json.loads(stdout.getvalue())["t_estimate"] == float("%.12e" % ref.blowup_time)
 
 
 def test_codes_only_verdicts_refuse_outcomes(monkeypatch):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from radial_euler import (EventSpec, IntegratorConfig, LaneBatch, ModelParams, OdeSystem,
-                          TailRecord, Termination, estimate_decay_exponent,
+                          Termination, estimate_decay_exponent,
                           integrate, integrate_lanes,
                           qs_system)
 from radial_euler.euler_poisson import integrate_qs
+from radial_euler.odeint import TERMINATIONS, outcome_of
 
 RICCATI = OdeSystem(1, lambda t, y: (-y[0] * y[0],))
 
@@ -199,14 +200,29 @@ def test_zero_horizon_is_the_initial_state():
     assert rec.termination is Termination.REACHED_HORIZON and rec.t_final == 0.0
 
 
-def _same_tail(a, b):
-    assert (a.termination, a.note, a.t_final, a.max_abs, a.t_event,
-            a.blowup_time, a.blowup_component) == \
-        (b.termination, b.note, b.t_final, b.max_abs, b.t_event,
-         b.blowup_time, b.blowup_component)
-    assert np.array_equal(a.y_final, b.y_final)
-    assert (a.probe is None) == (b.probe is None)
-    assert a.probe is None or np.array_equal(a.probe, b.probe)
+def _same_run(batch, j, rec, probe_t=None):
+    """Lane j of ``batch`` holds what the scalar run ``rec`` gives, probed at ``probe_t``.
+
+    Every field: the termination and note, the final time, state and
+    largest |y_i|, the event time, the fitted blowup time and component,
+    and the probe rows up to the final time (none after an event).
+    """
+    event = rec.termination is Termination.EVENT
+    assert (TERMINATIONS[batch.ends[j]], batch.notes.get(j, ""), batch.t_final[j],
+            batch.max_abs[j]) == (rec.termination, rec.note, rec.t_final, rec.max_abs())
+    assert batch.t_event[j] == rec.t_event if event else np.isnan(batch.t_event[j])
+    if rec.blowup_component is None:
+        assert rec.blowup_time is None and np.isnan(batch.blowup_time[j])
+        assert batch.blowup_component[j] == -1
+    else:
+        assert (batch.blowup_time[j], batch.blowup_component[j]) == \
+            (rec.blowup_time, rec.blowup_component)
+    assert np.array_equal(batch.y_final[:, j], rec.y_final)
+    times = np.atleast_1d(np.asarray([] if probe_t is None else probe_t, dtype=float))
+    times = times[:0] if event else times[times <= rec.t_final]
+    rows = batch.covered[j]
+    assert rows == len(times)
+    assert rows == 0 or np.array_equal(batch.probe[:rows, :, j], rec.sample_many(times))
 
 
 def test_lanes_match_scalar_integrate():
@@ -230,16 +246,14 @@ def test_lanes_match_scalar_integrate():
         sub = [(y, cfg, want) for s, y, cfg, want in cases if s is system]
         events = (event,) if event is not None else ()
         with np.errstate(invalid="ignore"):
-            lanes = list(integrate_lanes(system, np.array([[y for y, _, _ in sub]]),
-                                         [cfg for _, cfg, _ in sub], event=event,
-                                         probe_t=0.5))
-            scalar = [TailRecord.of(integrate(system, [y], cfg, events=events), 0.5)
-                      for y, cfg, _ in sub]
-        for lane, ref, (_, _, want) in zip(lanes, scalar, sub):
-            assert want in lane.termination.value or want in lane.note
-            if lane.termination is Termination.REACHED_HORIZON:
-                assert lane.probe is not None
-            _same_tail(lane, ref)
+            batch = integrate_lanes(system, np.array([[y for y, _, _ in sub]]),
+                                    [cfg for _, cfg, _ in sub], event=event, probe_t=0.5)
+            scalar = [integrate(system, [y], cfg, events=events) for y, cfg, _ in sub]
+        for j, (ref, (_, _, want)) in enumerate(zip(scalar, sub)):
+            assert want in TERMINATIONS[batch.ends[j]].value or want in batch.notes[j]
+            if TERMINATIONS[batch.ends[j]] is Termination.REACHED_HORIZON:
+                assert batch.covered[j] == 1
+            _same_run(batch, j, ref, 0.5)
 
 
 def test_lane_probes_match_sample_many():
@@ -258,19 +272,19 @@ def test_lane_probes_match_sample_many():
             if len(ts) > 2 else [ts[0]] * 3
         probes.append(sorted([0.0, 0.0, *inner, rec.t_final]))
     probe_t = np.array(probes).T
-    lanes = list(integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]),
-                                 [cfg for _, cfg in cases], probe_t=probe_t))
-    for j, (lane, rec) in enumerate(zip(lanes, recs)):
-        assert lane.probe.shape == (probe_t.shape[0], 1)
-        assert np.array_equal(lane.probe, rec.sample_many(probe_t[:, j]))
-        _same_tail(lane, TailRecord.of(rec, probe_t[:, j]))
+    batch = integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]),
+                            [cfg for _, cfg in cases], probe_t=probe_t)
+    for j, rec in enumerate(recs):
+        assert batch.covered[j] == probe_t.shape[0]
+        assert np.array_equal(batch.probe[:, :, j], rec.sample_many(probe_t[:, j]))
+        _same_run(batch, j, rec, probe_t[:, j])
     # a probe past a lane's final time is left out: a prefix stays
-    lanes = list(integrate_lanes(RICCATI, np.array([[-1.0]]), [cases[1][1]],
-                                 probe_t=[0.5, 0.9, 5.0]))
-    assert np.array_equal(lanes[0].probe, recs[1].sample_many([0.5, 0.9]))
+    batch = integrate_lanes(RICCATI, np.array([[-1.0]]), [cases[1][1]],
+                            probe_t=[0.5, 0.9, 5.0])
+    assert batch.covered[0] == 2
+    assert np.array_equal(batch.probe[:2, :, 0], recs[1].sample_many([0.5, 0.9]))
     with pytest.raises(ValueError):
-        list(integrate_lanes(RICCATI, np.array([[1.0]]), [IntegratorConfig()],
-                             probe_t=[0.5, 0.2]))
+        integrate_lanes(RICCATI, np.array([[1.0]]), [IntegratorConfig()], probe_t=[0.5, 0.2])
 
 
 def test_lane_event_constants_follow_their_lanes(monkeypatch):
@@ -307,18 +321,17 @@ def test_lane_event_constants_follow_their_lanes(monkeypatch):
         return bisect(counted, t0, *args)
 
     monkeypatch.setattr(odeint, "_bisect_lanes", recorded)
-    lanes = list(integrate_lanes(RICCATI, np.array([[y for y, _, _ in cases]]),
-                                 [cfg for _, _, cfg in cases], event=event,
-                                 probe_t=0.5, event_consts=consts))
+    batch = integrate_lanes(RICCATI, np.array([[y for y, _, _ in cases]]),
+                            [cfg for _, _, cfg in cases], event=event,
+                            probe_t=0.5, event_consts=consts)
     # the lanes crossed their levels in different steps, and one bisection
     # located every crossing after the loop
     assert len(batches) == 1
     ends = []
-    for j, (lane, (y0, c, cfg)) in enumerate(zip(lanes, cases)):
+    for j, (y0, c, cfg) in enumerate(cases):
         closed = EventSpec("level", lambda t, y: g(t, y, consts[:, j]), direction=-1)
-        ref = TailRecord.of(integrate(RICCATI, [y0], cfg, events=(closed,)), 0.5)
-        _same_tail(lane, ref)
-        ends.append((lane.t_final, lane.termination))
+        _same_run(batch, j, integrate(RICCATI, [y0], cfg, events=(closed,)), 0.5)
+        ends.append((batch.t_final[j], TERMINATIONS[batch.ends[j]]))
     assert {end for _, end in ends} == {Termination.EVENT, Termination.REACHED_HORIZON,
                                         Termination.BLOWUP_DETECTED}
     assert [t for t, _ in ends] != sorted(t for t, _ in ends)
@@ -326,8 +339,8 @@ def test_lane_event_constants_follow_their_lanes(monkeypatch):
     assert any(open_ < bracketed for bracketed, open_ in subsets)
     assert batches == [sum(end is Termination.EVENT for _, end in ends)]
     with pytest.raises(ValueError, match="one column per lane"):
-        list(integrate_lanes(RICCATI, np.array([[1.0, 2.0]]), [IntegratorConfig()] * 2,
-                             event=event, event_consts=consts))
+        integrate_lanes(RICCATI, np.array([[1.0, 2.0]]), [IntegratorConfig()] * 2,
+                        event=event, event_consts=consts)
 
 
 def test_lanes_retiring_one_at_a_time_match_scalar(caplog):
@@ -354,17 +367,17 @@ def test_lanes_retiring_one_at_a_time_match_scalar(caplog):
              (-0.25, {})]                           # blowup, it 322
     configs = [IntegratorConfig(**{"t_max": 30.0, **kw}) for _, kw in cases]
     caplog.set_level("INFO", logger="radial_euler.odeint")
-    lanes = list(integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]), configs,
-                                 event=cross, probe_t=0.5))
+    batch = integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]), configs,
+                            event=cross, probe_t=0.5)
     # the step counts are those of the running lanes, which the scalar runs
     # repeat: 1231 accepted steps, and no rejected one
     [line] = [rec.getMessage() for rec in caplog.records]
     assert line == ("14 lanes in 322 lockstep iterations: 1231 accepted and 0 rejected "
                     "lane-steps; 5 lanes bracketed an event, located in 32 halving rounds")
     ends = []
-    for lane, (y0, _), cfg in zip(lanes, cases, configs):
-        _same_tail(lane, TailRecord.of(integrate(RICCATI, [y0], cfg, events=(cross,)), 0.5))
-        ends.append(lane.note.split(" at ")[0] or lane.termination.value)
+    for j, ((y0, _), cfg) in enumerate(zip(cases, configs)):
+        _same_run(batch, j, integrate(RICCATI, [y0], cfg, events=(cross,)), 0.5)
+        ends.append(batch.notes.get(j, "").split(" at ")[0] or TERMINATIONS[batch.ends[j]].value)
     assert ends == ["event", "reached-horizon", "event", "step budget exhausted",
                     "reached-horizon", "event", "step budget exhausted", "event",
                     "reached-horizon", "event", "reached-horizon", "blowup-detected",
@@ -372,9 +385,9 @@ def test_lanes_retiring_one_at_a_time_match_scalar(caplog):
 
 
 def test_lane_batch_of_scalar_runs_matches_their_tails():
-    # a batch stacked from scalar runs must give each run's TailRecord,
-    # probes and fitted blowup time included, for runs that end every way
-    # and keep fewer or more samples than the fit reads
+    # a batch stacked from scalar runs must hold each run's end, probes and
+    # fitted blowup time included, for runs that end every way and keep
+    # fewer or more samples than the fit reads
     pair = OdeSystem(2, lambda t, y: (-y[0] * y[0], -0.5 * y[1]))
     cross = EventSpec("cross", lambda t, y: y[0] - 0.25, direction=-1)
     cases = [(0.2, IntegratorConfig(t_max=0.5, h_init=0.1)),             # horizon
@@ -394,7 +407,7 @@ def test_lane_batch_of_scalar_runs_matches_their_tails():
         batch = LaneBatch.of(records, probe_t, 2)
         assert len(batch) == len(records)
         for j, rec in enumerate(records):
-            _same_tail(batch[j], TailRecord.of(rec, probe_t))
+            _same_run(batch, j, rec, probe_t)
     empty = LaneBatch.of([], 0.5, 2)
     assert len(empty) == 0 and empty.y_final.shape == (2, 0) and empty.probe.shape == (1, 2, 0)
 
@@ -440,9 +453,9 @@ def test_lane_step_factors_at_zero_and_non_finite_errors():
                             (still, [1.0, -2.0, 0.0], IntegratorConfig(t_max=50))):
         configs = [cfg] * len(y0)
         with np.errstate(invalid="ignore"):
-            lanes = list(integrate_lanes(system, np.array([y0]), configs, probe_t=0.5))
-            for lane, y in zip(lanes, y0):
-                _same_tail(lane, TailRecord.of(integrate(system, [y], cfg), 0.5))
+            batch = integrate_lanes(system, np.array([y0]), configs, probe_t=0.5)
+            for j, y in enumerate(y0):
+                _same_run(batch, j, integrate(system, [y], cfg), 0.5)
 
 
 def _counted(system):
@@ -470,10 +483,8 @@ EVERY_END = [(0.5, IntegratorConfig(t_max=30)),                          # event
 
 
 def test_lane_batch_arrays_and_counters(caplog):
-    # one batch of EVERY_END; each array entry must be lane j's TailRecord
-    # and the scalar run's tail, and the counters must repeat the scalar
-    # run's work
-    from radial_euler.odeint import TERMINATIONS
+    # one batch of EVERY_END; each lane must hold the scalar run's end, and
+    # the counters must repeat the scalar run's work
     cross, cases = CROSS, EVERY_END
     probe_t = [0.0, 0.5, 1.2]
     caplog.set_level("INFO", logger="radial_euler.odeint")
@@ -489,28 +500,16 @@ def test_lane_batch_arrays_and_counters(caplog):
     for j, (y0, cfg) in enumerate(cases):
         counted, calls = _counted(RICCATI)
         rec = integrate(counted, [y0], cfg, events=(cross,))
-        tail = batch[j]
-        _same_tail(tail, TailRecord.of(rec, probe_t))
-        ends.add(tail.note.split(" at ")[0] or tail.termination.value)
-        # the arrays hold what lane j's record holds
-        assert TERMINATIONS[batch.ends[j]] is tail.termination
-        assert (batch.t_final[j], batch.max_abs[j]) == (tail.t_final, tail.max_abs)
-        assert np.array_equal(batch.y_final[:, j], tail.y_final)
-        assert (batch.t_event[j] if tail.t_event is not None else None) == tail.t_event
-        assert np.isnan(batch.t_event[j]) == (tail.t_event is None)
-        assert batch.blowup_component[j] == (-1 if tail.blowup_component is None
-                                             else tail.blowup_component)
-        rows = batch.covered[j]
-        assert (tail.probe is None) == (rows == 0)
-        assert rows == 0 or np.array_equal(batch.probe[:rows, :, j], tail.probe)
+        _same_run(batch, j, rec, probe_t)
+        ends.add(rec.note.split(" at ")[0] or rec.termination.value)
         # the scalar run evaluates k1, six stages per attempt, and the rhs
         # at a located event
-        event = tail.termination is Termination.EVENT
+        event = rec.termination is Termination.EVENT
         assert batch.rhs_evals[j] == 1 + 6 * batch.attempts[j]
         assert calls[0] == batch.rhs_evals[j] + event
-        unsettled = event or tail.note.startswith("step size collapsed")
+        unsettled = event or rec.note.startswith("step size collapsed")
         assert batch.attempts[j] == batch.accepted[j] + batch.rejected[j] + unsettled
-        if tail.termination in (Termination.REACHED_HORIZON, Termination.BLOWUP_DETECTED):
+        if rec.termination in (Termination.REACHED_HORIZON, Termination.BLOWUP_DETECTED):
             assert batch.accepted[j] == len(rec.ts) - 1
         if event:
             # the event point takes the place of the step that crossed it
@@ -518,10 +517,6 @@ def test_lane_batch_arrays_and_counters(caplog):
     assert ends == {"event", "reached-horizon", "blowup-detected", "step size collapsed",
                     "time resolution exhausted", "step budget exhausted"}
     assert batch.rejected[1] > 0 and batch.rejected[2] > 0
-    # a negative index counts from the end, as in a list
-    _same_tail(batch[-1], batch[len(cases) - 1])
-    with pytest.raises(IndexError):
-        batch[len(cases)]
     # a lane whose rhs is not finite at t = 0 evaluates it once
     root = OdeSystem(1, lambda t, y: (np.sqrt(y[0]),))
     with np.errstate(invalid="ignore"):
@@ -533,10 +528,9 @@ def test_lane_batch_arrays_and_counters(caplog):
 def test_lane_batch_without_blowup_times(caplog):
     # a batch that keeps no samples for blowup-time fits must hold
     # everything else exactly as the batch that keeps them, counters and
-    # INFO line included, and refuse to build a blown lane's record.  The
-    # lanes come twice in a different order, so that working columns are
-    # compacted while lanes of every kind still run.
-    from radial_euler.odeint import TERMINATIONS
+    # INFO line included, with every blowup time NaN, and refuse a blown
+    # lane's outcome.  The lanes come twice in a different order, so that
+    # working columns are compacted while lanes of every kind still run.
     order = list(range(len(EVERY_END))) + list(reversed(range(len(EVERY_END))))
     y0 = np.array([[EVERY_END[k][0] for k in order]])
     configs = [EVERY_END[k][1] for k in order]
@@ -549,7 +543,6 @@ def test_lane_batch_without_blowup_times(caplog):
                                         blowup_times=keep)
         [lines[keep]] = [rec.getMessage() for rec in caplog.records]
     with_ring, without = batches[True], batches[False]
-    assert with_ring.ring is not None and without.ring is None
     assert lines[False] == lines[True]
     for name in ("ends", "t_final", "y_final", "max_abs", "blowup_component", "covered",
                  "attempts", "accepted", "rejected", "rhs_evals"):
@@ -557,15 +550,17 @@ def test_lane_batch_without_blowup_times(caplog):
     assert np.array_equal(without.probe, with_ring.probe, equal_nan=True)
     assert without.notes == with_ring.notes and len(without.notes) == 6
     assert with_ring.rejected.sum() > 0
-    # the ring's counts are the accepted samples plus the start
-    assert np.array_equal(with_ring.ring[2], with_ring.accepted + 1)
-    blown = 0
+    assert np.all(np.isnan(without.blowup_time))
+    blown = without.ends == TERMINATIONS.index(Termination.BLOWUP_DETECTED)
+    assert np.count_nonzero(blown) == 4
+    assert np.array_equal(np.isnan(with_ring.blowup_time), ~blown)
     for j in range(len(order)):
-        if TERMINATIONS[without.ends[j]] is Termination.BLOWUP_DETECTED:
-            blown += 1
-            assert with_ring[j].blowup_time is not None
+        out = outcome_of(with_ring, j, {})
+        if blown[j]:
+            assert out.t_estimate == with_ring.blowup_time[j]
             with pytest.raises(ValueError, match="blew up"):
-                without[j]
+                outcome_of(without, j, {})
         else:
-            _same_tail(without[j], with_ring[j])
-    assert blown == 4
+            ref = outcome_of(without, j, {})
+            assert (out.verdict, out.t_estimate, out.reason) == \
+                (ref.verdict, ref.t_estimate, ref.reason)

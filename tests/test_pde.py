@@ -52,6 +52,21 @@ def test_reconstruct_crossing_raises():
     assert err.value.time == 1.0
 
 
+@pytest.mark.parametrize("r, u, masses, message", [
+    ([0.0, 0.3, 0.5], [0.0, 0.1, 0.2], [1.0, 1.0, 1.0], "first path must lie at r > 0"),
+    ([-0.1, 0.3, 0.5], [0.0, 0.1, 0.2], [1.0, 1.0, 1.0], "first path must lie at r > 0"),
+    ([0.1, math.nan, 0.5], [0.0, 0.1, 0.2], [1.0, 1.0, 1.0], "must be finite"),
+    ([0.1, 0.3, math.inf], [0.0, 0.1, 0.2], [1.0, 1.0, 1.0], "must be finite"),
+    ([0.1, 0.3, 0.5], [0.0, math.inf, 0.2], [1.0, 1.0, 1.0], "must be finite"),
+    ([0.1, 0.3, 0.5], [0.0, 0.1, 0.2], [1.0, math.nan, 1.0], "must be finite"),
+], ids=["r0-zero", "r0-negative", "r-nan", "r-inf", "u-inf", "mass-nan"])
+def test_reconstruct_refuses_unusable_paths(r, u, masses, message):
+    ens = CharacteristicEnsemble(t=0.0, r=np.array(r), u=np.array(u),
+                                 masses=np.array(masses), params=EP3)
+    with pytest.raises(ValueError, match=message):
+        reconstruct_fields(ens)
+
+
 def _burgers_exact_fields(u0_fn, du0_fn, rho0_fn, r0, t):
     r = r0 + u0_fn(r0) * t
     u = u0_fn(r0)
@@ -492,6 +507,28 @@ def test_simulate_ep_lanes_match_per_path(case):
         assert np.array_equal(snap.extras["states"], ref.extras["states"])
         for name in ("r", "u", "rho", "p", "q"):
             assert np.array_equal(getattr(snap, name), getattr(ref, name))
+
+
+def test_simulate_ep_reports_first_path_on_tied_blowup_times(monkeypatch):
+    # with every blown path's time tied, the report names the first of them
+    from radial_euler import pde
+    batches, lanes = [], pde.integrate_lanes
+
+    def tied(*args, **kwargs):
+        batch = lanes(*args, **kwargs)
+        blown = ~np.isnan(batch.blowup_time)
+        batch.blowup_time[blown] = np.max(batch.blowup_time[blown])
+        batches.append(batch)
+        return batch
+
+    monkeypatch.setattr(pde, "integrate_lanes", tied)
+    res = simulate_ep(gaussian_bump(0.55, 1.0, r_max=2.0, n_nodes=801),
+                      linear_velocity(-0.9, r_max=2.0, n_nodes=801),
+                      ModelParams(n=1, kappa=1, c=0), n_paths=40, t_end=30.0, n_snapshots=4)
+    blown = np.flatnonzero(~np.isnan(batches[0].blowup_time))
+    assert len(blown) >= 2
+    assert (res.blowup.path_index, res.blowup.time) == \
+        (blown[0], batches[0].blowup_time[blown[0]])
 
 
 EA2 = ModelParams(n=2, kappa=1, c=0, model=Model.EULER_ALIGNMENT)
