@@ -157,14 +157,6 @@ CASES = {
 ARTIFACT = {"curves": "curves.csv", "sweep": "sweep.csv"}
 
 
-def _artifacts(command: str, out_dir: str) -> list:
-    """The files of ``out_dir`` the pin of a ``command`` case holds."""
-    if command == "simulate":
-        snapshots = sorted(n for n in os.listdir(out_dir) if n.startswith("snapshot_"))
-        return ["metadata.json", "diagnostics.csv", snapshots[-1]]
-    return [ARTIFACT[command]] if command in ARTIFACT else []
-
-
 def run_case(name: str, out_dir: str) -> str:
     """``exit <code>`` and the case's output, as its pin file holds them."""
     command, text = CASES[name]
@@ -176,17 +168,20 @@ def run_case(name: str, out_dir: str) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main([command, "--config", path, "--out", out_dir])
-    files = _artifacts(command, out_dir)
-    if not files:
-        return f"exit {code}\n{stdout.getvalue()}"
-    texts = []
-    for file in files:
+
+    def read(file):
         with open(os.path.join(out_dir, file), encoding="utf-8") as fh:
-            texts.append(fh.read())
-    if len(files) == 1:
-        return f"exit {code}\n{texts[0]}"
-    return f"exit {code}\n" + "".join(f"== {file} ==\n{text}"
-                                       for file, text in zip(files, texts))
+            return fh.read()
+
+    if command == "simulate":
+        last = max(file for file in os.listdir(out_dir) if file.startswith("snapshot_"))
+        output = "".join(f"== {file} ==\n{read(file)}"
+                         for file in ("metadata.json", "diagnostics.csv", last))
+    elif command in ARTIFACT:
+        output = read(ARTIFACT[command])
+    else:
+        output = stdout.getvalue()
+    return f"exit {code}\n{output}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

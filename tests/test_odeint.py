@@ -408,6 +408,12 @@ def test_lane_batch_of_scalar_runs_matches_their_tails():
         assert len(batch) == len(records)
         for j, rec in enumerate(records):
             _same_run(batch, j, rec, probe_t)
+    # so must the lockstep batch of the same runs, which fits each blowup
+    # from a ring of fewer, exactly or more samples than the fit reads
+    batch = integrate_lanes(pair, np.array([[y0 for y0, _ in cases], [1.0] * len(cases)]),
+                            [cfg for _, cfg in cases], event=cross, probe_t=0.5)
+    for j, rec in enumerate(records):
+        _same_run(batch, j, rec, 0.5)
     empty = LaneBatch.of([], 0.5, 2)
     assert len(empty) == 0 and empty.y_final.shape == (2, 0) and empty.probe.shape == (1, 2, 0)
 
