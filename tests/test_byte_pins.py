@@ -2,9 +2,10 @@
 
 Each case runs one command in process on a small config and compares its
 exit code and output with ``tests/data/pins/<case>.out``: the JSON that
-``classify`` prints, the file that ``curves`` or ``sweep`` writes, or for
-``simulate`` its ``metadata.json``, ``diagnostics.csv`` and last snapshot,
-each headed by a ``== <file name> ==`` line.  The first line of a pin file
+``classify`` prints, the file that ``curves``, ``sweep`` or
+``phase-portrait`` writes, or for ``simulate`` its ``metadata.json``,
+``diagnostics.csv`` and last snapshot, each headed by a
+``== <file name> ==`` line.  The first line of a pin file
 is ``exit <code>``.
 
 The classify cases take every exit path of both classifiers: a blowup
@@ -12,6 +13,8 @@ with its fitted time, the basin at t = 0 and as an event, the one-period
 return, the amplitude certificate, the re-run to the horizon, a confirm
 flip, the supercritical refusal, a step collapse, and the four
 Euler-alignment kind/side pairs.  The curves cases have nu != psi_min.
+The phase-portrait cases read their orbits back by Hermite sampling, one
+of them with non-terminal events located by bisection.
 
 To write the pins of new cases, run this file as a script:
 ``PYTHONPATH=src python tests/test_byte_pins.py``.  It writes only the
@@ -56,6 +59,10 @@ def _curves(n, psi_min, psi_max, nu, x_max, samples, ep=""):
 
 def _sweep(model, axes, integrator=""):
     return f"{model}\n[sweep]\n{axes}\n{integrator}"
+
+
+def _phase(c, phase):
+    return f"[model]\nn = 3\nc = {c}\n\n[phase]\n{phase}"
 
 
 def _simulate(model, initial, simulate, alignment=""):
@@ -152,9 +159,14 @@ CASES = {
         "u_profile = gaussian\nu_amp = 0.4\nu_width = 0.6\nprofile_nodes = 101\n"
         "n_paths = 16\n", "t_end = 2\nsnapshots = 3\ntheta_order = 8\n",
         "\n[alignment]\nphi = power-law\nphi_exponent = 0.5\nD = 1.6\n")),
+    # (q, s) portraits: orbits drawn to the origin (default seeds), and closed
+    # orbits whose q-falling crossings are non-terminal events, rescaled
+    "phase-portrait-c0": ("phase-portrait", _phase(0.0, "")),
+    "phase-portrait-periodic": ("phase-portrait", _phase(
+        0.5, "seeds = 1:1, -0.5:0.01, 0.3:0.2\nt_end = 100\nrescaled = true\n")),
 }
 
-ARTIFACT = {"curves": "curves.csv", "sweep": "sweep.csv"}
+ARTIFACT = {"curves": "curves.csv", "sweep": "sweep.csv", "phase-portrait": "portrait.csv"}
 
 
 def run_case(name: str, out_dir: str) -> str:
