@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -74,6 +75,7 @@ def _from_library(library: dict, key: str, name: str, **values):
 # (test, wanted) rules for _check_keys
 _AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 _FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_FORMAT = (lambda v: v in ("csv", "json"), "csv or json")
 
 
 def _check_keys(cfg: RunConfig, section: str, **rules):
@@ -146,7 +148,7 @@ def cmd_curves(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     xs = np.linspace(0.0, cur["x_max"], cur["samples"])
     for kind in which:
         if kind not in CURVE_KINDS:
-            raise ConfigError(f"unknown curve kind {kind!r}")
+            raise ConfigError(f"[curves] which: unknown curve kind {kind!r}")
         curve = enhanced_curve(kind, bounds, params.n, cur["x_max"])
         for x, v in zip(xs, curve(xs)):
             lines.append(f"{kind},{_f(x)},{_f(v)}")
@@ -249,9 +251,7 @@ def cmd_phase_portrait(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     ph = cfg["phase"]
     _check_keys(cfg, "phase", t_end=_FINITE_POSITIVE, samples=_AT_LEAST_ONE)
     params = model_params_from(cfg)
-    integ = integrator_from(cfg)
-    from dataclasses import replace
-    integ = replace(integ, t_max=ph["t_end"])
+    integ = replace(integrator_from(cfg), t_max=ph["t_end"])
     seeds = []
     for chunk in ph["seeds"].split(","):
         chunk = chunk.strip()
@@ -260,10 +260,10 @@ def cmd_phase_portrait(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         try:
             q0, s0 = (float(v) for v in chunk.split(":"))
         except ValueError:
-            raise ConfigError(f"bad seed {chunk!r}; expected q0:s0")
+            raise ConfigError(f"[phase] seeds: bad seed {chunk!r}; expected q0:s0")
         seeds.append((q0, s0))
     if not seeds:
-        raise ConfigError("phase portrait needs at least one seed")
+        raise ConfigError("[phase] seeds: phase portrait needs at least one seed")
     trajectories = qs_phase_portrait(params, seeds, integ)
     rescaled = ph["rescaled"]
     cols = "seed,t,qhat,shat" if rescaled else "seed,t,q,s"
@@ -322,6 +322,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         cfg = parse_config(args.config)
+        _check_keys(cfg, "output", format=_FORMAT)
         out_dir = args.out if args.out is not None else cfg["output"]["out_dir"]
         os.makedirs(out_dir, exist_ok=True)
         fmt = args.format if args.format is not None else cfg["output"]["format"]

@@ -411,8 +411,8 @@ def _run_lanes(system: OdeSystem, states0: np.ndarray,
     """The lane batch of one run per column of ``states0``, each under its config.
 
     ``basin_consts`` are the basin's per-lane constants, as
-    :func:`integrate_lanes` takes them.  Without ``outcomes`` a lockstep
-    batch keeps no samples to fit blowup times from.
+    :func:`integrate_lanes` takes them.  Without ``outcomes`` no blowup
+    time is fitted, in a lockstep batch or from scalar runs.
     """
     if states0.shape[1] >= _MIN_BATCH_LANES:
         return integrate_lanes(system, states0, configs, event=basin,
@@ -428,7 +428,8 @@ def _run_lanes(system: OdeSystem, states0: np.ndarray,
         return (replace(basin, func=lambda t, y: basin.func(t, y, const)),)
 
     return LaneBatch.of([integrate(system, states0[:, j], cfg, events=events(j))
-                         for j, cfg in enumerate(configs)], probe_t, system.dimension)
+                         for j, cfg in enumerate(configs)], probe_t, system.dimension,
+                        blowup_times=outcomes)
 
 
 def _run_cells(system: OdeSystem, x0: np.ndarray, passes: Sequence[IntegratorConfig],
@@ -500,8 +501,8 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
     independent, so every outcome is exactly the one :func:`classify_ep`
     gives for that state alone.  The verdict codes come from array passes
     over the lanes; an outcome is built only when it is read.  Without
-    ``outcomes`` the verdicts hold the codes only, and the runs keep no
-    samples to fit blowup times from.
+    ``outcomes`` the verdicts hold the codes only, and no run fits a
+    blowup time.
 
     For n = 1 and c > 0 the exact (w, v) orbit is periodic, so a run stops
     after one period and ends there if its state returns to within

@@ -134,7 +134,6 @@ class TrajectoryRecord:
     termination: Termination
     event_name: Optional[str] = None
     t_event: Optional[float] = None
-    blowup_time: Optional[float] = None
     blowup_component: Optional[int] = None
     hits: list = field(default_factory=list)
     note: str = ""
@@ -150,6 +149,13 @@ class TrajectoryRecord:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.ys)))
 
+    @property
+    def blowup_time(self) -> Optional[float]:
+        """A blown run's extrapolated singularity time, fitted on each read; else None."""
+        if self.blowup_component is None:
+            return None
+        return _blowup_time_estimate(self.ts, self.ys[:, self.blowup_component])
+
     def sample(self, t: float) -> np.ndarray:
         return self.sample_many(np.array([t]))[0]
 
@@ -159,16 +165,11 @@ class TrajectoryRecord:
         if np.any(ts < self.ts[0] - 1e-12) or np.any(ts > self.ts[-1] + 1e-12):
             raise ValueError("sample times outside the recorded span")
         idx = np.clip(np.searchsorted(self.ts, ts, side="right") - 1, 0, len(self.ts) - 2)
-        t0, t1 = self.ts[idx], self.ts[idx + 1]
-        h = t1 - t0
-        s = np.where(h > 0, (ts - t0) / np.where(h > 0, h, 1.0), 0.0)
-        s2, s3 = s * s, s * s * s
-        h00 = 2 * s3 - 3 * s2 + 1
-        h10 = s3 - 2 * s2 + s
-        h01 = -2 * s3 + 3 * s2
-        h11 = s3 - s2
-        return (h00[:, None] * self.ys[idx] + (h10 * h)[:, None] * self.fs[idx]
-                + h01[:, None] * self.ys[idx + 1] + (h11 * h)[:, None] * self.fs[idx + 1])
+        t0 = self.ts[idx, None]
+        h = self.ts[idx + 1, None] - t0
+        # a zero-length interval (a one-sample record) reads its start
+        s = np.where(h > 0, (ts[:, None] - t0) / np.where(h > 0, h, 1.0), 0.0)
+        return _hermite(s, h, self.ys[idx], self.fs[idx], self.ys[idx + 1], self.fs[idx + 1])
 
 
 # a lane batch's termination codes index this tuple
@@ -215,10 +216,13 @@ class LaneBatch:
         return len(self.ends)
 
     @classmethod
-    def of(cls, records: Sequence[TrajectoryRecord], probe_t, dim: int) -> "LaneBatch":
+    def of(cls, records: Sequence[TrajectoryRecord], probe_t, dim: int,
+           blowup_times: bool = True) -> "LaneBatch":
         """The batch of the scalar runs ``records`` of a ``dim``-dimensional system.
 
-        ``probe_t`` is None, or the nondecreasing probe times of every run.
+        ``probe_t`` is None, or the nondecreasing probe times of every run,
+        and ``blowup_times`` says, as for :func:`integrate_lanes`, whether
+        blown runs' times are fitted (else every ``blowup_time`` is NaN).
         """
         n = len(records)
         times = np.atleast_1d(np.asarray([] if probe_t is None else probe_t, dtype=float))
@@ -231,7 +235,8 @@ class LaneBatch:
             batch.max_abs[j] = rec.max_abs()
             if rec.blowup_component is not None:
                 batch.blowup_component[j] = rec.blowup_component
-                batch.blowup_time[j] = rec.blowup_time
+                if blowup_times:
+                    batch.blowup_time[j] = rec.blowup_time
             if rec.note:
                 batch.notes[j] = rec.note
             if rec.termination is not Termination.EVENT:
@@ -302,9 +307,10 @@ def outcome_of(batch: LaneBatch, j: int, diagnostics: dict) -> ClassificationOut
                                  else None, diagnostics)
 
 
-def _hermite_point(t0, y0, f0, t1, y1, f1, t):
-    h = t1 - t0
-    s = (t - t0) / h
+def _hermite(s, h, y0, f0, y1, f1):
+    """The cubic-Hermite point at s = (t - t0) / h of the step of length h
+    from (y0, f0) to (y1, f1); every reader of dense output calls it, and it
+    works elementwise on arrays."""
     s2, s3 = s * s, s * s * s
     return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * f0
             + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * f1)
@@ -312,10 +318,10 @@ def _hermite_point(t0, y0, f0, t1, y1, f1, t):
 
 def _bisect_event(event, t0, y0, f0, t1, y1, f1, g0, g1):
     """Locate the sign change of g on dense output to _EVENT_TIME_TOL."""
-    a, b, ga = t0, t1, g0
+    a, b, ga, h = t0, t1, g0, t1 - t0
     while b - a > _EVENT_TIME_TOL:
         m = 0.5 * (a + b)
-        gm = event.func(m, _hermite_point(t0, y0, f0, t1, y1, f1, m))
+        gm = event.func(m, _hermite((m - t0) / h, h, y0, f0, y1, f1))
         if gm == 0.0:
             a = b = m
             break
@@ -324,7 +330,7 @@ def _bisect_event(event, t0, y0, f0, t1, y1, f1, g0, g1):
         else:
             a, ga = m, gm
     t_e = 0.5 * (a + b)
-    return t_e, _hermite_point(t0, y0, f0, t1, y1, f1, t_e)
+    return t_e, _hermite((t_e - t0) / h, h, y0, f0, y1, f1)
 
 
 def _crossed(g0, g1, direction: int):
@@ -377,8 +383,7 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
     rtol = config.rel_tol
     atol = tuple(float(a) for a in np.broadcast_to(config.abs_tol, (d,)))
     cap = config.magnitude_cap
-    t_max = config.t_max
-    h_min = config.h_min
+    t_max, h_min, h_max = config.t_max, config.h_min, config.h_max
     rng = range(d)
 
     t = float(t0)
@@ -396,7 +401,7 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
     hits: list[EventHit] = []
     gvals = [ev.func(t, y) for ev in events]
 
-    h = min(config.h_init, config.h_max, max(t_max - t, h_min))
+    h = min(config.h_init, h_max, max(t_max - t, h_min))
     for _ in range(config.max_steps):
         if t >= t_max:
             break
@@ -437,6 +442,8 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
             e /= sc
             err_acc += e * e
         err_norm = math.sqrt(err_acc / d)
+        # the next step size factor, as _step_factors gives it per lane
+        factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
 
         if not (err_norm <= 1.0):
             # rejected (also routes NaN/Inf from the rhs here)
@@ -444,8 +451,6 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
                 return _finish(ts, ys, fs, Termination.STEP_COLLAPSE, hits=hits,
                                note=f"step size collapsed at t={t} "
                                     f"(err={err_norm:.3g})")
-            factor = 0.2 if not math.isfinite(err_norm) \
-                else max(0.2, 0.9 * err_norm ** -0.2)
             h = max(h * factor, h_min)
             continue
 
@@ -477,17 +482,14 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
         if mag > cap:
             feedback = y_new[comp] * k7[comp] > 0.0
             if feedback or mag > 1e4 * cap:
-                t_est = _blowup_time_estimate(ts, [y[comp] for y in ys])
                 return _finish(ts, ys, fs, Termination.BLOWUP_DETECTED,
-                               hits=hits, blowup_time=t_est,
-                               blowup_component=comp)
+                               hits=hits, blowup_component=comp)
 
         t, y, k1 = t_new, y_new, k7
         gvals = g_new
-        factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         h = h * factor
-        if h > config.h_max:
-            h = config.h_max
+        if h > h_max:
+            h = h_max
     else:
         return _finish(ts, ys, fs, Termination.STEP_COLLAPSE, hits=hits,
                        note=f"step budget exhausted at t={t}")
@@ -496,9 +498,11 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
 
 
 def _step_factors(err: np.ndarray) -> np.ndarray:
-    """0.9 * err ** -0.2 per lane, bit for bit the Python float power.
+    """:func:`integrate`'s step size factor per lane, bit for bit.
 
-    One ulp in a step factor is enough to move a trajectory off the one
+    That is 0.9 * err ** -0.2 clamped to [0.2, 5], so 5 after an error of
+    0 and 0.2 after a non-finite one (``fmax`` drops a NaN).  One ulp in a
+    step factor is enough to move a trajectory off the one
     :func:`integrate` takes, so the power must be the one Python takes.
     CPython's ``float ** float`` calls the C library ``pow`` for a
     positive finite base, and so does the float64 loop of
@@ -506,7 +510,7 @@ def _step_factors(err: np.ndarray) -> np.ndarray:
     NumPy computes it with its own SIMD routines, whose results differ
     from ``pow`` in the last bit on some inputs.
     """
-    return 0.9 * np.float_power(err, -0.2)
+    return np.minimum(5.0, np.fmax(0.2, 0.9 * np.float_power(err, -0.2)))
 
 
 def _bisect_lanes(func, t0, y0, f0, t1, y1, f1, g0):
@@ -515,13 +519,13 @@ def _bisect_lanes(func, t0, y0, f0, t1, y1, f1, g0):
     ``func(t, y, cols)`` evaluates the event on the lanes ``cols`` of the
     bracketed ones.
     """
-    a, b, ga = t0.copy(), t1.copy(), g0.copy()
+    a, b, ga, h = t0.copy(), t1.copy(), g0.copy(), t1 - t0
     open_ = b - a > _EVENT_TIME_TOL
     while open_.any():
         j = np.flatnonzero(open_)
         m = 0.5 * (a[j] + b[j])
-        gm = func(m, _hermite_point(t0[j], y0[:, j], f0[:, j], t1[j], y1[:, j],
-                                    f1[:, j], m), j)
+        gm = func(m, _hermite((m - t0[j]) / h[j], h[j], y0[:, j], f0[:, j], y1[:, j],
+                              f1[:, j]), j)
         zero = gm == 0.0
         left = (ga[j] < 0) != (gm < 0)
         a[j] = np.where(zero | ~left, m, a[j])
@@ -529,7 +533,7 @@ def _bisect_lanes(func, t0, y0, f0, t1, y1, f1, g0):
         ga[j] = np.where(left, ga[j], gm)
         open_[j] = ~zero & (b[j] - a[j] > _EVENT_TIME_TOL)
     t_e = 0.5 * (a + b)
-    return t_e, _hermite_point(t0, y0, f0, t1, y1, f1, t_e)
+    return t_e, _hermite((t_e - t0) / h, h, y0, f0, y1, f1)
 
 
 def integrate_lanes(system: OdeSystem, y0: np.ndarray,
@@ -588,11 +592,11 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     def rhs(t, y):
         return np.array(f(t, y))
 
-    def event_at(t, y, cols=slice(None)):
-        """The event on the running lanes, or on their subset ``cols``."""
+    def event_at(t, y, lanes):
+        """The event on the columns ``y`` of the (original) lanes ``lanes``."""
         if consts is None:
             return event.func(t, y)
-        return event.func(t, y, consts[..., cols])
+        return event.func(t, y, consts[..., lanes])
 
     # per-lane settings, one row each, gathered from the distinct configs
     distinct = {id(c): c for c in configs}
@@ -615,8 +619,8 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     blowup_comp = np.full(n, -1)
     blowup_time = np.full(n, np.nan)
     notes: dict[int, str] = {}
-    # (lanes, t, y, k1, t_new, y_new, k7, g[, consts]) of the steps that
-    # crossed the event, located together after the loop
+    # (lanes, t, y, k1, t_new, y_new, k7, g) of the steps that crossed the
+    # event, located together after the loop
     brackets = []
     pt = probe = None
     if probe_t is not None:
@@ -655,8 +659,9 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             return
         for row in np.flatnonzero(inside.any(axis=1)):
             at = inside[row]
-            probe[row][:, lane[at]] = _hermite_point(
-                t0[at], y0[:, at], f0[:, at], t1[at], y1[:, at], f1[:, at], pt[row, at])
+            h = t1[at] - t0[at]
+            probe[row][:, lane[at]] = _hermite(
+                (pt[row, at] - t0[at]) / h, h, y0[:, at], f0[:, at], y1[:, at], f1[:, at])
 
     def close(mask, termination, t_f, y_f, note=None, last_unsettled=False):
         """Record the end of every lane in ``mask`` and retire it."""
@@ -676,7 +681,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
         k1 = rhs(t, y)
         close(~np.all(np.isfinite(k1), axis=0), Termination.STEP_COLLAPSE, t, y,
               note=lambda j: f"non-finite rhs at t={float(t[j])}")
-        g = event_at(t, y) if event is not None else None
+        g = event_at(t, y, lane) if event is not None else None
         if pt is not None:
             # a lane that never accepts a step is a one-sample record, which
             # sample_many reads at s = 0 of a step from its start point
@@ -689,10 +694,9 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             if not running:
                 break
             if len(lane) - running >= _COMPACT_SHARE * len(lane):
-                lane, t, y, k1, g, h, n_att, n_acc, vmax, limits, atol, pt, consts = (
+                lane, t, y, k1, g, h, n_att, n_acc, vmax, limits, atol, pt = (
                     None if a is None else a[..., alive]
-                    for a in (lane, t, y, k1, g, h, n_att, n_acc, vmax, limits, atol, pt,
-                              consts))
+                    for a in (lane, t, y, k1, g, h, n_att, n_acc, vmax, limits, atol, pt))
                 alive = np.ones(running, dtype=bool)
                 rtol, h_min, h_max, t_max, cap, max_steps, _ = limits
             iterations += 1
@@ -734,19 +738,14 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                   note=lambda j: f"step size collapsed at t={float(t[j])} "
                                  f"(err={float(err[j]):.3g})", last_unsettled=True)
             shrink = alive & ~ok
-            # the next step size factor of every working lane, as integrate
-            # takes it: 0.9 err^-0.2 clamped to [0.2, 5], so 5 after an
-            # error of 0 (an accepted step) and 0.2 after a non-finite one
-            # (a rejected step; fmax drops a NaN)
-            factor = np.minimum(5.0, np.fmax(0.2, _step_factors(err)))
+            factor = _step_factors(err)
 
             if event is not None:
-                g_new = event_at(t_new, y_new)
+                g_new = event_at(t_new, y_new, lane)
                 hit = alive & ok & _crossed(g, g_new, event.direction)
                 if hit.any():
                     brackets.append((lane[hit], t[hit], y[:, hit], k1[:, hit],
-                                     t_new[hit], y_new[:, hit], k7[:, hit], g[hit])
-                                    + (() if consts is None else (consts[..., hit],)))
+                                     t_new[hit], y_new[:, hit], k7[:, hit], g[hit]))
                     close(hit, Termination.EVENT, t_new, y_new, last_unsettled=True)
 
             step = alive & ok
@@ -791,15 +790,13 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
         located = rounds = 0
         if brackets:
             # every event crossing of the batch, in one bisection
-            hit, t0, y0, f0, t1, y1, f1, g0, *hit_consts = (
+            hit, t0, y0, f0, t1, y1, f1, g0 = (
                 np.concatenate(part, axis=-1) for part in zip(*brackets))
 
             def event_on(tm, ym, j):
                 nonlocal rounds
                 rounds += 1
-                if not hit_consts:
-                    return event.func(tm, ym)
-                return event.func(tm, ym, hit_consts[0][..., j])
+                return event_at(tm, ym, hit[j])
 
             t_end[hit], y_end[:, hit] = _bisect_lanes(event_on, t0, y0, f0, t1, y1, f1, g0)
             max_abs[hit] = np.maximum(max_abs[hit], np.max(np.abs(y_end[:, hit]), axis=0))

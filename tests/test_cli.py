@@ -548,6 +548,38 @@ def test_bad_output_setting_refused(tmp_path, capsys, command, key, value):
     assert not (out / artifact).exists()
 
 
+def test_bad_output_format_refused(tmp_path, capsys):
+    # a format other than csv or json once made sweep write sweep.csv with exit 0
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", "--config",
+                   write(tmp_path, "bad.cfg", SWEEP_CFG + "\n[output]\nformat = xml\n"),
+                   "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: [output] format must be csv or json, got 'xml'\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("curves", "which", "sigma_q_plus,", "unknown curve kind ''"),
+    ("phase-portrait", "seeds", "1:1, 0.5", "bad seed '0.5'; expected q0:s0"),
+    ("phase-portrait", "seeds", ",", "phase portrait needs at least one seed"),
+], ids=["curves-which", "phase-bad-seed", "phase-no-seed"])
+def test_refusal_names_its_key(tmp_path, capsys, command, key, value, message):
+    # these refusals once named no [section] key
+    section, base, artifact = (("curves", CURVES_EP, "curves.csv") if command == "curves"
+                               else ("phase", PHASE, "portrait.csv"))
+    text = (base + f"{key} = {value}\n" if command == "curves"
+            else _with_setting(base, key, value))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", write(tmp_path, "bad.cfg", text), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: [{section}] {key}: {message}\n"
+    assert not (out / artifact).exists()
+
+
 def test_curves_x_max_inside_series_offset_refused(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["curves", "--config",

@@ -413,6 +413,24 @@ def test_sweep_runs_no_blowup_fit(monkeypatch, fits):
     assert ClassificationOutcome(Verdict.FINITE_TIME_BLOWUP, 1.5).t_estimate == 1.5
 
 
+@pytest.mark.parametrize("text", [
+    # the configs of the sweep-ep3-small and sweep-ea-small byte pins: fewer
+    # than 20 lanes, so every run takes the scalar loop
+    "[model]\nn = 3\n\n[state]\nq0 = 0.3\ns0 = 0.05\n\n[sweep]\naxis1_min = -3\n"
+    "axis1_max = 1\naxis1_steps = 3\naxis2_min = 0.5\naxis2_max = 2\naxis2_steps = 3\n\n"
+    "[integrator]\nrel_tol = 1e-6\nabs_tol = 1e-8\n",
+    "[model]\nkind = euler-alignment\nn = 2\n\n[alignment]\nC0 = 0.1\n\n[sweep]\n"
+    "axis1 = y0\naxis1_min = -2\naxis1_max = 1\naxis1_steps = 4\n"
+    "axis2 = C0\naxis2_min = 0\naxis2_max = 0.4\naxis2_steps = 3\n",
+], ids=["ep3-small", "ea-small"])
+def test_small_sweep_runs_no_blowup_fit(fits, text):
+    # a scalar run fits its blowup time only when it is read, and a sweep
+    # reads none
+    codes = run_sweep(parse_config_text(text)).codes
+    assert codes.size < 20 and np.count_nonzero(codes == 2) >= 4
+    assert fits == []
+
+
 def test_one_cell_classify_fits_once_per_run(tmp_path, fits):
     # the blowup of one cell runs its scalar run and its confirm run, and
     # each fits its blowup time once; the printed time is the first run's
@@ -514,6 +532,69 @@ def test_blowup_time_matches_closed_form_1d(params, n_super):
         t_star = _first_zero_1d(p, r, c)
         assert out.is_blowup, (p, r)
         assert abs(out.t_estimate - t_star) <= 1e-6 * t_star, (p, r)
+
+
+def _wv_basis(n, kappa, c, q0, s0, t_max):
+    """The exact (q, s) orbit and, along it, the three solutions v is built from.
+
+    ``wv_system`` is linear in (w, v) = (p, 1) e^{(n-1) A} / rho with w = v',
+    v'' = -kappa (c + (n-1) s) v + kappa e^{(n-1) A} and
+    e^{(n-1) A} = ((s + c/n) / (s0 + c/n))^{(n-1)/n}.  So
+    v = v0 phi1 + w0 phi2 + v_p, where phi1 and phi2 are the homogeneous
+    solutions with (v, w)(0) = (1, 0) and (0, 1) and v_p the particular one
+    from (0, 0).  Returns the dense output of (q, s, phi1, phi1', phi2,
+    phi2', v_p, v_p') by scipy's DOP853 at rtol 1e-12.
+    """
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        q, s, a, da, b, db, vp, dvp = y
+        k = -kappa * (c + (n - 1.0) * s)
+        force = kappa * ((s + c / n) / (s0 + c / n)) ** ((n - 1.0) / n)
+        return [-q * q + kappa * s, -(n * s + c) * q, da, k * a, db, k * b, dvp,
+                k * vp + force]
+
+    sol = solve_ivp(rhs, (0.0, t_max), [q0, s0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                    method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
+    assert sol.status == 0
+    return sol
+
+
+def test_ep3_grid_matches_exact_wv_oracle():
+    # the benchmark's 20 x 20 grid of (p0, rho0) at n = 3, kappa = 1, c = 0,
+    # (q0, s0) = (1, 0.01), default integrator: a state blows up within the
+    # horizon exactly when v reaches 0 there, at v's first zero.  Every cell
+    # must agree with that or be inconclusive.  Blowup times agreed to
+    # 2.9e-8 relative at most (median 1.6e-9) over the 187 blowup cells when
+    # this test was written, hence the 1e-7 bound.
+    from scipy.optimize import brentq
+    t_max = IntegratorConfig().t_max
+    sol = _wv_basis(3.0, 1.0, 0.0, 1.0, 0.01, t_max)
+    p0 = np.repeat(np.linspace(-3.0, 1.0, 20), 20)
+    rho0 = np.tile(np.linspace(0.25, 3.0, 20), 20)
+    w0, v0 = p0 / rho0, 1.0 / rho0
+
+    def v(t, cell):
+        _, _, phi1, _, phi2, _, vp, _ = sol.sol(t)
+        return v0[cell] * phi1 + w0[cell] * phi2 + vp
+
+    ts = np.union1d(sol.t, np.linspace(0.0, t_max, 40001))
+    vs = v(ts, np.arange(400)[:, None])
+    x = np.array([p0, np.ones(400), np.full(400, 0.01), rho0])
+    out = classify_ep_columns(x, ModelParams(n=3, kappa=1, c=0))
+    blowups = 0
+    for cell in range(400):
+        below = np.flatnonzero(vs[cell] <= 0.0)
+        oracle = VERDICT_CODES[Verdict.FINITE_TIME_BLOWUP if len(below)
+                               else Verdict.GLOBAL_BOUNDED]
+        code = out.codes[cell]
+        assert code in (oracle, VERDICT_CODES[Verdict.INCONCLUSIVE]), (p0[cell], rho0[cell])
+        if len(below) and code == oracle:
+            k = below[0]
+            t_zero = brentq(v, ts[k - 1], ts[k], args=(cell,), xtol=1e-14, rtol=1e-15)
+            assert abs(out[cell].t_estimate - t_zero) <= 1e-7 * t_zero, (p0[cell], rho0[cell])
+            blowups += 1
+    assert blowups == 187 and np.count_nonzero(out.codes == 0) == 213
 
 
 @pytest.mark.parametrize("n, c, q0, s0", [(1, 0.0, 0.0, 0.0), (1, 1.0, 0.0, 0.0),
