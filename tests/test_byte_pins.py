@@ -5,8 +5,8 @@ exit code and output with ``tests/data/pins/<case>.out``: the JSON that
 ``classify`` prints, the file that ``curves``, ``sweep`` or
 ``phase-portrait`` writes, or for ``simulate`` its ``metadata.json``,
 ``diagnostics.csv`` and last snapshot, each headed by a
-``== <file name> ==`` line.  The first line of a pin file
-is ``exit <code>``.
+``== <file name> ==`` line.  The first line of a pin file is
+``exit <code>``.
 
 The classify cases take every exit path of both classifiers: a blowup
 with its fitted time, the basin at t = 0 and as an event, the one-period
