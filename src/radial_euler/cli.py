@@ -1,8 +1,12 @@
 """Command-line interface: classify | sweep | curves | simulate | phase-portrait.
 
-All numeric output is bit-stable: floats print as %.12e and rows follow
-the configured axis order, so identical configs produce byte-identical
-files.  Exit codes:
+All numeric output is bit-stable: numbers print by ``config.format_number``
+and rows follow the configured axis order, so identical configs produce
+byte-identical files.  Every CSV file starts with the provenance line
+``# config_sha256=<hash> tool=radial-euler <version>`` (``sweep.json``
+has it as ``provenance``).  Format ``json`` applies to ``sweep``;
+``classify`` always prints JSON, and the other commands refuse ``json``.
+``--threads`` is ignored; the benchmark harness passes it.  Exit codes:
 
     0  globally bounded, or the command succeeded
     1  usage or config error (including an unknown profile or influence name)
@@ -27,7 +31,8 @@ import numpy as np
 
 from . import __version__
 from .alignment import CURVE_KINDS, INFLUENCE_LIBRARY, enhanced_curve
-from .config import ConfigError, RunConfig, config_hash, parse_config
+from .config import (ConfigError, RunConfig, csv_text, format_number, json_number,
+                     parse_config, provenance)
 from .core import Model
 from .euler_poisson import (compute_threshold_constants, explicit_sigma_plus,
                             qs_phase_portrait)
@@ -45,22 +50,18 @@ EXIT_BLOWUP = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _f(x) -> str:
-    return "%.12e" % float(x)
-
-
-def _json_num(x):
-    return float(_f(x))
-
-
-def _prov(cfg: RunConfig) -> str:
-    return f"config_sha256={config_hash(cfg)} tool=radial-euler {__version__}"
-
-
 def _write(path: str, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     log.info("wrote %s", path)
+
+
+def _emit(out_dir: str, name: str, text: str) -> int:
+    """Write a command's one artifact and print its path: the command succeeded."""
+    path = os.path.join(out_dir, name)
+    _write(path, text)
+    print(path)
+    return EXIT_OK
 
 
 def _from_library(library: dict, key: str, name: str, **values):
@@ -110,13 +111,11 @@ def cmd_classify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     out = classify_cells(cfg)[0]
     payload = {"verdict": out.verdict.value}
     if out.t_estimate is not None:
-        payload["t_estimate"] = _json_num(out.t_estimate)
+        payload["t_estimate"] = json_number(out.t_estimate)
     if out.reason:
         payload["reason"] = out.reason
-    diag = {}
-    for key in ("t_final", "max_norm"):
-        if key in out.diagnostics:
-            diag[key] = _json_num(out.diagnostics[key])
+    diag = {key: json_number(out.diagnostics[key])
+            for key in ("t_final", "max_norm") if key in out.diagnostics}
     if "early_exit" in out.diagnostics:
         diag["early_exit"] = out.diagnostics["early_exit"]
     payload["diagnostics"] = diag
@@ -126,14 +125,8 @@ def cmd_classify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
 
 def cmd_sweep(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     result = run_sweep(cfg)
-    if fmt == "json":
-        path = os.path.join(out_dir, "sweep.json")
-        _write(path, result.to_json())
-    else:
-        path = os.path.join(out_dir, "sweep.csv")
-        _write(path, result.to_csv())
-    print(path)
-    return EXIT_OK
+    return _emit(out_dir, f"sweep.{fmt}",
+                 result.to_json() if fmt == "json" else result.to_csv())
 
 
 def cmd_curves(cfg: RunConfig, out_dir: str, fmt: str) -> int:
@@ -144,42 +137,33 @@ def cmd_curves(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     bounds = bounds_from(cfg)
     which = (list(CURVE_KINDS) if cur["which"] == "all"
              else [w.strip() for w in cur["which"].split(",")])
-    lines = [f"# {_prov(cfg)}", "curve,x,value"]
+    rows = [("curve", "x", "value")]
     xs = np.linspace(0.0, cur["x_max"], cur["samples"])
     for kind in which:
         if kind not in CURVE_KINDS:
             raise ConfigError(f"[curves] which: unknown curve kind {kind!r}")
         curve = enhanced_curve(kind, bounds, params.n, cur["x_max"])
-        for x, v in zip(xs, curve(xs)):
-            lines.append(f"{kind},{_f(x)},{_f(v)}")
+        rows += [(kind, x, v) for x, v in zip(xs, curve(xs))]
     if cur["include_ep"]:
         try:
-            consts = compute_threshold_constants(params,
-                                                 (cur["ep_q0"], cur["ep_s0"]))
+            consts = compute_threshold_constants(params, (cur["ep_q0"], cur["ep_s0"]))
             v0s = np.linspace(cur["v0_max"] / cur["samples"], cur["v0_max"],
                               cur["samples"])
             for v0 in v0s:
-                w0 = explicit_sigma_plus(float(v0), consts,
-                                         params.kappa, params.n)
-                lines.append(f"ep_w0_threshold,{_f(v0)},{_f(w0)}")
+                rows.append(("ep_w0_threshold", v0, explicit_sigma_plus(
+                    float(v0), consts, params.kappa, params.n)))
         except ValueError as exc:
-            lines.append(f"# ep_w0_threshold: unsupported ({exc})")
-    path = os.path.join(out_dir, "curves.csv")
-    _write(path, "\n".join(lines) + "\n")
-    print(path)
-    return EXIT_OK
+            # a one-cell row: the marker comment follows the rows written so far
+            rows.append((f"# ep_w0_threshold: unsupported ({exc})",))
+    return _emit(out_dir, "curves.csv", csv_text([provenance(cfg)], rows))
 
 
 def _snapshot_csv(snap, prov: str) -> str:
-    cols = ["r", "rho", "u", "p", "q"]
-    arrays = [snap.r, snap.rho, snap.u, snap.p, snap.q]
+    cols = {"r": snap.r, "rho": snap.rho, "u": snap.u, "p": snap.p, "q": snap.q}
     if snap.extras.get("psi") is not None:
-        cols += ["psi", "G"]
-        arrays += [snap.extras["psi"], snap.extras["G"]]
-    lines = [f"# {prov}", f"# t = {_f(snap.time)}", ",".join(cols)]
-    for row in zip(*arrays):
-        lines.append(",".join(_f(v) for v in row))
-    return "\n".join(lines) + "\n"
+        cols.update(psi=snap.extras["psi"], G=snap.extras["G"])
+    return csv_text([prov, f"t = {format_number(snap.time)}"],
+                    [list(cols), *zip(*cols.values())])
 
 
 # config (section, key) of each run-size argument of simulate_ep/simulate_ea
@@ -204,38 +188,32 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     params = model_params_from(cfg)
     _check_run_size(cfg, params.model)
     rho0, u0 = _profiles_from(cfg)
-    sim = cfg["simulate"]
-    ini = cfg["initial"]
+    sim, ini = cfg["simulate"], cfg["initial"]
     if params.model is Model.EULER_ALIGNMENT:
         phi = _influence_from(cfg)
         result = simulate_ea(rho0, u0, phi, params, n_paths=ini["n_paths"],
                              t_end=sim["t_end"], n_snapshots=sim["snapshots"],
-                             theta_order=sim["theta_order"],
-                             dt=sim["dt"])
+                             theta_order=sim["theta_order"], dt=sim["dt"])
     else:
         result = simulate_ep(rho0, u0, params, n_paths=ini["n_paths"],
                              config=integrator_from(cfg), t_end=sim["t_end"],
                              n_snapshots=sim["snapshots"])
     clock = time.perf_counter()
-    prov = _prov(cfg)
+    prov = provenance(cfg)
     for i, snap in enumerate(result.snapshots):
         _write(os.path.join(out_dir, f"snapshot_{i:03d}.csv"),
                _snapshot_csv(snap, prov))
-    series = diagnostics_series(result.snapshots)
-    keys = ["t", "max_grad", "V", "support_radius", "min_radius",
-            "mass_total", "bkm_integral"]
-    lines = [f"# {prov}", ",".join(keys)]
-    for k in range(len(series["t"])):
-        lines.append(",".join(_f(series[key][k]) for key in keys))
-    _write(os.path.join(out_dir, "diagnostics.csv"), "\n".join(lines) + "\n")
+    series = diagnostics_series(result.snapshots)    # one column per key, in order
+    _write(os.path.join(out_dir, "diagnostics.csv"),
+           csv_text([prov], [list(series), *zip(*series.values())]))
 
     meta = {"snapshots": len(result.snapshots), "n_paths": result.n_paths,
             "blowup": None}
     if result.blowup is not None:
-        meta["blowup"] = {"time": _json_num(result.blowup.time),
+        meta["blowup"] = {"time": json_number(result.blowup.time),
                           "kind": result.blowup.kind,
                           "path_index": result.blowup.path_index,
-                          "radius": _json_num(result.blowup.radius)}
+                          "radius": json_number(result.blowup.radius)}
     _write(os.path.join(out_dir, "metadata.json"),
            json.dumps(meta, sort_keys=True, indent=2) + "\n")
     log.info("wrote %d files in %.3f s", len(result.snapshots) + 2,
@@ -253,35 +231,31 @@ def cmd_phase_portrait(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     params = model_params_from(cfg)
     integ = replace(integrator_from(cfg), t_max=ph["t_end"])
     seeds = []
-    for chunk in ph["seeds"].split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, (c.strip() for c in ph["seeds"].split(","))):
         try:
             q0, s0 = (float(v) for v in chunk.split(":"))
         except ValueError:
             raise ConfigError(f"[phase] seeds: bad seed {chunk!r}; expected q0:s0")
+        if not (math.isfinite(q0) and math.isfinite(s0)):
+            raise ConfigError(f"[phase] seeds: seed {chunk!r} must be finite")
         seeds.append((q0, s0))
     if not seeds:
         raise ConfigError("[phase] seeds: phase portrait needs at least one seed")
     trajectories = qs_phase_portrait(params, seeds, integ)
+    if all(traj.record is None for traj in trajectories):
+        raise ConfigError("[phase] seeds: no valid seed; each needs s0 > -c/n")
     rescaled = ph["rescaled"]
-    cols = "seed,t,qhat,shat" if rescaled else "seed,t,q,s"
-    lines = [f"# {_prov(cfg)}", cols]
+    rows = [("seed", "t", "qhat", "shat") if rescaled else ("seed", "t", "q", "s")]
     for idx, traj in enumerate(trajectories):
         if traj.record is None:
             log.warning("seed %s invalid (s0 <= -c/n); skipped", traj.seed)
             continue
         tt = np.linspace(0.0, traj.record.t_final, ph["samples"])
-        ys = traj.record.sample_many(tt)
-        for t, (q, s) in zip(tt, ys):
+        for t, (q, s) in zip(tt, traj.record.sample_many(tt)):
             if rescaled:
                 q, s = (t + 1.0) * q, (t + 1.0) ** 2 * s
-            lines.append(f"{idx},{_f(t)},{_f(q)},{_f(s)}")
-    path = os.path.join(out_dir, "portrait.csv")
-    _write(path, "\n".join(lines) + "\n")
-    print(path)
-    return EXIT_OK
+            rows.append((str(idx), t, q, s))
+    return _emit(out_dir, "portrait.csv", csv_text([provenance(cfg)], rows))
 
 
 COMMANDS = {
@@ -323,9 +297,14 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         _check_keys(cfg, "output", format=_FORMAT)
+        source = "--format" if args.format is not None else "[output] format"
+        fmt = args.format or cfg["output"]["format"]
+        # classify always prints JSON and sweep writes sweep.json; the rest write CSV
+        if fmt == "json" and args.command not in ("classify", "sweep"):
+            raise ConfigError(f"{source} json: {args.command} writes csv only; "
+                              "json applies to sweep")
         out_dir = args.out if args.out is not None else cfg["output"]["out_dir"]
         os.makedirs(out_dir, exist_ok=True)
-        fmt = args.format if args.format is not None else cfg["output"]["format"]
         return COMMANDS[args.command](cfg, out_dir, fmt)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

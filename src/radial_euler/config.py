@@ -3,7 +3,8 @@
 Every key has a documented default below; unknown sections or keys are
 rejected so a typo cannot silently fall back to a default.  Parsing and
 serialization round-trip exactly, and the canonical serialization is
-what gets hashed into output provenance headers.
+what the provenance line of the CLI artifacts hashes; the number and
+CSV rules of those artifacts are here too.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import hashlib
 import io
 from dataclasses import dataclass, field
 from typing import Any
+
+from . import __version__
 
 # section -> key -> (type, default)
 SCHEMA: dict[str, dict[str, tuple]] = {
@@ -187,3 +190,25 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
+
+
+def provenance(cfg: RunConfig) -> str:
+    """The line that heads every CSV artifact: the config hash and the tool version."""
+    return f"config_sha256={config_hash(cfg)} tool=radial-euler {__version__}"
+
+
+def format_number(x) -> str:
+    """Every number an artifact prints: 13 significant digits, bit-stable."""
+    return "%.12e" % float(x)
+
+
+def json_number(x) -> float:
+    return float(format_number(x))
+
+
+def csv_text(comments, rows) -> str:
+    """``# `` comment lines, then one line per row; a str cell prints as it is."""
+    lines = [f"# {c}" for c in comments]
+    lines += [",".join(v if isinstance(v, str) else format_number(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"

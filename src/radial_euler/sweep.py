@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import AlignmentBounds, classify_ea_many
-from .config import ConfigError, RunConfig, config_hash
+from .config import ConfigError, RunConfig, csv_text, json_number, provenance
 from .core import Model, ModelParams
 # classify_ep is not called here; perfbench/tracer.py wraps sweep.classify_ep
 from .euler_poisson import Verdicts, classify_ep, classify_ep_columns  # noqa: F401
@@ -107,24 +107,19 @@ class SweepResult:
 
     def to_csv(self) -> str:
         """Header row carries axis2 values; one row per axis1 value."""
-        lines = [f"# {self.provenance}",
-                 f"# rows: {self.axis_names[0]}, columns: {self.axis_names[1]}, "
-                 "codes: 0=global-bounded 2=finite-time-blowup 3=inconclusive"]
-        header = [f"{self.axis_names[0]}\\{self.axis_names[1]}"] + \
-                 ["%.12e" % v for v in self.axis2]
-        lines.append(",".join(header))
-        for i, v1 in enumerate(self.axis1):
-            row = ["%.12e" % v1] + [str(int(c)) for c in self.codes[i]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        name1, name2 = self.axis_names
+        legend = "codes: 0=global-bounded 2=finite-time-blowup 3=inconclusive"
+        rows = ([v1, *codes] for v1, codes in zip(self.axis1, self.codes.astype(str)))
+        return csv_text([self.provenance, f"rows: {name1}, columns: {name2}, {legend}"],
+                        [[f"{name1}\\{name2}", *self.axis2], *rows])
 
     def to_json(self) -> str:
         import json
         payload = {
             "provenance": self.provenance,
             "axis_names": list(self.axis_names),
-            "axis1": [float("%.12e" % v) for v in self.axis1],
-            "axis2": [float("%.12e" % v) for v in self.axis2],
+            "axis1": [json_number(v) for v in self.axis1],
+            "axis2": [json_number(v) for v in self.axis2],
             "codes": self.codes.tolist(),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -169,5 +164,4 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
                               **{name1: np.repeat(axis1, len(axis2)),
                                  name2: np.tile(axis2, len(axis1))})
     matrix = verdicts.codes.reshape(len(axis1), len(axis2))
-    prov = f"config_sha256={config_hash(cfg)} tool=radial-euler"
-    return SweepResult((name1, name2), axis1, axis2, matrix, prov)
+    return SweepResult((name1, name2), axis1, axis2, matrix, provenance(cfg))

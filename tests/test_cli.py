@@ -492,6 +492,26 @@ ep_s0 = 0.01
     assert "ep_w0_threshold," in text
 
 
+SIM_SMALL = """
+[model]
+kind = {kind}
+n = 2
+
+[alignment]
+phi = {phi}
+
+[initial]
+rho_profile = {rho}
+u_profile = {u}
+profile_nodes = 101
+n_paths = 10
+
+[simulate]
+t_end = 1.0
+snapshots = 2
+"""
+
+
 CURVES_EP = """
 [model]
 kind = euler-poisson
@@ -548,24 +568,107 @@ def test_bad_output_setting_refused(tmp_path, capsys, command, key, value):
     assert not (out / artifact).exists()
 
 
-def test_bad_output_format_refused(tmp_path, capsys):
-    # a format other than csv or json once made sweep write sweep.csv with exit 0
+_SIM_EP = SIM_SMALL.format(kind="euler-poisson", phi="constant", rho="gaussian-bump",
+                           u="rexp")
+
+
+@pytest.mark.parametrize("command, base, fmt, flag, message", [
+    ("sweep", SWEEP_CFG, "xml", False, "[output] format must be csv or json, got 'xml'"),
+    *((command, base, "json", flag,
+       f"{'--format' if flag else '[output] format'} json: {command} writes csv only; "
+       "json applies to sweep")
+      for command, base in (("curves", CURVES_EP), ("phase-portrait", PHASE),
+                            ("simulate", _SIM_EP))
+      for flag in (True, False)),
+], ids=["sweep-xml", "curves-flag", "curves-config", "phase-portrait-flag",
+        "phase-portrait-config", "simulate-flag", "simulate-config"])
+def test_bad_output_format_refused(tmp_path, capsys, command, base, fmt, flag, message):
+    # a format other than csv or json once made sweep write sweep.csv with exit 0,
+    # and json once made curves, phase-portrait and simulate write csv with exit 0
     out = tmp_path / "out"
-    rc = cli.main(["sweep", "--config",
-                   write(tmp_path, "bad.cfg", SWEEP_CFG + "\n[output]\nformat = xml\n"),
-                   "--out", str(out)])
+    text = base if flag else base + f"\n[output]\nformat = {fmt}\n"
+    rc = cli.main([command, "--config", write(tmp_path, "bad.cfg", text), "--out", str(out)]
+                  + (["--format", fmt] if flag else []))
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err == "error: [output] format must be csv or json, got 'xml'\n"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_classify_prints_json_whatever_the_format(tmp_path, capsys, fmt):
+    rc = cli.main(["classify", "--config", write(tmp_path, "a.cfg", EP_SUB), "--format", fmt])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "global-bounded"
+
+
+# one config that every writing command reads, so all artifacts share one hash
+ALL_COMMANDS_CFG = """
+[model]
+kind = euler-poisson
+n = 3
+
+[state]
+q0 = 1.0
+s0 = 0.01
+
+[sweep]
+axis1_min = -2.0
+axis1_max = 0.0
+axis1_steps = 2
+axis2_min = 0.5
+axis2_max = 1.0
+axis2_steps = 2
+
+[curves]
+samples = 5
+x_max = 0.2
+
+[phase]
+seeds = 1:1
+t_end = 5.0
+samples = 5
+
+[initial]
+u_profile = rexp
+profile_nodes = 101
+n_paths = 10
+
+[simulate]
+t_end = 1.0
+snapshots = 2
+"""
+
+
+def test_every_artifact_carries_one_provenance_line(tmp_path, capsys):
+    # sweep artifacts once carried the tool name without its version
+    path = write(tmp_path, "run.cfg", ALL_COMMANDS_CFG)
+    line = (f"config_sha256={config_hash(parse_config_text(ALL_COMMANDS_CFG))} "
+            f"tool=radial-euler {radial_euler.__version__}")
+    out = tmp_path / "out"
+    for command, fmt in (("sweep", "csv"), ("sweep", "json"), ("curves", "csv"),
+                         ("phase-portrait", "csv"), ("simulate", "csv")):
+        assert cli.main([command, "--config", path, "--out", str(out),
+                         "--format", fmt]) == 0, command
+    assert json.loads((out / "sweep.json").read_text())["provenance"] == line
+    csvs = sorted(p.name for p in out.glob("*.csv"))
+    assert csvs == ["curves.csv", "diagnostics.csv", "portrait.csv", "snapshot_000.csv",
+                    "snapshot_001.csv", "sweep.csv"]
+    for name in csvs:
+        assert (out / name).read_text().splitlines()[0] == f"# {line}", name
 
 
 @pytest.mark.parametrize("command, key, value, message", [
     ("curves", "which", "sigma_q_plus,", "unknown curve kind ''"),
     ("phase-portrait", "seeds", "1:1, 0.5", "bad seed '0.5'; expected q0:s0"),
     ("phase-portrait", "seeds", ",", "phase portrait needs at least one seed"),
-], ids=["curves-which", "phase-bad-seed", "phase-no-seed"])
+    # non-finite seeds once reached the integrator, which named no key
+    ("phase-portrait", "seeds", "nan:0.1", "seed 'nan:0.1' must be finite"),
+    ("phase-portrait", "seeds", "1:1, 1:inf", "seed '1:inf' must be finite"),
+    ("phase-portrait", "seeds", "-inf:0.5", "seed '-inf:0.5' must be finite"),
+], ids=["curves-which", "phase-bad-seed", "phase-no-seed", "phase-nan-seed",
+        "phase-inf-seed", "phase-minus-inf-seed"])
 def test_refusal_names_its_key(tmp_path, capsys, command, key, value, message):
     # these refusals once named no [section] key
     section, base, artifact = (("curves", CURVES_EP, "curves.csv") if command == "curves"
@@ -663,26 +766,6 @@ snapshots = 4
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["blowup"]["kind"] == "crossing"
     assert meta["blowup"]["time"] > 0
-
-
-SIM_SMALL = """
-[model]
-kind = {kind}
-n = 2
-
-[alignment]
-phi = {phi}
-
-[initial]
-rho_profile = {rho}
-u_profile = {u}
-profile_nodes = 101
-n_paths = 10
-
-[simulate]
-t_end = 1.0
-snapshots = 2
-"""
 
 
 @pytest.mark.parametrize("kind, phi, rho, u, library", [
@@ -823,6 +906,22 @@ samples = 30
     last = lines[-1].split(",")
     assert float(last[2]) == pytest.approx(1.0, abs=0.05)
     assert float(last[3]) == pytest.approx(0.0, abs=0.05)
+
+
+@pytest.mark.parametrize("c, seeds", [("0.0", "1:-1, 0.5:0"), ("0.3", "1:-0.1, 0:-0.5")],
+                         ids=["c0", "c-positive"])
+def test_phase_portrait_without_valid_seed_refused(tmp_path, capsys, c, seeds):
+    # seeds with s0 <= -c/n (s0 <= 0 at c = 0) once gave two warnings, a
+    # header-only portrait.csv and exit 0
+    out = tmp_path / "out"
+    cfg = f"[model]\nn = 3\nc = {c}\n\n[phase]\nseeds = {seeds}\nt_end = 5.0\n"
+    rc = cli.main(["phase-portrait", "--config", write(tmp_path, "ph.cfg", cfg),
+                   "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: [phase] seeds: no valid seed; each needs s0 > -c/n\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
 
 
 def test_phase_portrait_bad_seed(tmp_path, capsys):
