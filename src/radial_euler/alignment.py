@@ -120,6 +120,11 @@ class AlignmentBounds:
         return cls(mass=float("nan"), u_max=float("nan"), D=float("nan"),
                    nu=nu, psi_min=psi_min, psi_max=psi_max, C0=C0)
 
+    @property
+    def series_offset(self) -> float:
+        """Where a threshold curve's integration starts: its ODEs are singular at x = 0."""
+        return 1e-6 * max(1.0, self.psi_min ** 2)
+
 
 @dataclass(frozen=True)
 class EaCharState:
@@ -346,7 +351,7 @@ def enhanced_curve(kind: str, bounds: AlignmentBounds, n: float,
         raise ValueError(f"curve kind must be one of {CURVE_KINDS}")
     if x_max <= 0:
         raise ValueError("x_max must be positive")
-    eps = 1e-6 * max(1.0, bounds.psi_min ** 2)
+    eps = bounds.series_offset
     if eps >= x_max:
         raise ValueError(f"x_max must exceed the series start offset {eps:g}, "
                          f"got {x_max:g}")

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .alignment import CURVE_KINDS, INFLUENCE_LIBRARY, enhanced_curve
-from .config import (ConfigError, RunConfig, csv_text, format_number, json_number,
-                     parse_config, provenance)
+from .config import (AT_LEAST_ONE, FINITE_POSITIVE, ConfigError, RunConfig, check_keys,
+                     csv_text, format_number, json_number, parse_config, provenance)
 from .core import Model
 from .euler_poisson import (compute_threshold_constants, explicit_sigma_plus,
                             qs_phase_portrait)
@@ -64,46 +64,29 @@ def _emit(out_dir: str, name: str, text: str) -> int:
     return EXIT_OK
 
 
-def _from_library(library: dict, key: str, name: str, **values):
-    """Call ``library[name]`` with those of ``values`` its parameters name."""
-    if name not in library:
-        raise ConfigError(f"{key} must be one of {sorted(library)}, got {name!r}")
-    factory = library[name]
+def _from_library(library: dict, cfg: RunConfig, section: str, key: str, **values):
+    """Call the ``library`` entry ``[section] key`` names with those of ``values``
+    its parameters name."""
+    check_keys(cfg, section, **{key: (lambda v: v in library, f"one of {sorted(library)}")})
+    factory = library[cfg[section][key]]
     accepted = inspect.signature(factory).parameters
     return factory(**{k: v for k, v in values.items() if k in accepted})
 
 
-# (test, wanted) rules for _check_keys
-_AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
-_FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and positive")
-_FORMAT = (lambda v: v in ("csv", "json"), "csv or json")
-
-
-def _check_keys(cfg: RunConfig, section: str, **rules):
-    """Refuse, before any work, the first ``[section]`` key that breaks its rule."""
-    for key, (ok, wanted) in rules.items():
-        value = cfg[section][key]
-        if not ok(value):
-            raise ConfigError(f"[{section}] {key} must be {wanted}, got {value!r}")
-
-
 def _influence_from(cfg: RunConfig):
     a = cfg["alignment"]
-    return _from_library(INFLUENCE_LIBRARY, "[alignment] phi", a["phi"],
-                         value=a["phi_value"], exponent=a["phi_exponent"],
-                         scale=a["phi_scale"])
+    return _from_library(INFLUENCE_LIBRARY, cfg, "alignment", "phi", value=a["phi_value"],
+                         exponent=a["phi_exponent"], scale=a["phi_scale"])
 
 
 def _profiles_from(cfg: RunConfig):
     ini = cfg["initial"]
     nodes = ini["profile_nodes"]
-    rho = _from_library(DENSITY_LIBRARY, "[initial] rho_profile",
-                        ini["rho_profile"], amp=ini["rho_amp"],
+    rho = _from_library(DENSITY_LIBRARY, cfg, "initial", "rho_profile", amp=ini["rho_amp"],
                         width=ini["rho_width"], radius=ini["rho_radius"],
                         k=ini["rho_k"], r_max=ini["r_max"], n_nodes=nodes)
-    u = _from_library(VELOCITY_LIBRARY, "[initial] u_profile", ini["u_profile"],
-                      amp=ini["u_amp"], width=ini["u_width"], r_max=rho.r_max,
-                      n_nodes=nodes)
+    u = _from_library(VELOCITY_LIBRARY, cfg, "initial", "u_profile", amp=ini["u_amp"],
+                      width=ini["u_width"], r_max=rho.r_max, n_nodes=nodes)
     return rho, u
 
 
@@ -131,10 +114,11 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, fmt: str) -> int:
 
 def cmd_curves(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     cur = cfg["curves"]
-    _check_keys(cfg, "curves", samples=_AT_LEAST_ONE, x_max=_FINITE_POSITIVE,
-                **({"v0_max": _FINITE_POSITIVE} if cur["include_ep"] else {}))
-    params = model_params_from(cfg)
-    bounds = bounds_from(cfg)
+    check_keys(cfg, "curves", samples=AT_LEAST_ONE, x_max=FINITE_POSITIVE,
+               **({"v0_max": FINITE_POSITIVE} if cur["include_ep"] else {}))
+    params, bounds = model_params_from(cfg), bounds_from(cfg)
+    check_keys(cfg, "curves", x_max=(lambda v: v > bounds.series_offset,
+                                     f"above the series start offset {bounds.series_offset:g}"))
     which = (list(CURVE_KINDS) if cur["which"] == "all"
              else [w.strip() for w in cur["which"].split(",")])
     rows = [("curve", "x", "value")]
@@ -227,7 +211,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
 
 def cmd_phase_portrait(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     ph = cfg["phase"]
-    _check_keys(cfg, "phase", t_end=_FINITE_POSITIVE, samples=_AT_LEAST_ONE)
+    check_keys(cfg, "phase", t_end=FINITE_POSITIVE, samples=AT_LEAST_ONE)
     params = model_params_from(cfg)
     integ = replace(integrator_from(cfg), t_max=ph["t_end"])
     seeds = []
@@ -296,7 +280,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         cfg = parse_config(args.config)
-        _check_keys(cfg, "output", format=_FORMAT)
+        check_keys(cfg, "output", format=(lambda v: v in ("csv", "json"), "csv or json"))
         source = "--format" if args.format is not None else "[output] format"
         fmt = args.format or cfg["output"]["format"]
         # classify always prints JSON and sweep writes sweep.json; the rest write CSV

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -55,7 +56,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "phi_value": (float, 1.0),        # constant influence level
         "phi_exponent": (float, 0.5),     # power-law exponent
         "phi_scale": (float, 1.0),        # influence length scale
-        "D": (float, 1.0),                # flock diameter
+        "D": (float, 1.0),                # flock diameter; read by no command
     },
     "sweep": {
         "axis1": (str, "p0"),
@@ -125,6 +126,20 @@ class RunConfig:
 
     def __getitem__(self, section: str) -> dict[str, Any]:
         return self.values[section]
+
+
+# (test, wanted) rules for check_keys
+AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
+FINITE = (math.isfinite, "finite")
+FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and positive")
+
+
+def check_keys(cfg: RunConfig, section: str, **rules):
+    """Refuse, before any work, the first ``[section]`` key that breaks its rule."""
+    for key, (ok, wanted) in rules.items():
+        value = cfg[section][key]
+        if not ok(value):
+            raise ConfigError(f"[{section}] {key} must be {wanted}, got {value!r}")
 
 
 def _convert(section: str, key: str, raw: str) -> Any:

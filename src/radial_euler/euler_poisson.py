@@ -12,10 +12,11 @@ Global regularity of the PDE reduces to global boundedness of this ODE
 per path.  The (q, s) block is closed on its own: with zero background
 it decays algebraically to the origin, with positive background it
 travels periodic orbits, and in both cases only p or rho can escape.
-This module provides the numeric classifier for that dichotomy plus the
-explicit threshold machinery: the exact 1D region, the rescaled
-(q-hat, s-hat) system and its decay constants, the drift threshold
-D_crit, and the resulting explicit multi-D subcritical bound on p0/rho0.
+This module provides the numeric classifier for that dichotomy, whose one
+map from a model to its system and basin is :func:`_characteristic`, plus
+the explicit threshold machinery: the exact 1D region, the rescaled
+(q-hat, s-hat) system and its decay constants, the drift threshold D_crit,
+and the resulting explicit multi-D subcritical bound on p0/rho0.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def integrate_qs(params: ModelParams, q0: float, s0: float, t_end: float,
     """
     n, kappa, c = params.n, params.kappa, params.c
     if s0 <= -c / n:
-        raise ValueError(f"s0 must exceed -c/n = {-c / n}")
+        raise ValueError(f"s0 must exceed -c/n = {0.0 - c / n}")
 
     qs_rhs = qs_system(params).rhs
 
@@ -288,73 +289,57 @@ def _certify(y0, y1, kappa: float, c: float):
                 drift, margin)
 
 
-def _basin_event(params: ModelParams) -> Optional[EventSpec]:
-    """Forward-invariant bounded region, entered => globally bounded.
+def _characteristic(params: ModelParams) -> tuple[OdeSystem, list[int], Optional[EventSpec]]:
+    """The model's characteristic system, the rows of (p, q, s, rho) it carries,
+    and its basin: a forward-invariant bounded region (None if it has none).
 
-    Zero-background Euler-Poisson: once (q, s) is negligible and either
-    p >= 0 or p^2 < kappa rho / 2 (with rho away from vacuum), p' > 0
-    until p reaches 0 and then stays nonnegative, so the Riccati channel
-    is closed.  Burgers: the sharp region {p >= -kd, q >= -kd} is itself
-    invariant with bounded dynamics.  The functionals are elementwise,
-    so one definition serves a single state and a batch of lanes.
+    Zero-background Euler-Poisson: once (q, s) is negligible and either p >= 0
+    or p^2 < kappa rho / 2 (with rho away from vacuum), p' > 0 until p reaches
+    0 and then stays nonnegative, so the Riccati channel is closed.  Burgers:
+    the sharp region {p >= -kd, q >= -kd} is itself invariant with bounded
+    dynamics.  The basin functional is elementwise, for one state or many.
     """
     model, n, kappa = params.model, params.n, params.kappa
-    if model is Model.EULER_POISSON:
-        if params.c != 0.0:
-            return None
+    if model is Model.EULER_POISSON and n == 1.0:
+        system, rows = ep_1d_system(params), [0, 3]
 
-        if n == 1.0:
-            def g(t, y):
-                return y[0]  # p >= 0 is invariant when rho >= 0
-        else:
-            nm1 = n - 1.0
+        def g(t, y):
+            return y[0]  # p >= 0 is invariant when rho >= 0
+    elif model is Model.EULER_POISSON:
+        system, rows, nm1 = ep_full_system(params), [0, 1, 2, 3], n - 1.0
 
-            def g(t, y):
-                p, q, s, rho = y
-                riccati_safe = np.maximum(p, 0.5 * kappa * rho - p * p)
-                return np.minimum(np.minimum(np.minimum(
-                    _BASIN_QS - (np.abs(q) + np.abs(s)),
-                    rho - _BASIN_RHO_FLOOR),
-                    rho - 4.0 * nm1 * np.abs(s)),
-                    riccati_safe)
-        return EventSpec("bounded-basin", g, direction=+1, terminal=True)
+        def g(t, y):
+            p, q, s, rho = y
+            riccati_safe = np.maximum(p, 0.5 * kappa * rho - p * p)
+            return np.minimum(np.minimum(np.minimum(
+                _BASIN_QS - (np.abs(q) + np.abs(s)),
+                rho - _BASIN_RHO_FLOOR),
+                rho - 4.0 * nm1 * np.abs(s)),
+                riccati_safe)
+    elif model in (Model.INVISCID_BURGERS, Model.DAMPED_BURGERS):
+        system, rows = burgers_system(params), [0, 1, 3]
+        kd = params.kappa_damp if model is Model.DAMPED_BURGERS else 0.0
 
-    kd = params.kappa_damp if model is Model.DAMPED_BURGERS else 0.0
-
-    def g(t, y):
-        return np.minimum(y[0] + kd, y[1] + kd)
-
-    return EventSpec("bounded-basin", g, direction=+1, terminal=True)
-
-
-def _state_rows(params: ModelParams) -> list[int]:
-    """The rows of (p, q, s, rho) that the model's characteristic system carries."""
-    if params.model is Model.EULER_POISSON:
-        return [0, 3] if params.n == 1.0 else [0, 1, 2, 3]
-    return [0, 1, 3]
+        def g(t, y):
+            return np.minimum(y[0] + kd, y[1] + kd)
+    else:
+        raise ValueError(f"classify_ep does not handle model {model}")
+    if model is Model.EULER_POISSON and params.c != 0.0:
+        return system, rows, None
+    return system, rows, EventSpec("bounded-basin", g, direction=+1, terminal=True)
 
 
-def _initial_state(y0: CharState, params: ModelParams) -> np.ndarray:
-    return y0.as_array()[_state_rows(params)]
+STATE_KEYS = ("p0", "q0", "s0", "rho0")    # the config keys of the (p, q, s, rho) rows
 
 
-def _system_for(params: ModelParams) -> OdeSystem:
-    if params.model is Model.EULER_POISSON:
-        return ep_1d_system(params) if params.n == 1.0 else ep_full_system(params)
-    if params.model in (Model.INVISCID_BURGERS, Model.DAMPED_BURGERS):
-        return burgers_system(params)
-    raise ValueError(f"classify_ep does not handle model {params.model}")
-
-
-def _check_states(x: np.ndarray, params: ModelParams):
-    """Refuse the first (p, q, s, rho) column that no classifier run can start from."""
-    bad_rho = x[3] < 0.0
-    bad_s = (x[2] <= -params.c / params.n) & (params.model is Model.EULER_POISSON
-                                              and params.n > 1.0)
-    first = np.flatnonzero(bad_rho | bad_s)
-    if len(first):
-        raise ValueError("rho0 must be nonnegative" if bad_rho[first[0]]
-                         else f"s0 must exceed -c/n = {-params.c / params.n}")
+def state_rules(params: ModelParams) -> dict:
+    """The ``(test, wanted)`` rule of each state value no classifier run starts
+    from.  The tests are elementwise and pass NaN."""
+    rules = {"rho0": (lambda v: ~np.less(v, 0.0), "nonnegative")}
+    if params.model is Model.EULER_POISSON and params.n > 1.0:
+        s_min = 0.0 - params.c / params.n    # -c/n, never -0.0
+        rules["s0"] = (lambda v: ~np.less_equal(v, s_min), f"greater than -c/n = {s_min!r}")
+    return rules
 
 
 # Below this many lanes a batch runs lane by lane through the scalar
@@ -502,7 +487,7 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
     gives for that state alone.  The verdict codes come from array passes
     over the lanes; an outcome is built only when it is read.  Without
     ``outcomes`` the verdicts hold the codes only, and no run fits a
-    blowup time.
+    blowup time.  A state that breaks a :func:`state_rules` rule raises.
 
     For n = 1 and c > 0 the exact (w, v) orbit is periodic, so a run stops
     after one period and ends there if its state returns to within
@@ -513,16 +498,18 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
     orbit that the run stepped past v = 0, becomes INCONCLUSIVE.
     """
     x = np.asarray(x, dtype=float)
-    _check_states(x, params)
+    for key, (ok, wanted) in state_rules(params).items():
+        row = x[STATE_KEYS.index(key)]
+        if not np.all(ok(row)):
+            raise ValueError(f"{key} must be {wanted}, got {float(row[~ok(row)][0])!r}")
     return _in_batches(x.shape[1], lambda lo, hi: _classify_ep_batch(
         x[:, lo:hi], params, config, confirm, outcomes))
 
 
 def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorConfig,
                        confirm: bool, outcomes: bool) -> Verdicts:
-    system = _system_for(params)
-    basin = _basin_event(params)
-    x0 = x[_state_rows(params)]
+    system, rows, basin = _characteristic(params)
+    x0 = x[rows]
     norm0 = np.max(np.abs(x0), axis=0)
     passes = (config, config.tightened(0.1)) if confirm else (config,)
 

@@ -7,58 +7,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import AlignmentBounds, classify_ea_many
-from .config import ConfigError, RunConfig, csv_text, json_number, provenance
+from .config import (AT_LEAST_ONE, FINITE, ConfigError, RunConfig, check_keys, csv_text,
+                     json_number, provenance)
 from .core import Model, ModelParams
 # classify_ep is not called here; perfbench/tracer.py wraps sweep.classify_ep
-from .euler_poisson import Verdicts, classify_ep, classify_ep_columns  # noqa: F401
+from .euler_poisson import (STATE_KEYS, Verdicts, classify_ep,  # noqa: F401
+                            classify_ep_columns, state_rules)
 from .odeint import IntegratorConfig
 
 MAX_SWEEP_CELLS = 1_000_000
 
 # the config keys a sweep axis may vary, by model family
-_STATE_AXES = ("p0", "q0", "s0", "rho0")
 _ALIGNMENT_AXES = ("y0", "C0")
 
-_MODEL_KINDS = {
-    "euler-poisson": Model.EULER_POISSON,
-    "euler-alignment": Model.EULER_ALIGNMENT,
-    "inviscid-burgers": Model.INVISCID_BURGERS,
-    "damped-burgers": Model.DAMPED_BURGERS,
-}
+
+def _built(section: str, factory, **values):
+    """``factory(**values)``, its ValueError refused as a ``[section]`` config error."""
+    try:
+        return factory(**values)
+    except ValueError as exc:
+        # the message starts with the value's name, which is its config key
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def model_params_from(cfg: RunConfig) -> ModelParams:
-    m = cfg["model"]
-    if m["kind"] not in _MODEL_KINDS:
-        raise ValueError(f"unknown model kind {m['kind']!r}")
-    try:
-        return ModelParams(n=m["n"], kappa=m["kappa"], c=m["c"],
-                           model=_MODEL_KINDS[m["kind"]], kappa_damp=m["kappa_damp"])
-    except ValueError as exc:
-        # the message starts with the parameter's name, which is its config key
-        raise ConfigError(f"[model] {exc}") from exc
+    m, kinds = cfg["model"], [kind.value for kind in Model]
+    check_keys(cfg, "model", kind=(lambda v: v in kinds, f"one of {kinds}"))
+    return _built("model", ModelParams, n=m["n"], kappa=m["kappa"], c=m["c"],
+                  model=Model(m["kind"]), kappa_damp=m["kappa_damp"])
 
 
 def integrator_from(cfg: RunConfig) -> IntegratorConfig:
     i = cfg["integrator"]
-    try:
-        return IntegratorConfig(rel_tol=i["rel_tol"], abs_tol=i["abs_tol"],
-                                h_init=i["h_init"], h_min=i["h_min"],
-                                h_max=i["h_max"], t_max=i["t_max"],
-                                magnitude_cap=i["magnitude_cap"])
-    except ValueError as exc:
-        # the message starts with the setting's name, which is its config key
-        raise ConfigError(f"[integrator] {exc}") from exc
+    return _built("integrator", IntegratorConfig, rel_tol=i["rel_tol"],
+                  abs_tol=i["abs_tol"], h_init=i["h_init"], h_min=i["h_min"],
+                  h_max=i["h_max"], t_max=i["t_max"], magnitude_cap=i["magnitude_cap"])
 
 
 def bounds_from(cfg: RunConfig) -> AlignmentBounds:
     a = cfg["alignment"]
-    try:
-        return AlignmentBounds.explicit(psi_min=a["psi_min"], psi_max=a["psi_max"],
-                                        nu=a["nu"], C0=a["C0"])
-    except ValueError as exc:
-        # the message starts with the bound's name, which is its config key
-        raise ConfigError(f"[alignment] {exc}") from exc
+    return _built("alignment", AlignmentBounds.explicit, psi_min=a["psi_min"],
+                  psi_max=a["psi_max"], nu=a["nu"], C0=a["C0"])
 
 
 def classify_cells(cfg: RunConfig, *, outcomes: bool = True, **axes: np.ndarray) -> Verdicts:
@@ -70,18 +59,17 @@ def classify_cells(cfg: RunConfig, *, outcomes: bool = True, **axes: np.ndarray)
     cells run as one lockstep batch.  Without ``outcomes`` the verdicts
     hold the codes only.
     """
-    params = model_params_from(cfg)
-    integ = integrator_from(cfg)
-    if integ.t_max <= 0:
-        # a zero horizon would call every state bounded
-        raise ConfigError(f"[integrator] t_max must be positive to classify, "
-                          f"got {integ.t_max!r}")
+    params, integ = model_params_from(cfg), integrator_from(cfg)
+    # a zero horizon would call every state bounded
+    check_keys(cfg, "integrator", t_max=(lambda v: v > 0, "positive to classify"))
     alignment = params.model is Model.EULER_ALIGNMENT
-    section, keys = ("alignment", ("y0",)) if alignment else ("state", _STATE_AXES)
-    for key in keys:
-        # also where an axis replaces the value: a config never means a non-finite one
-        if not np.isfinite(cfg[section][key]):
-            raise ConfigError(f"[{section}] {key} must be finite, got {cfg[section][key]!r}")
+    if alignment:
+        check_keys(cfg, "alignment", y0=FINITE)
+    else:
+        # finite also where an axis replaces the value: a config never means NaN or inf
+        check_keys(cfg, "state", **dict.fromkeys(STATE_KEYS, FINITE))
+        check_keys(cfg, "state", **{key: rule for key, rule in state_rules(params).items()
+                                    if key not in axes})
     n_cells = len(next(iter(axes.values()))) if axes else 1
 
     def column(section, key):
@@ -92,7 +80,7 @@ def classify_cells(cfg: RunConfig, *, outcomes: bool = True, **axes: np.ndarray)
         return classify_ea_many(a["kind"], column("alignment", "y0"),
                                 column("alignment", "C0"), bounds_from(cfg), params.n,
                                 config=integ, side=a["side"], outcomes=outcomes)
-    return classify_ep_columns(np.array([column("state", key) for key in _STATE_AXES]),
+    return classify_ep_columns(np.array([column("state", key) for key in STATE_KEYS]),
                                params, integ, confirm=cfg["integrator"]["confirm"],
                                outcomes=outcomes)
 
@@ -127,8 +115,9 @@ class SweepResult:
 
 def _check_axes(cfg: RunConfig):
     s = cfg["sweep"]
-    alignment = model_params_from(cfg).model is Model.EULER_ALIGNMENT
-    allowed = _ALIGNMENT_AXES if alignment else _STATE_AXES
+    params = model_params_from(cfg)
+    allowed = _ALIGNMENT_AXES if params.model is Model.EULER_ALIGNMENT else STATE_KEYS
+    rules = state_rules(params)    # of state axes only: no alignment axis has one
     for key in ("axis1", "axis2"):
         if s[key] not in allowed:
             raise ConfigError(f"[sweep] {key} = {s[key]!r} is not a sweep axis of "
@@ -137,12 +126,11 @@ def _check_axes(cfg: RunConfig):
     if s["axis1"] == s["axis2"]:
         raise ConfigError(f"[sweep] axis1 and axis2 are both {s['axis1']!r}")
     for axis in ("axis1", "axis2"):
-        key = f"{axis}_steps"
-        if s[key] < 1:
-            raise ConfigError(f"[sweep] {key} must be at least 1, got {s[key]!r}")
-        for key in (f"{axis}_min", f"{axis}_max"):
-            if not np.isfinite(s[key]):
-                raise ConfigError(f"[sweep] {key} must be finite, got {s[key]!r}")
+        ends = (f"{axis}_min", f"{axis}_max")
+        check_keys(cfg, "sweep", **{f"{axis}_steps": AT_LEAST_ONE},
+                   **dict.fromkeys(ends, FINITE))
+        if s[axis] in rules:
+            check_keys(cfg, "sweep", **dict.fromkeys(ends, rules[s[axis]]))
 
 
 def run_sweep(cfg: RunConfig) -> SweepResult:
@@ -156,8 +144,8 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     axis2 = np.linspace(s["axis2_min"], s["axis2_max"], s["axis2_steps"])
     n_cells = len(axis1) * len(axis2)
     if n_cells > MAX_SWEEP_CELLS:
-        raise ValueError(f"sweep grid has {n_cells} cells "
-                         f"(limit {MAX_SWEEP_CELLS}); refuse to run")
+        raise ConfigError(f"[sweep] axis1_steps * axis2_steps = {n_cells} cells; "
+                          f"refuse to run more than {MAX_SWEEP_CELLS}")
     name1, name2 = s["axis1"], s["axis2"]
     # row-major: cell i len(axis2) + j is (axis1[i], axis2[j])
     verdicts = classify_cells(cfg, outcomes=False,

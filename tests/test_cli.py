@@ -690,8 +690,60 @@ def test_curves_x_max_inside_series_offset_refused(tmp_path, capsys):
                    "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err.startswith("error: x_max must exceed the series start offset 1e-06")
+    assert captured.err.startswith("error: [curves] x_max must be above the series start "
+                                   "offset 1e-06")
     assert not (out / "curves.csv").exists()
+
+
+_KINDS = "['euler-poisson', 'euler-alignment', 'inviscid-burgers', 'damped-burgers']"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("classify", "[state]\nrho0 = -1\n", "[state] rho0 must be nonnegative, got -1.0"),
+    ("classify", "[model]\nn = 3\n\n[state]\ns0 = -1\n",
+     "[state] s0 must be greater than -c/n = 0.0, got -1.0"),
+    ("classify", "[model]\nn = 2\nc = 1\n\n[state]\ns0 = -0.5\n",
+     "[state] s0 must be greater than -c/n = -0.5, got -0.5"),
+    ("sweep", "[sweep]\naxis2_min = -1\naxis1_steps = 3\naxis2_steps = 3\n",
+     "[sweep] axis2_min must be nonnegative, got -1.0"),
+    ("sweep", "[model]\nn = 3\n\n[sweep]\naxis1 = s0\naxis1_min = 1\naxis1_max = -1\n"
+     "axis1_steps = 3\naxis2_steps = 3\n",
+     "[sweep] axis1_max must be greater than -c/n = 0.0, got -1.0"),
+    ("sweep", "[sweep]\naxis1_steps = 2000\naxis2_steps = 1000\n",
+     "[sweep] axis1_steps * axis2_steps = 2000000 cells; refuse to run more than 1000000"),
+    ("curves", "[curves]\nx_max = 5e-7\n",
+     "[curves] x_max must be above the series start offset 1e-06, got 5e-07"),
+    ("classify", "[model]\nkind = euler-poison\n",
+     f"[model] kind must be one of {_KINDS}, got 'euler-poison'"),
+], ids=["state-rho0", "state-s0", "state-s0-background", "sweep-rho0-min", "sweep-s0-max",
+        "sweep-cells", "curves-x_max", "model-kind"])
+def test_refusal_names_the_key_of_its_value(tmp_path, capsys, command, text, message):
+    # these refusals once named no [section] key, or named the state
+    # variable where the value came from a sweep axis end
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", write(tmp_path, "bad.cfg", text), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_state_rule_skips_a_value_an_axis_replaces(tmp_path, capsys):
+    # the config's rho0 = -1 is never used: the rho0 axis replaces it
+    text = "[state]\nrho0 = -1\n\n[sweep]\naxis1_steps = 2\naxis2_steps = 2\n"
+    assert cli.main(["sweep", "--config", write(tmp_path, "s.cfg", text),
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep.csv").exists()
+
+
+def test_version_is_the_one_in_pyproject():
+    # the provenance line prints radial_euler.__version__; the package
+    # metadata takes the version from pyproject.toml
+    import tomllib
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == radial_euler.__version__
 
 
 def test_curves_v0_max_read_only_with_ep_threshold(tmp_path, capsys):

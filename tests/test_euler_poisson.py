@@ -88,6 +88,46 @@ def test_classify_preconditions():
                     ModelParams(n=2, kappa=1, c=1))
 
 
+def test_state_rules_name_the_key_and_the_value():
+    with pytest.raises(ValueError, match=r"^rho0 must be nonnegative, got -1\.0$"):
+        classify_ep(CharState(p=0.0, rho=-1.0), EP1)
+    with pytest.raises(ValueError, match=r"^s0 must be greater than -c/n = 0\.0, got 0\.0$"):
+        classify_ep(CharState(p=0.0, q=0.1, rho=1.0), ModelParams(n=3))
+    with pytest.raises(ValueError, match=r"^s0 must exceed -c/n = 0\.0$"):
+        integrate_qs(ModelParams(n=3), 0.1, 0.0, 1.0)
+    # NaN passes the rules, as it did: p0 = 0 at n = 1 starts in the basin
+    assert classify_ep(CharState(p=0.0, rho=math.nan), EP1).is_bounded
+    # only the multi-D Euler-Poisson system carries s
+    assert list(euler_poisson.state_rules(ModelParams(n=3))) == ["rho0", "s0"]
+    for params in (EP1, ModelParams(n=3, model=Model.INVISCID_BURGERS)):
+        assert list(euler_poisson.state_rules(params)) == ["rho0"]
+
+
+@pytest.mark.parametrize("params, labels, basin", [
+    (EP1, ("p", "rho"), True), (EP1C, ("p", "rho"), False),
+    (ModelParams(n=3), ("p", "q", "s", "rho"), True),
+    (ModelParams(n=3, c=1), ("p", "q", "s", "rho"), False),
+    (ModelParams(n=2, model=Model.INVISCID_BURGERS), ("p", "q", "rho"), True),
+    (ModelParams(n=2, model=Model.DAMPED_BURGERS), ("p", "q", "rho"), True),
+], ids=["ep-1d", "ep-1d-background", "ep-3d", "ep-3d-background", "inviscid", "damped"])
+def test_characteristic_of_each_model(params, labels, basin):
+    system, rows, event = euler_poisson._characteristic(params)
+    assert system.labels == labels
+    assert [("p", "q", "s", "rho")[row] for row in rows] == list(labels)
+    assert (event is not None) is basin
+
+
+def test_characteristic_basin_of_damped_burgers_is_shifted_by_kd():
+    # {p >= -kd, q >= -kd}: kd = kappa_damp for the damped model, 0 for the inviscid
+    y = np.array([-0.4, -0.4, 1.0])
+    damped = ModelParams(n=2, model=Model.DAMPED_BURGERS, kappa_damp=0.5)
+    assert euler_poisson._characteristic(damped)[2].func(0.0, y) == pytest.approx(0.1)
+    inviscid = ModelParams(n=2, model=Model.INVISCID_BURGERS)
+    assert euler_poisson._characteristic(inviscid)[2].func(0.0, y) == pytest.approx(-0.4)
+    with pytest.raises(ValueError, match="does not handle model"):
+        euler_poisson._characteristic(ModelParams(n=2, model=Model.EULER_ALIGNMENT))
+
+
 def test_classify_multi_d_spec_example():
     # bounded (q, s) block keeps this compressive state classifiable
     params = ModelParams(n=3, kappa=1, c=0)
@@ -404,9 +444,8 @@ def test_sweep_runs_no_blowup_fit(monkeypatch, fits):
     read = [outs[cell] for cell in blown]
     assert fits == [] and all(out.is_blowup for out in read)
     for cell, out in zip(blown, read):
-        ref = integrate(euler_poisson._system_for(EP1),
-                        euler_poisson._initial_state(states[cell], EP1), cfg,
-                        events=(euler_poisson._basin_event(EP1),))
+        system, rows, basin = euler_poisson._characteristic(EP1)
+        ref = integrate(system, states[cell].as_array()[rows], cfg, events=(basin,))
         assert out.t_estimate == ref.blowup_time
     # an outcome made with a time keeps it
     from radial_euler.odeint import ClassificationOutcome
@@ -439,9 +478,9 @@ def test_one_cell_classify_fits_once_per_run(tmp_path, fits):
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = cli.main(["classify", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2 and len(fits) == 2
-    ref = integrate(euler_poisson._system_for(EP1),
-                    euler_poisson._initial_state(CharState(p=-3.0, rho=2.0), EP1),
-                    IntegratorConfig(), events=(euler_poisson._basin_event(EP1),))
+    system, rows, basin = euler_poisson._characteristic(EP1)
+    ref = integrate(system, CharState(p=-3.0, rho=2.0).as_array()[rows], IntegratorConfig(),
+                    events=(basin,))
     assert json.loads(stdout.getvalue())["t_estimate"] == float("%.12e" % ref.blowup_time)
 
 
