@@ -141,6 +141,24 @@ CASES = {
         "[model]\nn = 3\n\n[state]\nq0 = 0.3\ns0 = 0.05\n",
         "axis1_min = -3\naxis1_max = 1\naxis1_steps = 3\n"
         "axis2_min = 0.5\naxis2_max = 2\naxis2_steps = 3\n", TIGHT)),
+    # zero-background multi-D p0 x rho0 grids share one (q0, s0) orbit; the
+    # positive-background grid and the p0 x q0 grid (five orbits) do not
+    "sweep-ep2-p0-rho0": ("sweep", _sweep(
+        "[model]\nn = 2\n\n[state]\nq0 = 0.5\ns0 = 0.1\n",
+        "axis1_min = -3\naxis1_max = 1\naxis1_steps = 6\n"
+        "axis2_min = 0.5\naxis2_max = 2.5\naxis2_steps = 5\n")),
+    "sweep-ep3-coarse": ("sweep", _sweep(
+        "[model]\nn = 3\n\n[state]\nq0 = 1.0\ns0 = 0.01\n",
+        "axis1_min = -3\naxis1_max = 1\naxis1_steps = 6\n"
+        "axis2_min = 0.25\naxis2_max = 3\naxis2_steps = 5\n", COARSE)),
+    "sweep-ep2c": ("sweep", _sweep(
+        "[model]\nn = 2\nc = 0.5\n\n[state]\nq0 = 0.3\ns0 = 0.2\n",
+        "axis1_min = -3\naxis1_max = 1\naxis1_steps = 6\n"
+        "axis2_min = 0.5\naxis2_max = 2.5\naxis2_steps = 5\n")),
+    "sweep-ep2-p0-q0": ("sweep", _sweep(
+        "[model]\nn = 2\n\n[state]\ns0 = 0.1\nrho0 = 1.0\n",
+        "axis1_min = -3\naxis1_max = 1\naxis1_steps = 6\n"
+        "axis2 = q0\naxis2_min = -1\naxis2_max = 1\naxis2_steps = 5\n")),
     "sweep-ea-small": ("sweep", _sweep(
         "[model]\nkind = euler-alignment\nn = 2\n\n[alignment]\nC0 = 0.1\n",
         "axis1 = y0\naxis1_min = -2\naxis1_max = 1\naxis1_steps = 4\n"
