@@ -24,7 +24,7 @@ from .euler_poisson import (QsHatResult, ThresholdConstants, classify_ep,
                             compute_threshold_constants, ep_1d_system, ep_full_system, explicit_sigma_plus,
                             initial_s_from_density, qs_phase_portrait,
                             qs_system, qshat_integrate, qshat_system,
-                            sigma_1d, wv_system, burgers_system)
+                            sigma_1d, wv_basis_system, burgers_system)
 from .alignment import (AlignmentBounds, EaCharState, InfluenceSpec,
                         ThresholdCurve,
                         CURVE_KINDS, INFLUENCE_LIBRARY, classify_ea_many,

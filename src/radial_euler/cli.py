@@ -121,11 +121,12 @@ def cmd_curves(cfg: RunConfig, out_dir: str, fmt: str) -> int:
                                      f"above the series start offset {bounds.series_offset:g}"))
     which = (list(CURVE_KINDS) if cur["which"] == "all"
              else [w.strip() for w in cur["which"].split(",")])
+    for kind in which:    # every kind before any curve is integrated
+        if kind not in CURVE_KINDS:
+            raise ConfigError(f"[curves] which: unknown curve kind {kind!r}")
     rows = [("curve", "x", "value")]
     xs = np.linspace(0.0, cur["x_max"], cur["samples"])
     for kind in which:
-        if kind not in CURVE_KINDS:
-            raise ConfigError(f"[curves] which: unknown curve kind {kind!r}")
         curve = enhanced_curve(kind, bounds, params.n, cur["x_max"])
         rows += [(kind, x, v) for x, v in zip(xs, curve(xs))]
     if cur["include_ep"]:

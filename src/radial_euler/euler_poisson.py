@@ -112,27 +112,37 @@ def qshat_system(params: ModelParams) -> OdeSystem:
     return OdeSystem(2, rhs, labels=("q_hat", "s_hat"))
 
 
-def wv_system(params: ModelParams, qs_record: TrajectoryRecord,
-              s0: float) -> OdeSystem:
-    """(w, v) = (p/rho, 1/rho) * exp((n-1) A) driven by a (q, s) trajectory.
+def wv_basis_system(params: ModelParams, s0: float) -> OdeSystem:
+    """The (q, s) block and, along its orbit, the three solutions (w, v) is built from.
 
-    A(t) = (1/n) log(s_tilde(t)/s_tilde(0)) with s_tilde = s + c/n, and
+    With A(t) = (1/n) log(s_tilde(t)/s_tilde(0)), s_tilde = s + c/n, the pair
+    (w, v) = (p, 1) exp((n-1) A) / rho solves the linear equation
 
-        w' = kappa exp((n-1) A) - kappa (c + (n-1) s) v,   v' = w.
+        v'' = -kappa (c + (n-1) s) v + kappa exp((n-1) A),   w = v',
+
+    so v = v0 phi1 + w0 phi2 + v_p with (w0, v0) = (p0, 1) / rho0, where phi1
+    and phi2 solve the homogeneous equation from (v, v') = (1, 0) and (0, 1)
+    and v_p the full one from (0, 0).  The state is (q, s, phi1, phi1', phi2,
+    phi2', v_p, v_p'), starting at (q0, s0, 1, 0, 0, 1, 0, 0).  A state blows
+    up exactly when its v reaches 0.
     """
     n, kappa, c = params.n, params.kappa, params.c
     st0 = s0 + c / n
-    if st0 <= 0:
+    if not st0 > 0:
         raise ValueError("s0 + c/n must be positive for the (w, v) transform")
+    power = (n - 1.0) / n
 
     def rhs(t, y):
-        w, v = y
-        s = float(qs_record.sample(t)[1])
-        a = math.log((s + c / n) / st0) / n
-        return (kappa * math.exp((n - 1.0) * a)
-                - kappa * (c + (n - 1.0) * s) * v, w)
+        q, s, a, da, b, db, vp, dvp = y
+        k = -kappa * (c + (n - 1.0) * s)
+        st = (s + c / n) / st0
+        # s_tilde > 0 along every orbit; a trial stage that leaves it is rejected
+        force = kappa * st ** power if st > 0 else math.nan
+        return (-q * q + kappa * s, -(n * s + c) * q, da, k * a, db, k * b, dvp,
+                k * vp + force)
 
-    return OdeSystem(2, rhs, labels=("w", "v"))
+    return OdeSystem(8, rhs, labels=("q", "s", "phi1", "phi1'", "phi2", "phi2'",
+                                     "v_p", "v_p'"))
 
 
 def initial_s_from_density(rho0: RadialProfile, c: float, r, n: float):
@@ -489,6 +499,12 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
     ``outcomes`` the verdicts hold the codes only, and no run fits a
     blowup time.  A state that breaks a :func:`state_rules` rule raises.
 
+    Codes only, zero-background Euler-Poisson with n > 1 whose columns share
+    one (q0, s0) is first settled from one run of :func:`wv_basis_system`
+    (:func:`_wv_settled`): a cell whose v stays clearly positive is bounded,
+    one whose v turns clearly negative well before t_max blows up, and only
+    the rest run as lanes.  Its margins keep every code the lanes would give.
+
     For n = 1 and c > 0 the exact (w, v) orbit is periodic, so a run stops
     after one period and ends there if its state returns to within
     1e-5 (|y0| + 1), or if the amplitude certificate :func:`_certify` shows
@@ -506,7 +522,110 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
         x[:, lo:hi], params, config, confirm, outcomes))
 
 
+# The (w, v) certificate of zero-background multi-D cells that share one
+# (q0, s0) orbit.  Its basis run takes these tolerances, whatever the lanes' ...
+_WV_REL_TOL, _WV_ABS_TOL = 1e-10, 1e-12
+# ... and is read at its nodes and at these fractions of each step.
+_WV_READS = (0.25, 0.5, 0.75)
+# A cell is settled where v stays above, or falls below, -+ margin times the
+# size |v0 phi1| + |w0 phi2| + |v_p| of its terms, with margin the larger of
+# _WV_MARGIN and _WV_MARGIN_PER_TOL times the lanes' coarser tolerance.
+_WV_MARGIN, _WV_MARGIN_PER_TOL = 1e-3, 50.0
+# A fall settles a blowup only before this share of t_max.
+_WV_HORIZON_SHARE = 0.99
+# A cell's lanes must be able to follow it: its |p|, rho, |q| and |s| stay
+# below _WV_CAP_SHARE of the cap and below _WV_STEP_SHARE tol^(1/5) / h_min,
+# the size near a Riccati pole past which a DP5 lane at tolerance tol would
+# need steps shorter than h_min, and the lanes' step budget holds
+# _WV_STEP_BUDGET basis runs.
+_WV_CAP_SHARE, _WV_STEP_SHARE, _WV_STEP_BUDGET = 1e-3, 0.1, 100
+# cells x reads values per block of the streamed pass over the reads (a
+# 1 << 16 block raised a 400-cell grid's peak RSS by 2.6 MB more)
+_WV_BLOCK = 1 << 14
+
+
+def _wv_settled(x: np.ndarray, params: ModelParams,
+                config: IntegratorConfig) -> Optional[np.ndarray]:
+    """The verdict code of each column of ``x`` the (w, v) basis settles, -1 for
+    a cell it leaves to the lanes; None when it settles none.
+
+    It applies to zero-background Euler-Poisson with n > 1 where every column
+    shares one (q0, s0): one :func:`integrate` of :func:`wv_basis_system`
+    over [0, t_max] gives every cell's v.  v is read at the run's nodes and,
+    through Hermite dense output, between them, streamed over blocks of
+    reads.  A cell is bounded if v stays above the margin and its
+    |p| = |w| / v and rho = exp((n-1) A) / v, like the orbit's |q| and |s|,
+    stay where its lanes can follow them.  It blows up if v falls below
+    minus the margin before 0.99 t_max, and if a lane can follow it to the
+    cap.  (No such cell enters the bounded basin first: the basin is
+    forward-invariant and bounded.)  If the basis run ends before t_max,
+    every cell goes to the lanes.
+    """
+    p0, q, s, rho0 = x
+    if (params.model is not Model.EULER_POISSON or params.n <= 1.0 or params.c != 0.0
+            or x.shape[1] == 0 or not (np.all(q == q[0]) and np.all(s == s[0]))):
+        return None
+    q0, s0 = float(q[0]), float(s[0])
+    rec = integrate(wv_basis_system(params, s0), (q0, s0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+                    replace(config, rel_tol=_WV_REL_TOL, abs_tol=_WV_ABS_TOL))
+    steps = len(rec.ts) - 1
+    if (rec.termination is not Termination.REACHED_HORIZON or steps == 0
+            or config.max_steps < _WV_STEP_BUDGET * steps):
+        return None
+    t = np.concatenate((rec.ts, (rec.ts[:-1, None] + np.diff(rec.ts)[:, None]
+                                 * np.array(_WV_READS)).ravel()))
+    q_t, s_t, phi1, dphi1, phi2, dphi2, vp, dvp = rec.sample_many(t).T
+    with np.errstate(all="ignore"):
+        squeeze = (s_t / s0) ** ((params.n - 1.0) / params.n)     # exp((n-1) A)
+    early = t < _WV_HORIZON_SHARE * config.t_max
+    margin = max(_WV_MARGIN, _WV_MARGIN_PER_TOL * max(config.rel_tol, np.max(config.abs_tol)))
+    # the confirm pass steps at a tenth of rel_tol
+    reach = _WV_STEP_SHARE * (0.1 * config.rel_tol) ** 0.2 / config.h_min
+    limit = min(_WV_CAP_SHARE * config.magnitude_cap, reach)
+
+    cells = np.flatnonzero(np.isfinite(p0) & (rho0 > 0.0) & np.isfinite(rho0))
+    v0, w0 = 1.0 / rho0[cells], p0[cells] / rho0[cells]
+    # |q| and |s| are the orbit's, |p| and rho each cell's
+    low = np.full(len(cells), np.inf)
+    peak = np.full(len(cells), max(np.max(np.abs(q_t)), np.max(np.abs(s_t))))
+    falls = np.zeros(len(cells), dtype=bool)
+    block = max(1, _WV_BLOCK // max(len(cells), 1))
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(t), block):
+            k = slice(lo, lo + block)
+            v = v0[:, None] * phi1[k] + w0[:, None] * phi2[k] + vp[k]
+            band = margin * (v0[:, None] * np.abs(phi1[k]) + np.abs(w0)[:, None]
+                             * np.abs(phi2[k]) + np.abs(vp[k]))
+            w = v0[:, None] * dphi1[k] + w0[:, None] * dphi2[k] + dvp[k]
+            low = np.minimum(low, np.min(v - band, axis=1))
+            peak = np.maximum(peak, np.max(np.maximum(np.abs(w), squeeze[k]) / v, axis=1))
+            falls |= np.any((v + band < 0.0) & early[k], axis=1)
+    bounded = (low > 0.0) & (peak < limit)
+    falls &= config.magnitude_cap <= reach
+    codes = np.full(x.shape[1], -1)
+    codes[cells[bounded]] = VERDICT_CODES[Verdict.GLOBAL_BOUNDED]
+    codes[cells[falls]] = VERDICT_CODES[Verdict.FINITE_TIME_BLOWUP]
+    log.info("%d cells share the (q0, s0) orbit (%g, %g), whose (w, v) basis run took "
+             "%d steps: %d settled bounded, %d settled as blowups, %d left to the lanes",
+             x.shape[1], q0, s0, steps, np.count_nonzero(bounded), np.count_nonzero(falls),
+             x.shape[1] - np.count_nonzero(bounded) - np.count_nonzero(falls))
+    return codes
+
+
 def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorConfig,
+                       confirm: bool, outcomes: bool) -> Verdicts:
+    """The verdicts of one batch: codes only are settled by the (w, v) basis
+    where it applies (:func:`_wv_settled`), and the rest run as lanes."""
+    settled = None if outcomes else _wv_settled(x, params, config)
+    if settled is None:
+        return _classify_ep_lanes(x, params, config, confirm, outcomes)
+    rest = settled < 0
+    if rest.any():
+        settled[rest] = _classify_ep_lanes(x[:, rest], params, config, confirm, False).codes
+    return Verdicts(settled, None)
+
+
+def _classify_ep_lanes(x: np.ndarray, params: ModelParams, config: IntegratorConfig,
                        confirm: bool, outcomes: bool) -> Verdicts:
     system, rows, basin = _characteristic(params)
     x0 = x[rows]

@@ -695,7 +695,21 @@ def test_curves_x_max_inside_series_offset_refused(tmp_path, capsys):
     assert not (out / "curves.csv").exists()
 
 
-_KINDS = "['euler-poisson', 'euler-alignment', 'inviscid-burgers', 'damped-burgers']"
+def test_curves_unknown_kind_refused_before_any_curve(tmp_path, capsys, monkeypatch):
+    # an unknown kind after two valid ones once cost two curve integrations
+    calls = []
+    monkeypatch.setattr(cli, "enhanced_curve",
+                        lambda *args, **kw: calls.append(args) or cli.enhanced_curve(*args))
+    out = tmp_path / "out"
+    text = CURVES_EP + "which = sigma_q_plus, sigma_G_plus, bogus\n"
+    rc = cli.main(["curves", "--config", write(tmp_path, "bad.cfg", text), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: [curves] which: unknown curve kind 'bogus'\n"
+    assert calls == []
+    assert not (out / "curves.csv").exists()
+
+
+_KINDS ="['euler-poisson', 'euler-alignment', 'inviscid-burgers', 'damped-burgers']"
 
 
 @pytest.mark.parametrize("command, text, message", [

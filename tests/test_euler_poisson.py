@@ -1,9 +1,11 @@
 import contextlib
+import functools
 import io
 import itertools
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from radial_euler import (CharState, IntegratorConfig, Model, ModelParams,
                           compute_dcrit, compute_threshold_constants, constant,
                           explicit_sigma_plus, gaussian_bump,
                           initial_s_from_density, qs_phase_portrait,
-                          qshat_integrate, qshat_system, sigma_1d, wv_system)
+                          qshat_integrate, qshat_system, sigma_1d, wv_basis_system)
 from radial_euler import cli, euler_poisson
 from radial_euler.euler_poisson import classify_ep_columns, integrate_qs
 from radial_euler.alignment import AlignmentBounds, classify_ea_many
@@ -304,6 +306,17 @@ def test_sweep_codes_match_one_cell_verdicts():
         with pytest.raises(IndexError):
             verdicts[len(states)]
 
+    # a sweep whose cells share one zero-background multi-D orbit, which the
+    # (w, v) basis settles without lanes
+    params = ModelParams(n=3, kappa=1, c=0)
+    swept = run_sweep(parse_config_text(_sweep_text(3, 0.0, 1.0, 0.01, 200.0, steps=8)))
+    states = _grid(swept.axis1, swept.axis2, q=1.0, s=0.01)
+    x = np.array([[state.p, state.q, state.s, state.rho] for state in states]).T
+    settled = euler_poisson._wv_settled(x, params, IntegratorConfig())
+    assert np.count_nonzero(settled >= 0) >= 60 and len(set(swept.codes.ravel())) == 2
+    for state, code in zip(states, swept.codes.ravel()):
+        assert code == VERDICT_CODES[classify_ep(state, params).verdict], state
+
 
 def _state_on_orbit(amp, phase, kappa, c):
     """(p, rho) at ``phase`` on the 1D orbit of amplitude ``amp`` (None if v <= 0)."""
@@ -454,14 +467,19 @@ def test_sweep_runs_no_blowup_fit(monkeypatch, fits):
 
 @pytest.mark.parametrize("text", [
     # the configs of the sweep-ep3-small and sweep-ea-small byte pins: fewer
-    # than 20 lanes, so every run takes the scalar loop
+    # than 20 lanes, so every run takes the scalar loop (the (w, v) basis
+    # settles the ep3-small cells, which share one (q0, s0), before any run;
+    # the cells of ep3-q0-small do not share one, so they all run)
     "[model]\nn = 3\n\n[state]\nq0 = 0.3\ns0 = 0.05\n\n[sweep]\naxis1_min = -3\n"
     "axis1_max = 1\naxis1_steps = 3\naxis2_min = 0.5\naxis2_max = 2\naxis2_steps = 3\n\n"
     "[integrator]\nrel_tol = 1e-6\nabs_tol = 1e-8\n",
     "[model]\nkind = euler-alignment\nn = 2\n\n[alignment]\nC0 = 0.1\n\n[sweep]\n"
     "axis1 = y0\naxis1_min = -2\naxis1_max = 1\naxis1_steps = 4\n"
     "axis2 = C0\naxis2_min = 0\naxis2_max = 0.4\naxis2_steps = 3\n",
-], ids=["ep3-small", "ea-small"])
+    "[model]\nn = 3\n\n[state]\ns0 = 0.05\nrho0 = 1.0\n\n[sweep]\naxis1_min = -3\n"
+    "axis1_max = 0\naxis1_steps = 3\naxis2 = q0\naxis2_min = -0.3\naxis2_max = 0.3\n"
+    "axis2_steps = 3\n\n[integrator]\nrel_tol = 1e-6\nabs_tol = 1e-8\n",
+], ids=["ep3-small", "ea-small", "ep3-q0-small"])
 def test_small_sweep_runs_no_blowup_fit(fits, text):
     # a scalar run fits its blowup time only when it is read, and a sweep
     # reads none
@@ -634,6 +652,240 @@ def test_ep3_grid_matches_exact_wv_oracle():
             assert abs(out[cell].t_estimate - t_zero) <= 1e-7 * t_zero, (p0[cell], rho0[cell])
             blowups += 1
     assert blowups == 187 and np.count_nonzero(out.codes == 0) == 213
+
+
+def _sweep_text(n, c, q0, s0, t_max, steps):
+    """A sweep config of p0 in [-3, 1] x rho0 in [0.25, 3], steps x steps cells."""
+    return (f"[model]\nn = {n}\nc = {c}\n\n[state]\nq0 = {q0}\ns0 = {s0}\n\n"
+            f"[integrator]\nt_max = {t_max}\n\n[sweep]\n"
+            f"axis1_min = -3\naxis1_max = 1\naxis1_steps = {steps}\n"
+            f"axis2_min = 0.25\naxis2_max = 3\naxis2_steps = {steps}\n")
+
+
+def _bounded_ends(v_min, lo=-30.0, hi=30.0):
+    """The ends in [lo, hi] of the w0 where ``v_min(w0)`` > 0, () if there are none.
+
+    v_min is the minimum over t of v0 phi1 + w0 phi2 + v_p, a minimum of
+    functions affine in w0, so it is concave and those w0 form one interval.
+    An end at lo or hi is open (None): no threshold lies there.
+    """
+    from scipy.optimize import brentq
+    scan = np.linspace(lo, hi, 241)
+    inside = np.flatnonzero([v_min(w) > 0.0 for w in scan])
+    if not len(inside):
+        return ()
+    i, k = inside[0], inside[-1]
+    return (brentq(v_min, scan[i - 1], scan[i], xtol=1e-13) if i > 0 else None,
+            brentq(v_min, scan[k], scan[k + 1], xtol=1e-13) if k + 1 < len(scan) else None)
+
+
+# (n, c, q0, s0), two orbits per (n, c): expanding and compressive (q, s) data,
+# decaying to the origin for c = 0 and periodic for c = 0.5
+WV_ORACLE_CASES = [(2, 0.0, 0.5, 0.1), (2, 0.0, -0.5, 0.2), (3, 0.0, 0.3, 0.05),
+                   (3, 0.0, -0.5, 0.1), (2, 0.5, 0.3, 0.2), (2, 0.5, -0.5, 0.1),
+                   (3, 0.5, 0.3, 0.05), (3, 0.5, -0.5, 0.2)]
+# states this far in w0 = p0/rho0 from an exact threshold land on their side
+WV_DELTA = 1e-3
+
+
+@pytest.mark.parametrize("n, c, q0, s0", WV_ORACLE_CASES,
+                         ids=[f"n{n}-c{c}-q{q0}-s{s0}" for n, c, q0, s0 in WV_ORACLE_CASES])
+def test_grid_matches_exact_wv_oracle(n, c, q0, s0):
+    # as test_ep3_grid_matches_exact_wv_oracle, on a p0 x rho0 grid (12 x 12,
+    # 9 x 9 for c = 0.5) through both the outcomes and a sweep's codes (which
+    # the (w, v) certificate settles for c = 0), plus states at w* -+ WV_DELTA
+    # from the exact thresholds at three rho0.  The periodic c = 0.5 runs
+    # stop at t_max = 50 to keep the lanes cheap.  When written, no grid cell
+    # was inconclusive, blowup times agreed to 1.7e-7 relative at most, and
+    # no state at w* -+ 1e-4 or 1e-5 left its side either (at 1e-6, some of
+    # three c = 0 cases did).
+    from scipy.optimize import brentq
+    t_max = 200.0 if c == 0.0 else 50.0
+    params, config = ModelParams(n=n, kappa=1, c=c), IntegratorConfig(t_max=t_max)
+    sol = _wv_basis(n, 1.0, c, q0, s0, t_max)
+    ts = np.union1d(sol.t, np.linspace(0.0, t_max, 40001))
+    _, _, phi1, _, phi2, _, vp, _ = sol.sol(ts)
+
+    def v(t, w0, v0):
+        _, _, a, _, b, _, p, _ = sol.sol(t)
+        return v0 * a + w0 * b + p
+
+    swept = run_sweep(parse_config_text(_sweep_text(n, c, q0, s0, t_max,
+                                                    steps=12 if c == 0.0 else 9)))
+    p0 = np.repeat(swept.axis1, len(swept.axis2))
+    rho0 = np.tile(swept.axis2, len(swept.axis1))
+    x = np.array([p0, np.full(len(p0), q0), np.full(len(p0), s0), rho0])
+    out = classify_ep_columns(x, params, config)
+    assert np.array_equal(out.codes, swept.codes.ravel())
+    w0, v0 = p0 / rho0, 1.0 / rho0
+    vs = v0[:, None] * phi1 + w0[:, None] * phi2 + vp
+    blowups = 0
+    for cell in range(len(p0)):
+        below = np.flatnonzero(vs[cell] <= 0.0)
+        assert out.codes[cell] == (2 if len(below) else 0), (p0[cell], rho0[cell])
+        if len(below):
+            k = below[0]
+            t_zero = brentq(v, ts[k - 1], ts[k], args=(w0[cell], v0[cell]),
+                            xtol=1e-14, rtol=1e-15)
+            assert abs(out[cell].t_estimate - t_zero) <= 1e-6 * t_zero, (p0[cell], rho0[cell])
+            blowups += 1
+    assert 0 < blowups < len(p0)
+
+    near_p, near_rho, sides = [], [], []
+    for r in (0.5, 1.0, 2.5):
+        ends = _bounded_ends(lambda w: float(np.min(phi1 / r + w * phi2 + vp)))
+        # the interval's left end has its bounded side above, the right end below
+        for end, inward in zip(ends, (1.0, -1.0)):
+            if end is not None:
+                near_p += [r * (end + inward * WV_DELTA), r * (end - inward * WV_DELTA)]
+                near_rho += [r, r]
+                sides += [0, 2]
+    assert sides
+    x = np.array([near_p, np.full(len(sides), q0), np.full(len(sides), s0), near_rho])
+    assert classify_ep_columns(x, params, config).codes.tolist() == sides
+    assert classify_ep_columns(x, params, config, outcomes=False).codes.tolist() == sides
+
+
+def _lane_cells(monkeypatch):
+    """The number of cells each lane classification of euler_poisson receives."""
+    cells, lanes = [], euler_poisson._classify_ep_lanes
+    monkeypatch.setattr(euler_poisson, "_classify_ep_lanes",
+                        lambda x, *args: cells.append(x.shape[1]) or lanes(x, *args))
+    return cells
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_basis(n, q0, s0, t_max=200.0):
+    """phi1, phi2 and v_p of the zero-background orbit, read densely over [0, t_max]."""
+    sol = _wv_basis(n, 1.0, 0.0, q0, s0, t_max)
+    _, _, phi1, _, phi2, _, vp, _ = sol.sol(np.union1d(sol.t, np.linspace(0.0, t_max, 40001)))
+    return phi1, phi2, vp
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_thresholds(n, q0, s0, rho0):
+    """The ends of the exact bounded interval of w0 at c = 0 (see _bounded_ends)."""
+    phi1, phi2, vp = _exact_basis(n, q0, s0)
+    return _bounded_ends(lambda w: float(np.min(phi1 / rho0 + w * phi2 + vp)))
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6, 1e-3], ids=["default", "1e-6", "1e-3"])
+def test_certificate_codes_match_the_lanes(monkeypatch, caplog, tol):
+    # codes-only verdicts of zero-background multi-D grids, which share one
+    # (q0, s0): the (w, v) basis settles most cells, the rest run as lanes,
+    # and the codes are the lanes' own for every cell, also for states
+    # 1e-7 to 0.1 in w0 from an exact threshold, where the lanes' own error
+    # decides; n = 3, (1, 0.01) is the benchmark's orbit and (-1, 0.01) a
+    # compressive one, at n = 4, (0, 0.5), rho0 = 1 v is least at t_max,
+    # and at 1e-3 the lanes of n = 2, (0, 1), rho0 = 0.3 are inconclusive
+    # up to 0.04 below w*
+    import logging
+    config = IntegratorConfig() if tol is None else IntegratorConfig(rel_tol=tol,
+                                                                     abs_tol=tol / 100)
+    lane_cells = _lane_cells(monkeypatch)
+    caplog.set_level(logging.INFO, logger="radial_euler.euler_poisson")
+    offsets = np.concatenate((-np.logspace(-7, -1, 13), np.logspace(-7, -1, 13)))
+    for n, q0, s0, steps, least in [(3, 1.0, 0.01, 20, 0.9), (3, -1.0, 0.01, 12, 0.9),
+                                    (2, 0.5, 0.1, 12, 0.85), (4, 0.0, 0.5, 12, 0.85),
+                                    (2, 0.0, 1.0, 12, 0.85)]:
+        params = ModelParams(n=n, kappa=1, c=0)
+        p0 = np.repeat(np.linspace(-3.0, 1.0, steps), steps)
+        rho0 = np.tile(np.linspace(0.25, 3.0, steps), steps)
+        x = np.array([p0, np.full(p0.size, q0), np.full(p0.size, s0), rho0])
+        lane_cells.clear()
+        caplog.clear()
+        codes = classify_ep_columns(x, params, config, outcomes=False).codes
+        settled = p0.size - sum(lane_cells)
+        assert settled >= least * p0.size, (n, q0, s0, settled)
+        assert any(
+            f"{p0.size} cells share the (q0, s0) orbit" in message
+            and f"{p0.size - settled} left to the lanes" in message
+            for message in caplog.messages)
+        lane_cells.clear()
+        assert np.array_equal(codes, classify_ep_columns(x, params, config).codes), (n, q0, s0)
+        assert lane_cells == [p0.size]
+
+        near = [(r * (end + offset), r) for r in (0.3, 1.0, 2.5)
+                for end in _exact_thresholds(n, q0, s0, r) if end is not None
+                for offset in offsets]
+        if near:
+            x = np.array([[p, q0, s0, r] for p, r in near]).T
+            assert np.array_equal(classify_ep_columns(x, params, config, outcomes=False).codes,
+                                  classify_ep_columns(x, params, config).codes), (n, q0, s0)
+
+
+def test_certificate_leaves_what_lanes_cannot_follow(monkeypatch):
+    # settings under which some lanes end otherwise than their exact orbit:
+    # a step floor makes blowup lanes collapse (inconclusive), so only
+    # bounded cells are settled; a step budget under 100 basis runs settles
+    # none; a low cap settles only bounded cells whose |p| and rho stay far
+    # below it (all 77 bounded cells reach 3.08 at most)
+    params = ModelParams(n=3, kappa=1, c=0)
+    p0 = np.repeat(np.linspace(-3.0, 1.0, 12), 12)
+    rho0 = np.tile(np.linspace(0.25, 3.0, 12), 12)
+    x = np.array([p0, np.full(144, 1.0), np.full(144, 0.01), rho0])
+    lane_cells = _lane_cells(monkeypatch)
+    for config, settled in [
+            (IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, h_min=1e-4, h_init=1e-4), "bounded"),
+            (IntegratorConfig(max_steps=400), "none"),
+            (IntegratorConfig(magnitude_cap=3e3), "some")]:
+        lane_cells.clear()
+        codes = classify_ep_columns(x, params, config, outcomes=False).codes
+        lanes = classify_ep_columns(x, params, config).codes
+        assert np.array_equal(codes, lanes), config
+        ran = lane_cells[0] if len(lane_cells) == 2 else 0
+        if settled == "bounded":
+            assert np.count_nonzero(lanes == 3) >= 50 and ran == 144 - np.count_nonzero(lanes == 0)
+        elif settled == "none":
+            assert ran == 144
+        else:
+            # every cell settled bounded stays below a thousandth of the cap
+            bounded = euler_poisson._wv_settled(x, params, config) == 0
+            outs = classify_ep_columns(x[:, bounded], params, config)
+            assert 0 < ran < 144 and max(out.diagnostics["max_norm"] for out in outs) < 3.0
+
+
+def test_certificate_settles_blowups_clearly_before_t_max():
+    # a blowup is settled only where v falls below minus the margin before
+    # 0.99 t_max; a later fall is left to the lanes
+    params = ModelParams(n=3, kappa=1, c=0)
+    x = np.array([[-2.0], [1.0], [0.01], [1.5]])
+    t_blowup = classify_ep_columns(x, params)[0].t_estimate
+    for share, settled in [(0.9, [2]), (0.995, [-1])]:
+        config = IntegratorConfig(t_max=t_blowup / share)
+        assert euler_poisson._wv_settled(x, params, config).tolist() == settled
+        assert classify_ep_columns(x, params, config, outcomes=False).codes.tolist() == [2]
+
+
+def test_certificate_falls_back_to_the_lanes(monkeypatch):
+    # compressive data whose (q, s) excursion escapes the cap: the basis run
+    # does not reach t_max, so its truncated record must decide no cell
+    params, config = ModelParams(n=2, kappa=1, c=0), IntegratorConfig()
+    basis = integrate(wv_basis_system(params, 0.05), (-2.0, 0.05, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+                      replace(config, rel_tol=1e-10, abs_tol=1e-12))
+    assert basis.termination is not Termination.REACHED_HORIZON
+    p0 = np.repeat(np.linspace(-3.0, 1.0, 20), 20)
+    rho0 = np.tile(np.linspace(0.25, 3.0, 20), 20)
+    x = np.array([p0, np.full(400, -2.0), np.full(400, 0.05), rho0])
+    assert euler_poisson._wv_settled(x, params, config) is None
+    lane_cells = _lane_cells(monkeypatch)
+    codes = classify_ep_columns(x, params, config, outcomes=False).codes
+    assert lane_cells == [400]
+    assert np.array_equal(codes, classify_ep_columns(x, params, config).codes)
+
+
+@pytest.mark.parametrize("params, q, s", [
+    (ModelParams(n=1, kappa=1, c=0), 0.0, 0.0), (ModelParams(n=3, kappa=1, c=0.5), 0.3, 0.05),
+    (ModelParams(n=3, kappa=1, model=Model.INVISCID_BURGERS), 0.3, 0.0),
+    (ModelParams(n=3, kappa=1, c=0), np.linspace(0.2, 1.0, 36), 0.05),
+], ids=["n1", "background", "burgers", "several-orbits"])
+def test_certificate_settles_only_one_zero_background_orbit(params, q, s):
+    # n = 1 (where v is sigma_1d's closed form), c > 0, the Burgers models and
+    # columns of several (q0, s0) all run as lanes
+    p0 = np.repeat(np.linspace(-3.0, 1.0, 6), 6)
+    x = np.array([p0, np.broadcast_to(q, (36,)), np.broadcast_to(s, (36,)),
+                  np.tile(np.linspace(0.25, 3.0, 6), 6)])
+    assert euler_poisson._wv_settled(x, params, IntegratorConfig()) is None
 
 
 @pytest.mark.parametrize("n, c, q0, s0", [(1, 0.0, 0.0, 0.0), (1, 1.0, 0.0, 0.0),
@@ -846,20 +1098,22 @@ def test_supercritical_w0_below_minus_C():
 
 
 def test_wv_transform_consistency():
-    # (w, v) built from the integrated state matches the driven system
-    params = ModelParams(n=3, kappa=1, c=0)
+    # v0 phi1 + w0 phi2 + v_p and its derivative, read from one run of the
+    # basis system, match (w, v) built from the integrated (p, q, s, rho) state
     q0, s0, p0, rho0 = 0.5, 0.5, 0.2, 1.0
     tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, h_max=0.05, t_max=8.0)
     from radial_euler import ep_full_system
-    rec = integrate(ep_full_system(params), (p0, q0, s0, rho0), tight)
-    qs_run = integrate_qs(params, q0, s0, 10.0, tight)
-    wv = wv_system(params, qs_run.record, s0)
-    rec_wv = integrate(wv, (p0 / rho0, 1.0 / rho0), tight)
-    tt = np.linspace(0.1, 7.9, 40)
-    full = rec.sample_many(tt)
-    a = (full[:, 2] / s0) ** ((params.n - 1) / params.n)
-    w_direct = full[:, 0] / full[:, 3] * a
-    v_direct = 1.0 / full[:, 3] * a
-    wv_vals = rec_wv.sample_many(tt)
-    assert np.max(np.abs(wv_vals[:, 0] - w_direct)) < 1e-5
-    assert np.max(np.abs(wv_vals[:, 1] - v_direct)) < 1e-5
+    for params in (ModelParams(n=3, kappa=1, c=0), ModelParams(n=2, kappa=1, c=0.5)):
+        n, c = params.n, params.c
+        rec = integrate(ep_full_system(params), (p0, q0, s0, rho0), tight)
+        basis = integrate(wv_basis_system(params, s0), (q0, s0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+                          tight)
+        tt = np.linspace(0.1, 7.9, 40)
+        full = rec.sample_many(tt)
+        a = ((full[:, 2] + c / n) / (s0 + c / n)) ** ((n - 1) / n)
+        w_direct = full[:, 0] / full[:, 3] * a
+        v_direct = 1.0 / full[:, 3] * a
+        _, _, phi1, dphi1, phi2, dphi2, vp, dvp = basis.sample_many(tt).T
+        w0, v0 = p0 / rho0, 1.0 / rho0
+        assert np.max(np.abs(v0 * dphi1 + w0 * dphi2 + dvp - w_direct)) < 1e-5
+        assert np.max(np.abs(v0 * phi1 + w0 * phi2 + vp - v_direct)) < 1e-5
