@@ -24,7 +24,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Region, refuse_broken, sphere_area
+from .core import (FINITE_NONNEGATIVE, FINITE_POSITIVE, Region, check_rules,
+                   sphere_area)
 from .euler_poisson import Verdicts, _in_batches, _run_cells
 from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
                      IntegratorConfig, OdeSystem, Termination, Verdict,
@@ -105,13 +106,11 @@ class AlignmentBounds:
     C0: float
 
     def __post_init__(self):
-        finite = math.isfinite
-        refuse_broken(self, [
-            ("psi_min", finite(self.psi_min) and self.psi_min > 0.0, "finite and positive"),
-            ("psi_max", finite(self.psi_max) and self.psi_max >= self.psi_min,
-             "finite and at least psi_min"),
-            ("nu", finite(self.nu) and self.nu > 0.0, "finite and positive"),
-            ("C0", finite(self.C0) and self.C0 >= 0.0, "finite and nonnegative")])
+        check_rules({
+            "psi_min": FINITE_POSITIVE,
+            "psi_max": (lambda v: math.isfinite(v) and v >= self.psi_min,
+                        "finite and at least psi_min"),
+            "nu": FINITE_POSITIVE, "C0": FINITE_NONNEGATIVE}, vars(self))
 
     @classmethod
     def explicit(cls, psi_min: float, psi_max: float, nu: float,

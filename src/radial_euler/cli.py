@@ -31,13 +31,14 @@ import numpy as np
 
 from . import __version__
 from .alignment import CURVE_KINDS, INFLUENCE_LIBRARY, enhanced_curve
-from .config import (AT_LEAST_ONE, FINITE_POSITIVE, ConfigError, RunConfig, check_keys,
-                     csv_text, format_number, json_number, parse_config, provenance)
-from .core import Model
+from .config import (ConfigError, RunConfig, check_keys, csv_text, format_number,
+                     json_number, parse_config, provenance)
+from .core import (AT_LEAST_ONE, AT_LEAST_TWO, FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE,
+                   MAX_SPHERE_DIMENSION, Model)
 from .euler_poisson import (compute_threshold_constants, explicit_sigma_plus,
                             qs_phase_portrait)
-from .odeint import VERDICT_CODES, IntegrationFailure
-from .pde import diagnostics_series, run_size_problem, simulate_ea, simulate_ep
+from .odeint import VERDICT_CODES, IntegrationFailure, Termination, Verdict
+from .pde import diagnostics_series, run_size_rules, simulate_ea, simulate_ep
 from .profiles import DENSITY_LIBRARY, VELOCITY_LIBRARY
 from .sweep import (bounds_from, classify_cells, integrator_from, model_params_from,
                     run_sweep)
@@ -46,8 +47,6 @@ log = logging.getLogger("radial_euler")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_BLOWUP = 2
-EXIT_INCONCLUSIVE = 3
 
 
 def _write(path: str, text: str):
@@ -64,29 +63,34 @@ def _emit(out_dir: str, name: str, text: str) -> int:
     return EXIT_OK
 
 
-def _from_library(library: dict, cfg: RunConfig, section: str, key: str, **values):
-    """Call the ``library`` entry ``[section] key`` names with those of ``values``
-    its parameters name."""
+def _from_library(library: dict, cfg: RunConfig, section: str, key: str, keys: dict,
+                  **values):
+    """Call the ``library`` entry ``[section] key`` names with ``values`` and, once
+    their rules hold, the values of the ``(config key, rule)`` pairs that ``keys``
+    gives for its parameters: a key the entry does not read is not checked."""
     check_keys(cfg, section, **{key: (lambda v: v in library, f"one of {sorted(library)}")})
     factory = library[cfg[section][key]]
-    accepted = inspect.signature(factory).parameters
-    return factory(**{k: v for k, v in values.items() if k in accepted})
+    taken = {p: spec for p, spec in keys.items() if p in inspect.signature(factory).parameters}
+    check_keys(cfg, section, **dict(taken.values()))
+    return factory(**{p: cfg[section][k] for p, (k, _) in taken.items()}, **values)
 
 
 def _influence_from(cfg: RunConfig):
-    a = cfg["alignment"]
-    return _from_library(INFLUENCE_LIBRARY, cfg, "alignment", "phi", value=a["phi_value"],
-                         exponent=a["phi_exponent"], scale=a["phi_scale"])
+    # phi must be nonnegative, bounded and Lipschitz
+    return _from_library(INFLUENCE_LIBRARY, cfg, "alignment", "phi", dict(
+        value=("phi_value", FINITE_NONNEGATIVE), exponent=("phi_exponent", FINITE_NONNEGATIVE),
+        scale=("phi_scale", FINITE_POSITIVE)))
 
 
 def _profiles_from(cfg: RunConfig):
-    ini = cfg["initial"]
-    nodes = ini["profile_nodes"]
-    rho = _from_library(DENSITY_LIBRARY, cfg, "initial", "rho_profile", amp=ini["rho_amp"],
-                        width=ini["rho_width"], radius=ini["rho_radius"],
-                        k=ini["rho_k"], r_max=ini["r_max"], n_nodes=nodes)
-    u = _from_library(VELOCITY_LIBRARY, cfg, "initial", "u_profile", amp=ini["u_amp"],
-                      width=ini["u_width"], r_max=rho.r_max, n_nodes=nodes)
+    nodes = ("profile_nodes", AT_LEAST_TWO)
+    rho = _from_library(DENSITY_LIBRARY, cfg, "initial", "rho_profile", dict(
+        amp=("rho_amp", FINITE_NONNEGATIVE), width=("rho_width", FINITE_POSITIVE),
+        radius=("rho_radius", FINITE_POSITIVE), k=("rho_k", FINITE),
+        r_max=("r_max", FINITE_POSITIVE), n_nodes=nodes))
+    u = _from_library(VELOCITY_LIBRARY, cfg, "initial", "u_profile", dict(
+        amp=("u_amp", FINITE), width=("u_width", FINITE_POSITIVE), n_nodes=nodes),
+        r_max=rho.r_max)
     return rho, u
 
 
@@ -151,29 +155,18 @@ def _snapshot_csv(snap, prov: str) -> str:
                     [list(cols), *zip(*cols.values())])
 
 
-# config (section, key) of each run-size argument of simulate_ep/simulate_ea
-_RUN_SIZE_KEYS = {"n_paths": ("initial", "n_paths"), "t_end": ("simulate", "t_end"),
-                  "n_snapshots": ("simulate", "snapshots"),
-                  "theta_order": ("simulate", "theta_order"), "dt": ("simulate", "dt")}
-
-
-def _check_run_size(cfg: RunConfig, model: Model):
-    """Refuse, before any file is written, run sizes the simulation refuses."""
-    ini, sim = cfg["initial"], cfg["simulate"]
-    problem = run_size_problem(model, ini["n_paths"], sim["t_end"], sim["snapshots"],
-                               sim["theta_order"], sim["dt"])
-    if problem is not None:
-        name, wanted = problem
-        section, key = _RUN_SIZE_KEYS[name]
-        raise ConfigError(f"[{section}] {key} must be {wanted}, "
-                          f"got {cfg[section][key]!r}")
-
-
 def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     params = model_params_from(cfg)
-    _check_run_size(cfg, params.model)
-    rho0, u0 = _profiles_from(cfg)
+    # the shells of an ensemble need an integer n with a finite sphere area
+    check_keys(cfg, "model", n=(lambda v: v == int(v) and v <= MAX_SPHERE_DIMENSION,
+                                f"an integer of at most {MAX_SPHERE_DIMENSION} to simulate"))
     sim, ini = cfg["simulate"], cfg["initial"]
+    # the run sizes simulate_ep and simulate_ea refuse, by config key
+    sizes = run_size_rules(params.model, sim["snapshots"])
+    check_keys(cfg, "initial", n_paths=sizes.pop("n_paths"))
+    check_keys(cfg, "simulate", **{"snapshots" if name == "n_snapshots" else name: rule
+                                   for name, rule in sizes.items()})
+    rho0, u0 = _profiles_from(cfg)
     if params.model is Model.EULER_ALIGNMENT:
         phi = _influence_from(cfg)
         result = simulate_ea(rho0, u0, phi, params, n_paths=ini["n_paths"],
@@ -204,10 +197,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     log.info("wrote %d files in %.3f s", len(result.snapshots) + 2,
              time.perf_counter() - clock)
     print(os.path.join(out_dir, "metadata.json"))
-    if result.blowup is not None:
-        return EXIT_INCONCLUSIVE if result.blowup.kind == "step-collapse" \
-            else EXIT_BLOWUP
-    return EXIT_OK
+    if result.blowup is None:
+        return EXIT_OK
+    return VERDICT_CODES[Verdict.INCONCLUSIVE
+                         if result.blowup.kind == Termination.STEP_COLLAPSE.value
+                         else Verdict.FINITE_TIME_BLOWUP]
 
 
 def cmd_phase_portrait(cfg: RunConfig, out_dir: str, fmt: str) -> int:
@@ -296,7 +290,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except IntegrationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        return VERDICT_CODES[Verdict.INCONCLUSIVE]
 
 
 if __name__ == "__main__":

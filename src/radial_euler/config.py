@@ -14,9 +14,10 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 from . import __version__
+from .core import check_rules
 
 # section -> key -> (type, default)
 SCHEMA: dict[str, dict[str, tuple]] = {
@@ -128,18 +129,9 @@ class RunConfig:
         return self.values[section]
 
 
-# (test, wanted) rules for check_keys
-AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
-FINITE = (math.isfinite, "finite")
-FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and positive")
-
-
 def check_keys(cfg: RunConfig, section: str, **rules):
     """Refuse, before any work, the first ``[section]`` key that breaks its rule."""
-    for key, (ok, wanted) in rules.items():
-        value = cfg[section][key]
-        if not ok(value):
-            raise ConfigError(f"[{section}] {key} must be {wanted}, got {value!r}")
+    check_rules(rules, cfg[section], f"[{section}] ", ConfigError)
 
 
 def _convert(section: str, key: str, raw: str) -> Any:
@@ -217,8 +209,9 @@ def format_number(x) -> str:
     return "%.12e" % float(x)
 
 
-def json_number(x) -> float:
-    return float(format_number(x))
+def json_number(x) -> Optional[float]:
+    """``format_number``'s digits, or None (null) where x is not finite: JSON has no NaN."""
+    return float(format_number(x)) if math.isfinite(x) else None
 
 
 def csv_text(comments, rows) -> str:

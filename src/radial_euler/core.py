@@ -22,15 +22,27 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def refuse_broken(obj, rules):
-    """Raise ValueError for the first ``(name, ok, wanted)`` rule that fails.
+# (test, wanted) rules for check_rules
+AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
+AT_LEAST_TWO = (lambda v: v >= 2, "at least 2")
+FINITE = (math.isfinite, "finite")
+FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and positive")
+FINITE_NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "finite and nonnegative")
+# the largest n whose sphere area is a float: Gamma(n/2) overflows above it
+MAX_SPHERE_DIMENSION = 343
 
-    The message starts with the attribute's name, which is also its config
-    key, followed by what it must be and its value.
-    """
-    for name, ok, wanted in rules:
-        if not ok:
-            raise ValueError(f"{name} must be {wanted}, got {getattr(obj, name)!r}")
+
+def check_rules(rules: dict, values, where: str = "", error=ValueError):
+    """Raise ``error`` ``<where><name> must be <wanted>, got <value>`` for the first
+    ``{name: (test, wanted)}`` rule whose value in ``values`` fails its test; an
+    elementwise test over an array names the first failing element, as a float."""
+    for name, (ok, wanted) in rules.items():
+        value = values[name]
+        passed = ok(value)
+        if not (passed.all() if isinstance(passed, np.ndarray) else passed):
+            if np.ndim(passed):
+                value = float(np.asarray(value)[~passed][0])
+            raise error(f"{where}{name} must be {wanted}, got {value!r}")
 
 
 class Model(enum.Enum):
@@ -72,14 +84,12 @@ class ModelParams:
     kappa_damp: float = 1.0
 
     def __post_init__(self):
-        finite = math.isfinite
-        refuse_broken(self, [
-            ("n", finite(self.n) and self.n >= 1, "finite and at least 1"),
-            ("kappa", finite(self.kappa) and self.kappa > 0, "finite and positive"),
-            ("c", finite(self.c) and self.c >= 0, "finite and nonnegative"),
-            ("kappa_damp", finite(self.kappa_damp)
-             and (self.model is not Model.DAMPED_BURGERS or self.kappa_damp > 0),
-             "finite, and positive for damped Burgers")])
+        check_rules({
+            "n": (lambda v: math.isfinite(v) and v >= 1, "finite and at least 1"),
+            "kappa": FINITE_POSITIVE, "c": FINITE_NONNEGATIVE,
+            "kappa_damp": (lambda v: math.isfinite(v) and (
+                self.model is not Model.DAMPED_BURGERS or v > 0),
+                "finite, and positive for damped Burgers")}, vars(self))
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,8 @@ def sphere_area(n: int) -> float:
     """Surface measure of the unit (n-1)-sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
     if n < 1:
         raise ValueError("sphere_area requires n >= 1")
+    if n > MAX_SPHERE_DIMENSION:
+        raise ValueError(f"sphere_area requires n <= {MAX_SPHERE_DIMENSION}")
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import CharState, Model, ModelParams, Region
+from .core import CharState, Model, ModelParams, Region, check_rules
 from .odeint import (END_CODES, TERMINATIONS, VERDICT_CODES, ClassificationOutcome,
                      EventSpec, IntegrationFailure, IntegratorConfig, LaneBatch,
                      OdeSystem, Termination, TrajectoryRecord, Verdict,
@@ -352,6 +352,8 @@ def state_rules(params: ModelParams) -> dict:
     return rules
 
 
+# the termination code of a lane that reached its horizon
+_HORIZON = TERMINATIONS.index(Termination.REACHED_HORIZON)
 # Below this many lanes a batch runs lane by lane through the scalar
 # integrator: on arrays this small NumPy's per-call overhead outweighs
 # the arithmetic it vectorises.
@@ -514,10 +516,7 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
     orbit that the run stepped past v = 0, becomes INCONCLUSIVE.
     """
     x = np.asarray(x, dtype=float)
-    for key, (ok, wanted) in state_rules(params).items():
-        row = x[STATE_KEYS.index(key)]
-        if not np.all(ok(row)):
-            raise ValueError(f"{key} must be {wanted}, got {float(row[~ok(row)][0])!r}")
+    check_rules(state_rules(params), dict(zip(STATE_KEYS, x)))
     return _in_batches(x.shape[1], lambda lo, hi: _classify_ep_batch(
         x[:, lo:hi], params, config, confirm, outcomes))
 
@@ -653,7 +652,7 @@ def _classify_ep_lanes(x: np.ndarray, params: ModelParams, config: IntegratorCon
         # lanes stopped after one period -> whether their state missed the
         # start by 1e-5 (|y0| + 1) or more, else whether the amplitude
         # certifies the orbit
-        stopped = np.flatnonzero((batch.ends == TERMINATIONS.index(Termination.REACHED_HORIZON))
+        stopped = np.flatnonzero((batch.ends == _HORIZON)
                                  & (batch.t_final < config.t_max - 1e-9))
         start = lane_cell[stopped]
         back = batch.probe[0][:, stopped]
@@ -783,7 +782,8 @@ def qshat_integrate(params: ModelParams, y0: tuple,
 
     Records the maximum of s_hat and the time t_hat_* where it is
     attained: s_hat peaks when q_hat crosses 2/n from below, or at
-    t_hat_* = 0 if q_hat already starts at or above 2/n.
+    t_hat_* = 0 if q_hat already starts at or above 2/n.  A run that ends
+    before ``t_hat_max`` raises IntegrationFailure.
     """
     qh0, sh0 = y0
     if sh0 < 0:
@@ -794,6 +794,9 @@ def qshat_integrate(params: ModelParams, y0: tuple,
     crossing = EventSpec("qhat-crossing", lambda t, y: y[0] - thresh,
                          direction=+1, terminal=False)
     rec = integrate(system, [qh0, sh0], cfg, events=(crossing,))
+    if rec.termination is not Termination.REACHED_HORIZON:
+        raise IntegrationFailure(f"(q_hat, s_hat) run stopped at t_hat = {rec.t_final:.6g} "
+                                 f"of {t_hat_max:g}: {rec.note or rec.termination.value}")
 
     tt = np.linspace(rec.ts[0], rec.t_final, 4001)
     dense = rec.sample_many(tt)

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import refuse_broken
+from .core import FINITE_NONNEGATIVE, FINITE_POSITIVE, check_rules
 
 # Dormand-Prince 5(4) tableau.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
@@ -84,20 +84,13 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        abs_tol = np.asarray(self.abs_tol, dtype=float)
-        refuse_broken(self, [
-            ("rel_tol", math.isfinite(self.rel_tol) and self.rel_tol > 0,
-             "finite and positive"),
-            ("abs_tol", bool(np.all(np.isfinite(abs_tol)) and np.all(abs_tol > 0)),
-             "finite and positive"),
-            ("h_min", math.isfinite(self.h_min) and self.h_min > 0, "finite and positive"),
-            ("h_max", self.h_max >= self.h_min, "at least h_min"),
-            ("h_init", self.h_min <= self.h_init <= self.h_max,
-             "between h_min and h_max"),
-            ("t_max", math.isfinite(self.t_max) and self.t_max >= 0,
-             "finite and nonnegative"),
-            ("magnitude_cap", math.isfinite(self.magnitude_cap) and self.magnitude_cap > 0,
-             "finite and positive")])
+        check_rules({
+            "rel_tol": FINITE_POSITIVE,
+            "abs_tol": (lambda v: bool(np.all(np.isfinite(v)) and np.all(np.greater(v, 0))),
+                        "finite and positive"),
+            "h_min": FINITE_POSITIVE, "h_max": (lambda v: v >= self.h_min, "at least h_min"),
+            "h_init": (lambda v: self.h_min <= v <= self.h_max, "between h_min and h_max"),
+            "t_max": FINITE_NONNEGATIVE, "magnitude_cap": FINITE_POSITIVE}, vars(self))
 
     def tightened(self, factor: float = 0.1) -> "IntegratorConfig":
         """A copy with both tolerances scaled by ``factor`` (default 10x tighter)."""

@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Model, ModelParams, sphere_area
+from .core import (AT_LEAST_ONE, AT_LEAST_TWO, FINITE_POSITIVE, Model, ModelParams,
+                   check_rules, sphere_area)
 # ``integrate`` stays a module attribute: perfbench/tracer.py wraps pde.integrate
 from .odeint import (TERMINATIONS, IntegratorConfig, OdeSystem, Termination,  # noqa: F401
                      integrate, integrate_lanes)
@@ -35,6 +36,12 @@ from .euler_poisson import burgers_system, ep_full_system, initial_s_from_densit
 from .alignment import InfluenceSpec, _angular_rule
 
 log = logging.getLogger(__name__)
+
+# the termination codes of a lane that blew up or whose step collapsed
+_BLOWUP = TERMINATIONS.index(Termination.BLOWUP_DETECTED)
+_COLLAPSE = TERMINATIONS.index(Termination.STEP_COLLAPSE)
+# the most RK4 steps an alignment run takes
+MAX_EA_STEPS = 1_000_000
 
 
 class CrossingError(RuntimeError):
@@ -127,33 +134,24 @@ def _check_inputs(rho0: RadialProfile, u0: RadialProfile, params: ModelParams):
         raise ValueError("velocity profile must cover the density support")
 
 
-def run_size_problem(model: Model, n_paths: int, t_end: float, n_snapshots: int,
-                     theta_order: int = 32, dt: Optional[float] = None):
-    """The first run-size argument a simulation cannot use, or None.
+def run_size_rules(model: Model, n_snapshots: int) -> dict:
+    """The ``(test, wanted)`` rule of each run-size argument of a simulation.
 
-    Returns (argument name, what it must be).  One rule set for
-    :func:`simulate_ep`, :func:`simulate_ea` and the CLI.  ``t_end = 0``
-    with a single snapshot is the initial data, which only an
-    Euler-Poisson (or Burgers) ensemble can give: the alignment run has
+    One table for :func:`simulate_ep`, :func:`simulate_ea` and the CLI.
+    ``t_end = 0`` with a single snapshot is the initial data, which only
+    an Euler-Poisson (or Burgers) ensemble can give: the alignment run has
     no zero-length step.  ``theta_order`` and ``dt`` bind only the
     alignment run, where ``dt`` 0 or None picks the stability bound.
     """
-    alignment = model is Model.EULER_ALIGNMENT
-    rules = [("n_paths", n_paths >= 2, "at least 2"),
-             ("t_end", t_end > 0 or (t_end == 0 and n_snapshots == 1 and not alignment),
-              "positive" if alignment else "positive, or 0 with a single snapshot"),
-             ("n_snapshots", n_snapshots >= 1, "at least 1")]
-    if alignment:
-        rules += [("theta_order", theta_order >= 1, "at least 1"),
-                  ("dt", dt is None or dt >= 0, "nonnegative (0 picks the stability bound)")]
-    return next(((name, wanted) for name, ok, wanted in rules if not ok), None)
-
-
-def _check_run_size(model: Model, **sizes):
-    problem = run_size_problem(model, **sizes)
-    if problem is not None:
-        name, wanted = problem
-        raise ValueError(f"{name} must be {wanted}, got {sizes[name]!r}")
+    if model is Model.EULER_ALIGNMENT:
+        return {"n_paths": AT_LEAST_TWO, "t_end": FINITE_POSITIVE,
+                "n_snapshots": AT_LEAST_ONE, "theta_order": AT_LEAST_ONE,
+                "dt": (lambda v: v is None or v >= 0,
+                       "nonnegative (0 picks the stability bound)")}
+    return {"n_paths": AT_LEAST_TWO,
+            "t_end": (lambda v: math.isfinite(v) and (v > 0 or v == 0 and n_snapshots == 1),
+                      "finite and positive, or 0 with a single snapshot"),
+            "n_snapshots": AT_LEAST_ONE}
 
 
 def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
@@ -227,7 +225,8 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
     paths cross.
     """
     _check_inputs(rho0, u0, params)
-    _check_run_size(params.model, n_paths=n_paths, t_end=t_end, n_snapshots=n_snapshots)
+    check_rules(run_size_rules(params.model, n_snapshots),
+                dict(n_paths=n_paths, t_end=t_end, n_snapshots=n_snapshots))
     clock = time.perf_counter()
     ens = _seed_ensemble(rho0, u0, params, n_paths)
     r = ens.r
@@ -244,12 +243,13 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
     t_cover = min(t_end, float(np.min(t_final)))
     blowup: Optional[BlowupReport] = None
     # the earliest blowup or step collapse, the first path on ties
-    blown = batch.ends == TERMINATIONS.index(Termination.BLOWUP_DETECTED)
-    t_stop = np.where(blown, batch.blowup_time, np.where(
-        batch.ends == TERMINATIONS.index(Termination.STEP_COLLAPSE), t_final, np.inf))
+    blown = batch.ends == _BLOWUP
+    t_stop = np.where(blown, batch.blowup_time,
+                      np.where(batch.ends == _COLLAPSE, t_final, np.inf))
     i = int(np.argmin(t_stop))
     if t_stop[i] < np.inf:
-        kind = system.label(int(batch.blowup_component[i])) if blown[i] else "step-collapse"
+        kind = (system.label(int(batch.blowup_component[i])) if blown[i]
+                else Termination.STEP_COLLAPSE.value)
         blowup = BlowupReport(float(t_stop[i]), kind, i, float(batch.y_final[4, i]))
 
     snap_times = times[times <= t_cover * (1 + 1e-12)]
@@ -370,14 +370,18 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
     radius.  Halts with a crossing report when paths meet.
     """
     _check_inputs(rho0, u0, params)
-    _check_run_size(Model.EULER_ALIGNMENT, n_paths=n_paths, t_end=t_end,
-                    n_snapshots=n_snapshots, theta_order=theta_order, dt=dt)
+    check_rules(run_size_rules(Model.EULER_ALIGNMENT, n_snapshots),
+                dict(n_paths=n_paths, t_end=t_end, n_snapshots=n_snapshots,
+                     theta_order=theta_order, dt=dt))
     clock = time.perf_counter()
     n = int(params.n)
     ens = _seed_ensemble(rho0, u0, params, n_paths)
     m = ens.masses
     psi_max = phi.sup_phi * float(np.sum(m))
+    check_rules({"psi_max": FINITE_POSITIVE}, {"psi_max": psi_max}, "the influence bound ")
     step = dt or min(0.1 / psi_max, t_end / 10.0)
+    check_rules({"t_end / dt": (lambda v: v <= MAX_EA_STEPS, f"at most {MAX_EA_STEPS}")},
+                {"t_end / dt": t_end / step}, "the RK4 step count ")
     n_steps = max(int(math.ceil(t_end / step)), 1)
     step = t_end / n_steps
 
@@ -439,7 +443,7 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
             break
         if not np.all(np.isfinite(u)):
             i = int(np.argmax(~np.isfinite(u)))
-            blowup = BlowupReport(t_new, "step-collapse", i, float(r[i]))
+            blowup = BlowupReport(t_new, Termination.STEP_COLLAPSE.value, i, float(r[i]))
             break
         snap_here = steps in snap_steps
         if steps < n_steps or snap_here:

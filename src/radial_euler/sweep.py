@@ -7,13 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import AlignmentBounds, classify_ea_many
-from .config import (AT_LEAST_ONE, FINITE, ConfigError, RunConfig, check_keys, csv_text,
-                     json_number, provenance)
-from .core import Model, ModelParams
+from .config import ConfigError, RunConfig, check_keys, csv_text, json_number, provenance
+from .core import AT_LEAST_ONE, FINITE, Model, ModelParams
 # classify_ep is not called here; perfbench/tracer.py wraps sweep.classify_ep
 from .euler_poisson import (STATE_KEYS, Verdicts, classify_ep,  # noqa: F401
                             classify_ep_columns, state_rules)
-from .odeint import IntegratorConfig
+from .odeint import VERDICT_CODES, IntegratorConfig
 
 MAX_SWEEP_CELLS = 1_000_000
 
@@ -64,7 +63,9 @@ def classify_cells(cfg: RunConfig, *, outcomes: bool = True, **axes: np.ndarray)
     check_keys(cfg, "integrator", t_max=(lambda v: v > 0, "positive to classify"))
     alignment = params.model is Model.EULER_ALIGNMENT
     if alignment:
-        check_keys(cfg, "alignment", y0=FINITE)
+        check_keys(cfg, "alignment", y0=FINITE,
+                   kind=(lambda v: v in ("q", "G"), "'q' or 'G'"),
+                   side=(lambda v: v in ("+", "-"), "'+' or '-'"))
     else:
         # finite also where an axis replaces the value: a config never means NaN or inf
         check_keys(cfg, "state", **dict.fromkeys(STATE_KEYS, FINITE))
@@ -96,7 +97,7 @@ class SweepResult:
     def to_csv(self) -> str:
         """Header row carries axis2 values; one row per axis1 value."""
         name1, name2 = self.axis_names
-        legend = "codes: 0=global-bounded 2=finite-time-blowup 3=inconclusive"
+        legend = "codes: " + " ".join(f"{c}={v.value}" for v, c in VERDICT_CODES.items())
         rows = ([v1, *codes] for v1, codes in zip(self.axis1, self.codes.astype(str)))
         return csv_text([self.provenance, f"rows: {name1}, columns: {name2}, {legend}"],
                         [[f"{name1}\\{name2}", *self.axis2], *rows])

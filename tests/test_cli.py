@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import radial_euler
 from radial_euler import cli
 from radial_euler.alignment import INFLUENCE_LIBRARY
-from radial_euler.config import (ConfigError, RunConfig, config_hash,
+from radial_euler.config import (SCHEMA, ConfigError, RunConfig, config_hash,
                                  parse_config_text, serialize_config)
 from radial_euler.odeint import ClassificationOutcome, Verdict
 from radial_euler.profiles import DENSITY_LIBRARY, VELOCITY_LIBRARY
@@ -712,6 +713,11 @@ def test_curves_unknown_kind_refused_before_any_curve(tmp_path, capsys, monkeypa
 _KINDS ="['euler-poisson', 'euler-alignment', 'inviscid-burgers', 'damped-burgers']"
 
 
+def _in_initial(text, lines):
+    """A SIM_SMALL config with ``lines`` added to its [initial] section."""
+    return text.replace("[initial]\n", f"[initial]\n{lines}\n", 1)
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("classify", "[state]\nrho0 = -1\n", "[state] rho0 must be nonnegative, got -1.0"),
     ("classify", "[model]\nn = 3\n\n[state]\ns0 = -1\n",
@@ -729,11 +735,33 @@ _KINDS ="['euler-poisson', 'euler-alignment', 'inviscid-burgers', 'damped-burger
      "[curves] x_max must be above the series start offset 1e-06, got 5e-07"),
     ("classify", "[model]\nkind = euler-poison\n",
      f"[model] kind must be one of {_KINDS}, got 'euler-poison'"),
+    ("simulate", _SIM_EP.replace("profile_nodes = 101", "profile_nodes = 1"),
+     "[initial] profile_nodes must be at least 2, got 1"),
+    ("simulate", _in_initial(_SIM_EP, "r_max = -1"),
+     "[initial] r_max must be finite and positive, got -1.0"),
+    ("simulate", _in_initial(_SIM_EP, "rho_width = 0"),
+     "[initial] rho_width must be finite and positive, got 0.0"),
+    ("simulate", _in_initial(_SIM_EP, "rho_amp = nan"),
+     "[initial] rho_amp must be finite and nonnegative, got nan"),
+    ("simulate", _in_initial(_SIM_EP, "u_amp = inf"),
+     "[initial] u_amp must be finite, got inf"),
+    ("classify", "[model]\nkind = euler-alignment\n\n[alignment]\nkind = x\n",
+     "[alignment] kind must be 'q' or 'G', got 'x'"),
+    ("sweep", "[model]\nkind = euler-alignment\nn = 2\n\n[alignment]\nside = x\n"
+     "\n[sweep]\naxis1 = y0\naxis2 = C0\naxis2_min = 0\naxis1_steps = 3\naxis2_steps = 3\n",
+     "[alignment] side must be '+' or '-', got 'x'"),
+    ("simulate", _SIM_EP.replace("t_end = 1.0", "t_end = inf"),
+     "[simulate] t_end must be finite and positive, or 0 with a single snapshot, got inf"),
+    ("simulate", _SIM_EP.replace("n = 2", "n = 2.5"),
+     "[model] n must be an integer of at most 343 to simulate, got 2.5"),
 ], ids=["state-rho0", "state-s0", "state-s0-background", "sweep-rho0-min", "sweep-s0-max",
-        "sweep-cells", "curves-x_max", "model-kind"])
+        "sweep-cells", "curves-x_max", "model-kind", "profile-nodes", "profile-r_max",
+        "profile-rho_width", "profile-rho_amp", "profile-u_amp", "alignment-kind",
+        "alignment-side", "simulate-t_end", "simulate-n"])
 def test_refusal_names_the_key_of_its_value(tmp_path, capsys, command, text, message):
     # these refusals once named no [section] key, or named the state
-    # variable where the value came from a sweep axis end
+    # variable where the value came from a sweep axis end, the factory
+    # argument or the integrator setting it became
     out = tmp_path / "out"
     rc = cli.main([command, "--config", write(tmp_path, "bad.cfg", text), "--out", str(out)])
     captured = capsys.readouterr()
@@ -741,6 +769,17 @@ def test_refusal_names_the_key_of_its_value(tmp_path, capsys, command, text, mes
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert list(out.iterdir()) == []
+
+
+def test_unread_profile_and_influence_keys_are_not_refused(tmp_path, capsys):
+    # an indicator density reads no r_max, a linear velocity no u_width and
+    # a power-law influence no phi_value; the [alignment] D no command reads
+    text = _in_initial(SIM_SMALL.format(kind="euler-alignment", phi="power-law",
+                                        rho="indicator", u="linear"), "r_max = -1\nu_width = 0")
+    text = text.replace("phi = power-law", "phi = power-law\nphi_value = nan\nD = -1")
+    assert cli.main(["simulate", "--config", write(tmp_path, "u.cfg", text),
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "metadata.json").exists()
 
 
 def test_state_rule_skips_a_value_an_axis_replaces(tmp_path, capsys):
@@ -875,6 +914,128 @@ def test_simulate_bad_run_size_refused(tmp_path, capsys, kind, key, value):
     assert rc == 1
     assert err.startswith("error:") and f"] {key} must be" in err
     assert list(out.iterdir()) == []
+
+
+def _config_text(sections):
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for section, keys in sections.items())
+
+
+def _patched(base, section, key, value):
+    sections = {name: dict(keys) for name, keys in base.items()}
+    sections.setdefault(section, {})[key] = value
+    return _config_text(sections)
+
+
+# small runs of each command that reads numeric keys a user may get wrong
+_SIM_BASE = {"model": {"kind": "euler-alignment", "n": 2}, "alignment": {"phi": "power-law"},
+             "initial": {"n_paths": 12, "profile_nodes": 51},
+             "simulate": {"t_end": 1, "snapshots": 2, "theta_order": 4}}
+_BAD_INPUT_BASES = {
+    "simulate-ea": ("simulate", _SIM_BASE),
+    "simulate-ep": ("simulate", {**_SIM_BASE, "model": {"kind": "euler-poisson", "n": 2}}),
+    "curves": ("curves", {"model": {"n": 3}, "curves": {"include_ep": "true", "samples": 5}}),
+}
+# the base the runs of the holes below start from
+_EA_HOLE_BASE = {"model": {"kind": "euler-alignment", "n": 2}, "alignment": {"phi": "power-law"},
+                 "initial": {"n_paths": 20, "profile_nodes": 101},
+                 "simulate": {"t_end": 1, "snapshots": 2, "theta_order": 8}}
+_EP_HOLE_BASE = {**_EA_HOLE_BASE, "model": {"kind": "euler-poisson", "n": 2}}
+_CURVES_HOLE_BASE = {"model": {"n": 3}, "curves": {"include_ep": "true", "samples": 5}}
+_STEPS = "the RK4 step count t_end / dt must be at most 1000000, got "
+_PSI_MAX = "the influence bound psi_max must be finite and positive, got 0.0"
+# (command, base, section, key, value, exit code, start of the error line)
+_HOLES = {
+    "ea-t_end-inf": ("simulate", _EA_HOLE_BASE, "simulate", "t_end", "inf", 1,
+                     "[simulate] t_end must be finite and positive, got inf"),
+    "ea-t_end-1e300": ("simulate", _EA_HOLE_BASE, "simulate", "t_end", "1e300", 1, _STEPS),
+    "ea-dt-1e-300": ("simulate", _EA_HOLE_BASE, "simulate", "dt", "1e-300", 1, _STEPS),
+    "ea-rho_amp-1e300": ("simulate", _EA_HOLE_BASE, "initial", "rho_amp", "1e300", 1, _STEPS),
+    "ea-rho_amp-0": ("simulate", _EA_HOLE_BASE, "initial", "rho_amp", "0", 1, _PSI_MAX),
+    "ea-r_max-1e-300": ("simulate", _EA_HOLE_BASE, "initial", "r_max", "1e-300", 1, _PSI_MAX),
+    "ea-phi_scale-0": ("simulate", _EA_HOLE_BASE, "alignment", "phi_scale", "0", 1,
+                       "[alignment] phi_scale must be finite and positive, got 0.0"),
+    "ea-phi_exponent-nan": ("simulate", _EA_HOLE_BASE, "alignment", "phi_exponent", "nan", 1,
+                            "[alignment] phi_exponent must be finite and nonnegative, got nan"),
+    "ea-phi_exponent--inf": ("simulate", _EA_HOLE_BASE, "alignment", "phi_exponent", "-inf", 1,
+                             "[alignment] phi_exponent must be finite and nonnegative, "
+                             "got -inf"),
+    "ea-phi_scale-nan": ("simulate", _EA_HOLE_BASE, "alignment", "phi_scale", "nan", 1,
+                         "[alignment] phi_scale must be finite and positive, got nan"),
+    "ea-phi_scale--1": ("simulate", _EA_HOLE_BASE, "alignment", "phi_scale", "-1", 1,
+                        "[alignment] phi_scale must be finite and positive, got -1.0"),
+    "ea-u_amp-1e300": ("simulate", _EA_HOLE_BASE, "initial", "u_amp", "1e300", 3, None),
+    "ep-n-1e300": ("simulate", _EP_HOLE_BASE, "model", "n", "1e300", 1,
+                   "[model] n must be an integer of at most 343 to simulate, got 1e+300"),
+    "curves-ep_q0-1e300": ("curves", _CURVES_HOLE_BASE, "curves", "ep_q0", "1e300", 3,
+                           "(q_hat, s_hat) run stopped at t_hat = 0 of 40: non-finite rhs"),
+}
+
+
+def _run_bad_input(tmp_path, capsys, command, text):
+    """Run ``command`` on ``text`` in process: its exit code, stderr and artifacts."""
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", write(tmp_path, "bad.cfg", text), "--out", str(out)])
+    artifacts = {f.name: f.read_text() for f in out.iterdir()} if out.exists() else {}
+    return rc, capsys.readouterr().err, artifacts
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON")
+
+
+@pytest.mark.parametrize("name", list(_HOLES))
+def test_bad_input_hole_ends_cleanly(tmp_path, capsys, name):
+    # each of these once raised a traceback, wrote NaN rows and a
+    # "radius": NaN that is not JSON, or printed nan threshold rows with exit 0
+    command, base, section, key, value, code, message = _HOLES[name]
+    rc, err, artifacts = _run_bad_input(tmp_path, capsys, command,
+                                        _patched(base, section, key, value))
+    assert rc == code
+    if message is not None:
+        assert err.startswith(f"error: {message}")
+        assert artifacts == {}
+    else:
+        # a real step collapse: the report names the path's last finite radius
+        blowup = json.loads(artifacts["metadata.json"],
+                            parse_constant=_reject_constant)["blowup"]
+        assert blowup["kind"] == "step-collapse"
+        assert blowup["radius"] is None or math.isfinite(blowup["radius"])
+
+
+def _bad_input_cases():
+    numeric = {section: [key for key, (typ, _) in keys.items() if typ in (int, float)]
+               for section, keys in SCHEMA.items()}
+    read = {"simulate-ea": ["model", "initial", "simulate",
+                            ("alignment", ["phi_value", "phi_exponent", "phi_scale"])],
+            "simulate-ep": ["model", "initial", "simulate", "integrator"],
+            "curves": ["model", ("alignment", ["psi_min", "psi_max", "nu", "C0"]), "curves"]}
+    cases = []
+    for run, sections in read.items():
+        command, base = _BAD_INPUT_BASES[run]
+        for entry in sections:
+            section, keys = entry if isinstance(entry, tuple) else (entry, numeric[entry])
+            cases += [pytest.param(command, _patched(base, section, key, value),
+                                   id=f"{run}-{section}.{key}={value}")
+                      for key in keys for value in ("nan", "inf", "-inf", "0", "-1")]
+    return cases + [pytest.param(command, _patched(base, section, key, value), id=name)
+                    for name, (command, base, section, key, value, *_) in _HOLES.items()]
+
+
+@pytest.mark.parametrize("command, text", _bad_input_cases())
+def test_bad_input_never_crashes(tmp_path, capsys, command, text):
+    # every numeric key simulate (both kinds) and curves read, set to a value
+    # a user may get wrong: no traceback, an exit code the CLI documents, an
+    # error line for a refusal that writes nothing, and no NaN or infinity
+    # in any artifact
+    rc, err, artifacts = _run_bad_input(tmp_path, capsys, command, text)
+    assert rc in (0, 1, 2, 3)
+    if rc == 1:
+        assert err.startswith("error: ") and artifacts == {}
+    for name, body in artifacts.items():
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", body), name
+        if name.endswith(".json"):
+            json.loads(body, parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("theta_order, block", [(32, "55 pairs x 32 nodes"),

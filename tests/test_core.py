@@ -4,6 +4,7 @@ import pytest
 from radial_euler import (CharState, Model, ModelParams, VelocityGradientSample,
                           divergence, gap_consistency_check, grad_u_matrix,
                           spectral_gap, sphere_area)
+from radial_euler.core import check_rules
 
 
 def gap_by_enumeration(p, q, n):
@@ -99,6 +100,23 @@ def test_sphere_area_values():
     assert sphere_area(1) == pytest.approx(2.0)
     assert sphere_area(2) == pytest.approx(2 * np.pi)
     assert sphere_area(3) == pytest.approx(4 * np.pi)
+
+
+def test_sphere_area_refuses_an_overflowing_dimension():
+    # Gamma(n/2) overflows above n = 343, where math.gamma once raised OverflowError
+    assert 0.0 < sphere_area(343) < np.inf
+    with pytest.raises(ValueError, match=r"^sphere_area requires n <= 343$"):
+        sphere_area(344)
+
+
+def test_check_rules_names_the_first_broken_value():
+    rules = {"a": (lambda v: v > 0, "positive"), "b": (lambda v: ~np.isnan(v), "not NaN")}
+    check_rules(rules, {"a": 1.0, "b": np.array([0.0, 1.0])})
+    with pytest.raises(KeyError, match=r"^'\[s\] a must be positive, got -1'$"):
+        check_rules(rules, {"a": -1, "b": 0.0}, "[s] ", KeyError)
+    # an elementwise test names the first element that fails it, as a float
+    with pytest.raises(ValueError, match=r"^b must be not NaN, got nan$"):
+        check_rules(rules, {"a": 1.0, "b": np.array([0.0, np.nan, 2.0])})
 
 
 def test_model_params_validation():

@@ -22,8 +22,8 @@ from radial_euler import cli, euler_poisson
 from radial_euler.euler_poisson import classify_ep_columns, integrate_qs
 from radial_euler.alignment import AlignmentBounds, classify_ea_many
 from radial_euler.config import RunConfig, parse_config_text
-from radial_euler.odeint import (TERMINATIONS, VERDICT_CODES, Termination, integrate,
-                                 integrate_lanes)
+from radial_euler.odeint import (TERMINATIONS, VERDICT_CODES, IntegrationFailure, Termination,
+                                 integrate, integrate_lanes)
 from radial_euler.sweep import classify_cells, run_sweep
 
 EP1 = ModelParams(n=1, kappa=1, c=0)
@@ -888,6 +888,30 @@ def test_certificate_settles_only_one_zero_background_orbit(params, q, s):
     assert euler_poisson._wv_settled(x, params, IntegratorConfig()) is None
 
 
+@pytest.mark.parametrize("n, q0, s0, p0, rho0", [
+    (2, 0.0, 0.5, -2.481203007518797, 3.4203389830508475),
+    (3, 0.5, 0.05, -1.548872180451128, 1.8101694915254236),
+], ids=["n2", "n3"])
+def test_certificate_reads_between_basis_nodes(monkeypatch, n, q0, s0, p0, rho0):
+    # v of these cells dips into the margin only between the basis run's
+    # nodes: the reads between them leave the cell to the lanes, and the
+    # nodes alone would settle it (as bounded, which the lanes also say)
+    params, config = ModelParams(n=n, kappa=1, c=0), IntegratorConfig()
+    cell = np.array([[p0], [q0], [s0], [rho0]])
+    assert euler_poisson._wv_settled(cell, params, config).tolist() == [-1]
+    with monkeypatch.context() as m:
+        m.setattr(euler_poisson, "_WV_READS", ())
+        assert euler_poisson._wv_settled(cell, params, config).tolist() == [0]
+    # a 3 x 3 grid centred on the cell: codes only equal the outcomes' codes
+    p = np.repeat(p0 + np.array([-0.5, 0.0, 0.5]), 3)
+    rho = np.tile(rho0 + np.array([-0.5, 0.0, 0.5]), 3)
+    x = np.array([p, np.full(9, q0), np.full(9, s0), rho])
+    codes = classify_ep_columns(x, params, config, outcomes=False).codes
+    assert codes[4] == VERDICT_CODES[Verdict.GLOBAL_BOUNDED]
+    assert codes.tolist() == [VERDICT_CODES[out.verdict]
+                              for out in classify_ep_columns(x, params, config)]
+
+
 @pytest.mark.parametrize("n, c, q0, s0", [(1, 0.0, 0.0, 0.0), (1, 1.0, 0.0, 0.0),
                                           (3, 0.0, 0.3, 0.05)],
                          ids=["1d-c0", "1d-c1", "3d"])
@@ -1034,6 +1058,17 @@ def test_threshold_constants_regime_errors():
         compute_threshold_constants(ModelParams(n=3, kappa=1, c=1), (1.0, 0.1))
     with pytest.raises(ValueError):
         compute_threshold_constants(ModelParams(n=3, kappa=1, c=0), (1.0, -0.1))
+
+
+def test_qshat_run_that_stops_early_raises():
+    # q0 = 1e300 makes the rhs non-finite at t = 0: the run once ended there
+    # and its constants came out NaN, which curves printed as threshold rows
+    params = ModelParams(n=3, kappa=1, c=0)
+    with pytest.raises(IntegrationFailure, match=r"^\(q_hat, s_hat\) run stopped at "
+                                                 r"t_hat = 0 of 40: non-finite rhs"):
+        qshat_integrate(params, (1e300, 0.01))
+    with pytest.raises(IntegrationFailure):
+        compute_threshold_constants(params, (1e300, 0.01))
 
 
 def _y_of_t(t, v0, gamma, kappa, d):

@@ -17,6 +17,7 @@ from radial_euler import (CharacteristicEnsemble, CrossingError,
                           rexp_velocity, simulate_ea, simulate_ep,
                           zero_velocity, CharState, compute_bounds,
                           divergence, spectral_gap)
+from radial_euler import pde
 from radial_euler.euler_poisson import ep_full_system
 from radial_euler.odeint import integrate
 
@@ -557,6 +558,21 @@ def test_simulate_bad_run_size_refused_from_python(model, argument, value):
             simulate_ea(rho0, u0, power_law_influence(0.5, 1.0), EA2, **sizes)
         else:
             simulate_ep(rho0, u0, EP3, **sizes)
+
+
+def test_simulate_ea_refuses_a_run_it_cannot_step():
+    # psi_max = 0 once divided by zero, and a step count near 1e300 failed
+    # a NumPy cast
+    u0 = rexp_velocity(1.0, 4.0)
+    phi = power_law_influence(0.5, 1.0)
+    with pytest.raises(ValueError, match=r"^the influence bound psi_max must be finite "
+                                         r"and positive, got 0\.0$"):
+        simulate_ea(gaussian_bump(0.0, 1.0, r_max=2.5, n_nodes=101), u0, phi, EA2,
+                    n_paths=12, t_end=1.0)
+    rho0 = gaussian_bump(1.0, 1.0, r_max=2.5, n_nodes=101)
+    with pytest.raises(ValueError, match=rf"^the RK4 step count t_end / dt must be at most "
+                                         rf"{pde.MAX_EA_STEPS}, got "):
+        simulate_ea(rho0, u0, phi, EA2, n_paths=12, t_end=1.0, dt=0.5 / pde.MAX_EA_STEPS)
 
 
 def test_simulate_ea_zero_dt_picks_stability_bound():
