@@ -179,11 +179,11 @@ def _angular_rule(n: int, order: int):
     return theta, w * np.sin(theta) ** (n - 2)
 
 
-def _radial_rule(profile: RadialProfile, per_interval: int):
-    """Per-interval Gauss-Legendre nodes/weights on the profile grid."""
+def _radial_rule(nodes: np.ndarray, per_interval: int):
+    """Per-interval Gauss-Legendre nodes/weights on a radial grid."""
     x, w = np.polynomial.legendre.leggauss(per_interval)
-    a = profile.nodes[:-1][:, None]
-    b = profile.nodes[1:][:, None]
+    a = nodes[:-1][:, None]
+    b = nodes[1:][:, None]
     nodes = 0.5 * (b - a) * x[None, :] + 0.5 * (a + b)
     weights = 0.5 * (b - a) * w[None, :]
     return nodes.ravel(), weights.ravel()
@@ -192,7 +192,12 @@ def _radial_rule(profile: RadialProfile, per_interval: int):
 def _kernel_integral(rho: RadialProfile, phi: InfluenceSpec, r: float, n: int,
                      u: Optional[RadialProfile], radial_order: int,
                      theta_order: int) -> float:
-    s, ws = _radial_rule(rho, radial_order)
+    # the integrand has a kink at s = r: split the profile interval holding r there
+    grid = rho.nodes
+    k = int(np.searchsorted(grid, r))
+    if 0 < k < len(grid) and grid[k] != r:
+        grid = np.insert(grid, k, r)
+    s, ws = _radial_rule(grid, radial_order)
     fs = rho.smooth_eval(s) * ws
     if u is not None:
         fs = fs * u.smooth_eval(s)

@@ -182,8 +182,11 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
 
     p = np.gradient(u, r)
     q = u / r
-    d = p + (n - 1.0) * q
-    eta = (n - 1.0) * (p - q) ** 2
+    # past sqrt(max float) a gradient's d and eta overflow to inf, the
+    # rounded value; nothing downstream needs them finite
+    with np.errstate(over="ignore"):
+        d = p + (n - 1.0) * q
+        eta = (n - 1.0) * (p - q) ** 2
     max_grad = float(max(np.max(np.abs(p)), np.max(np.abs(q))))
     return FieldSnapshot(time=ensemble.t, r=r.copy(), rho=rho, u=u.copy(),
                          p=p, q=q, d=d, eta=eta, max_grad=max_grad, masses=m.copy(),
@@ -294,8 +297,10 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
 
 @functools.lru_cache(maxsize=4)
 def _pairs(n_paths: int):
-    """Row and column indices of the path pairs i <= j."""
-    return np.triu_indices(n_paths)
+    """Row and column indices of the path pairs i <= j, and the flat indices
+    i N + j and j N + i of each pair in an (N, N) matrix."""
+    i, j = np.triu_indices(n_paths)
+    return i, j, i * n_paths + j, j * n_paths + i
 
 
 # values per block of (pairs, theta) temporaries in the n >= 2 kernel: 64 KiB
@@ -321,13 +326,18 @@ def _particle_kernels(r: np.ndarray, phi: InfluenceSpec, n: int,
     shape (2, theta_order).  Both matrices are symmetric, and the
     distance r_i^2 + r_j^2 - 2 r_i r_j cos(theta) is so bit for bit, so
     phi is evaluated on the pairs i <= j only and each pair's sums fill
-    both halves.  For n >= 2 the pairs go through phi in blocks of
-    :func:`_block_rows`, each summed by one gemv.  A tail block shorter
-    than ``_MIN_ROWS`` joins the block before it, because OpenBLAS rounds
-    a one-row gemv differently; the sums are then bit for bit those of
-    one gemv over all pairs on one BLAS thread (the tests pin this).
+    both halves, through the flat indices i N + j and j N + i.  For
+    n >= 2 the pairs go through phi in blocks of :func:`_block_rows`:
+    each block's 2 r_i r_j cos(theta) is a k = 1 matrix product into one
+    buffer (one rounded multiply per entry, as a broadcast multiply
+    gives), the distances are formed there in place, and one gemv per
+    weight row sums phi of them.  A tail block shorter than
+    ``_MIN_ROWS`` joins the block before it, because OpenBLAS rounds a
+    one-row gemv differently; the sums are then bit for bit those of one
+    gemv over all pairs on one BLAS thread (the tests pin this).
     """
-    i, j = _pairs(len(r))
+    size = len(r)
+    i, j, upper, lower = _pairs(size)
     a, b = r[i], r[j]
     if n == 1:
         km = phi.phi(np.abs(a - b))
@@ -336,24 +346,29 @@ def _particle_kernels(r: np.ndarray, phi: InfluenceSpec, n: int,
     else:
         # a * a + b * b - 2.0 * a * b * cos_theta, a block of pairs at a time
         ab2, sq = 2.0 * a[:, None] * b[:, None], (a * a + b * b)[:, None]
-        pairs, rows = len(a), _block_rows(len(cos_theta))
+        pairs, nodes = len(a), len(cos_theta)
+        rows = _block_rows(nodes)
         pair_phi, pair_zeta = np.empty(pairs), np.empty(pairs)
+        # room for the longest block, a full one joined by a short tail
+        buffer = np.empty(min(pairs, rows + _MIN_ROWS - 1) * nodes)
+        cos_row = cos_theta[None, :]
         lo = 0
         while lo < pairs:
             hi = lo + rows
             if hi + _MIN_ROWS > pairs:
                 hi = pairs
-            dist = np.multiply(ab2[lo:hi], cos_theta)
-            np.subtract(sq[lo:hi], dist, out=dist)
-            vals = phi.phi(np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist))
+            block = buffer[:(hi - lo) * nodes].reshape(hi - lo, nodes)
+            np.dot(ab2[lo:hi], cos_row, out=block)
+            np.subtract(sq[lo:hi], block, out=block)
+            np.sqrt(np.maximum(block, 0.0, out=block), out=block)
+            vals = phi.phi(block)
             np.dot(vals, w[0], out=pair_phi[lo:hi])
             np.dot(vals, w[1], out=pair_zeta[lo:hi])
             lo = hi
-    k_phi = np.empty((len(r), len(r)))
-    k_zeta = np.empty((len(r), len(r)))
-    k_phi[i, j] = k_phi[j, i] = pair_phi
-    k_zeta[i, j] = k_zeta[j, i] = pair_zeta
-    return k_phi, k_zeta
+    k_phi, k_zeta = np.empty(size * size), np.empty(size * size)
+    k_phi[upper] = k_phi[lower] = pair_phi
+    k_zeta[upper] = k_zeta[lower] = pair_zeta
+    return k_phi.reshape(size, size), k_zeta.reshape(size, size)
 
 
 def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
@@ -399,11 +414,14 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
         nonlocal calls, kernel_s
         calls += 1
         start = time.perf_counter()
-        k_phi, k_zeta = _particle_kernels(r, phi, n, cos_theta, w)
-        kernel_s += time.perf_counter() - start
-        psi = k_phi @ m
-        zeta = k_zeta @ (m * u)
-        return u, zeta - psi * u, psi
+        # a stage past float range overflows here: the step's checks of u
+        # and psi end the run at such a state
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_phi, k_zeta = _particle_kernels(r, phi, n, cos_theta, w)
+            kernel_s += time.perf_counter() - start
+            psi = k_phi @ m
+            zeta = k_zeta @ (m * u)
+            return u, zeta - psi * u, psi
 
     # the steps closest to an even split of [0, t_end] into n_snapshots times
     snap_steps = set(np.rint(np.linspace(0, n_steps, n_snapshots)).astype(int).tolist())
@@ -441,13 +459,16 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
             i = int(np.argmax(np.diff(r) <= 0))
             blowup = BlowupReport(t_new, "crossing", i, float(r[i]))
             break
-        if not np.all(np.isfinite(u)):
-            i = int(np.argmax(~np.isfinite(u)))
+        snap_here = steps in snap_steps
+        # a non-finite u, or a finite state whose psi overflowed, ends the run
+        bad = ~np.isfinite(u)
+        if not bad.any() and (steps < n_steps or snap_here):
+            dr1, du1, psi = deriv(r, u)
+            bad = ~np.isfinite(psi)
+        if bad.any():
+            i = int(np.argmax(bad))
             blowup = BlowupReport(t_new, Termination.STEP_COLLAPSE.value, i, float(r[i]))
             break
-        snap_here = steps in snap_steps
-        if steps < n_steps or snap_here:
-            dr1, du1, psi = deriv(r, u)
         if snap_here:
             take_snapshot(t_new, r, u, psi)
     pairs = n_paths * (n_paths + 1) // 2

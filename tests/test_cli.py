@@ -942,6 +942,13 @@ _EA_HOLE_BASE = {"model": {"kind": "euler-alignment", "n": 2}, "alignment": {"ph
                  "simulate": {"t_end": 1, "snapshots": 2, "theta_order": 8}}
 _EP_HOLE_BASE = {**_EA_HOLE_BASE, "model": {"kind": "euler-poisson", "n": 2}}
 _CURVES_HOLE_BASE = {"model": {"n": 3}, "curves": {"include_ep": "true", "samples": 5}}
+# the benchmark's simulate-ep config
+_EP_BENCH_BASE = {"model": {"kind": "euler-poisson", "n": 3, "kappa": 1, "c": 0},
+                  "initial": {"rho_profile": "gaussian-bump", "rho_amp": 1, "rho_width": 1,
+                              "r_max": 2.5, "profile_nodes": 801, "u_profile": "rexp",
+                              "u_amp": 1, "u_width": 4, "n_paths": 300},
+                  "simulate": {"t_end": 20, "snapshots": 11}}
+_EP_R_MAX = "[initial] r_max must be between 1.69e-100 and 4.48e+61 for 300 paths in n = 3, got "
 _STEPS = "the RK4 step count t_end / dt must be at most 1000000, got "
 _PSI_MAX = "the influence bound psi_max must be finite and positive, got 0.0"
 # (command, base, section, key, value, exit code, start of the error line)
@@ -967,6 +974,16 @@ _HOLES = {
     "ea-u_amp-1e300": ("simulate", _EA_HOLE_BASE, "initial", "u_amp", "1e300", 3, None),
     "ep-n-1e300": ("simulate", _EP_HOLE_BASE, "model", "n", "1e300", 1,
                    "[model] n must be an integer of at most 343 to simulate, got 1e+300"),
+    "ep-u_amp-1e300": ("simulate", _EP_BENCH_BASE, "initial", "u_amp", "1e300", 1,
+                       "[initial] u_amp must be at most 1.34e+154 in magnitude, so its square "
+                       "is finite, got 1e+300"),
+    "ep-r_max-1e-300": ("simulate", _EP_BENCH_BASE, "initial", "r_max", "1e-300", 1,
+                        _EP_R_MAX + "1e-300"),
+    "ep-r_max-1e300": ("simulate", _EP_BENCH_BASE, "initial", "r_max", "1e300", 1,
+                       _EP_R_MAX + "1e+300"),
+    "ep-n-343": ("simulate", _EP_BENCH_BASE, "model", "n", "343", 1,
+                 "[initial] n_paths must be at most 30 in n = 343, so that some r_max keeps "
+                 "the innermost r^n and the outermost r^(n + 2) in float range, got 300"),
     "curves-ep_q0-1e300": ("curves", _CURVES_HOLE_BASE, "curves", "ep_q0", "1e300", 3,
                            "(q_hat, s_hat) run stopped at t_hat = 0 of 40: non-finite rhs"),
 }
@@ -984,6 +1001,7 @@ def _reject_constant(name):
     raise ValueError(f"{name} in JSON")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", list(_HOLES))
 def test_bad_input_hole_ends_cleanly(tmp_path, capsys, name):
     # each of these once raised a traceback, wrote NaN rows and a
@@ -1001,6 +1019,19 @@ def test_bad_input_hole_ends_cleanly(tmp_path, capsys, name):
                             parse_constant=_reject_constant)["blowup"]
         assert blowup["kind"] == "step-collapse"
         assert blowup["radius"] is None or math.isfinite(blowup["radius"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("u_amp, u_width", [("1e150", "1e-10"), ("1.3e154", "1e-3"),
+                                            ("-1.3e154", "4")])
+def test_ep_velocity_slope_bound_holds_for_any_width(tmp_path, capsys, u_amp, u_width):
+    # the slope of a library velocity is at most |u_amp| whatever u_width is,
+    # so a u_amp within its bound runs to a blowup or step-collapse report
+    base = {**_EP_BENCH_BASE, "initial": {**_EP_BENCH_BASE["initial"], "u_amp": u_amp}}
+    rc, err, artifacts = _run_bad_input(tmp_path, capsys, "simulate",
+                                        _patched(base, "initial", "u_width", u_width))
+    assert rc in (2, 3) and err == ""
+    assert json.loads(artifacts["metadata.json"], parse_constant=_reject_constant)["blowup"]
 
 
 def _bad_input_cases():
@@ -1022,6 +1053,7 @@ def _bad_input_cases():
                     for name, (command, base, section, key, value, *_) in _HOLES.items()]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, text", _bad_input_cases())
 def test_bad_input_never_crashes(tmp_path, capsys, command, text):
     # every numeric key simulate (both kinds) and curves read, set to a value

@@ -373,23 +373,32 @@ def _angular_weights(n, theta_order):
 
 def _blocked_mismatches():
     """(n, T, N, phi) cases where the blocked kernel is not the one-shot's."""
-    from radial_euler.alignment import INFLUENCE_LIBRARY
+    from radial_euler.alignment import INFLUENCE_LIBRARY, exponential_influence
     from radial_euler.pde import _particle_kernels
+    # each library influence at its defaults and, at T = 32 and up to 200
+    # paths, at other parameters: power-law exponents take their own paths
+    # through **
+    defaults = [factory() for _, factory in sorted(INFLUENCE_LIBRARY.items())]
+    others = [constant_influence(0.7), exponential_influence(0.6)] + [
+        power_law_influence(a, w) for a in (0.0, 0.5, 1.0, 1.5, 2.0) for w in (1.0, 0.7)
+        if (a, w) != (0.5, 1.0)]
     rng = np.random.default_rng(5)
     bad = []
     for n in (2, 3):
         for theta_order in (8, 32, 48, 192):
             cos_theta, w = _angular_weights(n, theta_order)
-            # 62, 65, 126, 129 and 513 paths leave a one-pair tail at some T
-            for n_paths in (1, 2, 7, 33, 62, 65, 80, 81, 126, 129, 200, 513):
+            # 62, 65, 126, 129 and 513 paths leave a one-pair tail at some T;
+            # 93 paths leave 19 pairs past the last 256-pair block at T = 32
+            for n_paths in (1, 2, 7, 33, 62, 65, 80, 81, 93, 126, 129, 200, 513):
                 r = np.sort(rng.uniform(0.01, 2.5, n_paths))
                 if n_paths * (n_paths + 1) // 2 * theta_order > 5_000_000:
                     continue   # keeps each one-shot array under 40 MB
-                for name, factory in sorted(INFLUENCE_LIBRARY.items()):
-                    got = _particle_kernels(r, factory(), n, cos_theta, w)
-                    want = _one_shot_kernels(r, factory(), n, cos_theta, w)
+                extra = others if theta_order == 32 and n_paths <= 200 else []
+                for phi in defaults + extra:
+                    got = _particle_kernels(r, phi, n, cos_theta, w)
+                    want = _one_shot_kernels(r, phi, n, cos_theta, w)
                     if not all(map(np.array_equal, got, want)):
-                        bad.append((n, theta_order, n_paths, name))
+                        bad.append((n, theta_order, n_paths, phi.name))
     return bad
 
 
@@ -573,6 +582,42 @@ def test_simulate_ea_refuses_a_run_it_cannot_step():
     with pytest.raises(ValueError, match=rf"^the RK4 step count t_end / dt must be at most "
                                          rf"{pde.MAX_EA_STEPS}, got "):
         simulate_ea(rho0, u0, phi, EA2, n_paths=12, t_end=1.0, dt=0.5 / pde.MAX_EA_STEPS)
+
+
+def test_simulate_ea_takes_a_one_argument_influence():
+    # InfluenceSpec.phi is any callable of one array: a hand-written phi of
+    # the library's formula gives the library influence's run, bit for bit
+    from radial_euler import InfluenceSpec
+    lib = power_law_influence(0.5, 1.0)
+    own = InfluenceSpec(phi=lambda r: (1.0 + r / 1.0) ** -0.5, phi_prime=lib.phi_prime,
+                        sup_phi=1.0, sup_phi_prime=0.5)
+    rho0, u0 = gaussian_bump(1.0, 1.0, r_max=2.5, n_nodes=101), rexp_velocity(1.0, 4.0)
+    runs = [simulate_ea(rho0, u0, phi, EA2, n_paths=40, t_end=0.5, n_snapshots=2)
+            for phi in (lib, own)]
+    assert all(np.array_equal(a.u, b.u) and np.array_equal(a.extras["psi"], b.extras["psi"])
+               for a, b in zip(runs[0].snapshots, runs[1].snapshots))
+
+
+def test_simulate_ea_ends_where_psi_turns_non_finite(monkeypatch):
+    # a finite state whose kernel arithmetic overflows (r^2 past float
+    # range) gives a NaN psi: the run ends there as a step collapse instead
+    # of writing that psi into a snapshot
+    kernels, calls = pde._particle_kernels, []
+
+    def overflowing(r, *args):
+        calls.append(len(r))
+        k_phi, k_zeta = kernels(r, *args)
+        # the 5th call is the rate at the state after the first step
+        return (np.full_like(k_phi, np.nan) if len(calls) == 5 else k_phi), k_zeta
+
+    monkeypatch.setattr(pde, "_particle_kernels", overflowing)
+    rho0, u0 = gaussian_bump(1.0, 1.0, r_max=2.5, n_nodes=101), rexp_velocity(1.0, 4.0)
+    res = simulate_ea(rho0, u0, power_law_influence(0.5, 1.0), EA2, n_paths=12,
+                      t_end=0.5, n_snapshots=6, dt=0.1)
+    assert res.blowup.kind == "step-collapse" and res.blowup.path_index == 0
+    assert res.blowup.time == pytest.approx(0.1)
+    assert [s.time for s in res.snapshots] == [0.0]
+    assert np.all(np.isfinite(res.snapshots[0].extras["psi"]))
 
 
 def test_simulate_ea_zero_dt_picks_stability_bound():
