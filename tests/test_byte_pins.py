@@ -124,6 +124,12 @@ CASES = {
         "[model]\nn = 1\nc = 1.0\n",
         "axis1_min = -3\naxis1_max = 3\naxis1_steps = 8\n"
         "axis2_min = 0.2\naxis2_max = 3\naxis2_steps = 8\n", TIGHT)),
+    # straddles the c = 1 threshold |p0| = sqrt(2 rho0 - 1): blowups, amplitude
+    # certificates, re-runs to the horizon and a confirm flip
+    "sweep-ep1c-channel": ("sweep", _sweep(
+        "[model]\nn = 1\nc = 1.0\n",
+        "axis1_min = 2.6\naxis1_max = 2.75\naxis1_steps = 8\n"
+        "axis2_min = 4.0\naxis2_max = 4.2\naxis2_steps = 8\n", COARSE)),
     # blowups and basin events at n = 1, c = 0
     "sweep-ep1-lanes": ("sweep", _sweep(
         "[model]\nn = 1\nc = 0.0\n",
