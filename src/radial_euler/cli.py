@@ -68,14 +68,21 @@ def _from_library(library: dict, cfg: RunConfig, section: str, key: str, keys: d
     """Call the ``library`` entry ``[section] key`` names with ``values`` and, once
     their rules hold in order, the values of the ``(config key, rule, ...)``
     entries that ``keys`` gives for its parameters: a key the entry does not
-    read is not checked."""
+    read is not checked.  A ValueError of the entry that starts with one of
+    those parameters is refused as a config error of its key."""
     check_keys(cfg, section, **{key: (lambda v: v in library, f"one of {sorted(library)}")})
     factory = library[cfg[section][key]]
     taken = {p: spec for p, spec in keys.items() if p in inspect.signature(factory).parameters}
     for name, *rules in taken.values():
         for rule in rules:
             check_keys(cfg, section, **{name: rule})
-    return factory(**{p: cfg[section][spec[0]] for p, spec in taken.items()}, **values)
+    try:
+        return factory(**{p: cfg[section][spec[0]] for p, spec in taken.items()}, **values)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name not in taken:
+            raise
+        raise ConfigError(f"[{section}] {taken[name][0]} {rest}") from exc
 
 
 def _influence_from(cfg: RunConfig):
@@ -115,9 +122,12 @@ def _profiles_from(cfg: RunConfig, r_max=(), u_amp=()):
         amp=("rho_amp", FINITE_NONNEGATIVE), width=("rho_width", FINITE_POSITIVE),
         radius=("rho_radius", FINITE_POSITIVE), k=("rho_k", FINITE),
         r_max=("r_max", FINITE_POSITIVE, *r_max), n_nodes=nodes))
+    # the velocity spans the density's support: its radius, if it has one
+    support = ("rho_radius" if "radius" in inspect.signature(
+        DENSITY_LIBRARY[cfg["initial"]["rho_profile"]]).parameters else "r_max")
     u = _from_library(VELOCITY_LIBRARY, cfg, "initial", "u_profile", dict(
-        amp=("u_amp", FINITE, *u_amp), width=("u_width", FINITE_POSITIVE), n_nodes=nodes),
-        r_max=rho.r_max)
+        amp=("u_amp", FINITE, *u_amp), width=("u_width", FINITE_POSITIVE), n_nodes=nodes,
+        r_max=(support,)))
     return rho, u
 
 

@@ -299,6 +299,19 @@ def _certify(y0, y1, kappa: float, c: float):
                 drift, margin)
 
 
+def _v_floor(p, rho, kappa: float, c: float):
+    """The exact minimum of v = 1/rho over the 1D orbit ahead of (p, rho), at
+    most 0 iff the orbit blows up: 1/c - :func:`_orbit_amplitude` for c > 0;
+    for c = 0, where v is a parabola, v - w^2 / (2 kappa) while w = p/rho < 0
+    and v after.  Conserved while v > 0; elementwise and total."""
+    p, rho = np.asarray(p, dtype=float), np.asarray(rho, dtype=float)
+    if c > 0.0:
+        return 1.0 / c - _orbit_amplitude(p, rho, kappa, c)
+    with np.errstate(all="ignore"):
+        v, w = 1.0 / rho, p / rho
+        return np.where(w < 0.0, v - w * w / (2.0 * kappa), v)
+
+
 def _characteristic(params: ModelParams) -> tuple[OdeSystem, list[int], Optional[EventSpec]]:
     """The model's characteristic system, the rows of (p, q, s, rho) it carries,
     and its basin: a forward-invariant bounded region (None if it has none).
@@ -352,8 +365,9 @@ def state_rules(params: ModelParams) -> dict:
     return rules
 
 
-# the termination code of a lane that reached its horizon
+# the termination codes of a lane that reached its horizon, or blew up
 _HORIZON = TERMINATIONS.index(Termination.REACHED_HORIZON)
+_BLOWUP = TERMINATIONS.index(Termination.BLOWUP_DETECTED)
 # Below this many lanes a batch runs lane by lane through the scalar
 # integrator: on arrays this small NumPy's per-call overhead outweighs
 # the arithmetic it vectorises.
@@ -514,6 +528,14 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
     horizon as a second batch.  A bounded verdict for a state whose amplitude
     :func:`_orbit_amplitude` is at least 1/c, an exactly supercritical
     orbit that the run stepped past v = 0, becomes INCONCLUSIVE.
+
+    Codes only at n = 1, the first run stops its lanes at the channel cap
+    1e4 if ``magnitude_cap`` is above it and no larger than lanes can follow
+    near a pole.  A lane below 1e4 takes exactly its full-cap steps; one that
+    blows up there is settled as a blowup if :func:`_channel_certified` shows
+    it tracked an exactly supercritical orbit whose v reaches 0 in time.  A
+    cell with a lane the certificate declines is classified again at the
+    full cap.
     """
     x = np.asarray(x, dtype=float)
     check_rules(state_rules(params), dict(zip(STATE_KEYS, x)))
@@ -541,6 +563,17 @@ _WV_CAP_SHARE, _WV_STEP_SHARE, _WV_STEP_BUDGET = 1e-3, 0.1, 100
 # cells x reads values per block of the streamed pass over the reads (a
 # 1 << 16 block raised a 400-cell grid's peak RSS by 2.6 MB more)
 _WV_BLOCK = 1 << 14
+# A codes-only n = 1 batch first stops its lanes at this cap, early in a
+# blowup lane's Riccati channel (each decade past it costs some 15 steps at
+# rel_tol 1e-6), and settles a lane there if its floor of v drifted by less
+# than this share
+_CHANNEL_CAP, _CHANNEL_DRIFT = 1e4, 0.1
+
+
+def _reach(config: IntegratorConfig) -> float:
+    """The size near a Riccati pole past which a DP5 lane of the confirm pass,
+    at a tenth of rel_tol, would need steps shorter than h_min."""
+    return _WV_STEP_SHARE * (0.1 * config.rel_tol) ** 0.2 / config.h_min
 
 
 def _wv_settled(x: np.ndarray, params: ModelParams,
@@ -578,8 +611,7 @@ def _wv_settled(x: np.ndarray, params: ModelParams,
         squeeze = (s_t / s0) ** ((params.n - 1.0) / params.n)     # exp((n-1) A)
     early = t < _WV_HORIZON_SHARE * config.t_max
     margin = max(_WV_MARGIN, _WV_MARGIN_PER_TOL * max(config.rel_tol, np.max(config.abs_tol)))
-    # the confirm pass steps at a tenth of rel_tol
-    reach = _WV_STEP_SHARE * (0.1 * config.rel_tol) ** 0.2 / config.h_min
+    reach = _reach(config)
     limit = min(_WV_CAP_SHARE * config.magnitude_cap, reach)
 
     cells = np.flatnonzero(np.isfinite(p0) & (rho0 > 0.0) & np.isfinite(rho0))
@@ -611,13 +643,45 @@ def _wv_settled(x: np.ndarray, params: ModelParams,
     return codes
 
 
+def _channel_certified(y0: np.ndarray, y1: np.ndarray, t1: np.ndarray,
+                       attempts: Optional[np.ndarray], params: ModelParams,
+                       config: IntegratorConfig) -> np.ndarray:
+    """Whether each n = 1 lane from (p, rho) ``y0`` that blew up at
+    :data:`_CHANNEL_CAP`, in state ``y1`` at time ``t1`` after ``attempts``
+    step attempts, is a blowup its run at the full cap would detect too.
+
+    Its :func:`_v_floor` must start below 0 (supercritical) and drift by
+    less than :data:`_CHANNEL_DRIFT` of itself (tracked).  v'' <= kappa while
+    v >= 0, so v reaches 0 before the root of v + w t + kappa t^2 / 2, which
+    must come before 0.99 t_max.  The budget must hold twice the
+    (0.1 rel_tol)^-0.2 steps per decade a confirm lane takes up to the cap;
+    scalar runs count no attempts, so none of their lanes passes.
+    """
+    kappa, c = params.kappa, params.c
+    floor0 = _v_floor(y0[0], y0[1], kappa, c)
+    with np.errstate(all="ignore"):
+        drift = np.abs(_v_floor(y1[0], y1[1], kappa, c) - floor0)
+        v, w = 1.0 / y1[1], y1[0] / y1[1]
+        arrival = t1 + 2.0 * v / (np.sqrt(w * w - 2.0 * kappa * v) - w)
+    climb = (2.0 * math.log10(config.magnitude_cap / _CHANNEL_CAP)
+             * (0.1 * config.rel_tol) ** -0.2)
+    budget = (np.zeros(len(t1), dtype=bool) if attempts is None
+              else attempts + climb <= config.max_steps)
+    return ((floor0 < 0.0) & (drift < _CHANNEL_DRIFT * -floor0) & (w < 0.0)
+            & (arrival < _WV_HORIZON_SHARE * config.t_max) & budget)
+
+
 def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorConfig,
                        confirm: bool, outcomes: bool) -> Verdicts:
-    """The verdicts of one batch: codes only are settled by the (w, v) basis
-    where it applies (:func:`_wv_settled`), and the rest run as lanes."""
-    settled = None if outcomes else _wv_settled(x, params, config)
+    """The verdicts of one batch.  Codes only are settled by the (w, v) basis
+    where it applies (:func:`_wv_settled`), else by lanes that stop in the
+    Riccati channel (n = 1); the cells either leaves run as lanes at the
+    full cap."""
+    if outcomes:
+        return _classify_ep_lanes(x, params, config, confirm, True)
+    settled = _wv_settled(x, params, config)
     if settled is None:
-        return _classify_ep_lanes(x, params, config, confirm, outcomes)
+        settled = _classify_ep_lanes(x, params, config, confirm, False, True).codes
     rest = settled < 0
     if rest.any():
         settled[rest] = _classify_ep_lanes(x[:, rest], params, config, confirm, False).codes
@@ -625,7 +689,11 @@ def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorCon
 
 
 def _classify_ep_lanes(x: np.ndarray, params: ModelParams, config: IntegratorConfig,
-                       confirm: bool, outcomes: bool) -> Verdicts:
+                       confirm: bool, outcomes: bool, channel: bool = False) -> Verdicts:
+    """The verdicts of the lanes of every cell of ``x``.  With ``channel``, at
+    n = 1 and a cap above :data:`_CHANNEL_CAP` that the lanes can reach, the
+    first run stops at that cap, and a cell with a blown lane
+    :func:`_channel_certified` declines gets code -1."""
     system, rows, basin = _characteristic(params)
     x0 = x[rows]
     norm0 = np.max(np.abs(x0), axis=0)
@@ -640,11 +708,23 @@ def _classify_ep_lanes(x: np.ndarray, params: ModelParams, config: IntegratorCon
         period = 2.0 * math.pi / math.sqrt(params.kappa * params.c)
         first_run = tuple(replace(cfg, t_max=1.05 * period)
                           if 1.05 * period < cfg.t_max else cfg for cfg in passes)
+    channel = (channel and params.model is Model.EULER_POISSON and params.n == 1.0
+               and _CHANNEL_CAP < config.magnitude_cap <= _reach(config))
+    if channel:
+        first_run = tuple(replace(cfg, magnitude_cap=_CHANNEL_CAP) for cfg in first_run)
 
     inside, cells, batch, code = _run_cells(system, x0, first_run, basin, period,
                                             outcomes=outcomes)
     m, lanes = len(cells), len(code)
     lane_cell = np.tile(cells, len(passes))
+    fallback, channelled = np.zeros(m, dtype=bool), 0
+    if channel:
+        blown = np.flatnonzero(batch.ends == _BLOWUP)
+        ok = _channel_certified(x0[:, lane_cell[blown]], batch.y_final[:, blown],
+                                batch.t_final[blown], None if batch.attempts is None
+                                else batch.attempts[blown], params, config)
+        fallback[blown[~ok] % m] = True
+        channelled = np.count_nonzero(ok)
     closed, certified = np.zeros(lanes, dtype=bool), np.zeros(lanes, dtype=bool)
     drift, margin = np.zeros(lanes), np.zeros(lanes)
     rerun, again = {}, None     # lane -> its lane in ``again``, the re-run batch
@@ -671,8 +751,10 @@ def _classify_ep_lanes(x: np.ndarray, params: ModelParams, config: IntegratorCon
             rerun = dict(zip(ambiguous.tolist(), range(len(ambiguous))))
     log.info("%d cells, %d inside the basin at t = 0; %d runs of the rest (one per "
              "confirm pass): %d closed after one period, %d certified by amplitude, "
-             "%d re-ran to the horizon", x.shape[1], x.shape[1] - m, lanes,
-             np.count_nonzero(closed), np.count_nonzero(certified), len(rerun))
+             "%d re-ran to the horizon, %d certified blowups at the channel cap; "
+             "%d cells left to the full cap", x.shape[1], x.shape[1] - m, lanes,
+             np.count_nonzero(closed), np.count_nonzero(certified), len(rerun),
+             channelled, np.count_nonzero(fallback))
 
     verdict = code[:m].copy()
     flips = np.zeros(m, dtype=bool)
@@ -686,6 +768,7 @@ def _classify_ep_lanes(x: np.ndarray, params: ModelParams, config: IntegratorCon
         verdict[refused] = VERDICT_CODES[Verdict.INCONCLUSIVE]
     codes = np.zeros(x.shape[1], dtype=int)
     codes[cells] = verdict
+    codes[cells[fallback]] = -1
 
     def outcome(cell):
         diag = {"t_final": 0.0, "max_norm": float(norm0[cell]),

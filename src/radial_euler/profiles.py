@@ -259,9 +259,22 @@ def integrate_weighted(nodes: np.ndarray, values: np.ndarray,
     return float(out[0]) if np.ndim(b) == 0 else out
 
 
-def _sample(fn, r_max: float, n_nodes: int) -> np.ndarray:
+def _sample(fn, r_max: float, n_nodes: int,
+            name: str = "r_max") -> tuple[np.ndarray, np.ndarray]:
+    """The nodes on [0, r_max] and the values of ``fn`` there.
+
+    A profile on them evaluates its PCHIP pieces up to the node spacing
+    cubed; finite values whose pieces leave float range there refuse the
+    extent with a ValueError that starts with the factory parameter ``name``.
+    """
     r = np.linspace(0.0, r_max, n_nodes)
-    return r, np.asarray(fn(r), dtype=float)
+    with np.errstate(all="ignore"):
+        v = np.asarray(fn(r), dtype=float)
+        if (len(r) > 1 and np.all(np.isfinite(v))
+                and not (np.isfinite(r[1] ** 3) and np.all(np.isfinite(_pchip_coeffs(r, v))))):
+            raise ValueError(f"{name} must keep the PCHIP pieces of a {n_nodes}-node profile "
+                             f"finite, got {r_max!r}")
+    return r, v
 
 
 def gaussian_bump(amp: float = 1.0, width: float = 1.0, r_max: float = 6.0,
@@ -275,7 +288,7 @@ def gaussian_bump(amp: float = 1.0, width: float = 1.0, r_max: float = 6.0,
 def indicator(amp: float = 1.0, radius: float = 1.0,
               n_nodes: int = 801) -> RadialProfile:
     """rho = amp on [0, radius]; mass = amp * omega_{n-1} radius^n / n."""
-    r, v = _sample(lambda rr: np.full_like(rr, amp), radius, n_nodes)
+    r, v = _sample(lambda rr: np.full_like(rr, amp), radius, n_nodes, "radius")
     return RadialProfile(r, v, ProfileKind.DENSITY,
                          mass_exact=lambda n: amp * sphere_area(int(round(n)))
                          * radius ** n / n)

@@ -948,6 +948,15 @@ _EP_BENCH_BASE = {"model": {"kind": "euler-poisson", "n": 3, "kappa": 1, "c": 0}
                               "r_max": 2.5, "profile_nodes": 801, "u_profile": "rexp",
                               "u_amp": 1, "u_width": 4, "n_paths": 300},
                   "simulate": {"t_end": 20, "snapshots": 11}}
+# the benchmark's simulate-ea config
+_EA_BENCH_BASE = {"model": {"kind": "euler-alignment", "n": 2, "kappa": 1},
+                  "alignment": {"phi": "power-law", "phi_exponent": 0.5, "phi_scale": 1,
+                                "D": 1.6},
+                  "initial": {"rho_profile": "indicator", "rho_amp": 0.3, "rho_radius": 1,
+                              "profile_nodes": 201, "u_profile": "gaussian", "u_amp": 0.4,
+                              "u_width": 0.6, "r_max": 1, "n_paths": 80},
+                  "simulate": {"t_end": 25, "snapshots": 11, "theta_order": 32}}
+_EA_RADIUS = "[initial] rho_radius must keep the PCHIP pieces of a 201-node profile finite, got "
 _EP_R_MAX = "[initial] r_max must be between 1.69e-100 and 4.48e+61 for 300 paths in n = 3, got "
 _STEPS = "the RK4 step count t_end / dt must be at most 1000000, got "
 _PSI_MAX = "the influence bound psi_max must be finite and positive, got 0.0"
@@ -972,6 +981,10 @@ _HOLES = {
     "ea-phi_scale--1": ("simulate", _EA_HOLE_BASE, "alignment", "phi_scale", "-1", 1,
                         "[alignment] phi_scale must be finite and positive, got -1.0"),
     "ea-u_amp-1e300": ("simulate", _EA_HOLE_BASE, "initial", "u_amp", "1e300", 3, None),
+    "ea-rho_radius-1e300": ("simulate", _EA_BENCH_BASE, "initial", "rho_radius", "1e300", 1,
+                            _EA_RADIUS + "1e+300"),
+    "ea-rho_radius-1e-300": ("simulate", _EA_BENCH_BASE, "initial", "rho_radius", "1e-300", 1,
+                             _EA_RADIUS + "1e-300"),
     "ep-n-1e300": ("simulate", _EP_HOLE_BASE, "model", "n", "1e300", 1,
                    "[model] n must be an integer of at most 343 to simulate, got 1e+300"),
     "ep-u_amp-1e300": ("simulate", _EP_BENCH_BASE, "initial", "u_amp", "1e300", 1,
@@ -1244,11 +1257,11 @@ from radial_euler import cli, constant_influence, eval_psi, indicator
 out, runs = sys.argv[1], json.loads(sys.argv[2])
 codes = [cli.main([cmd, "--config", path] + (["--out", f"{out}/{i}"] if cmd != "classify" else []))
          for i, (cmd, path) in enumerate(runs)]
-before = "scipy" in sys.modules
+before, masked = "scipy" in sys.modules, "numpy.ma" in sys.modules
 rho = indicator(1.0, 1.0)
 psi = eval_psi(rho, constant_influence(0.7), 0.4, 2) / (0.7 * rho.mass(2))
 print(json.dumps({"codes": codes, "before": before, "after": "scipy" in sys.modules,
-                  "psi": psi}))
+                  "psi": psi, "masked": masked}))
 """
 
 
@@ -1258,7 +1271,10 @@ def test_commands_run_without_scipy(tmp_path):
     sim_ea = SIM_SMALL.format(kind="euler-alignment", phi="power-law",
                               rho="gaussian-bump", u="rexp")
     curves = "[model]\nkind = euler-alignment\nn = 1\n\n[curves]\nsamples = 20\n"
+    # the c = 1 sweep has blowups, which the channel cap settles
+    sweep_c1 = SWEEP_CFG.replace("n = 1\n", "n = 1\nc = 1.0\n")
     runs = [("sweep", write(tmp_path, "s.cfg", SWEEP_CFG)),
+            ("sweep", write(tmp_path, "s1.cfg", sweep_c1)),
             ("classify", write(tmp_path, "c.cfg", EP_SUB)),
             ("curves", write(tmp_path, "k.cfg", curves)),
             ("simulate", write(tmp_path, "ep.cfg", sim_ep)),
@@ -1269,9 +1285,11 @@ def test_commands_run_without_scipy(tmp_path):
                          timeout=300)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0, 0]
     # no command loads scipy; kernel quadrature still imports it when asked
     assert result["before"] is False and result["after"] is True
+    # nor numpy.ma, which np.unique imports and which costs about 1 MB of peak RSS
+    assert result["masked"] is False
     assert result["psi"] == pytest.approx(1.0, rel=1e-10)
 
 

@@ -411,7 +411,169 @@ def test_amplitude_certificate_replaces_horizon_reruns(lane_batches, caplog):
               if rec.name == "radial_euler.euler_poisson"]
     assert line == ("1600 cells, 0 inside the basin at t = 0; 3200 runs of the rest "
                     "(one per confirm pass): 1096 closed after one period, "
-                    "136 certified by amplitude, 0 re-ran to the horizon")
+                    "136 certified by amplitude, 0 re-ran to the horizon, "
+                    "0 certified blowups at the channel cap; 0 cells left to the full cap")
+
+
+def _channel_counts(messages):
+    """(blowups certified at the channel cap, cells left to the full cap),
+    summed over the lane classifier's log lines."""
+    import re
+    counts = [re.search(r"(\d+) certified blowups at the channel cap; (\d+) cells left",
+                        message) for message in messages]
+    return tuple(sum(int(found[k]) for found in counts if found) for k in (1, 2))
+
+
+def _near_threshold(c, rho0=(0.6, 1.4, 2.2, 3.0, 4.0)):
+    """(p0, rho0) columns at relative offsets -+1e-9 ... -+1e-1 from the 1D
+    threshold, kappa = 1: p0 = -sqrt(2 rho0) for c = 0, -+sqrt(2 rho0 - c) else."""
+    offsets = np.concatenate((-np.logspace(-9, -1, 9), np.logspace(-9, -1, 9)))
+    off, rho = np.repeat(offsets, len(rho0)), np.tile(rho0, len(offsets))
+    ends = [-np.sqrt(2.0 * rho)] if c == 0.0 else [np.sqrt(2.0 * rho - c), -np.sqrt(2.0 * rho - c)]
+    return np.concatenate([end * (1.0 + off) for end in ends]), np.tile(rho, len(ends))
+
+
+def _ep1_columns(p0, rho0):
+    return np.array([p0, np.zeros(len(p0)), np.zeros(len(p0)), rho0])
+
+
+# the one cell a lane-level fallback to the full horizon moves, from 0 to 3:
+# its first-pass lane is declined in the channel, and only a re-run of the
+# first run, one-period probe included, gives the full cap's code
+CHANNEL_TRAP = (math.sqrt(2.0 * 4.1115 - 1.0) * (1.0 - 3.16e-4), 4.1115)
+
+
+@pytest.mark.parametrize("confirm", [True, False], ids=["confirm", "no-confirm"])
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+@pytest.mark.parametrize("c", [0.0, 1.0], ids=["c0", "c1"])
+def test_channel_codes_match_the_full_cap(caplog, c, tol, confirm):
+    # codes-only n = 1 batches stop their lanes at the 1e4 channel cap and
+    # settle certified blowups there; every code equals the outcome path's,
+    # which runs at the full cap, on a grid and near the threshold
+    caplog.set_level("INFO", logger="radial_euler.euler_poisson")
+    params, config = ModelParams(n=1, kappa=1, c=c), IntegratorConfig(rel_tol=tol,
+                                                                      abs_tol=tol / 100)
+    near_p, near_rho = _near_threshold(c)
+    p0 = np.concatenate((np.repeat(np.linspace(-4.0, 4.0, 16), 16), near_p, [CHANNEL_TRAP[0]]))
+    rho0 = np.concatenate((np.tile(np.linspace(0.1, 4.0, 16), 16), near_rho, [CHANNEL_TRAP[1]]))
+    x = _ep1_columns(p0, rho0)
+    codes = classify_ep_columns(x, params, config, confirm, outcomes=False).codes
+    certified, left = _channel_counts(caplog.messages)
+    assert certified > 80 and left > 40, (certified, left)
+    assert np.array_equal(codes, classify_ep_columns(x, params, config, confirm).codes)
+
+
+def test_channel_falls_back_to_the_first_run(caplog):
+    caplog.set_level("INFO", logger="radial_euler.euler_poisson")
+    x = _ep1_columns(*([v] for v in CHANNEL_TRAP))
+    config = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5)
+    assert classify_ep_columns(x, EP1C, config, outcomes=False).codes.tolist() == [0]
+    assert _channel_counts(caplog.messages) == (0, 1)
+    assert classify_ep_columns(x, EP1C, config).codes.tolist() == [0]
+
+
+def test_channel_declines_a_subcritical_spike(caplog):
+    # subcritical states whose floor of v is 1e-4 to 1e-6 of v0: rho passes
+    # the channel cap on its way to 1e4 ... 2e6 and turns back, so their
+    # blown lanes are declined and the cells run again at the full cap
+    caplog.set_level("INFO", logger="radial_euler.euler_poisson")
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
+    for params in (EP1, EP1C):
+        p0, rho0 = [], []
+        for rho, floor in itertools.product((1.0, 2.0, 3.0), (1e-4, 1e-5, 1e-6)):
+            if params.c == 0.0:
+                p0 += [-math.sqrt(2.0 * rho * (1.0 - floor))]
+            else:
+                p0 += [math.sqrt(2.0 * rho - 1.0) * (1.0 - floor) * side for side in (1, -1)]
+            rho0 += [rho] * (1 if params.c == 0.0 else 2)
+        x = _ep1_columns(np.array(p0), np.array(rho0))
+        caplog.clear()
+        codes = classify_ep_columns(x, params, config, outcomes=False).codes
+        certified, left = _channel_counts(caplog.messages)
+        assert certified == 0 and left >= 0.8 * len(p0), (params.c, left)
+        assert not codes.any()
+        outs = classify_ep_columns(x, params, config)
+        assert not outs.codes.any() and max(out.diagnostics["max_norm"] for out in outs) > 1e6
+
+
+@pytest.mark.parametrize("config", [
+    IntegratorConfig(magnitude_cap=3e3), IntegratorConfig(magnitude_cap=1e4),
+    IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, h_min=1e-4, h_init=1e-4),
+    IntegratorConfig(magnitude_cap=1e12, h_min=1e-9)],
+    ids=["cap-3e3", "cap-1e4", "h_min-1e-4", "cap-beyond-reach"])
+def test_channel_declines_caps_it_cannot_serve(caplog, config):
+    # a cap at or below the channel cap, or beyond where the lanes' steps
+    # would shrink to h_min, runs every lane at the full cap as before
+    caplog.set_level("INFO", logger="radial_euler.euler_poisson")
+    x = _ep1_columns(np.repeat(np.linspace(-4.0, 1.0, 6), 6), np.tile(np.linspace(0.5, 3.0, 6), 6))
+    codes = classify_ep_columns(x, EP1, config, outcomes=False).codes
+    assert _channel_counts(caplog.messages) == (0, 0)
+    assert (codes != 0).any() and np.array_equal(codes, classify_ep_columns(x, EP1, config).codes)
+
+
+def test_channel_declines_blowups_it_cannot_place_in_time():
+    # p0 = -3, rho0 = 2 (c = 0) blows up at T = 1.5 - sqrt(1.25): just after
+    # a horizon its lanes still pass the channel cap before, and a step
+    # budget its lanes reach the channel cap within, but not the full cap
+    x = _ep1_columns(np.full(24, -3.0), np.full(24, 2.0))
+    t_blowup = 1.5 - math.sqrt(1.25)
+    for config in (IntegratorConfig(t_max=t_blowup - 1e-6), IntegratorConfig(max_steps=300)):
+        codes = classify_ep_columns(x, EP1, config, outcomes=False).codes
+        assert np.array_equal(codes, classify_ep_columns(x, EP1, config).codes)
+        assert codes[0] != 2
+    assert classify_ep_columns(x, EP1, IntegratorConfig(t_max=t_blowup + 1e-6),
+                               outcomes=False).codes[0] == 2
+
+
+def _falling_to(v, floor, kappa, c):
+    """(p, rho) where v = 1/rho falls through ``v`` on the 1D orbit of that floor."""
+    if c == 0.0:
+        w = -math.sqrt(2.0 * kappa * (v - floor))
+    else:
+        amp = 1.0 / c - floor
+        w = -amp * math.sqrt(kappa * c) * math.sqrt(1.0 - ((v - 1.0 / c) / amp) ** 2)
+    return w / v, 1.0 / v
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0])
+def test_channel_certificate_needs_a_tracked_supercritical_orbit(c):
+    # a lane from a start whose floor of v is -1e-3 is certified at v = 1e-4
+    # only if its own floor stayed within a tenth of that: not where it
+    # drifted by more, however supercritical, nor from a subcritical start,
+    # nor from a batch of scalar runs, which counts no step attempts
+    config = IntegratorConfig()
+    y0 = np.array([_falling_to(0.5, -1e-3, 1.0, c)] * 5).T
+    y1 = np.array([_falling_to(1e-4, floor, 1.0, c)
+                   for floor in (-1.05e-3, -0.95e-3, -1.2e-3, -0.5, 1e-6)]).T
+    t1, attempts = np.ones(5), np.full(5, 100)
+    params = ModelParams(n=1, kappa=1, c=c)
+    assert euler_poisson._channel_certified(y0, y1, t1, attempts, params, config).tolist() == [
+        True, True, False, False, False]
+    sub = np.array([_falling_to(0.5, 1e-3, 1.0, c)] * 5).T
+    assert not euler_poisson._channel_certified(sub, sub, t1, attempts, params, config).any()
+    assert not euler_poisson._channel_certified(y0, y1, t1, None, params, config).any()
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0])
+def test_v_floor_is_the_orbit_minimum(c):
+    # the floor of v ahead is the least v = 1/rho the exact orbit reaches,
+    # and it is conserved along the orbit as long as v > 0
+    kappa = 2.0
+    for p0, rho0 in [(-3.0, 2.0), (-1.0, 2.0), (0.5, 1.0), (-2.5, 0.8)]:
+        v0, w0 = 1.0 / rho0, p0 / rho0
+        if c == 0.0:    # up to the vertex of the parabola v
+            t = np.linspace(0.0, max(-w0 / kappa, 0.0), 101)
+            v, w = v0 + w0 * t + 0.5 * kappa * t * t, w0 + kappa * t
+        else:           # one period of the oscillator
+            om = math.sqrt(kappa * c)
+            t = np.linspace(0.0, 2.0 * math.pi / om, 1001)
+            v = 1.0 / c + (v0 - 1.0 / c) * np.cos(om * t) + w0 / om * np.sin(om * t)
+            w = -(v0 - 1.0 / c) * om * np.sin(om * t) + w0 * np.cos(om * t)
+        floor = euler_poisson._v_floor(p0, rho0, kappa, c)
+        assert floor == pytest.approx(np.min(v), abs=1e-6)
+        ahead = v > 0.0
+        assert np.allclose(euler_poisson._v_floor(w[ahead] / v[ahead], 1.0 / v[ahead], kappa, c),
+                           floor, rtol=0.0, atol=1e-9)
 
 
 @pytest.fixture
@@ -1130,6 +1292,22 @@ def test_supercritical_w0_below_minus_C():
     p0 = rho0 * (-consts.C - 0.1)
     out = classify_ep(CharState(p=p0, q=1.0, s=0.01, rho=rho0), params)
     assert out.is_blowup
+
+
+def test_explicit_bound_lies_inside_the_exact_bounded_set():
+    # criterion 06's 20 v0 (n = 3, kappa = 1, c = 0, (q0, s0) = (1, 0.01)):
+    # the exact threshold w* of each, bisected on the (w, v) oracle, has -C
+    # on its blowup side and the explicit bound -sigma_+ on its bounded side.
+    # When written, w* - (-C) ran from 1.79 to 2.20 and -sigma_+ - w* from
+    # 0.105 to 0.116
+    params = ModelParams(n=3, kappa=1.0, c=0.0)
+    consts = compute_threshold_constants(params, (1.0, 0.01))
+    phi1, phi2, vp = _exact_basis(3, 1.0, 0.01)
+    for v0 in np.random.default_rng(7).uniform(0.2, 2.0, 20):
+        w_star, upper = _bounded_ends(lambda w: float(np.min(v0 * phi1 + w * phi2 + vp)))
+        assert upper is None
+        sigma_plus = explicit_sigma_plus(float(v0), consts, 1.0, 3.0)
+        assert -consts.C < w_star < sigma_plus, (v0, w_star)
 
 
 def test_wv_transform_consistency():
