@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -418,7 +419,6 @@ def test_amplitude_certificate_replaces_horizon_reruns(lane_batches, caplog):
 def _channel_counts(messages):
     """(blowups certified at the channel cap, cells left to the full cap),
     summed over the lane classifier's log lines."""
-    import re
     counts = [re.search(r"(\d+) certified blowups at the channel cap; (\d+) cells left",
                         message) for message in messages]
     return tuple(sum(int(found[k]) for found in counts if found) for k in (1, 2))
@@ -473,9 +473,9 @@ def test_channel_falls_back_to_the_first_run(caplog):
 
 
 def test_channel_declines_a_subcritical_spike(caplog):
-    # subcritical states whose floor of v is 1e-4 to 1e-6 of v0: rho passes
-    # the channel cap on its way to 1e4 ... 2e6 and turns back, so their
-    # blown lanes are declined and the cells run again at the full cap
+    # subcritical states whose floor of v is 1e-4 to 1e-6 of v0: rho peaks
+    # at 1e4 ... 2e6 and turns back, so the lanes that pass the channel cap
+    # are declined and their cells run again at the full cap
     caplog.set_level("INFO", logger="radial_euler.euler_poisson")
     config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
     for params in (EP1, EP1C):
@@ -512,9 +512,11 @@ def test_channel_declines_caps_it_cannot_serve(caplog, config):
 
 
 def test_channel_declines_blowups_it_cannot_place_in_time():
-    # p0 = -3, rho0 = 2 (c = 0) blows up at T = 1.5 - sqrt(1.25): just after
-    # a horizon its lanes still pass the channel cap before, and a step
-    # budget its lanes reach the channel cap within, but not the full cap
+    # p0 = -3, rho0 = 2 (c = 0) blows up at T = 1.5 - sqrt(1.25).  With t_max
+    # 1e-6 before T its lanes pass the channel cap in time but not the full
+    # cap, and with max_steps = 300 they reach the channel cap within the
+    # budget but not the full cap: both are declined, and the full-cap codes
+    # (0 and 3) stand
     x = _ep1_columns(np.full(24, -3.0), np.full(24, 2.0))
     t_blowup = 1.5 - math.sqrt(1.25)
     for config in (IntegratorConfig(t_max=t_blowup - 1e-6), IntegratorConfig(max_steps=300)):
