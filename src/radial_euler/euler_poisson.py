@@ -681,7 +681,7 @@ def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorCon
         return _classify_ep_lanes(x, params, config, confirm, True)
     settled = _wv_settled(x, params, config)
     if settled is None:
-        settled = _classify_ep_lanes(x, params, config, confirm, False, True).codes
+        settled = _classify_ep_lanes(x, params, config, confirm, False, channel=True).codes
     rest = settled < 0
     if rest.any():
         settled[rest] = _classify_ep_lanes(x[:, rest], params, config, confirm, False).codes

@@ -914,7 +914,8 @@ def _lane_cells(monkeypatch):
     """The number of cells each lane classification of euler_poisson receives."""
     cells, lanes = [], euler_poisson._classify_ep_lanes
     monkeypatch.setattr(euler_poisson, "_classify_ep_lanes",
-                        lambda x, *args: cells.append(x.shape[1]) or lanes(x, *args))
+                        lambda x, *args, **kwargs: cells.append(x.shape[1])
+                        or lanes(x, *args, **kwargs))
     return cells
 
 
