@@ -118,7 +118,9 @@ class TrajectoryRecord:
     """Accepted-step samples (t_k, y_k, y'_k) plus the termination reason.
 
     Derivative samples enable cubic-Hermite interpolation anywhere inside
-    the covered span via :meth:`sample`.
+    the covered span via :meth:`sample`.  The counters are the run's step
+    attempts and accepted and rejected steps, as :class:`LaneBatch` counts
+    them.
     """
 
     ts: np.ndarray
@@ -130,6 +132,9 @@ class TrajectoryRecord:
     blowup_component: Optional[int] = None
     hits: list = field(default_factory=list)
     note: str = ""
+    attempts: int = 0
+    accepted: int = 0
+    rejected: int = 0
 
     @property
     def t_final(self) -> float:
@@ -183,7 +188,7 @@ class LaneBatch:
     integrator note.  The counters are each lane's step attempts (six
     stage evaluations each), accepted and rejected steps and rhs
     evaluations; the step that crosses the event and a collapsing step
-    are attempts only.  A batch stacked from scalar runs has no counters.
+    are attempts only.
     """
 
     ends: np.ndarray
@@ -195,10 +200,10 @@ class LaneBatch:
     probe: np.ndarray
     covered: np.ndarray
     notes: dict
-    attempts: Optional[np.ndarray] = None
-    accepted: Optional[np.ndarray] = None
-    rejected: Optional[np.ndarray] = None
-    rhs_evals: Optional[np.ndarray] = None
+    attempts: np.ndarray
+    accepted: np.ndarray
+    rejected: np.ndarray
+    rhs_evals: np.ndarray
 
     @property
     def t_event(self) -> np.ndarray:
@@ -219,9 +224,12 @@ class LaneBatch:
         """
         n = len(records)
         times = np.atleast_1d(np.asarray([] if probe_t is None else probe_t, dtype=float))
+        attempts, accepted, rejected = (np.array([getattr(rec, name) for rec in records],
+                                                 dtype=int)
+                                        for name in ("attempts", "accepted", "rejected"))
         batch = cls(np.zeros(n, dtype=int), np.zeros(n), np.zeros((dim, n)), np.zeros(n),
                     np.full(n, -1), np.full(n, np.nan), np.full((len(times), dim, n), np.nan),
-                    np.zeros(n, dtype=int), {})
+                    np.zeros(n, dtype=int), {}, attempts, accepted, rejected, 1 + 6 * attempts)
         for j, rec in enumerate(records):
             batch.ends[j] = TERMINATIONS.index(rec.termination)
             batch.t_final[j], batch.y_final[:, j] = rec.t_final, rec.y_final
@@ -357,9 +365,12 @@ def _blowup_time_estimate(ts, zs):
 
 
 def _finish(ts, ys, fs, termination, **kw) -> TrajectoryRecord:
+    """The record of a run; every sample after the first is an accepted step,
+    except an event's location."""
     return TrajectoryRecord(np.asarray(ts, dtype=float),
                             np.asarray(ys, dtype=float),
-                            np.asarray(fs, dtype=float), termination, **kw)
+                            np.asarray(fs, dtype=float), termination,
+                            accepted=len(ts) - 1 - (termination is Termination.EVENT), **kw)
 
 
 def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
@@ -393,6 +404,11 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
     ts, ys, fs = [t], [y], [tuple(k1)]
     hits: list[EventHit] = []
     gvals = [ev.func(t, y) for ev in events]
+    attempts = rejected = 0
+
+    def end(termination, **kw):
+        return _finish(ts, ys, fs, termination, hits=hits, attempts=attempts,
+                       rejected=rejected, **kw)
 
     h = min(config.h_init, h_max, max(t_max - t, h_min))
     for _ in range(config.max_steps):
@@ -406,9 +422,9 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
 
         if t + h <= t:
             # the dynamics demands steps below the fp resolution of t
-            return _finish(ts, ys, fs, Termination.STEP_COLLAPSE, hits=hits,
-                           note=f"time resolution exhausted at t={t}")
+            return end(Termination.STEP_COLLAPSE, note=f"time resolution exhausted at t={t}")
 
+        attempts += 1
         k2 = f(t + _C2 * h, tuple(y[i] + h * (_A21 * k1[i]) for i in rng))
         k3 = f(t + _C3 * h,
                tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in rng))
@@ -441,9 +457,9 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
         if not (err_norm <= 1.0):
             # rejected (also routes NaN/Inf from the rhs here)
             if clamped or h <= h_min * 1.0001:
-                return _finish(ts, ys, fs, Termination.STEP_COLLAPSE, hits=hits,
-                               note=f"step size collapsed at t={t} "
-                                    f"(err={err_norm:.3g})")
+                return end(Termination.STEP_COLLAPSE,
+                           note=f"step size collapsed at t={t} (err={err_norm:.3g})")
+            rejected += 1
             h = max(h * factor, h_min)
             continue
 
@@ -462,8 +478,7 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
             ev, hit = terminal_hit
             f_e = tuple(f(hit.t, tuple(hit.y)))
             ts.append(hit.t), ys.append(tuple(hit.y)), fs.append(f_e)
-            return _finish(ts, ys, fs, Termination.EVENT, event_name=ev.name,
-                           t_event=hit.t, hits=hits)
+            return end(Termination.EVENT, event_name=ev.name, t_event=hit.t)
 
         ts.append(t_new), ys.append(y_new), fs.append(tuple(k7))
         mag = 0.0
@@ -475,8 +490,7 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
         if mag > cap:
             feedback = y_new[comp] * k7[comp] > 0.0
             if feedback or mag > 1e4 * cap:
-                return _finish(ts, ys, fs, Termination.BLOWUP_DETECTED,
-                               hits=hits, blowup_component=comp)
+                return end(Termination.BLOWUP_DETECTED, blowup_component=comp)
 
         t, y, k1 = t_new, y_new, k7
         gvals = g_new
@@ -484,10 +498,9 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
         if h > h_max:
             h = h_max
     else:
-        return _finish(ts, ys, fs, Termination.STEP_COLLAPSE, hits=hits,
-                       note=f"step budget exhausted at t={t}")
+        return end(Termination.STEP_COLLAPSE, note=f"step budget exhausted at t={t}")
 
-    return _finish(ts, ys, fs, Termination.REACHED_HORIZON, hits=hits)
+    return end(Termination.REACHED_HORIZON)
 
 
 def _step_factors(err: np.ndarray) -> np.ndarray:

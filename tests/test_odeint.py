@@ -531,6 +531,20 @@ def test_lane_batch_arrays_and_counters(caplog):
     assert batch.rhs_evals[1] == 1 + 6 * (batch.accepted[1] + batch.rejected[1])
 
 
+def test_scalar_records_count_what_lanes_count():
+    # a batch stacked from scalar runs holds the counters of each run's
+    # record, and they equal the lockstep lanes', lane for lane, at every end
+    cases = EVERY_END
+    lanes = integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]),
+                            [cfg for _, cfg in cases], event=CROSS)
+    records = [integrate(RICCATI, [y0], cfg, events=(CROSS,)) for y0, cfg in cases]
+    scalar = LaneBatch.of(records, None, 1)
+    assert {rec.termination for rec in records} == set(Termination)
+    for name in ("attempts", "accepted", "rejected", "rhs_evals"):
+        assert getattr(scalar, name).tolist() == getattr(lanes, name).tolist(), name
+    assert scalar.rejected.any() and [rec.attempts for rec in records] == scalar.attempts.tolist()
+
+
 def test_lane_batch_without_blowup_times(caplog):
     # a batch that keeps no samples for blowup-time fits must hold
     # everything else exactly as the batch that keeps them, counters and
