@@ -122,13 +122,17 @@ def _profiles_from(cfg: RunConfig, r_max=(), u_amp=()):
         amp=("rho_amp", FINITE_NONNEGATIVE), width=("rho_width", FINITE_POSITIVE),
         radius=("rho_radius", FINITE_POSITIVE), k=("rho_k", FINITE),
         r_max=("r_max", FINITE_POSITIVE, *r_max), n_nodes=nodes))
-    # the velocity spans the density's support: its radius, if it has one
-    support = ("rho_radius" if "radius" in inspect.signature(
-        DENSITY_LIBRARY[cfg["initial"]["rho_profile"]]).parameters else "r_max")
+    # the velocity spans the density's support
     u = _from_library(VELOCITY_LIBRARY, cfg, "initial", "u_profile", dict(
         amp=("u_amp", FINITE, *u_amp), width=("u_width", FINITE_POSITIVE), n_nodes=nodes,
-        r_max=(support,)))
+        r_max=(_support_key(cfg),)))
     return rho, u
+
+
+def _support_key(cfg: RunConfig) -> str:
+    """The ``[initial]`` key of the density's support: its radius, if it has one."""
+    return ("rho_radius" if "radius" in inspect.signature(
+        DENSITY_LIBRARY[cfg["initial"]["rho_profile"]]).parameters else "r_max")
 
 
 def cmd_classify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
@@ -206,15 +210,22 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     alignment = params.model is Model.EULER_ALIGNMENT
     rho0, u0 = _profiles_from(cfg, **({} if alignment else
                                       _ensemble_scale_rules(cfg, int(params.n))))
-    if alignment:
-        phi = _influence_from(cfg)
-        result = simulate_ea(rho0, u0, phi, params, n_paths=ini["n_paths"],
-                             t_end=sim["t_end"], n_snapshots=sim["snapshots"],
-                             theta_order=sim["theta_order"], dt=sim["dt"])
-    else:
-        result = simulate_ep(rho0, u0, params, n_paths=ini["n_paths"],
-                             config=integrator_from(cfg), t_end=sim["t_end"],
-                             n_snapshots=sim["snapshots"])
+    try:
+        if alignment:
+            phi = _influence_from(cfg)
+            result = simulate_ea(rho0, u0, phi, params, n_paths=ini["n_paths"],
+                                 t_end=sim["t_end"], n_snapshots=sim["snapshots"],
+                                 theta_order=sim["theta_order"], dt=sim["dt"])
+        else:
+            result = simulate_ep(rho0, u0, params, n_paths=ini["n_paths"],
+                                 config=integrator_from(cfg), t_end=sim["t_end"],
+                                 n_snapshots=sim["snapshots"])
+    except ValueError as exc:
+        # the seeding refuses a support whose shells leave float range
+        refused, _, rest = str(exc).partition(" ")
+        if refused != "r_max":
+            raise
+        raise ConfigError(f"[initial] {_support_key(cfg)} {rest}") from exc
     clock = time.perf_counter()
     prov = provenance(cfg)
     for i, snap in enumerate(result.snapshots):

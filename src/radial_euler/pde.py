@@ -64,7 +64,7 @@ class CharacteristicEnsemble:
     u: np.ndarray
     masses: np.ndarray
     params: ModelParams
-    states: Optional[np.ndarray] = None   # (N, 4) rows (p, q, s, rho) when evolved
+    states: Optional[np.ndarray] = None   # (N, 4) rows (p, q, s, rho); None for alignment
     psi: Optional[np.ndarray] = None      # alignment influence at the paths
 
 
@@ -101,17 +101,34 @@ class SimulationResult:
 
 def _seed_ensemble(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
                    n_paths: int) -> CharacteristicEnsemble:
+    """The paths at t = 0: the centres of ``n_paths`` equal shells of the
+    density's support, their velocities and shell masses and, unless the
+    model is Euler-alignment, their (p, q, s, rho) ``states``.
+
+    The shell moments reach r^(n+2) and s divides by r^n, so a support
+    that takes either out of float range raises a ValueError starting with
+    ``r_max``, the support's radius, before any warning is printed.
+    """
     n = int(params.n)
     edges = np.linspace(0.0, rho0.r_max, n_paths + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     area = sphere_area(n)
-    masses = np.array([
-        area * integrate_weighted(rho0.nodes, rho0.values, edges[i], edges[i + 1],
-                                  n - 1.0)
-        for i in range(n_paths)])
+    with np.errstate(all="ignore"):
+        masses = np.array([
+            area * integrate_weighted(rho0.nodes, rho0.values, edges[i], edges[i + 1],
+                                      n - 1.0)
+            for i in range(n_paths)])
+        s = (initial_s_from_density(rho0, params.c, centers, params.n)
+             if params.model is Model.EULER_POISSON else np.zeros(n_paths))
+    alignment = params.model is Model.EULER_ALIGNMENT
+    if not (np.all(np.isfinite(masses)) and np.all(np.isfinite(s))):
+        raise ValueError(f"r_max must keep the shell moments{'' if alignment else ' and s'} "
+                         f"of {n_paths} paths in n = {n} finite, got {rho0.r_max!r}")
     u = np.asarray(u0(centers), dtype=float)
+    states = (None if alignment else
+              np.column_stack((u0.derivative(centers), u / centers, s, rho0(centers))))
     return CharacteristicEnsemble(t=0.0, r=centers, u=u, masses=masses,
-                                  params=params)
+                                  params=params, states=states)
 
 
 def _phase(message: str, *args, since: float) -> float:
@@ -232,10 +249,7 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
                 dict(n_paths=n_paths, t_end=t_end, n_snapshots=n_snapshots))
     clock = time.perf_counter()
     ens = _seed_ensemble(rho0, u0, params, n_paths)
-    r = ens.r
-    s = (initial_s_from_density(rho0, params.c, r, params.n)
-         if params.model is Model.EULER_POISSON else np.zeros(n_paths))
-    y0 = np.array([u0.derivative(r), ens.u / r, s, rho0(r), r])
+    y0 = np.vstack((ens.states.T, ens.r))
     clock = _phase("seeded %d paths", n_paths, since=clock)
 
     system = _path_system(params)

@@ -985,6 +985,10 @@ _HOLES = {
                             _EA_RADIUS + "1e+300"),
     "ea-rho_radius-1e-300": ("simulate", _EA_BENCH_BASE, "initial", "rho_radius", "1e-300", 1,
                              _EA_RADIUS + "1e-300"),
+    # passes the profile's range check, but the shell moments r^(n + 2) overflow
+    "ea-rho_radius-1e90": ("simulate", _EA_BENCH_BASE, "initial", "rho_radius", "1e90", 1,
+                           "[initial] rho_radius must keep the shell moments of 80 paths in "
+                           "n = 2 finite, got 1e+90"),
     "ep-n-1e300": ("simulate", _EP_HOLE_BASE, "model", "n", "1e300", 1,
                    "[model] n must be an integer of at most 343 to simulate, got 1e+300"),
     "ep-u_amp-1e300": ("simulate", _EP_BENCH_BASE, "initial", "u_amp", "1e300", 1,
