@@ -445,22 +445,27 @@ def _run_lanes(system: OdeSystem, states0: np.ndarray,
 
 def _run_cells(system: OdeSystem, x0: np.ndarray, passes: Sequence[IntegratorConfig],
                basin: Optional[EventSpec], probe_t: Optional[float] = None,
-               basin_consts=None, outcomes: bool = True):
+               basin_consts=None, outcomes: bool = True, alternate=None):
     """The t = 0 basin split of the cells ``x0`` (dim x cells), then their runs.
 
     A cell whose state starts inside the bounded basin is settled there.
     Every other cell runs once per config in ``passes``, all as lanes of
     one batch: lane k m + i is pass k of the i-th of the m cells outside.
-    Returns the mask of cells inside, the cells outside, their lane batch
-    and the verdict code each lane's termination implies.  ``outcomes``
-    goes to :func:`_run_lanes`.
+    ``alternate``, if given, is a pair (configs, mask): a cell where
+    ``mask`` holds runs pass k under ``configs[k]`` instead.  Returns the
+    mask of cells inside, the cells outside, their lane batch and the
+    verdict code each lane's termination implies.  ``outcomes`` goes to
+    :func:`_run_lanes`.
     """
     consts = () if basin_consts is None else (basin_consts,)
     inside = (basin.func(0.0, x0, *consts) >= 0.0 if basin is not None
               else np.zeros(x0.shape[1], dtype=bool))
     cells = np.flatnonzero(~inside)
+    others, mask = alternate if alternate is not None else (passes, inside)
+    picks = mask[cells].tolist()    # all False without an alternate
     batch = _run_lanes(system, np.tile(x0[:, cells], len(passes)),
-                       [cfg for cfg in passes for _ in cells], basin, probe_t,
+                       [alt if pick else cfg for cfg, alt in zip(passes, others)
+                        for pick in picks], basin, probe_t,
                        None if basin_consts is None
                        else np.tile(basin_consts[..., cells], len(passes)), outcomes)
     return inside, cells, batch, END_CODES[batch.ends]
@@ -529,13 +534,15 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
     :func:`_orbit_amplitude` is at least 1/c, an exactly supercritical
     orbit that the run stepped past v = 0, becomes INCONCLUSIVE.
 
-    Codes only at n = 1, the first run stops its lanes at the channel cap
-    1e4 if ``magnitude_cap`` is above it and no larger than lanes can follow
-    near a pole.  A lane below 1e4 takes exactly its full-cap steps; one that
-    blows up there is settled as a blowup if :func:`_channel_certified` shows
-    it tracked an exactly supercritical orbit whose v reaches 0 in time.  A
-    cell with a lane the certificate declines is classified again at the
-    full cap.
+    Codes only at n = 1, the first run of an exactly supercritical cell
+    (:func:`_v_floor` below 0) whose |p0| and rho0 start below the channel
+    cap 1e2 stops its lanes at that cap, if ``magnitude_cap`` is above it and
+    no larger than lanes can follow near a pole.  Every other lane, and one
+    that stays below 1e2, takes exactly its full-cap steps.  A lane that
+    blows up at 1e2 is settled as a blowup if :func:`_channel_certified`
+    shows it tracked an exactly supercritical orbit whose v reaches 0 in
+    time.  A cell with a lane the certificate declines is classified again
+    at the full cap.
     """
     x = np.asarray(x, dtype=float)
     check_rules(state_rules(params), dict(zip(STATE_KEYS, x)))
@@ -563,11 +570,11 @@ _WV_CAP_SHARE, _WV_STEP_SHARE, _WV_STEP_BUDGET = 1e-3, 0.1, 100
 # cells x reads values per block of the streamed pass over the reads (a
 # 1 << 16 block raised a 400-cell grid's peak RSS by 2.6 MB more)
 _WV_BLOCK = 1 << 14
-# A codes-only n = 1 batch first stops its lanes at this cap, early in a
-# blowup lane's Riccati channel (each decade past it costs some 15 steps at
-# rel_tol 1e-6), and settles a lane there if its floor of v drifted by less
-# than this share
-_CHANNEL_CAP, _CHANNEL_DRIFT = 1e4, 0.1
+# A codes-only n = 1 batch first stops the lanes of exactly supercritical
+# cells at this cap, early in their Riccati channel (each decade past it
+# costs some 15 steps at rel_tol 1e-6), and settles a lane there if its
+# floor of v drifted by less than this share
+_CHANNEL_CAP, _CHANNEL_DRIFT = 1e2, 0.1
 
 
 def _reach(config: IntegratorConfig) -> float:
@@ -644,7 +651,7 @@ def _wv_settled(x: np.ndarray, params: ModelParams,
 
 
 def _channel_certified(y0: np.ndarray, y1: np.ndarray, t1: np.ndarray,
-                       attempts: Optional[np.ndarray], params: ModelParams,
+                       attempts: np.ndarray, params: ModelParams,
                        config: IntegratorConfig) -> np.ndarray:
     """Whether each n = 1 lane from (p, rho) ``y0`` that blew up at
     :data:`_CHANNEL_CAP`, in state ``y1`` at time ``t1`` after ``attempts``
@@ -654,8 +661,7 @@ def _channel_certified(y0: np.ndarray, y1: np.ndarray, t1: np.ndarray,
     less than :data:`_CHANNEL_DRIFT` of itself (tracked).  v'' <= kappa while
     v >= 0, so v reaches 0 before the root of v + w t + kappa t^2 / 2, which
     must come before 0.99 t_max.  The budget must hold twice the
-    (0.1 rel_tol)^-0.2 steps per decade a confirm lane takes up to the cap;
-    scalar runs count no attempts, so none of their lanes passes.
+    (0.1 rel_tol)^-0.2 steps per decade a confirm lane takes up to the cap.
     """
     kappa, c = params.kappa, params.c
     floor0 = _v_floor(y0[0], y0[1], kappa, c)
@@ -665,10 +671,9 @@ def _channel_certified(y0: np.ndarray, y1: np.ndarray, t1: np.ndarray,
         arrival = t1 + 2.0 * v / (np.sqrt(w * w - 2.0 * kappa * v) - w)
     climb = (2.0 * math.log10(config.magnitude_cap / _CHANNEL_CAP)
              * (0.1 * config.rel_tol) ** -0.2)
-    budget = (np.zeros(len(t1), dtype=bool) if attempts is None
-              else attempts + climb <= config.max_steps)
     return ((floor0 < 0.0) & (drift < _CHANNEL_DRIFT * -floor0) & (w < 0.0)
-            & (arrival < _WV_HORIZON_SHARE * config.t_max) & budget)
+            & (arrival < _WV_HORIZON_SHARE * config.t_max)
+            & (attempts + climb <= config.max_steps))
 
 
 def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorConfig,
@@ -692,8 +697,10 @@ def _classify_ep_lanes(x: np.ndarray, params: ModelParams, config: IntegratorCon
                        confirm: bool, outcomes: bool, channel: bool = False) -> Verdicts:
     """The verdicts of the lanes of every cell of ``x``.  With ``channel``, at
     n = 1 and a cap above :data:`_CHANNEL_CAP` that the lanes can reach, the
-    first run stops at that cap, and a cell with a blown lane
-    :func:`_channel_certified` declines gets code -1."""
+    first run of an exactly supercritical cell that starts below that cap
+    stops there, and a cell with a blown lane :func:`_channel_certified`
+    declines gets code -1.  A subcritical lane could never be certified, and
+    one that starts above the cap would be certified by its start alone."""
     system, rows, basin = _characteristic(params)
     x0 = x[rows]
     norm0 = np.max(np.abs(x0), axis=0)
@@ -710,19 +717,22 @@ def _classify_ep_lanes(x: np.ndarray, params: ModelParams, config: IntegratorCon
                           if 1.05 * period < cfg.t_max else cfg for cfg in passes)
     channel = (channel and params.model is Model.EULER_POISSON and params.n == 1.0
                and _CHANNEL_CAP < config.magnitude_cap <= _reach(config))
+    alternate = None
     if channel:
-        first_run = tuple(replace(cfg, magnitude_cap=_CHANNEL_CAP) for cfg in first_run)
+        enters = ((_v_floor(x0[0], x0[1], params.kappa, params.c) < 0.0)
+                  & (norm0 < _CHANNEL_CAP))
+        alternate = (tuple(replace(cfg, magnitude_cap=_CHANNEL_CAP) for cfg in first_run),
+                     enters)
 
     inside, cells, batch, code = _run_cells(system, x0, first_run, basin, period,
-                                            outcomes=outcomes)
+                                            outcomes=outcomes, alternate=alternate)
     m, lanes = len(cells), len(code)
     lane_cell = np.tile(cells, len(passes))
     fallback, channelled = np.zeros(m, dtype=bool), 0
     if channel:
-        blown = np.flatnonzero(batch.ends == _BLOWUP)
+        blown = np.flatnonzero((batch.ends == _BLOWUP) & enters[lane_cell])
         ok = _channel_certified(x0[:, lane_cell[blown]], batch.y_final[:, blown],
-                                batch.t_final[blown], None if batch.attempts is None
-                                else batch.attempts[blown], params, config)
+                                batch.t_final[blown], batch.attempts[blown], params, config)
         fallback[blown[~ok] % m] = True
         channelled = np.count_nonzero(ok)
     closed, certified = np.zeros(lanes, dtype=bool), np.zeros(lanes, dtype=bool)

@@ -424,10 +424,11 @@ def _channel_counts(messages):
     return tuple(sum(int(found[k]) for found in counts if found) for k in (1, 2))
 
 
-def _near_threshold(c, rho0=(0.6, 1.4, 2.2, 3.0, 4.0)):
-    """(p0, rho0) columns at relative offsets -+1e-9 ... -+1e-1 from the 1D
-    threshold, kappa = 1: p0 = -sqrt(2 rho0) for c = 0, -+sqrt(2 rho0 - c) else."""
-    offsets = np.concatenate((-np.logspace(-9, -1, 9), np.logspace(-9, -1, 9)))
+def _near_threshold(c, rho0=(0.6, 1.4, 2.2, 3.0, 4.0),
+                    offsets=np.concatenate((-np.logspace(-9, -1, 9), np.logspace(-9, -1, 9)))):
+    """(p0, rho0) columns at relative ``offsets`` (default -+1e-9 ... -+1e-1)
+    from the 1D threshold, kappa = 1: p0 = -sqrt(2 rho0) for c = 0,
+    -+sqrt(2 rho0 - c) else.  A positive offset is supercritical."""
     off, rho = np.repeat(offsets, len(rho0)), np.tile(rho0, len(offsets))
     ends = [-np.sqrt(2.0 * rho)] if c == 0.0 else [np.sqrt(2.0 * rho - c), -np.sqrt(2.0 * rho - c)]
     return np.concatenate([end * (1.0 + off) for end in ends]), np.tile(rho, len(ends))
@@ -437,9 +438,10 @@ def _ep1_columns(p0, rho0):
     return np.array([p0, np.zeros(len(p0)), np.zeros(len(p0)), rho0])
 
 
-# the one cell a lane-level fallback to the full horizon moves, from 0 to 3:
-# its first-pass lane is declined in the channel, and only a re-run of the
-# first run, one-period probe included, gives the full cap's code
+# a subcritical cell whose first run, one-period probe included, gives the
+# full cap's code 0, where a run to the full horizon gives 3.  Under a 1e4
+# channel cap its first-pass lane was declined there; now it never enters
+# the channel and takes its full-cap steps at once
 CHANNEL_TRAP = (math.sqrt(2.0 * 4.1115 - 1.0) * (1.0 - 3.16e-4), 4.1115)
 
 
@@ -447,15 +449,21 @@ CHANNEL_TRAP = (math.sqrt(2.0 * 4.1115 - 1.0) * (1.0 - 3.16e-4), 4.1115)
 @pytest.mark.parametrize("tol", [1e-3, 1e-6])
 @pytest.mark.parametrize("c", [0.0, 1.0], ids=["c0", "c1"])
 def test_channel_codes_match_the_full_cap(caplog, c, tol, confirm):
-    # codes-only n = 1 batches stop their lanes at the 1e4 channel cap and
-    # settle certified blowups there; every code equals the outcome path's,
-    # which runs at the full cap, on a grid and near the threshold
+    # codes-only n = 1 batches stop the lanes of exactly supercritical cells
+    # at the 1e2 channel cap and settle certified blowups there; every code
+    # equals the outcome path's, which runs at the full cap, on a grid and
+    # near the threshold.  Supercritical states within 1e-7 of it have a
+    # floor of v so near 0 that their lanes drift by more than a tenth of
+    # it: the certificate declines them, and their cells run again.
     caplog.set_level("INFO", logger="radial_euler.euler_poisson")
     params, config = ModelParams(n=1, kappa=1, c=c), IntegratorConfig(rel_tol=tol,
                                                                       abs_tol=tol / 100)
     near_p, near_rho = _near_threshold(c)
-    p0 = np.concatenate((np.repeat(np.linspace(-4.0, 4.0, 16), 16), near_p, [CHANNEL_TRAP[0]]))
-    rho0 = np.concatenate((np.tile(np.linspace(0.1, 4.0, 16), 16), near_rho, [CHANNEL_TRAP[1]]))
+    drift_p, drift_rho = _near_threshold(c, np.linspace(0.8, 3.6, 8), np.logspace(-9, -7, 3))
+    p0 = np.concatenate((np.repeat(np.linspace(-4.0, 4.0, 16), 16), near_p, drift_p,
+                         [CHANNEL_TRAP[0]]))
+    rho0 = np.concatenate((np.tile(np.linspace(0.1, 4.0, 16), 16), near_rho, drift_rho,
+                           [CHANNEL_TRAP[1]]))
     x = _ep1_columns(p0, rho0)
     codes = classify_ep_columns(x, params, config, confirm, outcomes=False).codes
     certified, left = _channel_counts(caplog.messages)
@@ -468,14 +476,14 @@ def test_channel_falls_back_to_the_first_run(caplog):
     x = _ep1_columns(*([v] for v in CHANNEL_TRAP))
     config = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5)
     assert classify_ep_columns(x, EP1C, config, outcomes=False).codes.tolist() == [0]
-    assert _channel_counts(caplog.messages) == (0, 1)
+    assert _channel_counts(caplog.messages) == (0, 0)    # subcritical: never enters
     assert classify_ep_columns(x, EP1C, config).codes.tolist() == [0]
 
 
 def test_channel_declines_a_subcritical_spike(caplog):
     # subcritical states whose floor of v is 1e-4 to 1e-6 of v0: rho peaks
-    # at 1e4 ... 2e6 and turns back, so the lanes that pass the channel cap
-    # are declined and their cells run again at the full cap
+    # at 1e4 ... 2e6 and turns back.  Their lanes never enter the channel, so
+    # they take their full-cap steps at once and no cell runs twice
     caplog.set_level("INFO", logger="radial_euler.euler_poisson")
     config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
     for params in (EP1, EP1C):
@@ -490,17 +498,55 @@ def test_channel_declines_a_subcritical_spike(caplog):
         caplog.clear()
         codes = classify_ep_columns(x, params, config, outcomes=False).codes
         certified, left = _channel_counts(caplog.messages)
-        assert certified == 0 and left >= 0.8 * len(p0), (params.c, left)
+        assert (certified, left) == (0, 0), params.c
         assert not codes.any()
         outs = classify_ep_columns(x, params, config)
         assert not outs.codes.any() and max(out.diagnostics["max_norm"] for out in outs) > 1e6
 
 
+def test_small_batches_are_certified_in_the_channel(caplog):
+    # a 3x3 grid runs 18 lanes, too few for a lockstep batch; its scalar runs
+    # count their step attempts, so the blowups of its five exactly
+    # supercritical cells (both passes) are certified at the channel cap
+    caplog.set_level("INFO", logger="radial_euler.euler_poisson")
+    x = _ep1_columns(np.repeat([-3.0, -2.0, -1.0], 3), np.tile([0.5, 1.0, 2.0], 3))
+    codes = classify_ep_columns(x, EP1, outcomes=False).codes
+    [line] = caplog.messages
+    assert line.startswith("9 cells, 0 inside the basin at t = 0; 18 runs of the rest")
+    assert line.endswith("10 certified blowups at the channel cap; 0 cells left to the full cap")
+    assert np.array_equal(codes, classify_ep_columns(x, EP1).codes)
+
+
+@pytest.mark.parametrize("params", [EP1, EP1C], ids=["c0", "c1"])
+def test_lanes_outside_the_channel_take_their_full_cap_steps(monkeypatch, params):
+    # subcritical lanes, and lanes that start above the channel cap, run in
+    # the channel's batch exactly as in a batch at the full cap (the outcome
+    # path's); only exactly supercritical lanes below the cap stop early
+    runs, run_lanes = [], euler_poisson._run_lanes
+    monkeypatch.setattr(euler_poisson, "_run_lanes",
+                        lambda *args, **kwargs: runs.append(run_lanes(*args, **kwargs))
+                        or runs[-1])
+    p0 = np.repeat([-300.0, -150.0, -3.0, -1.5, -1.0, -0.2], 6)
+    rho0 = np.tile([0.3, 1.0, 2.5, 4.0, 120.0, 5000.0], 6)
+    x, config = _ep1_columns(p0, rho0), IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
+    classify_ep_columns(x, params, config, outcomes=False)
+    channel = runs[0]
+    runs.clear()
+    classify_ep_columns(x, params, config)
+    full = runs[0]
+    floor = euler_poisson._v_floor(p0, rho0, params.kappa, params.c)
+    enters = np.tile((floor < 0.0) & (np.maximum(np.abs(p0), rho0) < 1e2), 2)
+    assert len(channel) == len(full) == 72 and enters.any() and (floor >= 0.0).any()
+    assert channel.attempts[~enters].tolist() == full.attempts[~enters].tolist()
+    assert np.array_equal(channel.y_final[:, ~enters], full.y_final[:, ~enters])
+    assert (channel.attempts[enters] < full.attempts[enters]).all()
+
+
 @pytest.mark.parametrize("config", [
-    IntegratorConfig(magnitude_cap=3e3), IntegratorConfig(magnitude_cap=1e4),
+    IntegratorConfig(magnitude_cap=30.0), IntegratorConfig(magnitude_cap=1e2),
     IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, h_min=1e-4, h_init=1e-4),
     IntegratorConfig(magnitude_cap=1e12, h_min=1e-9)],
-    ids=["cap-3e3", "cap-1e4", "h_min-1e-4", "cap-beyond-reach"])
+    ids=["cap-30", "cap-1e2", "h_min-1e-4", "cap-beyond-reach"])
 def test_channel_declines_caps_it_cannot_serve(caplog, config):
     # a cap at or below the channel cap, or beyond where the lanes' steps
     # would shrink to h_min, runs every lane at the full cap as before
@@ -541,8 +587,7 @@ def _falling_to(v, floor, kappa, c):
 def test_channel_certificate_needs_a_tracked_supercritical_orbit(c):
     # a lane from a start whose floor of v is -1e-3 is certified at v = 1e-4
     # only if its own floor stayed within a tenth of that: not where it
-    # drifted by more, however supercritical, nor from a subcritical start,
-    # nor from a batch of scalar runs, which counts no step attempts
+    # drifted by more, however supercritical, nor from a subcritical start
     config = IntegratorConfig()
     y0 = np.array([_falling_to(0.5, -1e-3, 1.0, c)] * 5).T
     y1 = np.array([_falling_to(1e-4, floor, 1.0, c)
@@ -553,7 +598,6 @@ def test_channel_certificate_needs_a_tracked_supercritical_orbit(c):
         True, True, False, False, False]
     sub = np.array([_falling_to(0.5, 1e-3, 1.0, c)] * 5).T
     assert not euler_poisson._channel_certified(sub, sub, t1, attempts, params, config).any()
-    assert not euler_poisson._channel_certified(y0, y1, t1, None, params, config).any()
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0])
