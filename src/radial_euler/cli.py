@@ -66,16 +66,14 @@ def _emit(out_dir: str, name: str, text: str) -> int:
 def _from_library(library: dict, cfg: RunConfig, section: str, key: str, keys: dict,
                   **values):
     """Call the ``library`` entry ``[section] key`` names with ``values`` and, once
-    their rules hold in order, the values of the ``(config key, rule, ...)``
-    entries that ``keys`` gives for its parameters: a key the entry does not
-    read is not checked.  A ValueError of the entry that starts with one of
-    those parameters is refused as a config error of its key."""
+    their rules hold, the values of the ``(config key, rule)`` or ``(config
+    key,)`` entries that ``keys`` gives for its parameters: a key the entry
+    does not read is not checked.  A ValueError of the entry that starts with
+    one of those parameters is refused as a config error of its key."""
     check_keys(cfg, section, **{key: (lambda v: v in library, f"one of {sorted(library)}")})
     factory = library[cfg[section][key]]
     taken = {p: spec for p, spec in keys.items() if p in inspect.signature(factory).parameters}
-    for name, *rules in taken.values():
-        for rule in rules:
-            check_keys(cfg, section, **{name: rule})
+    check_keys(cfg, section, **{spec[0]: spec[1] for spec in taken.values() if len(spec) == 2})
     try:
         return factory(**{p: cfg[section][spec[0]] for p, spec in taken.items()}, **values)
     except ValueError as exc:
@@ -92,39 +90,16 @@ def _influence_from(cfg: RunConfig):
         scale=("phi_scale", FINITE_POSITIVE)))
 
 
-def _ensemble_scale_rules(cfg: RunConfig, n: int) -> dict:
-    """Refuse an ``[initial] n_paths`` that leaves r_max no float range in
-    dimension n, and return the float-range rules an Euler-Poisson (or
-    Burgers) ensemble needs of ``r_max`` and ``u_amp`` beyond finiteness.
-    The initial s divides by r^n at the innermost path, r_max / (2
-    n_paths); the shell masses take moments up to r_max^(n + 2); the path
-    rates square the velocity slope, at most |u_amp| for every library
-    velocity amp r g(r / width), whatever u_width is."""
-    big, tiny = sys.float_info.max, sys.float_info.min
-    root, hi = tiny ** (1 / n), big ** (1 / (n + 2))
-    check_keys(cfg, "initial", n_paths=(
-        lambda v: 2 * v * root <= hi,
-        f"at most {int(hi / (2 * root))} in n = {n}, so that some r_max keeps the "
-        f"innermost r^n and the outermost r^(n + 2) in float range"))
-    n_paths = cfg["initial"]["n_paths"]
-    lo = 2 * n_paths * root
-    return dict(r_max=[(lambda v: lo <= v <= hi,
-                        f"between {lo:.3g} and {hi:.3g} for {n_paths} paths in n = {n}")],
-                u_amp=[(lambda v: abs(v) <= math.sqrt(big),
-                        f"at most {math.sqrt(big):.3g} in magnitude, so its square is finite")])
-
-
-def _profiles_from(cfg: RunConfig, r_max=(), u_amp=()):
-    """The density and velocity profiles; ``r_max`` and ``u_amp`` are rules
-    those keys must pass too, after their own."""
+def _profiles_from(cfg: RunConfig):
+    """The density and velocity profiles."""
     nodes = ("profile_nodes", AT_LEAST_TWO)
     rho = _from_library(DENSITY_LIBRARY, cfg, "initial", "rho_profile", dict(
         amp=("rho_amp", FINITE_NONNEGATIVE), width=("rho_width", FINITE_POSITIVE),
         radius=("rho_radius", FINITE_POSITIVE), k=("rho_k", FINITE),
-        r_max=("r_max", FINITE_POSITIVE, *r_max), n_nodes=nodes))
+        r_max=("r_max", FINITE_POSITIVE), n_nodes=nodes))
     # the velocity spans the density's support
     u = _from_library(VELOCITY_LIBRARY, cfg, "initial", "u_profile", dict(
-        amp=("u_amp", FINITE, *u_amp), width=("u_width", FINITE_POSITIVE), n_nodes=nodes,
+        amp=("u_amp", FINITE), width=("u_width", FINITE_POSITIVE), n_nodes=nodes,
         r_max=(_support_key(cfg),)))
     return rho, u
 
@@ -207,11 +182,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     check_keys(cfg, "initial", n_paths=sizes.pop("n_paths"))
     check_keys(cfg, "simulate", **{"snapshots" if name == "n_snapshots" else name: rule
                                    for name, rule in sizes.items()})
-    alignment = params.model is Model.EULER_ALIGNMENT
-    rho0, u0 = _profiles_from(cfg, **({} if alignment else
-                                      _ensemble_scale_rules(cfg, int(params.n))))
+    rho0, u0 = _profiles_from(cfg)
     try:
-        if alignment:
+        if params.model is Model.EULER_ALIGNMENT:
             phi = _influence_from(cfg)
             result = simulate_ea(rho0, u0, phi, params, n_paths=ini["n_paths"],
                                  t_end=sim["t_end"], n_snapshots=sim["snapshots"],
@@ -221,11 +194,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
                                  config=integrator_from(cfg), t_end=sim["t_end"],
                                  n_snapshots=sim["snapshots"])
     except ValueError as exc:
-        # the seeding refuses a support whose shells leave float range
+        # the seeding refuses a support whose spacing, shell volumes, moments
+        # or s leave float range, and a velocity whose squared slopes do; the
+        # slope of every library velocity is at most |u_amp|
         refused, _, rest = str(exc).partition(" ")
-        if refused != "r_max":
+        key = {"r_max": _support_key(cfg), "u0": "u_amp"}.get(refused)
+        if key is None:
             raise
-        raise ConfigError(f"[initial] {_support_key(cfg)} {rest}") from exc
+        raise ConfigError(f"[initial] {key} {rest}") from exc
     clock = time.perf_counter()
     prov = provenance(cfg)
     for i, snap in enumerate(result.snapshots):

@@ -105,11 +105,17 @@ def _seed_ensemble(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
     density's support, their velocities and shell masses and, unless the
     model is Euler-alignment, their (p, q, s, rho) ``states``.
 
-    The shell moments reach r^(n+2) and s divides by r^n, so a support
-    that takes either out of float range raises a ValueError starting with
-    ``r_max``, the support's radius, before any warning is printed.
+    The arithmetic is checked where it is done, before any warning is
+    printed.  The fields divide by the squared path spacing and by the
+    shell volumes, the first of which is r^n, the shell moments reach
+    r^(n+2) and s divides by r^n, so a support that takes any of them out
+    of float range raises a ValueError starting with ``r_max``, the
+    support's radius.  The path rates square the slopes p = u0' and
+    q = u0 / r, so a velocity that takes either square out of float range
+    raises one starting with ``u0``.
     """
     n = int(params.n)
+    alignment = params.model is Model.EULER_ALIGNMENT
     edges = np.linspace(0.0, rho0.r_max, n_paths + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     area = sphere_area(n)
@@ -120,13 +126,21 @@ def _seed_ensemble(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
             for i in range(n_paths)])
         s = (initial_s_from_density(rho0, params.c, centers, params.n)
              if params.model is Model.EULER_POISSON else np.zeros(n_paths))
-    alignment = params.model is Model.EULER_ALIGNMENT
-    if not (np.all(np.isfinite(masses)) and np.all(np.isfinite(s))):
-        raise ValueError(f"r_max must keep the shell moments{'' if alignment else ' and s'} "
-                         f"of {n_paths} paths in n = {n} finite, got {rho0.r_max!r}")
-    u = np.asarray(u0(centers), dtype=float)
-    states = (None if alignment else
-              np.column_stack((u0.derivative(centers), u / centers, s, rho0(centers))))
+        # the slopes' differences divide by the squared spacing, the
+        # densities by the shell volumes (over the unit sphere's area / n)
+        divisors = np.append(edges[1] ** 2, np.diff(edges ** n))
+        u = np.asarray(u0(centers), dtype=float)
+        p, q = (None, None) if alignment else (u0.derivative(centers), u / centers)
+        slope = 0.0 if alignment else float(max(np.max(np.abs(p)), np.max(np.abs(q))))
+    if not (np.all(np.isfinite(masses)) and np.all(np.isfinite(s))
+            and np.all((np.finfo(float).tiny <= divisors) & (divisors < np.inf))):
+        kept = "shell volumes and moments" if alignment else "shell volumes, moments and s"
+        raise ValueError(f"r_max must keep the spacing, {kept} of {n_paths} paths in n = {n} "
+                         f"in float range, got {rho0.r_max!r}")
+    if not math.isfinite(slope * slope):
+        raise ValueError(f"u0 must keep the squared slopes p^2 and q^2 of {n_paths} paths "
+                         f"finite, got {slope:.3g}")
+    states = None if alignment else np.column_stack((p, q, s, rho0(centers)))
     return CharacteristicEnsemble(t=0.0, r=centers, u=u, masses=masses,
                                   params=params, states=states)
 

@@ -948,6 +948,7 @@ _EP_BENCH_BASE = {"model": {"kind": "euler-poisson", "n": 3, "kappa": 1, "c": 0}
                               "r_max": 2.5, "profile_nodes": 801, "u_profile": "rexp",
                               "u_amp": 1, "u_width": 4, "n_paths": 300},
                   "simulate": {"t_end": 20, "snapshots": 11}}
+_EP_1D_BASE = {**_EP_BENCH_BASE, "model": {**_EP_BENCH_BASE["model"], "n": 1}}
 # the benchmark's simulate-ea config
 _EA_BENCH_BASE = {"model": {"kind": "euler-alignment", "n": 2, "kappa": 1},
                   "alignment": {"phi": "power-law", "phi_exponent": 0.5, "phi_scale": 1,
@@ -957,7 +958,8 @@ _EA_BENCH_BASE = {"model": {"kind": "euler-alignment", "n": 2, "kappa": 1},
                               "u_width": 0.6, "r_max": 1, "n_paths": 80},
                   "simulate": {"t_end": 25, "snapshots": 11, "theta_order": 32}}
 _EA_RADIUS = "[initial] rho_radius must keep the PCHIP pieces of a 201-node profile finite, got "
-_EP_R_MAX = "[initial] r_max must be between 1.69e-100 and 4.48e+61 for 300 paths in n = 3, got "
+_EP_SHELLS = ("[initial] r_max must keep the spacing, shell volumes, moments and s of 300 "
+              "paths in n = ")
 _STEPS = "the RK4 step count t_end / dt must be at most 1000000, got "
 _PSI_MAX = "the influence bound psi_max must be finite and positive, got 0.0"
 # (command, base, section, key, value, exit code, start of the error line)
@@ -968,7 +970,10 @@ _HOLES = {
     "ea-dt-1e-300": ("simulate", _EA_HOLE_BASE, "simulate", "dt", "1e-300", 1, _STEPS),
     "ea-rho_amp-1e300": ("simulate", _EA_HOLE_BASE, "initial", "rho_amp", "1e300", 1, _STEPS),
     "ea-rho_amp-0": ("simulate", _EA_HOLE_BASE, "initial", "rho_amp", "0", 1, _PSI_MAX),
-    "ea-r_max-1e-300": ("simulate", _EA_HOLE_BASE, "initial", "r_max", "1e-300", 1, _PSI_MAX),
+    # the shell volumes r^n underflow
+    "ea-r_max-1e-300": ("simulate", _EA_HOLE_BASE, "initial", "r_max", "1e-300", 1,
+                        "[initial] r_max must keep the spacing, shell volumes and moments of 20 "
+                        "paths in n = 2 in float range, got 1e-300"),
     "ea-phi_scale-0": ("simulate", _EA_HOLE_BASE, "alignment", "phi_scale", "0", 1,
                        "[alignment] phi_scale must be finite and positive, got 0.0"),
     "ea-phi_exponent-nan": ("simulate", _EA_HOLE_BASE, "alignment", "phi_exponent", "nan", 1,
@@ -987,20 +992,24 @@ _HOLES = {
                              _EA_RADIUS + "1e-300"),
     # passes the profile's range check, but the shell moments r^(n + 2) overflow
     "ea-rho_radius-1e90": ("simulate", _EA_BENCH_BASE, "initial", "rho_radius", "1e90", 1,
-                           "[initial] rho_radius must keep the shell moments of 80 paths in "
-                           "n = 2 finite, got 1e+90"),
+                           "[initial] rho_radius must keep the spacing, shell volumes and moments "
+                           "of 80 paths in n = 2 in float range, got 1e+90"),
     "ep-n-1e300": ("simulate", _EP_HOLE_BASE, "model", "n", "1e300", 1,
                    "[model] n must be an integer of at most 343 to simulate, got 1e+300"),
+    # the seeding checks the squared slopes of the paths, at most u_amp^2
     "ep-u_amp-1e300": ("simulate", _EP_BENCH_BASE, "initial", "u_amp", "1e300", 1,
-                       "[initial] u_amp must be at most 1.34e+154 in magnitude, so its square "
-                       "is finite, got 1e+300"),
+                       "[initial] u_amp must keep the squared slopes p^2 and q^2 of 300 paths "
+                       "finite, got 9.99e+299"),
     "ep-r_max-1e-300": ("simulate", _EP_BENCH_BASE, "initial", "r_max", "1e-300", 1,
-                        _EP_R_MAX + "1e-300"),
+                        _EP_SHELLS + "3 in float range, got 1e-300"),
     "ep-r_max-1e300": ("simulate", _EP_BENCH_BASE, "initial", "r_max", "1e300", 1,
-                       _EP_R_MAX + "1e+300"),
+                       "[initial] r_max must keep the PCHIP pieces of a 801-node profile "
+                       "finite, got 1e+300"),
     "ep-n-343": ("simulate", _EP_BENCH_BASE, "model", "n", "343", 1,
-                 "[initial] n_paths must be at most 30 in n = 343, so that some r_max keeps "
-                 "the innermost r^n and the outermost r^(n + 2) in float range, got 300"),
+                 _EP_SHELLS + "343 in float range, got 2.5"),
+    # in n = 1 the shell volumes stay in range, but the squared spacing underflows
+    "ep-n-1-r_max-1e-300": ("simulate", _EP_1D_BASE, "initial", "r_max", "1e-300", 1,
+                            _EP_SHELLS + "1 in float range, got 1e-300"),
     "curves-ep_q0-1e300": ("curves", _CURVES_HOLE_BASE, "curves", "ep_q0", "1e300", 3,
                            "(q_hat, s_hat) run stopped at t_hat = 0 of 40: non-finite rhs"),
 }
@@ -1040,15 +1049,28 @@ def test_bad_input_hole_ends_cleanly(tmp_path, capsys, name):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("u_amp, u_width", [("1e150", "1e-10"), ("1.3e154", "1e-3"),
-                                            ("-1.3e154", "4")])
+                                            ("-1.3e154", "4"), ("1e200", "1e-10"),
+                                            ("-1e300", "1e-10")])
 def test_ep_velocity_slope_bound_holds_for_any_width(tmp_path, capsys, u_amp, u_width):
     # the slope of a library velocity is at most |u_amp| whatever u_width is,
-    # so a u_amp within its bound runs to a blowup or step-collapse report
+    # and the seeding refuses only slopes whose squares overflow on the paths:
+    # a u_amp past sqrt(max float) whose velocity has decayed by the first
+    # path runs to a blowup or step-collapse report
     base = {**_EP_BENCH_BASE, "initial": {**_EP_BENCH_BASE["initial"], "u_amp": u_amp}}
     rc, err, artifacts = _run_bad_input(tmp_path, capsys, "simulate",
                                         _patched(base, "initial", "u_width", u_width))
     assert rc in (2, 3) and err == ""
     assert json.loads(artifacts["metadata.json"], parse_constant=_reject_constant)["blowup"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["euler-poisson", "inviscid-burgers"])
+def test_simulate_runs_an_ensemble_in_one_dimension(tmp_path, capsys, kind):
+    # n = 1 once crashed with an OverflowError before the run started
+    rc, err, artifacts = _run_bad_input(tmp_path, capsys, "simulate",
+                                        _patched(_EP_1D_BASE, "model", "kind", kind))
+    assert rc == 0 and err == "" and len(artifacts) == 13
+    assert not any(re.search(r"(?i)\b(nan|inf)\b", body) for body in artifacts.values())
 
 
 def _bad_input_cases():
@@ -1065,7 +1087,11 @@ def _bad_input_cases():
             section, keys = entry if isinstance(entry, tuple) else (entry, numeric[entry])
             cases += [pytest.param(command, _patched(base, section, key, value),
                                    id=f"{run}-{section}.{key}={value}")
-                      for key in keys for value in ("nan", "inf", "-inf", "0", "-1")]
+                      for key in keys
+                      for value in ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300")
+                      # an Euler-Poisson run to t = 1e300 steps for minutes
+                      if (run, section, key, value) != ("simulate-ep", "simulate", "t_end",
+                                                        "1e300")]
     return cases + [pytest.param(command, _patched(base, section, key, value), id=name)
                     for name, (command, base, section, key, value, *_) in _HOLES.items()]
 
@@ -1074,9 +1100,9 @@ def _bad_input_cases():
 @pytest.mark.parametrize("command, text", _bad_input_cases())
 def test_bad_input_never_crashes(tmp_path, capsys, command, text):
     # every numeric key simulate (both kinds) and curves read, set to a value
-    # a user may get wrong: no traceback, an exit code the CLI documents, an
-    # error line for a refusal that writes nothing, and no NaN or infinity
-    # in any artifact
+    # a user may get wrong, from nan to 1e300: no traceback, an exit code the
+    # CLI documents, an error line for a refusal that writes nothing, and no
+    # NaN or infinity in any artifact
     rc, err, artifacts = _run_bad_input(tmp_path, capsys, command, text)
     assert rc in (0, 1, 2, 3)
     if rc == 1:

@@ -569,6 +569,37 @@ def test_simulate_bad_run_size_refused_from_python(model, argument, value):
             simulate_ep(rho0, u0, EP3, **sizes)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", [Model.EULER_POISSON, Model.INVISCID_BURGERS])
+@pytest.mark.parametrize("r_max", [1e-300, 1e62])
+def test_seeding_refuses_a_support_out_of_float_range(model, r_max):
+    # at 1e-300 the shell volumes r^n (and for Euler-Poisson s) leave float
+    # range, at 1e62 the shell moments r^(n + 2): the seeding says so, by
+    # the support's parameter, before any warning
+    params = ModelParams(n=3, kappa=1, c=0, model=model)
+    rho0 = gaussian_bump(1.0, 1.0, r_max=r_max, n_nodes=101)
+    u0 = rexp_velocity(1.0, 4.0, r_max=max(r_max, 6.0))
+    with pytest.raises(ValueError, match=r"^r_max must keep the spacing, shell volumes, moments "
+                                         r"and s of 20 paths in n = 3 in float range, got "):
+        simulate_ep(rho0, u0, params, n_paths=20, t_end=1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("u_amp", [1e300, -1e300, 1e155])
+def test_seeding_refuses_a_velocity_whose_squared_slopes_overflow(u_amp):
+    # the path rates square p and q, which reach |u_amp| near the axis: an
+    # Euler-Poisson or Burgers ensemble refuses the velocity, while an
+    # alignment ensemble carries no p and q and its run ends in a step collapse
+    rho0, u0 = gaussian_bump(1.0, 1.0, r_max=2.5, n_nodes=101), rexp_velocity(u_amp, 4.0)
+    for model in (Model.EULER_POISSON, Model.INVISCID_BURGERS):
+        with pytest.raises(ValueError, match=r"^u0 must keep the squared slopes p\^2 and q\^2 "
+                                             r"of 20 paths finite, got 9\.84e\+"):
+            simulate_ep(rho0, u0, ModelParams(n=3, kappa=1, c=0, model=model),
+                        n_paths=20, t_end=1.0)
+    res = simulate_ea(rho0, u0, power_law_influence(0.5, 1.0), EA2, n_paths=20, t_end=0.1)
+    assert res.blowup.kind == "step-collapse"
+
+
 def test_simulate_ea_refuses_a_run_it_cannot_step():
     # psi_max = 0 once divided by zero, and a step count near 1e300 failed
     # a NumPy cast
