@@ -7,9 +7,8 @@ finite-time blowup by integrating the closed characteristic dynamics of
 cross-validates everything against a characteristic-ensemble PDE solver.
 """
 
-from .core import (CharState, Model, ModelParams, Region,
-                   VelocityGradientSample, divergence, gap_consistency_check,
-                   grad_u_matrix, spectral_gap, sphere_area)
+from .core import (CharState, Model, ModelParams, Region, divergence,
+                   gap_consistency_check, grad_u_matrix, spectral_gap, sphere_area)
 from .odeint import (ClassificationOutcome, EventSpec, IntegrationFailure,
                      IntegratorConfig, LaneBatch, OdeSystem, Termination,
                      TrajectoryRecord, Verdict, estimate_decay_exponent,
@@ -25,8 +24,7 @@ from .euler_poisson import (QsHatResult, ThresholdConstants, classify_ep,
                             initial_s_from_density, qs_phase_portrait,
                             qs_system, qshat_integrate, qshat_system,
                             sigma_1d, wv_basis_system, burgers_system)
-from .alignment import (AlignmentBounds, EaCharState, InfluenceSpec,
-                        ThresholdCurve,
+from .alignment import (AlignmentBounds, InfluenceSpec, ThresholdCurve,
                         CURVE_KINDS, INFLUENCE_LIBRARY, classify_ea_many,
                         comparison_classify, compute_bounds,
                         constant_influence, enhanced_curve,
@@ -35,7 +33,6 @@ from .alignment import (AlignmentBounds, EaCharState, InfluenceSpec,
                         rough_threshold_q)
 from .pde import (BlowupReport, CharacteristicEnsemble, CrossingError,
                   FieldSnapshot, SimulationResult, diagnostics_series,
-                  estimate_flock_diameter, reconstruct_fields, simulate_ea,
-                  simulate_ep)
+                  reconstruct_fields, simulate_ea, simulate_ep)
 
 __version__ = "0.1.0"

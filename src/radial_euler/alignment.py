@@ -37,28 +37,22 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class InfluenceSpec:
-    """An influence function with its derivative and decay metadata.
+    """An influence function with the bounds of its value and slope.
 
-    phi must be nonnegative, bounded and Lipschitz; non_increasing and
-    slow_decay (divergent integral at infinity) record the assumptions
-    the flocking estimates rely on.
+    phi must be nonnegative, bounded and Lipschitz: sup_phi bounds phi and
+    sup_phi_prime bounds |phi'|.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
-    phi_prime: Callable[[np.ndarray], np.ndarray]
     sup_phi: float
     sup_phi_prime: float
-    non_increasing: bool = True
-    slow_decay: bool = True
     name: str = "influence"
 
 
 def constant_influence(value: float = 1.0) -> InfluenceSpec:
     return InfluenceSpec(
         phi=lambda r: np.full_like(np.asarray(r, dtype=float), value),
-        phi_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        sup_phi=value, sup_phi_prime=0.0, slow_decay=True,
-        name=f"constant({value})")
+        sup_phi=value, sup_phi_prime=0.0, name=f"constant({value})")
 
 
 def power_law_influence(exponent: float = 0.5, scale: float = 1.0) -> InfluenceSpec:
@@ -66,9 +60,7 @@ def power_law_influence(exponent: float = 0.5, scale: float = 1.0) -> InfluenceS
     a, w = exponent, scale
     return InfluenceSpec(
         phi=lambda r: (1.0 + np.asarray(r, dtype=float) / w) ** (-a),
-        phi_prime=lambda r: -(a / w) * (1.0 + np.asarray(r, dtype=float) / w) ** (-a - 1.0),
-        sup_phi=1.0, sup_phi_prime=a / w, slow_decay=(a <= 1.0),
-        name=f"power-law({a},{w})")
+        sup_phi=1.0, sup_phi_prime=a / w, name=f"power-law({a},{w})")
 
 
 def exponential_influence(scale: float = 1.0) -> InfluenceSpec:
@@ -76,9 +68,7 @@ def exponential_influence(scale: float = 1.0) -> InfluenceSpec:
     w = scale
     return InfluenceSpec(
         phi=lambda r: np.exp(-np.asarray(r, dtype=float) / w),
-        phi_prime=lambda r: -np.exp(-np.asarray(r, dtype=float) / w) / w,
-        sup_phi=1.0, sup_phi_prime=1.0 / w, slow_decay=False,
-        name=f"exponential({w})")
+        sup_phi=1.0, sup_phi_prime=1.0 / w, name=f"exponential({w})")
 
 
 INFLUENCE_LIBRARY = {
@@ -92,17 +82,15 @@ INFLUENCE_LIBRARY = {
 class AlignmentBounds:
     """The constants that close the comparison dynamics.
 
-    nu = phi(2D) * mass is both the alignment decay rate and the lower
-    influence bound psi_min; psi_max = sup(phi) * mass; C0 bounds
-    |zeta(r, 0)| / r.
+    Given directly (e.g. to reproduce a region picture), or by
+    :func:`compute_bounds` from initial data: nu = phi(2D) * mass is both
+    the alignment decay rate and the lower influence bound psi_min;
+    psi_max = sup(phi) * mass; C0 bounds |zeta(r, 0)| / r.
     """
 
-    mass: float
-    u_max: float
-    D: float
-    nu: float
     psi_min: float
     psi_max: float
+    nu: float
     C0: float
 
     def __post_init__(self):
@@ -112,42 +100,10 @@ class AlignmentBounds:
                         "finite and at least psi_min"),
             "nu": FINITE_POSITIVE, "C0": FINITE_NONNEGATIVE}, vars(self))
 
-    @classmethod
-    def explicit(cls, psi_min: float, psi_max: float, nu: float,
-                 C0: float) -> "AlignmentBounds":
-        """Bounds given directly (e.g. to reproduce a region picture)."""
-        return cls(mass=float("nan"), u_max=float("nan"), D=float("nan"),
-                   nu=nu, psi_min=psi_min, psi_max=psi_max, C0=C0)
-
     @property
     def series_offset(self) -> float:
         """Where a threshold curve's integration starts: its ODEs are singular at x = 0."""
         return 1e-6 * max(1.0, self.psi_min ** 2)
-
-
-@dataclass(frozen=True)
-class EaCharState:
-    """Alignment state along one characteristic: (q, G, rho) plus envelope B.
-
-    G = u_r + psi absorbs the nonlocal derivative of the alignment
-    force; B tracks the decaying bound C0 e^(-nu t) on |zeta|/r.  The
-    local slope is recovered as p = G - psi with psi in
-    [psi_min, psi_max].
-    """
-
-    q: float
-    G: float
-    rho: float
-    B: float
-
-    def __post_init__(self):
-        if self.rho < 0.0:
-            raise ValueError("density must be nonnegative")
-        if self.B < 0.0:
-            raise ValueError("envelope value must be nonnegative")
-
-    def p(self, psi: float) -> float:
-        return self.G - psi
 
 
 def compute_bounds(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
@@ -160,11 +116,8 @@ def compute_bounds(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
     if phi2d <= 0.0:
         raise ValueError("phi(2D) = 0 degenerates the alignment rate nu")
     u_max = float(np.max(np.abs(u0.values)))
-    return AlignmentBounds(mass=mass, u_max=u_max, D=D,
-                           nu=phi2d * mass,
-                           psi_min=phi2d * mass,
-                           psi_max=phi.sup_phi * mass,
-                           C0=phi.sup_phi_prime * mass * u_max)
+    return AlignmentBounds(psi_min=phi2d * mass, psi_max=phi.sup_phi * mass,
+                           nu=phi2d * mass, C0=phi.sup_phi_prime * mass * u_max)
 
 
 # ---------------------------------------------------------------------------

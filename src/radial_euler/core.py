@@ -149,21 +149,6 @@ def grad_u_matrix(x: np.ndarray, p: float, q: float) -> np.ndarray:
     return proj * p + (np.eye(len(x)) - proj) * q
 
 
-@dataclass(frozen=True)
-class VelocityGradientSample:
-    """A point sample (x, p, q) together with its gradient matrix."""
-
-    x: np.ndarray
-    p: float
-    q: float
-    matrix: np.ndarray
-
-    @classmethod
-    def at(cls, x: np.ndarray, p: float, q: float) -> "VelocityGradientSample":
-        return cls(x=np.asarray(x, dtype=float), p=p, q=q,
-                   matrix=grad_u_matrix(x, p, q))
-
-
 def gap_consistency_check(p: float, q: float, n: int) -> float:
     """Residual between the two closed forms of d^2 - tr((grad u)^2).
 

@@ -235,9 +235,7 @@ def integrate_qs(params: ModelParams, q0: float, s0: float, t_end: float,
     ts = t_samples[keep]
     ys = rec.ys[keep][:, :2]
     fs = np.column_stack(qs_rhs(None, ys.T))
-    record_t = TrajectoryRecord(ts, ys, fs, rec.termination,
-                                event_name=rec.event_name, hits=rec.hits,
-                                note=rec.note)
+    record_t = TrajectoryRecord(ts, ys, fs, rec.termination, hits=rec.hits, note=rec.note)
     return QsRun(record_t, rec, q_min, q_max, s_max, blowup_time)
 
 
@@ -259,11 +257,13 @@ def sigma_1d(p0: float, rho0: float, kappa: float, c: float) -> Region:
     return Region.SUBCRITICAL if abs(p0) < math.sqrt(gap) else Region.SUPERCRITICAL
 
 
-# amplitude certificate of a 1D, c > 0 orbit: the amplitude may drift over
-# one period by this much relative to the orbit's size 1/c + A ...
+# A 1D run tracked its orbit if the orbit's conserved quantity (the
+# amplitude A, or the floor of v in the Riccati channel) moved by less than
+# this share of its distance from the threshold.
+_TRACKED_SHARE = 0.1
+# The amplitude certificate of a 1D, c > 0 orbit also bounds the amplitude's
+# drift over one period by this much relative to the orbit's size 1/c + A.
 _CERT_DRIFT = 1e-4
-# ... and by this fraction of the margin 1/c - A to the threshold v = 0
-_CERT_MARGIN = 0.1
 
 
 def _orbit_amplitude(p, rho, kappa: float, c: float):
@@ -295,7 +295,7 @@ def _certify(y0, y1, kappa: float, c: float):
         a0 = _orbit_amplitude(y0[0], y0[1], kappa, c)
         drift = np.abs(_orbit_amplitude(y1[0], y1[1], kappa, c) - a0)
         margin = 1.0 / c - a0
-        return ((drift <= _CERT_DRIFT * (a0 + 1.0 / c)) & (drift < _CERT_MARGIN * margin),
+        return ((drift <= _CERT_DRIFT * (a0 + 1.0 / c)) & (drift < _TRACKED_SHARE * margin),
                 drift, margin)
 
 
@@ -573,8 +573,8 @@ _WV_BLOCK = 1 << 14
 # A codes-only n = 1 batch first stops the lanes of exactly supercritical
 # cells at this cap, early in their Riccati channel (each decade past it
 # costs some 15 steps at rel_tol 1e-6), and settles a lane there if its
-# floor of v drifted by less than this share
-_CHANNEL_CAP, _CHANNEL_DRIFT = 1e2, 0.1
+# floor of v drifted by less than _TRACKED_SHARE of itself
+_CHANNEL_CAP = 1e2
 
 
 def _reach(config: IntegratorConfig) -> float:
@@ -658,7 +658,7 @@ def _channel_certified(y0: np.ndarray, y1: np.ndarray, t1: np.ndarray,
     step attempts, is a blowup its run at the full cap would detect too.
 
     Its :func:`_v_floor` must start below 0 (supercritical) and drift by
-    less than :data:`_CHANNEL_DRIFT` of itself (tracked).  v'' <= kappa while
+    less than :data:`_TRACKED_SHARE` of itself (tracked).  v'' <= kappa while
     v >= 0, so v reaches 0 before the root of v + w t + kappa t^2 / 2, which
     must come before 0.99 t_max.  The budget must hold twice the
     (0.1 rel_tol)^-0.2 steps per decade a confirm lane takes up to the cap.
@@ -671,7 +671,7 @@ def _channel_certified(y0: np.ndarray, y1: np.ndarray, t1: np.ndarray,
         arrival = t1 + 2.0 * v / (np.sqrt(w * w - 2.0 * kappa * v) - w)
     climb = (2.0 * math.log10(config.magnitude_cap / _CHANNEL_CAP)
              * (0.1 * config.rel_tol) ** -0.2)
-    return ((floor0 < 0.0) & (drift < _CHANNEL_DRIFT * -floor0) & (w < 0.0)
+    return ((floor0 < 0.0) & (drift < _TRACKED_SHARE * -floor0) & (w < 0.0)
             & (arrival < _WV_HORIZON_SHARE * config.t_max)
             & (attempts + climb <= config.max_steps))
 

@@ -127,8 +127,6 @@ class TrajectoryRecord:
     ys: np.ndarray
     fs: np.ndarray
     termination: Termination
-    event_name: Optional[str] = None
-    t_event: Optional[float] = None
     blowup_component: Optional[int] = None
     hits: list = field(default_factory=list)
     note: str = ""
@@ -172,7 +170,6 @@ class TrajectoryRecord:
 
 # a lane batch's termination codes index this tuple
 TERMINATIONS = tuple(Termination)
-_EVENT = TERMINATIONS.index(Termination.EVENT)
 
 
 @dataclass(eq=False)
@@ -182,13 +179,12 @@ class LaneBatch:
     ``ends`` indexes :data:`TERMINATIONS`, ``y_final`` is dim x lanes and
     ``blowup_component`` is -1 unless the lane blew up.  ``blowup_time``
     is a blown lane's extrapolated singularity time, NaN for every other
-    lane and for every lane of a batch run without blowup times.  Lane j
-    covers the first ``covered[j]`` rows of ``probe`` (probe times x dim x
-    lanes), none after an event, and ``notes`` maps a lane to its
-    integrator note.  The counters are each lane's step attempts (six
-    stage evaluations each), accepted and rejected steps and rhs
-    evaluations; the step that crosses the event and a collapsing step
-    are attempts only.
+    lane and for every lane of a batch run without blowup times.  ``probe``
+    is probe times x dim x lanes, NaN past a lane's final time, and
+    ``notes`` maps a lane to its integrator note.  The counters are each
+    lane's step attempts (six stage evaluations each), accepted and
+    rejected steps and rhs evaluations; the step that crosses the event
+    and a collapsing step are attempts only.
     """
 
     ends: np.ndarray
@@ -198,17 +194,11 @@ class LaneBatch:
     blowup_component: np.ndarray
     blowup_time: np.ndarray
     probe: np.ndarray
-    covered: np.ndarray
     notes: dict
     attempts: np.ndarray
     accepted: np.ndarray
     rejected: np.ndarray
     rhs_evals: np.ndarray
-
-    @property
-    def t_event(self) -> np.ndarray:
-        """Each lane's event time, NaN for a lane that ended otherwise."""
-        return np.where(self.ends == _EVENT, self.t_final, np.nan)
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -229,7 +219,7 @@ class LaneBatch:
                                         for name in ("attempts", "accepted", "rejected"))
         batch = cls(np.zeros(n, dtype=int), np.zeros(n), np.zeros((dim, n)), np.zeros(n),
                     np.full(n, -1), np.full(n, np.nan), np.full((len(times), dim, n), np.nan),
-                    np.zeros(n, dtype=int), {}, attempts, accepted, rejected, 1 + 6 * attempts)
+                    {}, attempts, accepted, rejected, 1 + 6 * attempts)
         for j, rec in enumerate(records):
             batch.ends[j] = TERMINATIONS.index(rec.termination)
             batch.t_final[j], batch.y_final[:, j] = rec.t_final, rec.y_final
@@ -241,7 +231,7 @@ class LaneBatch:
             if rec.note:
                 batch.notes[j] = rec.note
             if rec.termination is not Termination.EVENT:
-                rows = batch.covered[j] = np.searchsorted(times, rec.t_final, side="right")
+                rows = np.searchsorted(times, rec.t_final, side="right")
                 if rows:
                     batch.probe[:rows, :, j] = rec.sample_many(times[:rows])
         return batch
@@ -464,7 +454,7 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
             continue
 
         # event handling over [t, t_new]
-        terminal_hit = None
+        hit = None
         g_new = [ev.func(t_new, y_new) for ev in events]
         for i, ev in enumerate(events):
             if _crossed(gvals[i], g_new[i], ev.direction):
@@ -472,13 +462,12 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
                                          t_new, np.asarray(y_new),
                                          np.asarray(k7), gvals[i], g_new[i])
                 hits.append(EventHit(ev.name, t_e, y_e))
-                if ev.terminal and (terminal_hit is None or t_e < terminal_hit[1].t):
-                    terminal_hit = (ev, hits[-1])
-        if terminal_hit is not None:
-            ev, hit = terminal_hit
+                if ev.terminal and (hit is None or t_e < hit.t):
+                    hit = hits[-1]
+        if hit is not None:
             f_e = tuple(f(hit.t, tuple(hit.y)))
             ts.append(hit.t), ys.append(tuple(hit.y)), fs.append(f_e)
-            return end(Termination.EVENT, event_name=ev.name, t_event=hit.t)
+            return end(Termination.EVENT)
 
         ts.append(t_new), ys.append(y_new), fs.append(tuple(k7))
         mag = 0.0
@@ -638,7 +627,6 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             raise ValueError("probe times must be nonnegative and nondecreasing "
                              "in every lane")
         probe = np.full((len(pt), d, n), np.nan)
-    probe_times = pt    # every lane's, while pt keeps the working columns
     lane = np.arange(n)
     alive = np.ones(n, dtype=bool)
     iterations = 0
@@ -813,11 +801,8 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
              "lane-steps; %d lanes bracketed an event, located in %d halving rounds",
              n, iterations, accepted.sum(), rejected.sum(), located, rounds)
 
-    covered = (np.count_nonzero(probe_times <= t_end, axis=0)
-               if probe_times is not None else np.zeros(n, dtype=int))
-    covered[ends == _EVENT] = 0
     return LaneBatch(ends, t_end, y_end, max_abs, blowup_comp, blowup_time,
-                     probe if probe is not None else np.empty((0, d, n)), covered, notes,
+                     probe if probe is not None else np.empty((0, d, n)), notes,
                      attempts=attempts, accepted=accepted, rejected=rejected,
                      rhs_evals=1 + 6 * attempts)
 

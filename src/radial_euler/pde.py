@@ -95,7 +95,6 @@ class BlowupReport:
 class SimulationResult:
     snapshots: list
     blowup: Optional[BlowupReport]
-    params: ModelParams
     n_paths: int
 
 
@@ -209,7 +208,7 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
     edges[0] = max(r[0] - 0.5 * (r[1] - r[0]), 0.0)
     edges[-1] = r[-1] + 0.5 * (r[-1] - r[-2])
     shell = sphere_area(n) / n * (edges[1:] ** n - edges[:-1] ** n)
-    rho = m / np.maximum(shell, 1e-300)
+    rho = m / shell
 
     p = np.gradient(u, r)
     q = u / r
@@ -316,7 +315,7 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
         snap.extras["states"] = ens_t.states
         snapshots.append(snap)
     _phase("reconstructed %d snapshots", len(snapshots), since=clock)
-    return SimulationResult(snapshots, blowup, params, n_paths)
+    return SimulationResult(snapshots, blowup, n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +504,7 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
     _phase("%d RK4 steps, %d kernel calls, %d snapshots (%.3f s in kernel calls, "
            "%s; %.3f s reconstructing)", steps, calls, len(snapshots), kernel_s,
            shape, recon_s, since=clock)
-    return SimulationResult(snapshots, blowup, params, n_paths)
+    return SimulationResult(snapshots, blowup, n_paths)
 
 
 def diagnostics_series(snapshots: list) -> dict:
@@ -525,9 +524,3 @@ def diagnostics_series(snapshots: list) -> dict:
                                            * np.diff(t))))
     return {"t": t, "max_grad": max_grad, "V": vosc, "support_radius": support,
             "min_radius": min_radius, "mass_total": mass, "bkm_integral": bkm}
-
-
-def estimate_flock_diameter(result: SimulationResult) -> float:
-    """Largest support radius observed over a run (flock diameter estimate)."""
-    series = diagnostics_series(result.snapshots)
-    return float(np.max(series["support_radius"]))

@@ -45,7 +45,7 @@ def integrator_from(cfg: RunConfig) -> IntegratorConfig:
 
 def bounds_from(cfg: RunConfig) -> AlignmentBounds:
     a = cfg["alignment"]
-    return _built("alignment", AlignmentBounds.explicit, psi_min=a["psi_min"],
+    return _built("alignment", AlignmentBounds, psi_min=a["psi_min"],
                   psi_max=a["psi_max"], nu=a["nu"], C0=a["C0"])
 
 

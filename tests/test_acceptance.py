@@ -241,7 +241,7 @@ def test_criterion_07_kernel_bounds():
 
 
 def test_criterion_08_curve_endpoints_and_limits():
-    b = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.0)
+    b = AlignmentBounds(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.0)
     checks = []
     for kind, want in [("sigma_q_plus", -0.8), ("sigma_q_minus", -1.0),
                        ("sigma_G_plus", 0.0), ("sigma_G_minus", 0.0)]:
@@ -251,7 +251,7 @@ def test_criterion_08_curve_endpoints_and_limits():
         c = enhanced_curve(kind, b, 1, 0.3)
         checks.append(float(np.max(np.abs(c.values))) == 0.0)
     kap = 1.3   # constant influence: psi_min = psi_max = nu = mass * phi
-    bc = AlignmentBounds.explicit(psi_min=kap, psi_max=kap, nu=kap, C0=0.0)
+    bc = AlignmentBounds(psi_min=kap, psi_max=kap, nu=kap, C0=0.0)
     checks.append(abs(enhanced_curve("sigma_q_plus", bc, 3, 0.2).value_at_zero
                       + kap) < 1e-12)
     checks.append(abs(enhanced_curve("sigma_q_minus", bc, 3, 0.2).value_at_zero
@@ -263,7 +263,7 @@ def test_criterion_08_curve_endpoints_and_limits():
 
 
 def test_criterion_09_curve_classifier_consistency():
-    b = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.0)
+    b = AlignmentBounds(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.0)
     bad = []
     for kind, var, side in [("sigma_q_plus", "q", "+"),
                             ("sigma_q_minus", "q", "-"),

@@ -18,7 +18,7 @@ from radial_euler.odeint import (VERDICT_CODES, ClassificationOutcome, LaneBatch
                                  outcome_of)
 from radial_euler.sweep import classify_cells
 
-FIG_BOUNDS = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.0)
+FIG_BOUNDS = AlignmentBounds(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_compute_bounds_power_law_example():
     u = linear_velocity(1.0, r_max=1.0)
     phi = power_law_influence(0.5, 1.0)
     b = compute_bounds(rho, u, phi, D=1.0, n=2)
-    assert b.mass == pytest.approx(1.0)
+    assert rho.mass(2) == pytest.approx(1.0)
     assert b.nu == pytest.approx(3 ** -0.5, rel=1e-12)
     assert b.psi_min == b.nu
     assert b.psi_max == pytest.approx(1.0)
@@ -193,17 +193,16 @@ def test_compute_bounds_validation():
     with pytest.raises(ValueError):
         compute_bounds(rho, u, constant_influence(1.0), D=1.0, n=2)  # support > D
     with pytest.raises(ValueError):
-        AlignmentBounds.explicit(psi_min=0.0, psi_max=1.0, nu=0.5, C0=0.0)
+        AlignmentBounds(psi_min=0.0, psi_max=1.0, nu=0.5, C0=0.0)
     with pytest.raises(ValueError):
-        AlignmentBounds.explicit(psi_min=0.5, psi_max=1.0, nu=0.0, C0=0.0)
+        AlignmentBounds(psi_min=0.5, psi_max=1.0, nu=0.0, C0=0.0)
 
 
 def test_degenerate_rate_error():
     from radial_euler import InfluenceSpec
     cutoff = InfluenceSpec(
         phi=lambda r: np.maximum(1.0 - np.asarray(r, dtype=float), 0.0),
-        phi_prime=lambda r: np.where(np.asarray(r, dtype=float) < 1.0, -1.0, 0.0),
-        sup_phi=1.0, sup_phi_prime=1.0, slow_decay=False)
+        sup_phi=1.0, sup_phi_prime=1.0)
     rho = indicator(1.0, 1.0)
     u = linear_velocity(1.0, r_max=1.0)
     with pytest.raises(ValueError):
@@ -214,7 +213,7 @@ def test_degenerate_rate_error():
 # rough thresholds
 
 def test_rough_q_derived_numbers():
-    b = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.15)
+    b = AlignmentBounds(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.15)
     # subcritical bound = (-0.8 - sqrt(0.64 - 0.6))/2 = -0.5
     assert rough_threshold_q(-0.5, b) is Region.SUBCRITICAL
     assert rough_threshold_q(-0.51, b) is Region.GAP
@@ -224,13 +223,13 @@ def test_rough_q_derived_numbers():
 
 
 def test_rough_q_needs_small_c0():
-    b = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.2)
+    b = AlignmentBounds(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.2)
     assert rough_threshold_q(0.0, b) is Region.GAP   # C0 > psi_min^2 / 4
 
 
 def test_rough_constant_influence_sharp():
     kappa = 0.7
-    b = AlignmentBounds.explicit(psi_min=kappa, psi_max=kappa, nu=kappa, C0=0.0)
+    b = AlignmentBounds(psi_min=kappa, psi_max=kappa, nu=kappa, C0=0.0)
     assert rough_threshold_q(-kappa, b) is Region.SUBCRITICAL
     assert rough_threshold_q(-kappa - 1e-12, b) is Region.SUPERCRITICAL
     assert rough_threshold_G(0.0, b, 3) is Region.SUBCRITICAL
@@ -238,13 +237,13 @@ def test_rough_constant_influence_sharp():
 
 
 def test_rough_G_one_dimension_sharp():
-    b = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=5.0)
+    b = AlignmentBounds(psi_min=0.8, psi_max=1.0, nu=0.8, C0=5.0)
     assert rough_threshold_G(0.0, b, 1) is Region.SUBCRITICAL
     assert rough_threshold_G(-1e-9, b, 1) is Region.SUPERCRITICAL
 
 
 def test_rough_G_discriminant_zero():
-    b = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.16)
+    b = AlignmentBounds(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.16)
     # n = 2: disc = 0.64 - 4 * 0.16 = 0, bound = 0.4
     assert rough_threshold_G(0.4, b, 2) is Region.SUBCRITICAL
     assert rough_threshold_G(0.39, b, 2) is Region.GAP
@@ -296,7 +295,7 @@ def test_curve_gap_grows_with_dimension():
 
 def test_curve_constant_influence_limit():
     kappa = 1.3
-    b = AlignmentBounds.explicit(psi_min=kappa, psi_max=kappa, nu=kappa, C0=0.0)
+    b = AlignmentBounds(psi_min=kappa, psi_max=kappa, nu=kappa, C0=0.0)
     assert enhanced_curve("sigma_q_plus", b, 2, 0.2).value_at_zero == \
         pytest.approx(-kappa)
     assert enhanced_curve("sigma_q_minus", b, 2, 0.2).value_at_zero == \
@@ -343,7 +342,7 @@ def test_comparison_matches_curves_both_sides():
 
 
 def test_comparison_deep_supercritical_has_finite_estimate():
-    b = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.15)
+    b = AlignmentBounds(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.15)
     out = comparison_classify("q", -3.0, 0.15, b, 2)
     assert out.is_blowup and out.t_estimate is not None
     assert out.t_estimate < 10.0
@@ -490,16 +489,6 @@ def test_classify_ea_many_logs_its_batch(caplog):
     [line] = [rec.getMessage() for rec in caplog.records
               if rec.name == "radial_euler.alignment"]
     assert line == "5 cells, 2 inside the basin at t = 0; 3 runs of the rest"
-
-
-def test_ea_char_state():
-    from radial_euler import EaCharState
-    st = EaCharState(q=0.2, G=1.1, rho=0.5, B=0.3)
-    assert st.p(psi=0.9) == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        EaCharState(q=0.0, G=0.0, rho=-1.0, B=0.0)
-    with pytest.raises(ValueError):
-        EaCharState(q=0.0, G=0.0, rho=1.0, B=-0.1)
 
 
 def test_unsettled_kernel_quadrature_raises(monkeypatch):

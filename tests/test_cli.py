@@ -1073,6 +1073,19 @@ def test_simulate_runs_an_ensemble_in_one_dimension(tmp_path, capsys, kind):
     assert not any(re.search(r"(?i)\b(nan|inf)\b", body) for body in artifacts.values())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_writes_the_density_of_a_tiny_support(tmp_path, capsys):
+    # the benchmark's Euler-Poisson run on a support of radius 1e-100, whose
+    # inner shell volumes lie below 1e-300: every path starts at the bump's 1
+    rc, err, artifacts = _run_bad_input(tmp_path, capsys, "simulate",
+                                        _patched(_EP_BENCH_BASE, "initial", "r_max", "1e-100"))
+    assert rc == 0 and err == ""
+    rows = [line.split(",") for line in artifacts["snapshot_000.csv"].splitlines()
+            if not line.startswith("#")]
+    rho = [float(row[rows[0].index("rho")]) for row in rows[1:]]
+    assert rho == pytest.approx([1.0] * 300, rel=1e-12)
+
+
 def _bad_input_cases():
     numeric = {section: [key for key, (typ, _) in keys.items() if typ in (int, float)]
                for section, keys in SCHEMA.items()}

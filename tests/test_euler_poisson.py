@@ -717,7 +717,7 @@ def test_codes_only_verdicts_refuse_outcomes(monkeypatch):
     x = np.array([state.as_array() for state in
                   _grid(np.linspace(-4.0, 1.0, 6), np.linspace(0.5, 2.0, 4))]).T
     y0s, C0s = np.repeat(np.linspace(-2.0, 0.5, 6), 5), np.tile(np.linspace(0, 0.5, 5), 6)
-    bounds = AlignmentBounds.explicit(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.1)
+    bounds = AlignmentBounds(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.1)
     for batch_cells in (euler_poisson._MAX_BATCH_CELLS, 10):
         monkeypatch.setattr(euler_poisson, "_MAX_BATCH_CELLS", batch_cells)
         for classify in (lambda **kw: classify_ep_columns(x, EP1, cfg, **kw),

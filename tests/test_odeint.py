@@ -46,7 +46,7 @@ def test_linear_event_crossing():
     ev = EventSpec("zero", lambda t, y: y[0])
     rec = integrate(sys, [-1.0], IntegratorConfig(t_max=5), (ev,))
     assert rec.termination is Termination.EVENT
-    assert abs(rec.t_event - 1.0) < 1e-9
+    assert abs(rec.t_final - 1.0) < 1e-9
 
 
 def test_event_refinement_independent_of_h_init():
@@ -55,7 +55,7 @@ def test_event_refinement_independent_of_h_init():
     times = []
     for h0 in (1e-4, 1e-2, 0.5):
         cfg = IntegratorConfig(t_max=5, h_init=h0)
-        times.append(integrate(sys, [-1.0], cfg, (ev,)).t_event)
+        times.append(integrate(sys, [-1.0], cfg, (ev,)).t_final)
     assert max(times) - min(times) < 1e-9
 
 
@@ -65,7 +65,7 @@ def test_event_refinement_smooth_system():
     times = []
     for h0 in (1e-4, 0.3):
         cfg = IntegratorConfig(t_max=3, h_init=h0, rel_tol=1e-11, abs_tol=1e-13)
-        times.append(integrate(sys, [-0.5], cfg, (ev,)).t_event)
+        times.append(integrate(sys, [-0.5], cfg, (ev,)).t_final)
     assert abs(times[0] - math.pi / 6) < 1e-8
     assert abs(times[0] - times[1]) < 1e-9
 
@@ -77,7 +77,7 @@ def test_event_on_qs_dynamics_marks_s_maximum():
     ev = EventSpec("q-zero", lambda t, y: y[0], direction=+1)
     rec = integrate(sys, [-0.3, 1.0], IntegratorConfig(t_max=50), (ev,))
     assert rec.termination is Termination.EVENT
-    t_star = rec.t_event
+    t_star = rec.t_final
     full = integrate(sys, [-0.3, 1.0], IntegratorConfig(t_max=2 * t_star + 1))
     s_at = full.sample(t_star)[1]
     assert s_at > full.sample(t_star - 0.05)[1]
@@ -200,17 +200,22 @@ def test_zero_horizon_is_the_initial_state():
     assert rec.termination is Termination.REACHED_HORIZON and rec.t_final == 0.0
 
 
+def _probed(batch, j):
+    """How many probe rows lane j of ``batch`` holds: those before its first NaN row."""
+    return int(np.argmax(np.append(np.isnan(batch.probe[:, :, j]).any(axis=1), True)))
+
+
 def _same_run(batch, j, rec, probe_t=None):
     """Lane j of ``batch`` holds what the scalar run ``rec`` gives, probed at ``probe_t``.
 
     Every field: the termination and note, the final time, state and
-    largest |y_i|, the event time, the fitted blowup time and component,
-    and the probe rows up to the final time (none after an event).
+    largest |y_i|, the fitted blowup time and component, and the probe
+    rows up to the final time, NaN after it.  After an event the rows
+    may stop earlier, before the step that crossed it.
     """
     event = rec.termination is Termination.EVENT
     assert (TERMINATIONS[batch.ends[j]], batch.notes.get(j, ""), batch.t_final[j],
             batch.max_abs[j]) == (rec.termination, rec.note, rec.t_final, rec.max_abs())
-    assert batch.t_event[j] == rec.t_event if event else np.isnan(batch.t_event[j])
     if rec.blowup_component is None:
         assert rec.blowup_time is None and np.isnan(batch.blowup_time[j])
         assert batch.blowup_component[j] == -1
@@ -219,9 +224,10 @@ def _same_run(batch, j, rec, probe_t=None):
             (rec.blowup_time, rec.blowup_component)
     assert np.array_equal(batch.y_final[:, j], rec.y_final)
     times = np.atleast_1d(np.asarray([] if probe_t is None else probe_t, dtype=float))
-    times = times[:0] if event else times[times <= rec.t_final]
-    rows = batch.covered[j]
-    assert rows == len(times)
+    times = times[times <= rec.t_final]
+    rows = _probed(batch, j)
+    assert rows <= len(times) if event else rows == len(times)
+    assert np.all(np.isnan(batch.probe[rows:, :, j]))
     assert rows == 0 or np.array_equal(batch.probe[:rows, :, j], rec.sample_many(times))
 
 
@@ -252,7 +258,7 @@ def test_lanes_match_scalar_integrate():
         for j, (ref, (_, _, want)) in enumerate(zip(scalar, sub)):
             assert want in TERMINATIONS[batch.ends[j]].value or want in batch.notes[j]
             if TERMINATIONS[batch.ends[j]] is Termination.REACHED_HORIZON:
-                assert batch.covered[j] == 1
+                assert _probed(batch, j) == 1
             _same_run(batch, j, ref, 0.5)
 
 
@@ -275,13 +281,13 @@ def test_lane_probes_match_sample_many():
     batch = integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]),
                             [cfg for _, cfg in cases], probe_t=probe_t)
     for j, rec in enumerate(recs):
-        assert batch.covered[j] == probe_t.shape[0]
+        assert _probed(batch, j) == probe_t.shape[0]
         assert np.array_equal(batch.probe[:, :, j], rec.sample_many(probe_t[:, j]))
         _same_run(batch, j, rec, probe_t[:, j])
     # a probe past a lane's final time is left out: a prefix stays
     batch = integrate_lanes(RICCATI, np.array([[-1.0]]), [cases[1][1]],
                             probe_t=[0.5, 0.9, 5.0])
-    assert batch.covered[0] == 2
+    assert _probed(batch, 0) == 2
     assert np.array_equal(batch.probe[:2, :, 0], recs[1].sample_many([0.5, 0.9]))
     with pytest.raises(ValueError):
         integrate_lanes(RICCATI, np.array([[1.0]]), [IntegratorConfig()], probe_t=[0.5, 0.2])
@@ -564,7 +570,7 @@ def test_lane_batch_without_blowup_times(caplog):
         [lines[keep]] = [rec.getMessage() for rec in caplog.records]
     with_ring, without = batches[True], batches[False]
     assert lines[False] == lines[True]
-    for name in ("ends", "t_final", "y_final", "max_abs", "blowup_component", "covered",
+    for name in ("ends", "t_final", "y_final", "max_abs", "blowup_component",
                  "attempts", "accepted", "rejected", "rhs_evals"):
         assert np.array_equal(getattr(without, name), getattr(with_ring, name)), name
     assert np.array_equal(without.probe, with_ring.probe, equal_nan=True)

@@ -11,7 +11,7 @@ import radial_euler
 from radial_euler import (CharacteristicEnsemble, CrossingError,
                           IntegratorConfig, Model, ModelParams, Verdict,
                           classify_ep, constant_influence, diagnostics_series,
-                          estimate_flock_diameter, gaussian_bump,
+                          gaussian_bump,
                           gaussian_velocity, indicator, linear_velocity,
                           power_law_influence, reconstruct_fields,
                           rexp_velocity, simulate_ea, simulate_ep,
@@ -263,7 +263,6 @@ def test_ea_flocking_fast_alignment():
     decay = v0 * np.exp(-bounds.nu * series["t"])
     assert np.all(series["V"] <= decay * (1 + 1e-9))
     assert np.all(series["support_radius"] <= D)
-    assert estimate_flock_diameter(res) <= D
     # mass conserved to machine precision
     assert np.max(np.abs(series["mass_total"] - series["mass_total"][0])) == 0.0
     # influence stays within the theoretical bracket while supported in D
@@ -600,6 +599,28 @@ def test_seeding_refuses_a_velocity_whose_squared_slopes_overflow(u_amp):
     assert res.blowup.kind == "step-collapse"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model, n, r_max", [
+    (Model.EULER_POISSON, 3, 1e-99), (Model.EULER_POISSON, 3, 1e-100),
+    (Model.EULER_POISSON, 2, 1e-150), (Model.EULER_ALIGNMENT, 2, 1e-150)])
+def test_a_tiny_support_reconstructs_its_density(model, n, r_max):
+    # the seeding refuses shell volumes below the smallest normal float, and
+    # any above it divides a path's mass into the density it came from: the
+    # bump's 1, or the indicator's 0.3, at every path
+    if model is Model.EULER_ALIGNMENT:
+        res = simulate_ea(indicator(0.3, r_max, n_nodes=201),
+                          gaussian_velocity(0.4, 0.6, r_max=1.0), power_law_influence(0.5, 1.0),
+                          EA2, n_paths=80, t_end=0.1, n_snapshots=2)
+        want = 0.3
+    else:
+        res = simulate_ep(gaussian_bump(1.0, 1.0, r_max=r_max, n_nodes=801),
+                          rexp_velocity(1.0, 4.0), ModelParams(n=n, kappa=1, c=0),
+                          n_paths=300, t_end=0.0, n_snapshots=1)
+        want = 1.0
+    assert res.snapshots[0].rho == pytest.approx(np.full_like(res.snapshots[0].r, want),
+                                                 rel=1e-12)
+
+
 def test_simulate_ea_refuses_a_run_it_cannot_step():
     # psi_max = 0 once divided by zero, and a step count near 1e300 failed
     # a NumPy cast
@@ -620,8 +641,7 @@ def test_simulate_ea_takes_a_one_argument_influence():
     # the library's formula gives the library influence's run, bit for bit
     from radial_euler import InfluenceSpec
     lib = power_law_influence(0.5, 1.0)
-    own = InfluenceSpec(phi=lambda r: (1.0 + r / 1.0) ** -0.5, phi_prime=lib.phi_prime,
-                        sup_phi=1.0, sup_phi_prime=0.5)
+    own = InfluenceSpec(phi=lambda r: (1.0 + r / 1.0) ** -0.5, sup_phi=1.0, sup_phi_prime=0.5)
     rho0, u0 = gaussian_bump(1.0, 1.0, r_max=2.5, n_nodes=101), rexp_velocity(1.0, 4.0)
     runs = [simulate_ea(rho0, u0, phi, EA2, n_paths=40, t_end=0.5, n_snapshots=2)
             for phi in (lib, own)]
