@@ -6,7 +6,9 @@ exit code and output with ``tests/data/pins/<case>.out``: the JSON that
 ``phase-portrait`` writes, or for ``simulate`` its ``metadata.json``,
 ``diagnostics.csv`` and last snapshot, each headed by a
 ``== <file name> ==`` line.  The first line of a pin file is
-``exit <code>``.
+``exit <code>``.  A case may add a third item, integrator fields the
+config file has no key for (``max_steps``), which the sweep's
+``integrator_from`` then sets.
 
 The classify cases take every exit path of both classifiers: a blowup
 with its fitted time, the basin at t = 0 and as an event, the one-period
@@ -27,11 +29,12 @@ import io
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from radial_euler import cli
+from radial_euler import cli, sweep
 
 PINS = Path(__file__).parent / "data" / "pins"
 
@@ -141,6 +144,21 @@ CASES = {
         "[model]\nn = 1\nc = 1.0\n",
         "axis1_min = -297\naxis1_max = 3\naxis1_steps = 6\n"
         "axis2_min = 4.9995\naxis2_max = 5.00055\naxis2_steps = 8\n", TIGHT)),
+    # n = 1 grids whose blowup lanes, and at c = 1 the lanes of large |p0|,
+    # run out of a 200-attempt step budget (code 3) beside cells that finish
+    "sweep-ep1-budget": ("sweep", _sweep(
+        "[model]\nn = 1\nc = 0.0\n",
+        "axis1_min = -4\naxis1_max = 1\naxis1_steps = 8\n"
+        "axis2_min = 0.5\naxis2_max = 3\naxis2_steps = 8\n"), {"max_steps": 200}),
+    "sweep-ep1c-budget": ("sweep", _sweep(
+        "[model]\nn = 1\nc = 1.0\n",
+        "axis1_min = -3\naxis1_max = 3\naxis1_steps = 8\n"
+        "axis2_min = 0.2\naxis2_max = 3\naxis2_steps = 8\n"), {"max_steps": 200}),
+    # supercritical n = 1 cells whose blowup times (0.25 ... 2) straddle t_max
+    "sweep-ep1-horizon": ("sweep", _sweep(
+        "[model]\nn = 1\nc = 0.0\n",
+        "axis1_min = -4\naxis1_max = -1\naxis1_steps = 8\n"
+        "axis2_min = 0.5\naxis2_max = 3\naxis2_steps = 8\n", "[integrator]\nt_max = 0.5\n")),
     # blowups and basin events at n = 1, c = 0
     "sweep-ep1-lanes": ("sweep", _sweep(
         "[model]\nn = 1\nc = 0.0\n",
@@ -206,15 +224,20 @@ ARTIFACT = {"curves": "curves.csv", "sweep": "sweep.csv", "phase-portrait": "por
 
 def run_case(name: str, out_dir: str) -> str:
     """``exit <code>`` and the case's output, as its pin file holds them."""
-    command, text = CASES[name]
+    command, text, *fields = CASES[name]
     out_dir = os.path.join(out_dir, name)     # no file left by another case
     os.makedirs(out_dir)
     path = os.path.join(out_dir, f"{name}.cfg")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = cli.main([command, "--config", path, "--out", out_dir])
+    stdout, built = io.StringIO(), sweep.integrator_from
+    try:
+        if fields:
+            sweep.integrator_from = lambda cfg: replace(built(cfg), **fields[0])
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([command, "--config", path, "--out", out_dir])
+    finally:
+        sweep.integrator_from = built
 
     def read(file):
         with open(os.path.join(out_dir, file), encoding="utf-8") as fh:
