@@ -180,7 +180,8 @@ class LaneBatch:
     ``blowup_component`` is -1 unless the lane blew up.  ``blowup_time``
     is a blown lane's extrapolated singularity time, NaN for every other
     lane and for every lane of a batch run without blowup times.  ``probe``
-    is probe times x dim x lanes, NaN past a lane's final time, and
+    is probe times x dim x lanes, NaN past a lane's final time (past its
+    last accepted step, for a lane that ended at the event), and
     ``notes`` maps a lane to its integrator note.  The counters are each
     lane's step attempts (six stage evaluations each), accepted and
     rejected steps and rhs evaluations; the step that crosses the event
@@ -230,10 +231,11 @@ class LaneBatch:
                     batch.blowup_time[j] = rec.blowup_time
             if rec.note:
                 batch.notes[j] = rec.note
-            if rec.termination is not Termination.EVENT:
-                rows = np.searchsorted(times, rec.t_final, side="right")
-                if rows:
-                    batch.probe[:rows, :, j] = rec.sample_many(times[:rows])
+            # as in the lanes, an event run is probed up to its last accepted step
+            last = rec.ts[-2] if rec.termination is Termination.EVENT else rec.t_final
+            rows = np.searchsorted(times, last, side="right")
+            if rows:
+                batch.probe[:rows, :, j] = rec.sample_many(times[:rows])
         return batch
 
 

@@ -211,7 +211,7 @@ def _same_run(batch, j, rec, probe_t=None):
     Every field: the termination and note, the final time, state and
     largest |y_i|, the fitted blowup time and component, and the probe
     rows up to the final time, NaN after it.  After an event the rows
-    may stop earlier, before the step that crossed it.
+    stop at the last accepted step, before the step that crossed it.
     """
     event = rec.termination is Termination.EVENT
     assert (TERMINATIONS[batch.ends[j]], batch.notes.get(j, ""), batch.t_final[j],
@@ -224,9 +224,9 @@ def _same_run(batch, j, rec, probe_t=None):
             (rec.blowup_time, rec.blowup_component)
     assert np.array_equal(batch.y_final[:, j], rec.y_final)
     times = np.atleast_1d(np.asarray([] if probe_t is None else probe_t, dtype=float))
-    times = times[times <= rec.t_final]
+    times = times[times <= (rec.ts[-2] if event else rec.t_final)]
     rows = _probed(batch, j)
-    assert rows <= len(times) if event else rows == len(times)
+    assert rows == len(times)
     assert np.all(np.isnan(batch.probe[rows:, :, j]))
     assert rows == 0 or np.array_equal(batch.probe[:rows, :, j], rec.sample_many(times))
 
@@ -291,6 +291,19 @@ def test_lane_probes_match_sample_many():
     assert np.array_equal(batch.probe[:2, :, 0], recs[1].sample_many([0.5, 0.9]))
     with pytest.raises(ValueError):
         integrate_lanes(RICCATI, np.array([[1.0]]), [IntegratorConfig()], probe_t=[0.5, 0.2])
+
+
+@pytest.mark.parametrize("lanes", [19, 20])
+def test_event_lanes_hold_the_probes_before_their_crossing(lanes):
+    # y = 1 / (1 + t) crosses 0.25 at t = 3: the probes at 0.5, 1 and 2.9
+    # come before the crossing step, below the lockstep threshold of 20
+    # lanes (scalar runs stacked by LaneBatch.of) as at it
+    from radial_euler.euler_poisson import _run_lanes
+    batch = _run_lanes(RICCATI, np.ones((1, lanes)), [IntegratorConfig(t_max=30)] * lanes,
+                       CROSS, [0.5, 1.0, 2.9])
+    assert set(batch.ends.tolist()) == {TERMINATIONS.index(Termination.EVENT)}
+    assert np.allclose(batch.probe[:, 0, :].T, [2.0 / 3.0, 0.5, 1.0 / 3.9], rtol=1e-6)
+    assert np.array_equal(batch.probe[:, :, 1:], batch.probe[:, :, :-1])
 
 
 def test_lane_event_constants_follow_their_lanes(monkeypatch):
