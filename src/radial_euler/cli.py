@@ -38,7 +38,7 @@ from .core import (AT_LEAST_ONE, AT_LEAST_TWO, FINITE, FINITE_NONNEGATIVE, FINIT
 from .euler_poisson import (compute_threshold_constants, explicit_sigma_plus,
                             qs_phase_portrait)
 from .odeint import VERDICT_CODES, IntegrationFailure, Termination, Verdict
-from .pde import diagnostics_series, run_size_rules, simulate_ea, simulate_ep
+from .pde import ShellOverflow, diagnostics_series, run_size_rules, simulate_ea, simulate_ep
 from .profiles import DENSITY_LIBRARY, VELOCITY_LIBRARY
 from .sweep import (bounds_from, classify_cells, integrator_from, model_params_from,
                     run_sweep)
@@ -226,7 +226,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     if result.blowup is None:
         return EXIT_OK
     return VERDICT_CODES[Verdict.INCONCLUSIVE
-                         if result.blowup.kind == Termination.STEP_COLLAPSE.value
+                         if result.blowup.kind in (Termination.STEP_COLLAPSE.value,
+                                                   ShellOverflow.kind)
                          else Verdict.FINITE_TIME_BLOWUP]
 
 

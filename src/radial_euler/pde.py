@@ -47,12 +47,25 @@ MAX_EA_STEPS = 1_000_000
 class CrossingError(RuntimeError):
     """Raised when characteristic paths have crossed (shock formed)."""
 
+    kind = "crossing"     # the BlowupReport kind of the run it ends
+
     def __init__(self, time: float, index: int, radius: float):
         super().__init__(f"paths {index} and {index + 1} crossed near r={radius:.6g} "
                          f"at t={time:.6g}")
         self.time = time
         self.index = index
         self.radius = radius
+
+
+class ShellOverflow(ArithmeticError):
+    """Raised when a shell volume leaves float range (high n, expanding paths)."""
+
+    kind = "shell-overflow"
+
+    def __init__(self, time: float, index: int, radius: float):
+        super().__init__(f"the shell volume of path {index} near r={radius:.6g} left "
+                         f"float range at t={time:.6g}")
+        self.time, self.index, self.radius = time, index, radius
 
 
 @dataclass
@@ -86,7 +99,7 @@ class FieldSnapshot:
 @dataclass
 class BlowupReport:
     time: float
-    kind: str                 # escaping component label, "crossing", or "step-collapse"
+    kind: str   # escaping component label, "crossing", "step-collapse" or "shell-overflow"
     path_index: int
     radius: float
 
@@ -189,8 +202,9 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
 
     rho_i is the path mass divided by the shell volume between midpoint
     boundaries; p uses second-order differences of u along r (one-sided
-    at the ends) and q = u/r.  Crossed paths raise CrossingError; a first path at r <= 0,
-    or a non-finite radius, velocity or mass, raises ValueError.
+    at the ends) and q = u/r.  Crossed paths raise CrossingError, shell volumes
+    out of the seeding's float range ShellOverflow; a first path at r <= 0, or
+    a non-finite radius, velocity or mass, raises ValueError.
     """
     r, u, m = ensemble.r, ensemble.u, ensemble.masses
     n = int(ensemble.params.n)
@@ -207,7 +221,12 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
     edges[1:-1] = 0.5 * (r[:-1] + r[1:])
     edges[0] = max(r[0] - 0.5 * (r[1] - r[0]), 0.0)
     edges[-1] = r[-1] + 0.5 * (r[-1] - r[-2])
-    shell = sphere_area(n) / n * (edges[1:] ** n - edges[:-1] ** n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        volumes = edges[1:] ** n - edges[:-1] ** n
+    out = int(np.argmin((np.finfo(float).tiny <= volumes) & (volumes < np.inf)))
+    if not np.finfo(float).tiny <= volumes[out] < np.inf:
+        raise ShellOverflow(ensemble.t, out, float(r[out]))
+    shell = sphere_area(n) / n * volumes
     rho = m / shell
 
     p = np.gradient(u, r)
@@ -254,8 +273,8 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
     Each path advances the closed characteristic system independently,
     as one lane of a lockstep :func:`integrate_lanes` batch, and the
     snapshots are the lanes' dense-output probes; the run halts with a
-    BlowupReport when any p_i or rho_i escapes, a step collapses, or
-    paths cross.
+    BlowupReport when any p_i or rho_i escapes, a step collapses, paths
+    cross, or a snapshot's shell volumes leave float range.
     """
     _check_inputs(rho0, u0, params)
     check_rules(run_size_rules(params.model, n_snapshots),
@@ -308,9 +327,9 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
             masses=ens.masses, params=params, states=state[:, :4])
         try:
             snap = reconstruct_fields(ens_t)
-        except CrossingError as exc:
+        except (CrossingError, ShellOverflow) as exc:
             if blowup is None or exc.time < blowup.time:
-                blowup = BlowupReport(exc.time, "crossing", exc.index, exc.radius)
+                blowup = BlowupReport(exc.time, exc.kind, exc.index, exc.radius)
             break
         snap.extras["states"] = ens_t.states
         snapshots.append(snap)
@@ -497,7 +516,11 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
             blowup = BlowupReport(t_new, Termination.STEP_COLLAPSE.value, i, float(r[i]))
             break
         if snap_here:
-            take_snapshot(t_new, r, u, psi)
+            try:
+                take_snapshot(t_new, r, u, psi)
+            except ShellOverflow as exc:
+                blowup = BlowupReport(exc.time, exc.kind, exc.index, exc.radius)
+                break
     pairs = n_paths * (n_paths + 1) // 2
     shape = (f"blocks of {min(_block_rows(theta_order), pairs)} pairs x "
              f"{theta_order} nodes" if n > 1 else f"all {pairs} pairs at once")

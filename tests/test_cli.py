@@ -1086,8 +1086,42 @@ def test_simulate_writes_the_density_of_a_tiny_support(tmp_path, capsys):
     assert rho == pytest.approx([1.0] * 300, rel=1e-12)
 
 
+# two ensembles in n = 343 that expand until their outer shell volume r^343
+# leaves float range: (base, snapshots kept, stop time, path, its radius)
+_SHELL_OVERFLOWS = {
+    "euler-poisson": ({**_EP_BENCH_BASE, "model": {**_EP_BENCH_BASE["model"], "n": 343},
+                       "initial": {**_EP_BENCH_BASE["initial"], "n_paths": 2}},
+                      2, 4.0, 1, 6.568383178),
+    "euler-alignment": ({"model": {"kind": "euler-alignment", "n": 343},
+                         "alignment": {"phi": "constant", "phi_value": 1},
+                         "initial": {"rho_profile": "indicator", "rho_amp": 0.3,
+                                     "rho_radius": 5, "r_max": 5, "profile_nodes": 201,
+                                     "u_profile": "linear", "u_amp": 1, "n_paths": 4},
+                         "simulate": {"t_end": 5, "snapshots": 6, "theta_order": 4,
+                                      "dt": 0.01}},
+                        1, 1.0, 3, 8.749999613),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", sorted(_SHELL_OVERFLOWS))
+def test_simulate_stops_where_shell_volumes_overflow(tmp_path, capsys, kind):
+    # the run keeps the snapshots before the one whose shell volumes leave
+    # float range and exits 3, as a step collapse does; no artifact holds NaN
+    # or inf (the Euler-Poisson case is the benchmark's run with two paths)
+    base, kept, time, path, radius = _SHELL_OVERFLOWS[kind]
+    rc, err, artifacts = _run_bad_input(tmp_path, capsys, "simulate", _config_text(base))
+    assert rc == 3 and err == ""
+    meta = json.loads(artifacts["metadata.json"], parse_constant=_reject_constant)
+    assert meta["snapshots"] == kept and sorted(artifacts) == [
+        "diagnostics.csv", "metadata.json", *(f"snapshot_{i:03d}.csv" for i in range(kept))]
+    assert meta["blowup"] == {"kind": "shell-overflow", "path_index": path, "time": time,
+                              "radius": pytest.approx(radius)}
+    assert not any(re.search(r"(?i)\b(nan|inf)\b", body) for body in artifacts.values())
+
+
 def _bad_input_cases():
-    numeric = {section: [key for key, (typ, _) in keys.items() if typ in (int, float)]
+    numeric ={section: [key for key, (typ, _) in keys.items() if typ in (int, float)]
                for section, keys in SCHEMA.items()}
     read = {"simulate-ea": ["model", "initial", "simulate",
                             ("alignment", ["phi_value", "phi_exponent", "phi_scale"])],
