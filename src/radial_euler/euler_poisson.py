@@ -257,8 +257,7 @@ def sigma_1d(p0: float, rho0: float, kappa: float, c: float) -> Region:
     return Region.SUBCRITICAL if abs(p0) < math.sqrt(gap) else Region.SUPERCRITICAL
 
 
-# A 1D run tracked its orbit if the orbit's conserved quantity (the
-# amplitude A, or the floor of v in the Riccati channel) moved by less than
+# A 1D run tracked its orbit if its conserved amplitude A moved by less than
 # this share of its distance from the threshold.
 _TRACKED_SHARE = 0.1
 # The amplitude certificate of a 1D, c > 0 orbit also bounds the amplitude's
@@ -365,9 +364,8 @@ def state_rules(params: ModelParams) -> dict:
     return rules
 
 
-# the termination codes of a lane that reached its horizon, or blew up
+# the termination code of a lane that reached its horizon
 _HORIZON = TERMINATIONS.index(Termination.REACHED_HORIZON)
-_BLOWUP = TERMINATIONS.index(Termination.BLOWUP_DETECTED)
 # Below this many lanes a batch runs lane by lane through the scalar
 # integrator: on arrays this small NumPy's per-call overhead outweighs
 # the arithmetic it vectorises.
@@ -445,27 +443,22 @@ def _run_lanes(system: OdeSystem, states0: np.ndarray,
 
 def _run_cells(system: OdeSystem, x0: np.ndarray, passes: Sequence[IntegratorConfig],
                basin: Optional[EventSpec], probe_t: Optional[float] = None,
-               basin_consts=None, outcomes: bool = True, alternate=None):
+               basin_consts=None, outcomes: bool = True):
     """The t = 0 basin split of the cells ``x0`` (dim x cells), then their runs.
 
     A cell whose state starts inside the bounded basin is settled there.
     Every other cell runs once per config in ``passes``, all as lanes of
     one batch: lane k m + i is pass k of the i-th of the m cells outside.
-    ``alternate``, if given, is a pair (configs, mask): a cell where
-    ``mask`` holds runs pass k under ``configs[k]`` instead.  Returns the
-    mask of cells inside, the cells outside, their lane batch and the
-    verdict code each lane's termination implies.  ``outcomes`` goes to
-    :func:`_run_lanes`.
+    Returns the mask of cells inside, the cells outside, their lane batch
+    and the verdict code each lane's termination implies.  ``outcomes``
+    goes to :func:`_run_lanes`.
     """
     consts = () if basin_consts is None else (basin_consts,)
     inside = (basin.func(0.0, x0, *consts) >= 0.0 if basin is not None
               else np.zeros(x0.shape[1], dtype=bool))
     cells = np.flatnonzero(~inside)
-    others, mask = alternate if alternate is not None else (passes, inside)
-    picks = mask[cells].tolist()    # all False without an alternate
     batch = _run_lanes(system, np.tile(x0[:, cells], len(passes)),
-                       [alt if pick else cfg for cfg, alt in zip(passes, others)
-                        for pick in picks], basin, probe_t,
+                       [cfg for cfg in passes for _ in cells], basin, probe_t,
                        None if basin_consts is None
                        else np.tile(basin_consts[..., cells], len(passes)), outcomes)
     return inside, cells, batch, END_CODES[batch.ends]
@@ -520,11 +513,14 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
     ``outcomes`` the verdicts hold the codes only, and no run fits a
     blowup time.  A state that breaks a :func:`state_rules` rule raises.
 
-    Codes only, zero-background Euler-Poisson with n > 1 whose columns share
-    one (q0, s0) is first settled from one run of :func:`wv_basis_system`
-    (:func:`_wv_settled`): a cell whose v stays clearly positive is bounded,
-    one whose v turns clearly negative well before t_max blows up, and only
-    the rest run as lanes.  Its margins keep every code the lanes would give.
+    Codes only, Euler-Poisson cells are first settled by their exact (w, v)
+    orbit: a cell whose v stays clearly positive is bounded, one whose v
+    turns clearly negative well before t_max blows up, and only the rest, a
+    thin band at the threshold, run as lanes.  The orbit comes from one run
+    of :func:`wv_basis_system` for zero-background multi-D columns that share
+    one (q0, s0) (:func:`_wv_settled`), and in closed form at n = 1
+    (:func:`_orbit_settled`).  Margins, limits and step budgets keep every
+    code the lanes would give.
 
     For n = 1 and c > 0 the exact (w, v) orbit is periodic, so a run stops
     after one period and ends there if its state returns to within
@@ -533,16 +529,6 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
     horizon as a second batch.  A bounded verdict for a state whose amplitude
     :func:`_orbit_amplitude` is at least 1/c, an exactly supercritical
     orbit that the run stepped past v = 0, becomes INCONCLUSIVE.
-
-    Codes only at n = 1, the first run of an exactly supercritical cell
-    (:func:`_v_floor` below 0) whose |p0| and rho0 start below the channel
-    cap 1e2 stops its lanes at that cap, if ``magnitude_cap`` is above it and
-    no larger than lanes can follow near a pole.  Every other lane, and one
-    that stays below 1e2, takes exactly its full-cap steps.  A lane that
-    blows up at 1e2 is settled as a blowup if :func:`_channel_certified`
-    shows it tracked an exactly supercritical orbit whose v reaches 0 in
-    time.  A cell with a lane the certificate declines is classified again
-    at the full cap.
     """
     x = np.asarray(x, dtype=float)
     check_rules(state_rules(params), dict(zip(STATE_KEYS, x)))
@@ -570,17 +556,15 @@ _WV_CAP_SHARE, _WV_STEP_SHARE, _WV_STEP_BUDGET = 1e-3, 0.1, 100
 # cells x reads values per block of the streamed pass over the reads (a
 # 1 << 16 block raised a 400-cell grid's peak RSS by 2.6 MB more)
 _WV_BLOCK = 1 << 14
-# A codes-only n = 1 batch first stops the lanes of exactly supercritical
-# cells at this cap, early in their Riccati channel (each decade past it
-# costs some 15 steps at rel_tol 1e-6), and settles a lane there if its
-# floor of v drifted by less than _TRACKED_SHARE of itself
-_CHANNEL_CAP = 1e2
 
 
-def _reach(config: IntegratorConfig) -> float:
-    """The size near a Riccati pole past which a DP5 lane of the confirm pass,
-    at a tenth of rel_tol, would need steps shorter than h_min."""
-    return _WV_STEP_SHARE * (0.1 * config.rel_tol) ** 0.2 / config.h_min
+def _wv_limits(config: IntegratorConfig) -> tuple[float, float, bool]:
+    """A settled cell's margin, the largest |p| and rho its lanes follow, and
+    whether they follow a blowup to the cap, which must lie below the size near
+    a pole past which a confirm-pass lane would need steps shorter than h_min."""
+    reach = _WV_STEP_SHARE * (0.1 * config.rel_tol) ** 0.2 / config.h_min
+    return (max(_WV_MARGIN, _WV_MARGIN_PER_TOL * max(config.rel_tol, np.max(config.abs_tol))),
+            min(_WV_CAP_SHARE * config.magnitude_cap, reach), config.magnitude_cap <= reach)
 
 
 def _wv_settled(x: np.ndarray, params: ModelParams,
@@ -617,9 +601,7 @@ def _wv_settled(x: np.ndarray, params: ModelParams,
     with np.errstate(all="ignore"):
         squeeze = (s_t / s0) ** ((params.n - 1.0) / params.n)     # exp((n-1) A)
     early = t < _WV_HORIZON_SHARE * config.t_max
-    margin = max(_WV_MARGIN, _WV_MARGIN_PER_TOL * max(config.rel_tol, np.max(config.abs_tol)))
-    reach = _reach(config)
-    limit = min(_WV_CAP_SHARE * config.magnitude_cap, reach)
+    margin, limit, follows = _wv_limits(config)
 
     cells = np.flatnonzero(np.isfinite(p0) & (rho0 > 0.0) & np.isfinite(rho0))
     v0, w0 = 1.0 / rho0[cells], p0[cells] / rho0[cells]
@@ -639,7 +621,7 @@ def _wv_settled(x: np.ndarray, params: ModelParams,
             peak = np.maximum(peak, np.max(np.maximum(np.abs(w), squeeze[k]) / v, axis=1))
             falls |= np.any((v + band < 0.0) & early[k], axis=1)
     bounded = (low > 0.0) & (peak < limit)
-    falls &= config.magnitude_cap <= reach
+    falls &= follows
     codes = np.full(x.shape[1], -1)
     codes[cells[bounded]] = VERDICT_CODES[Verdict.GLOBAL_BOUNDED]
     codes[cells[falls]] = VERDICT_CODES[Verdict.FINITE_TIME_BLOWUP]
@@ -650,43 +632,61 @@ def _wv_settled(x: np.ndarray, params: ModelParams,
     return codes
 
 
-def _channel_certified(y0: np.ndarray, y1: np.ndarray, t1: np.ndarray,
-                       attempts: np.ndarray, params: ModelParams,
-                       config: IntegratorConfig) -> np.ndarray:
-    """Whether each n = 1 lane from (p, rho) ``y0`` that blew up at
-    :data:`_CHANNEL_CAP`, in state ``y1`` at time ``t1`` after ``attempts``
-    step attempts, is a blowup its run at the full cap would detect too.
-
-    Its :func:`_v_floor` must start below 0 (supercritical) and drift by
-    less than :data:`_TRACKED_SHARE` of itself (tracked).  v'' <= kappa while
-    v >= 0, so v reaches 0 before the root of v + w t + kappa t^2 / 2, which
-    must come before 0.99 t_max.  The budget must hold twice the
-    (0.1 rel_tol)^-0.2 steps per decade a confirm lane takes up to the cap.
+def _orbit_settled(x: np.ndarray, params: ModelParams, config: IntegratorConfig) -> np.ndarray:
+    """The verdict code of each column of ``x`` its exact n = 1 Euler-Poisson
+    (w, v) orbit settles, -1 for a cell left to the lanes (every cell, for
+    another model or dimension).  v = 1/rho solves v'' = kappa - kappa c v in
+    closed form.  With :func:`_wv_limits`, a cell is bounded if :func:`_v_floor`
+    lies above the margin times the orbit's largest v, and rho <= 1/floor and
+    |p| <= (largest |w|) / floor stay within the limit; it blows up if the
+    floor lies below minus that, v's first zero comes before 0.99 t_max and
+    lanes follow it to the cap.  Their budget must hold T / h_max plus twice
+    the (0.1 rel_tol)^-0.2 steps per unit of 1 + D + om T (1 + D / pi),
+    D = ln(largest v / |floor|), and of ln(cap largest v) for a blowup, over
+    the time T they run.
     """
-    kappa, c = params.kappa, params.c
-    floor0 = _v_floor(y0[0], y0[1], kappa, c)
+    if params.model is not Model.EULER_POISSON or params.n != 1.0:
+        return np.full(x.shape[1], -1)
+    kappa, c, t_max, cap = params.kappa, params.c, config.t_max, config.magnitude_cap
+    p0, rho0 = x[0], x[3]
     with np.errstate(all="ignore"):
-        drift = np.abs(_v_floor(y1[0], y1[1], kappa, c) - floor0)
-        v, w = 1.0 / y1[1], y1[0] / y1[1]
-        arrival = t1 + 2.0 * v / (np.sqrt(w * w - 2.0 * kappa * v) - w)
-    climb = (2.0 * math.log10(config.magnitude_cap / _CHANNEL_CAP)
-             * (0.1 * config.rel_tol) ** -0.2)
-    return ((floor0 < 0.0) & (drift < _TRACKED_SHARE * -floor0) & (w < 0.0)
-            & (arrival < _WV_HORIZON_SHARE * config.t_max)
-            & (attempts + climb <= config.max_steps))
+        v0, w0 = 1.0 / rho0, p0 / rho0
+        if c > 0.0:
+            om, amp = math.sqrt(kappa * c), _orbit_amplitude(p0, rho0, kappa, c)
+            floor, size, swing, calm = 1.0 / c - amp, 1.0 / c + amp, om * amp, t_max
+            # v = 1/c + amp cos(om t - phase) first reaches 0 where the cosine is -1/(c amp)
+            fall = (np.arccos(-1.0 / (c * amp)) + np.arctan2(w0 / om, v0 - 1.0 / c)) / om
+        else:
+            om, floor, size = 0.0, _v_floor(p0, rho0, kappa, c), v0 + w0 * w0 / (2.0 * kappa)
+            swing = np.maximum(np.abs(w0), np.sqrt(kappa * floor))
+            calm = np.clip(-w0 / kappa, 0.0, t_max)     # the time to the basin p >= 0
+            fall = 2.0 * v0 / (np.sqrt(w0 * w0 - 2.0 * kappa * v0) - w0)
+        margin, limit, follows = _wv_limits(config)
+        bounded = (floor > margin * size) & (np.maximum(1.0, swing) / floor < limit)
+        falls = (floor < -margin * size) & (fall < _WV_HORIZON_SHARE * t_max) & follows
+        run, depth = np.where(falls, fall, calm), np.log(size / np.abs(floor))
+        climb = 1.0 + depth + om * run * (1.0 + depth / math.pi) + falls * np.log(cap * size)
+        held = (2.0 * (0.1 * config.rel_tol) ** -0.2 * climb + run / config.h_max
+                <= config.max_steps)
+    bounded, falls = bounded & held, falls & held
+    codes = np.select([bounded, falls], [VERDICT_CODES[Verdict.GLOBAL_BOUNDED],
+                                         VERDICT_CODES[Verdict.FINITE_TIME_BLOWUP]], -1)
+    log.info("%d cells on exact n = 1 (w, v) orbits: %d settled bounded, %d settled as "
+             "blowups, %d left to the lanes", x.shape[1], np.count_nonzero(bounded),
+             np.count_nonzero(falls), x.shape[1] - np.count_nonzero(bounded | falls))
+    return codes
 
 
 def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorConfig,
                        confirm: bool, outcomes: bool) -> Verdicts:
-    """The verdicts of one batch.  Codes only are settled by the (w, v) basis
-    where it applies (:func:`_wv_settled`), else by lanes that stop in the
-    Riccati channel (n = 1); the cells either leaves run as lanes at the
-    full cap."""
+    """The verdicts of one batch.  Codes only are first settled by the exact
+    (w, v) orbit (:func:`_wv_settled` at n > 1, :func:`_orbit_settled` at
+    n = 1), and only the cells it leaves run as lanes."""
     if outcomes:
         return _classify_ep_lanes(x, params, config, confirm, True)
     settled = _wv_settled(x, params, config)
     if settled is None:
-        settled = _classify_ep_lanes(x, params, config, confirm, False, channel=True).codes
+        settled = _orbit_settled(x, params, config)
     rest = settled < 0
     if rest.any():
         settled[rest] = _classify_ep_lanes(x[:, rest], params, config, confirm, False).codes
@@ -694,47 +694,24 @@ def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorCon
 
 
 def _classify_ep_lanes(x: np.ndarray, params: ModelParams, config: IntegratorConfig,
-                       confirm: bool, outcomes: bool, channel: bool = False) -> Verdicts:
-    """The verdicts of the lanes of every cell of ``x``.  With ``channel``, at
-    n = 1 and a cap above :data:`_CHANNEL_CAP` that the lanes can reach, the
-    first run of an exactly supercritical cell that starts below that cap
-    stops there, and a cell with a blown lane :func:`_channel_certified`
-    declines gets code -1.  A subcritical lane could never be certified, and
-    one that starts above the cap would be certified by its start alone."""
+                       confirm: bool, outcomes: bool) -> Verdicts:
+    """The verdicts of the lanes of every cell of ``x``."""
     system, rows, basin = _characteristic(params)
     x0 = x[rows]
     norm0 = np.max(np.abs(x0), axis=0)
     passes = (config, config.tightened(0.1)) if confirm else (config,)
 
-    first_run = passes
-    period = None
-    if (params.model is Model.EULER_POISSON and params.c > 0.0
-            and params.n == 1.0):
+    first_run, period = passes, None
+    if params.model is Model.EULER_POISSON and params.c > 0.0 and params.n == 1.0:
         # the (w, v) = (p/rho, 1/rho) dynamics is an exact linear oscillator
         # with period 2 pi / sqrt(kappa c)
         period = 2.0 * math.pi / math.sqrt(params.kappa * params.c)
         first_run = tuple(replace(cfg, t_max=1.05 * period)
                           if 1.05 * period < cfg.t_max else cfg for cfg in passes)
-    channel = (channel and params.model is Model.EULER_POISSON and params.n == 1.0
-               and _CHANNEL_CAP < config.magnitude_cap <= _reach(config))
-    alternate = None
-    if channel:
-        enters = ((_v_floor(x0[0], x0[1], params.kappa, params.c) < 0.0)
-                  & (norm0 < _CHANNEL_CAP))
-        alternate = (tuple(replace(cfg, magnitude_cap=_CHANNEL_CAP) for cfg in first_run),
-                     enters)
-
     inside, cells, batch, code = _run_cells(system, x0, first_run, basin, period,
-                                            outcomes=outcomes, alternate=alternate)
+                                            outcomes=outcomes)
     m, lanes = len(cells), len(code)
     lane_cell = np.tile(cells, len(passes))
-    fallback, channelled = np.zeros(m, dtype=bool), 0
-    if channel:
-        blown = np.flatnonzero((batch.ends == _BLOWUP) & enters[lane_cell])
-        ok = _channel_certified(x0[:, lane_cell[blown]], batch.y_final[:, blown],
-                                batch.t_final[blown], batch.attempts[blown], params, config)
-        fallback[blown[~ok] % m] = True
-        channelled = np.count_nonzero(ok)
     closed, certified = np.zeros(lanes, dtype=bool), np.zeros(lanes, dtype=bool)
     drift, margin = np.zeros(lanes), np.zeros(lanes)
     rerun, again = {}, None     # lane -> its lane in ``again``, the re-run batch
@@ -761,10 +738,8 @@ def _classify_ep_lanes(x: np.ndarray, params: ModelParams, config: IntegratorCon
             rerun = dict(zip(ambiguous.tolist(), range(len(ambiguous))))
     log.info("%d cells, %d inside the basin at t = 0; %d runs of the rest (one per "
              "confirm pass): %d closed after one period, %d certified by amplitude, "
-             "%d re-ran to the horizon, %d certified blowups at the channel cap; "
-             "%d cells left to the full cap", x.shape[1], x.shape[1] - m, lanes,
-             np.count_nonzero(closed), np.count_nonzero(certified), len(rerun),
-             channelled, np.count_nonzero(fallback))
+             "%d re-ran to the horizon", x.shape[1], x.shape[1] - m, lanes,
+             np.count_nonzero(closed), np.count_nonzero(certified), len(rerun))
 
     verdict = code[:m].copy()
     flips = np.zeros(m, dtype=bool)
@@ -778,7 +753,6 @@ def _classify_ep_lanes(x: np.ndarray, params: ModelParams, config: IntegratorCon
         verdict[refused] = VERDICT_CODES[Verdict.INCONCLUSIVE]
     codes = np.zeros(x.shape[1], dtype=int)
     codes[cells] = verdict
-    codes[cells[fallback]] = -1
 
     def outcome(cell):
         diag = {"t_final": 0.0, "max_norm": float(norm0[cell]),

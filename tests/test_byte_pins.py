@@ -133,9 +133,10 @@ CASES = {
         "[model]\nn = 1\nc = 1.0\n",
         "axis1_min = 2.6\naxis1_max = 2.75\naxis1_steps = 8\n"
         "axis2_min = 4.0\naxis2_max = 4.2\naxis2_steps = 8\n", COARSE)),
-    # codes-only n = 1 grids that mix supercritical states far above the
-    # Riccati channel's cap (|p0| up to 302), and a row within 1e-4 of the
-    # threshold on both sides, whose subcritical cells spike to rho ~ 1e5
+    # codes-only n = 1 grids that mix far supercritical states (|p0| up to
+    # 302), which the exact orbit settles, and a row within 1e-4 of the
+    # threshold on both sides, whose subcritical cells spike to rho ~ 1e5 and
+    # run as lanes
     "sweep-ep1-channel-mix": ("sweep", _sweep(
         "[model]\nn = 1\nc = 0.0\n",
         "axis1_min = -302\naxis1_max = -2\naxis1_steps = 6\n"

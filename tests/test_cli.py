@@ -1348,7 +1348,7 @@ def test_commands_run_without_scipy(tmp_path):
     sim_ea = SIM_SMALL.format(kind="euler-alignment", phi="power-law",
                               rho="gaussian-bump", u="rexp")
     curves = "[model]\nkind = euler-alignment\nn = 1\n\n[curves]\nsamples = 20\n"
-    # the c = 1 sweep has blowups, which the channel cap settles
+    # the c = 1 sweep has blowups, which the exact n = 1 orbit settles
     sweep_c1 = SWEEP_CFG.replace("n = 1\n", "n = 1\nc = 1.0\n")
     runs = [("sweep", write(tmp_path, "s.cfg", SWEEP_CFG)),
             ("sweep", write(tmp_path, "s1.cfg", sweep_c1)),

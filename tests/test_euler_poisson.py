@@ -412,16 +412,15 @@ def test_amplitude_certificate_replaces_horizon_reruns(lane_batches, caplog):
               if rec.name == "radial_euler.euler_poisson"]
     assert line == ("1600 cells, 0 inside the basin at t = 0; 3200 runs of the rest "
                     "(one per confirm pass): 1096 closed after one period, "
-                    "136 certified by amplitude, 0 re-ran to the horizon, "
-                    "0 certified blowups at the channel cap; 0 cells left to the full cap")
+                    "136 certified by amplitude, 0 re-ran to the horizon")
 
 
-def _channel_counts(messages):
-    """(blowups certified at the channel cap, cells left to the full cap),
-    summed over the lane classifier's log lines."""
-    counts = [re.search(r"(\d+) certified blowups at the channel cap; (\d+) cells left",
+def _orbit_counts(messages):
+    """(cells settled bounded, settled as blowups, left to the lanes) by the
+    exact n = 1 orbit, summed over its log lines."""
+    counts = [re.search(r"(\d+) settled bounded, (\d+) settled as blowups, (\d+) left",
                         message) for message in messages]
-    return tuple(sum(int(found[k]) for found in counts if found) for k in (1, 2))
+    return tuple(sum(int(found[k]) for found in counts if found) for k in (1, 2, 3))
 
 
 def _near_threshold(c, rho0=(0.6, 1.4, 2.2, 3.0, 4.0),
@@ -439,36 +438,55 @@ def _ep1_columns(p0, rho0):
 
 
 # a subcritical cell whose first run, one-period probe included, gives the
-# full cap's code 0, where a run to the full horizon gives 3.  Under a 1e4
-# channel cap its first-pass lane was declined there; now it never enters
-# the channel and takes its full-cap steps at once
+# full horizon's code 0, where a run to the full horizon gives 3; the orbit
+# leaves it to the lanes (its floor of v is 3e-4 of its size)
 CHANNEL_TRAP = (math.sqrt(2.0 * 4.1115 - 1.0) * (1.0 - 3.16e-4), 4.1115)
 
 
-@pytest.mark.parametrize("confirm", [True, False], ids=["confirm", "no-confirm"])
-@pytest.mark.parametrize("tol", [1e-3, 1e-6])
-@pytest.mark.parametrize("c", [0.0, 1.0], ids=["c0", "c1"])
-def test_channel_codes_match_the_full_cap(caplog, c, tol, confirm):
-    # codes-only n = 1 batches stop the lanes of exactly supercritical cells
-    # at the 1e2 channel cap and settle certified blowups there; every code
-    # equals the outcome path's, which runs at the full cap, on a grid and
-    # near the threshold.  Supercritical states within 1e-7 of it have a
-    # floor of v so near 0 that their lanes drift by more than a tenth of
-    # it: the certificate declines them, and their cells run again.
-    caplog.set_level("INFO", logger="radial_euler.euler_poisson")
-    params, config = ModelParams(n=1, kappa=1, c=c), IntegratorConfig(rel_tol=tol,
-                                                                      abs_tol=tol / 100)
+def _orbit_grid(c):
+    """A 16 x 16 grid, the near-threshold states of :func:`_near_threshold`,
+    drift states within 1e-7 of the threshold and CHANNEL_TRAP, kappa = 1."""
     near_p, near_rho = _near_threshold(c)
     drift_p, drift_rho = _near_threshold(c, np.linspace(0.8, 3.6, 8), np.logspace(-9, -7, 3))
     p0 = np.concatenate((np.repeat(np.linspace(-4.0, 4.0, 16), 16), near_p, drift_p,
                          [CHANNEL_TRAP[0]]))
     rho0 = np.concatenate((np.tile(np.linspace(0.1, 4.0, 16), 16), near_rho, drift_rho,
                            [CHANNEL_TRAP[1]]))
-    x = _ep1_columns(p0, rho0)
+    return _ep1_columns(p0, rho0)
+
+
+@pytest.mark.parametrize("confirm", [True, False], ids=["confirm", "no-confirm"])
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+@pytest.mark.parametrize("c", [0.0, 1.0], ids=["c0", "c1"])
+def test_channel_codes_match_the_full_cap(caplog, c, tol, confirm):
+    # codes-only n = 1 batches settle what the exact (w, v) orbit decides and
+    # run only the rest as lanes; every code equals the outcome path's, which
+    # runs every cell as lanes at the full cap, on a grid, near the threshold
+    # and within 1e-7 of it, where the margin leaves every cell to the lanes
+    caplog.set_level("INFO", logger="radial_euler.euler_poisson")
+    params = ModelParams(n=1, kappa=1, c=c)
+    config = IntegratorConfig(rel_tol=tol, abs_tol=tol / 100)
+    x = _orbit_grid(c)
     codes = classify_ep_columns(x, params, config, confirm, outcomes=False).codes
-    certified, left = _channel_counts(caplog.messages)
-    assert certified > 80 and left > 40, (certified, left)
+    bounded, blowups, left = _orbit_counts(caplog.messages)
+    assert min(bounded, blowups) > 70 and left > 80, (bounded, blowups, left)
     assert np.array_equal(codes, classify_ep_columns(x, params, config, confirm).codes)
+
+
+@pytest.mark.parametrize("limits", [
+    {"max_steps": 60}, {"max_steps": 200}, {"max_steps": 300}, {"max_steps": 1000},
+    {"t_max": 0.5}, {"magnitude_cap": 1e3}, {"magnitude_cap": 1e12}, {"h_min": 1e-6},
+    {"h_max": 1e-2}], ids=lambda limits: "-".join(f"{k}-{v:g}" for k, v in limits.items()))
+@pytest.mark.parametrize("c", [0.0, 1.0], ids=["c0", "c1"])
+def test_orbit_codes_match_the_lanes_under_every_limit(c, limits):
+    # where a lane's step budget, horizon, cap, reach or largest step decides
+    # its code, the orbit settles only cells whose lanes end as it says (at
+    # c = 1 a budget of 200 steps or fewer settles none)
+    params, x = ModelParams(n=1, kappa=1, c=c), _orbit_grid(c)
+    for tol in (1e-3, 1e-8):
+        config = IntegratorConfig(rel_tol=tol, abs_tol=tol / 100, **limits)
+        codes = classify_ep_columns(x, params, config, outcomes=False).codes
+        assert np.array_equal(codes, classify_ep_columns(x, params, config).codes), tol
 
 
 def test_channel_falls_back_to_the_first_run(caplog):
@@ -476,14 +494,14 @@ def test_channel_falls_back_to_the_first_run(caplog):
     x = _ep1_columns(*([v] for v in CHANNEL_TRAP))
     config = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5)
     assert classify_ep_columns(x, EP1C, config, outcomes=False).codes.tolist() == [0]
-    assert _channel_counts(caplog.messages) == (0, 0)    # subcritical: never enters
+    assert _orbit_counts(caplog.messages) == (0, 0, 1)    # within the margin
     assert classify_ep_columns(x, EP1C, config).codes.tolist() == [0]
 
 
 def test_channel_declines_a_subcritical_spike(caplog):
     # subcritical states whose floor of v is 1e-4 to 1e-6 of v0: rho peaks
-    # at 1e4 ... 2e6 and turns back.  Their lanes never enter the channel, so
-    # they take their full-cap steps at once and no cell runs twice
+    # at 1e4 ... 2e6 and turns back.  The floor lies within the margin, so
+    # the orbit leaves them to the lanes, which take their full-cap steps
     caplog.set_level("INFO", logger="radial_euler.euler_poisson")
     config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
     for params in (EP1, EP1C):
@@ -497,49 +515,10 @@ def test_channel_declines_a_subcritical_spike(caplog):
         x = _ep1_columns(np.array(p0), np.array(rho0))
         caplog.clear()
         codes = classify_ep_columns(x, params, config, outcomes=False).codes
-        certified, left = _channel_counts(caplog.messages)
-        assert (certified, left) == (0, 0), params.c
+        assert _orbit_counts(caplog.messages) == (0, 0, len(p0)), params.c
         assert not codes.any()
         outs = classify_ep_columns(x, params, config)
         assert not outs.codes.any() and max(out.diagnostics["max_norm"] for out in outs) > 1e6
-
-
-def test_small_batches_are_certified_in_the_channel(caplog):
-    # a 3x3 grid runs 18 lanes, too few for a lockstep batch; its scalar runs
-    # count their step attempts, so the blowups of its five exactly
-    # supercritical cells (both passes) are certified at the channel cap
-    caplog.set_level("INFO", logger="radial_euler.euler_poisson")
-    x = _ep1_columns(np.repeat([-3.0, -2.0, -1.0], 3), np.tile([0.5, 1.0, 2.0], 3))
-    codes = classify_ep_columns(x, EP1, outcomes=False).codes
-    [line] = caplog.messages
-    assert line.startswith("9 cells, 0 inside the basin at t = 0; 18 runs of the rest")
-    assert line.endswith("10 certified blowups at the channel cap; 0 cells left to the full cap")
-    assert np.array_equal(codes, classify_ep_columns(x, EP1).codes)
-
-
-@pytest.mark.parametrize("params", [EP1, EP1C], ids=["c0", "c1"])
-def test_lanes_outside_the_channel_take_their_full_cap_steps(monkeypatch, params):
-    # subcritical lanes, and lanes that start above the channel cap, run in
-    # the channel's batch exactly as in a batch at the full cap (the outcome
-    # path's); only exactly supercritical lanes below the cap stop early
-    runs, run_lanes = [], euler_poisson._run_lanes
-    monkeypatch.setattr(euler_poisson, "_run_lanes",
-                        lambda *args, **kwargs: runs.append(run_lanes(*args, **kwargs))
-                        or runs[-1])
-    p0 = np.repeat([-300.0, -150.0, -3.0, -1.5, -1.0, -0.2], 6)
-    rho0 = np.tile([0.3, 1.0, 2.5, 4.0, 120.0, 5000.0], 6)
-    x, config = _ep1_columns(p0, rho0), IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
-    classify_ep_columns(x, params, config, outcomes=False)
-    channel = runs[0]
-    runs.clear()
-    classify_ep_columns(x, params, config)
-    full = runs[0]
-    floor = euler_poisson._v_floor(p0, rho0, params.kappa, params.c)
-    enters = np.tile((floor < 0.0) & (np.maximum(np.abs(p0), rho0) < 1e2), 2)
-    assert len(channel) == len(full) == 72 and enters.any() and (floor >= 0.0).any()
-    assert channel.attempts[~enters].tolist() == full.attempts[~enters].tolist()
-    assert np.array_equal(channel.y_final[:, ~enters], full.y_final[:, ~enters])
-    assert (channel.attempts[enters] < full.attempts[enters]).all()
 
 
 @pytest.mark.parametrize("config", [
@@ -548,21 +527,25 @@ def test_lanes_outside_the_channel_take_their_full_cap_steps(monkeypatch, params
     IntegratorConfig(magnitude_cap=1e12, h_min=1e-9)],
     ids=["cap-30", "cap-1e2", "h_min-1e-4", "cap-beyond-reach"])
 def test_channel_declines_caps_it_cannot_serve(caplog, config):
-    # a cap at or below the channel cap, or beyond where the lanes' steps
-    # would shrink to h_min, runs every lane at the full cap as before
+    # a cap whose thousandth lies below every peak of rho settles no bounded
+    # cell, and a cap beyond where the lanes' steps would shrink to h_min no
+    # blowup: those cells run as lanes at the full cap
     caplog.set_level("INFO", logger="radial_euler.euler_poisson")
     x = _ep1_columns(np.repeat(np.linspace(-4.0, 1.0, 6), 6), np.tile(np.linspace(0.5, 3.0, 6), 6))
     codes = classify_ep_columns(x, EP1, config, outcomes=False).codes
-    assert _channel_counts(caplog.messages) == (0, 0)
+    bounded, blowups, left = _orbit_counts(caplog.messages)
+    assert (bounded if euler_poisson._wv_limits(config)[2] else blowups) == 0
+    assert left > 0 and bounded + blowups > 0
     assert (codes != 0).any() and np.array_equal(codes, classify_ep_columns(x, EP1, config).codes)
 
 
-def test_channel_declines_blowups_it_cannot_place_in_time():
+def test_channel_declines_blowups_it_cannot_place_in_time(caplog):
     # p0 = -3, rho0 = 2 (c = 0) blows up at T = 1.5 - sqrt(1.25).  With t_max
-    # 1e-6 before T its lanes pass the channel cap in time but not the full
-    # cap, and with max_steps = 300 they reach the channel cap within the
-    # budget but not the full cap: both are declined, and the full-cap codes
-    # (0 and 3) stand
+    # 1e-6 before T its lanes reach the horizon (code 0), and with max_steps =
+    # 300 they exhaust their budget (code 3): the orbit settles neither, nor
+    # a t_max 1e-6 after T, whose 0.99 share T passes, and the lanes' codes
+    # stand
+    caplog.set_level("INFO", logger="radial_euler.euler_poisson")
     x = _ep1_columns(np.full(24, -3.0), np.full(24, 2.0))
     t_blowup = 1.5 - math.sqrt(1.25)
     for config in (IntegratorConfig(t_max=t_blowup - 1e-6), IntegratorConfig(max_steps=300)):
@@ -571,33 +554,11 @@ def test_channel_declines_blowups_it_cannot_place_in_time():
         assert codes[0] != 2
     assert classify_ep_columns(x, EP1, IntegratorConfig(t_max=t_blowup + 1e-6),
                                outcomes=False).codes[0] == 2
-
-
-def _falling_to(v, floor, kappa, c):
-    """(p, rho) where v = 1/rho falls through ``v`` on the 1D orbit of that floor."""
-    if c == 0.0:
-        w = -math.sqrt(2.0 * kappa * (v - floor))
-    else:
-        amp = 1.0 / c - floor
-        w = -amp * math.sqrt(kappa * c) * math.sqrt(1.0 - ((v - 1.0 / c) / amp) ** 2)
-    return w / v, 1.0 / v
-
-
-@pytest.mark.parametrize("c", [0.0, 1.0])
-def test_channel_certificate_needs_a_tracked_supercritical_orbit(c):
-    # a lane from a start whose floor of v is -1e-3 is certified at v = 1e-4
-    # only if its own floor stayed within a tenth of that: not where it
-    # drifted by more, however supercritical, nor from a subcritical start
-    config = IntegratorConfig()
-    y0 = np.array([_falling_to(0.5, -1e-3, 1.0, c)] * 5).T
-    y1 = np.array([_falling_to(1e-4, floor, 1.0, c)
-                   for floor in (-1.05e-3, -0.95e-3, -1.2e-3, -0.5, 1e-6)]).T
-    t1, attempts = np.ones(5), np.full(5, 100)
-    params = ModelParams(n=1, kappa=1, c=c)
-    assert euler_poisson._channel_certified(y0, y1, t1, attempts, params, config).tolist() == [
-        True, True, False, False, False]
-    sub = np.array([_falling_to(0.5, 1e-3, 1.0, c)] * 5).T
-    assert not euler_poisson._channel_certified(sub, sub, t1, attempts, params, config).any()
+    assert _orbit_counts(caplog.messages) == (0, 0, 72)
+    caplog.clear()
+    assert classify_ep_columns(x, EP1, IntegratorConfig(t_max=t_blowup / 0.98),
+                               outcomes=False).codes[0] == 2
+    assert _orbit_counts(caplog.messages) == (0, 24, 0)
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0])
@@ -638,10 +599,11 @@ def fits(monkeypatch):
 
 
 def test_sweep_runs_no_blowup_fit(monkeypatch, fits):
-    # a sweep reads only the verdict codes and runs no blowup-time fit; with
-    # outcomes, a lockstep batch fits each blown lane once, while it runs,
-    # and reading the outcome fits nothing more and gives the scalar run's
-    # time
+    # a sweep reads only the verdict codes and runs no blowup-time fit, in
+    # the lanes of the cells within 1e-6 of the threshold, which the exact
+    # orbit leaves to them; with outcomes, a lockstep batch fits each blown
+    # lane once, while it runs, and reading the outcome fits nothing more
+    # and gives the scalar run's time
     batches = []
 
     def kept(*args, **kwargs):
@@ -650,10 +612,12 @@ def test_sweep_runs_no_blowup_fit(monkeypatch, fits):
 
     monkeypatch.setattr(euler_poisson, "integrate_lanes", kept)
     cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
-    states = _grid(np.linspace(-4.0, 1.0, 6), np.linspace(0.5, 2.0, 4))
+    states = _grid(np.linspace(-4.0, 1.0, 6), np.linspace(0.5, 2.0, 4)) + [
+        CharState(p=-math.sqrt(2.0 * rho) * (1.0 + eps), rho=rho)
+        for rho in np.linspace(0.5, 3.0, 6) for eps in (-1e-6, 1e-6)]
     x = np.array([state.as_array() for state in states]).T
     codes_only = classify_ep_columns(x, EP1, cfg, outcomes=False)
-    assert len(batches) == 1 and fits == []
+    assert len(batches) == 1 and len(batches[0]) >= 24 and fits == []
     outs = classify_ep_many(states, EP1, cfg)
     assert np.array_equal(outs.codes, codes_only.codes)
     assert len(batches) == 2 and len(batches[1]) >= 20
@@ -737,7 +701,9 @@ def test_codes_only_verdicts_refuse_outcomes(monkeypatch):
 
 def test_only_sweeps_run_lanes_without_blowup_times(monkeypatch):
     # run_sweep reads codes only, so its lane batches keep no samples for
-    # blowup-time fits; classify_cells keeps them for the outcomes it builds
+    # blowup-time fits; classify_cells keeps them for the outcomes it builds.
+    # The n = 1 grids straddle the threshold within the margins the exact
+    # orbit leaves to the lanes
     requested = []
 
     def recorded(*args, blowup_times=True, **kwargs):
@@ -745,12 +711,12 @@ def test_only_sweeps_run_lanes_without_blowup_times(monkeypatch):
         return integrate_lanes(*args, blowup_times=blowup_times, **kwargs)
 
     monkeypatch.setattr(euler_poisson, "integrate_lanes", recorded)
-    grid = ("axis1_min = -3\naxis1_max = 1\naxis1_steps = 6\n"
-            "axis2_min = 0.5\naxis2_max = 3\naxis2_steps = 6\n")
     sweeps = {
-        "ep": "[model]\nn = 1\nc = 0.0\n\n[sweep]\n" + grid,
+        "ep": ("[model]\nn = 1\nc = 0.0\n\n[sweep]\naxis1_min = -2.0004\naxis1_max = -1.9996\n"
+               "axis1_steps = 6\naxis2_min = 1.9996\naxis2_max = 2.0004\naxis2_steps = 6\n"),
         "ep-c1-coarse": ("[model]\nn = 1\nc = 1.0\n\n[integrator]\nrel_tol = 1e-3\n"
-                         "abs_tol = 1e-5\n\n[sweep]\n" + grid),
+                         "abs_tol = 1e-5\n\n[sweep]\naxis1_min = -1.75\naxis1_max = -1.715\n"
+                         "axis1_steps = 6\naxis2_min = 1.98\naxis2_max = 2.02\naxis2_steps = 6\n"),
         "ea": ("[model]\nkind = euler-alignment\nn = 2\n\n[alignment]\nC0 = 0.1\n\n"
                "[sweep]\naxis1 = y0\naxis1_min = -2\naxis1_max = 0.5\naxis1_steps = 6\n"
                "axis2 = C0\naxis2_min = 0\naxis2_max = 0.5\naxis2_steps = 5\n"),
