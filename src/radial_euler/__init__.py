@@ -19,8 +19,8 @@ from .profiles import (RadialProfile, ProfileKind, DENSITY_LIBRARY,
                        linear_velocity, polynomial_decay, rexp_velocity,
                        zero_velocity)
 from .euler_poisson import (QsHatResult, ThresholdConstants, classify_ep,
-                            classify_ep_columns, classify_ep_many, compute_dcrit,
-                            compute_threshold_constants, ep_1d_system, ep_full_system, explicit_sigma_plus,
+                            classify_ep_columns, compute_dcrit, compute_threshold_constants,
+                            ep_1d_system, ep_full_system, explicit_sigma_plus,
                             initial_s_from_density, qs_phase_portrait,
                             qs_system, qshat_integrate, qshat_system,
                             sigma_1d, wv_basis_system, burgers_system)

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .alignment import CURVE_KINDS, INFLUENCE_LIBRARY, enhanced_curve
 from .config import (ConfigError, RunConfig, check_keys, csv_text, format_number,
-                     json_number, parse_config, provenance)
+                     json_number, parse_config, provenance, refusing)
 from .core import (AT_LEAST_ONE, AT_LEAST_TWO, FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE,
                    MAX_SPHERE_DIMENSION, Model)
 from .euler_poisson import (compute_threshold_constants, explicit_sigma_plus,
@@ -74,13 +74,8 @@ def _from_library(library: dict, cfg: RunConfig, section: str, key: str, keys: d
     factory = library[cfg[section][key]]
     taken = {p: spec for p, spec in keys.items() if p in inspect.signature(factory).parameters}
     check_keys(cfg, section, **{spec[0]: spec[1] for spec in taken.values() if len(spec) == 2})
-    try:
+    with refusing(section, **{p: spec[0] for p, spec in taken.items()}):
         return factory(**{p: cfg[section][spec[0]] for p, spec in taken.items()}, **values)
-    except ValueError as exc:
-        name, _, rest = str(exc).partition(" ")
-        if name not in taken:
-            raise
-        raise ConfigError(f"[{section}] {taken[name][0]} {rest}") from exc
 
 
 def _influence_from(cfg: RunConfig):
@@ -183,7 +178,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     check_keys(cfg, "simulate", **{"snapshots" if name == "n_snapshots" else name: rule
                                    for name, rule in sizes.items()})
     rho0, u0 = _profiles_from(cfg)
-    try:
+    # the seeding refuses a support whose spacing, shell measures, moments or
+    # s leave float range, and a velocity whose squared slopes do; the slope
+    # of every library velocity is at most |u_amp|
+    with refusing("initial", r_max=_support_key(cfg), u0="u_amp"):
         if params.model is Model.EULER_ALIGNMENT:
             phi = _influence_from(cfg)
             result = simulate_ea(rho0, u0, phi, params, n_paths=ini["n_paths"],
@@ -193,15 +191,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
             result = simulate_ep(rho0, u0, params, n_paths=ini["n_paths"],
                                  config=integrator_from(cfg), t_end=sim["t_end"],
                                  n_snapshots=sim["snapshots"])
-    except ValueError as exc:
-        # the seeding refuses a support whose spacing, shell volumes, moments
-        # or s leave float range, and a velocity whose squared slopes do; the
-        # slope of every library velocity is at most |u_amp|
-        refused, _, rest = str(exc).partition(" ")
-        key = {"r_max": _support_key(cfg), "u0": "u_amp"}.get(refused)
-        if key is None:
-            raise
-        raise ConfigError(f"[initial] {key} {rest}") from exc
     clock = time.perf_counter()
     prov = provenance(cfg)
     for i, snap in enumerate(result.snapshots):

@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -132,6 +133,20 @@ class RunConfig:
 def check_keys(cfg: RunConfig, section: str, **rules):
     """Refuse, before any work, the first ``[section]`` key that breaks its rule."""
     check_rules(rules, cfg[section], f"[{section}] ", ConfigError)
+
+
+@contextmanager
+def refusing(section: str, /, *keys: str, **renamed: str):
+    """Refuse a ValueError whose message starts with one of ``keys``, or with a
+    parameter ``renamed`` maps to its key, as that ``[section]`` key's ConfigError."""
+    renamed.update(zip(keys, keys))
+    try:
+        yield
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name not in renamed:
+            raise
+        raise ConfigError(f"[{section}] {renamed[name]} {rest}") from exc
 
 
 def _convert(section: str, key: str, raw: str) -> Any:

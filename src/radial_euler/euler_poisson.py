@@ -488,16 +488,7 @@ def classify_ep(y0: CharState, params: ModelParams,
     tolerances and a verdict flip is reported as INCONCLUSIVE, which is
     the honest answer near the sharp threshold surface.
     """
-    return classify_ep_many([y0], params, config, confirm)[0]
-
-
-def classify_ep_many(states: Sequence[CharState], params: ModelParams,
-                     config: IntegratorConfig = DEFAULT_CONFIG,
-                     confirm: bool = True) -> Verdicts:
-    """:func:`classify_ep` for every state: :func:`classify_ep_columns` of their
-    (p, q, s, rho) columns."""
-    return classify_ep_columns(np.array([y0.as_array() for y0 in states]).reshape(-1, 4).T,
-                               params, config, confirm)
+    return classify_ep_columns(y0.as_array()[:, None], params, config, confirm)[0]
 
 
 def classify_ep_columns(x: np.ndarray, params: ModelParams,
@@ -567,16 +558,15 @@ def _wv_limits(config: IntegratorConfig) -> tuple[float, float, bool]:
             min(_WV_CAP_SHARE * config.magnitude_cap, reach), config.magnitude_cap <= reach)
 
 
-def _wv_settled(x: np.ndarray, params: ModelParams,
-                config: IntegratorConfig) -> Optional[np.ndarray]:
+def _wv_settled(x: np.ndarray, params: ModelParams, config: IntegratorConfig) -> np.ndarray:
     """The verdict code of each column of ``x`` the (w, v) basis settles, -1 for
-    a cell it leaves to the lanes; None when it settles none.
+    a cell it leaves to the lanes.
 
     It applies to zero-background Euler-Poisson with n > 1 where every column
-    shares one (q0, s0): one :func:`integrate` of :func:`wv_basis_system`
-    over [0, t_max] gives every cell's v.  v is read at the run's nodes and,
-    through Hermite dense output, between them, streamed over blocks of
-    reads.  A cell is bounded if v stays above the margin and its
+    shares one (q0, s0), and leaves every cell to the lanes elsewhere.  One
+    :func:`integrate` of :func:`wv_basis_system` over [0, t_max] gives every
+    cell's v, read at the run's nodes and, through Hermite dense output,
+    between them, streamed over blocks of reads.  A cell is bounded if v stays above the margin and its
     |p| = |w| / v and rho = exp((n-1) A) / v, like the orbit's |q| and |s|,
     stay where its lanes can follow them.  It blows up if v falls below
     minus the margin before 0.99 t_max, and if a lane can follow it to the
@@ -585,16 +575,17 @@ def _wv_settled(x: np.ndarray, params: ModelParams,
     every cell goes to the lanes.
     """
     p0, q, s, rho0 = x
+    codes = np.full(x.shape[1], -1)
     if (params.model is not Model.EULER_POISSON or params.n <= 1.0 or params.c != 0.0
             or x.shape[1] == 0 or not (np.all(q == q[0]) and np.all(s == s[0]))):
-        return None
+        return codes
     q0, s0 = float(q[0]), float(s[0])
     rec = integrate(wv_basis_system(params, s0), (q0, s0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
                     replace(config, rel_tol=_WV_REL_TOL, abs_tol=_WV_ABS_TOL))
     steps = len(rec.ts) - 1
     if (rec.termination is not Termination.REACHED_HORIZON or steps == 0
             or config.max_steps < _WV_STEP_BUDGET * steps):
-        return None
+        return codes
     t = np.concatenate((rec.ts, (rec.ts[:-1, None] + np.diff(rec.ts)[:, None]
                                  * np.array(_WV_READS)).ravel()))
     q_t, s_t, phi1, dphi1, phi2, dphi2, vp, dvp = rec.sample_many(t).T
@@ -622,7 +613,6 @@ def _wv_settled(x: np.ndarray, params: ModelParams,
             falls |= np.any((v + band < 0.0) & early[k], axis=1)
     bounded = (low > 0.0) & (peak < limit)
     falls &= follows
-    codes = np.full(x.shape[1], -1)
     codes[cells[bounded]] = VERDICT_CODES[Verdict.GLOBAL_BOUNDED]
     codes[cells[falls]] = VERDICT_CODES[Verdict.FINITE_TIME_BLOWUP]
     log.info("%d cells share the (q0, s0) orbit (%g, %g), whose (w, v) basis run took "
@@ -684,9 +674,7 @@ def _classify_ep_batch(x: np.ndarray, params: ModelParams, config: IntegratorCon
     n = 1), and only the cells it leaves run as lanes."""
     if outcomes:
         return _classify_ep_lanes(x, params, config, confirm, True)
-    settled = _wv_settled(x, params, config)
-    if settled is None:
-        settled = _orbit_settled(x, params, config)
+    settled = (_orbit_settled if params.n == 1.0 else _wv_settled)(x, params, config)
     rest = settled < 0
     if rest.any():
         settled[rest] = _classify_ep_lanes(x[:, rest], params, config, confirm, False).codes
@@ -802,14 +790,17 @@ def qs_phase_portrait(params: ModelParams, seeds: Sequence[tuple],
     period.  Seeds violating s0 > -c/n are marked invalid.
     """
     n, c = params.n, params.c
+    # a positive background's orbits are timed by their downward crossings of q = 0
+    sections = () if c == 0.0 else (EventSpec("q-falling", lambda tau, y: y[0],
+                                              direction=-1, terminal=False),)
     out = []
     for seed in seeds:
         q0, s0 = seed
         if s0 <= -c / n or (c == 0.0 and s0 <= 0.0):
             out.append(PortraitTrajectory(seed, None, "invalid"))
             continue
+        run = integrate_qs(params, q0, s0, config.t_max, config, extra_events=sections)
         if c == 0.0:
-            run = integrate_qs(params, q0, s0, config.t_max, config)
             dist = float(np.hypot(*run.record.y_final))
             kind = "converges-to-origin" if dist < 1e-2 else "bounded"
             if not run.bounded:
@@ -817,10 +808,6 @@ def qs_phase_portrait(params: ModelParams, seeds: Sequence[tuple],
             out.append(PortraitTrajectory(seed, run.record, kind,
                                           final_distance=dist))
         else:
-            section = EventSpec("q-falling", lambda tau, y: y[0],
-                                direction=-1, terminal=False)
-            run = integrate_qs(params, q0, s0, config.t_max, config,
-                               extra_events=(section,))
             hits = [h for h in run.record_tau.hits if h.name == "q-falling"]
             if len(hits) >= 2:
                 # the third state component of a hit is the real time

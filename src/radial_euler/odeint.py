@@ -6,9 +6,9 @@ integration matter here:
 
 * events -- scalar functionals whose sign changes are located by
   bisection on cubic-Hermite dense output, to 1e-10 in time;
-* blowup detection -- a trajectory is declared escaping when its
-  max-norm exceeds ``magnitude_cap`` while still accelerating away
-  (positive feedback y_i * y_i' > 0 on the escaping component); the
+* blowup detection -- a trajectory is declared escaping when a component
+  its system lets escape exceeds ``magnitude_cap`` while still accelerating
+  away (positive feedback y_i * y_i' > 0 on that component); the
   singularity time is then extrapolated by fitting 1/|y| -> 0 linearly
   over the trailing samples, which is exact for Riccati-type escapes;
 * step collapse -- non-finite right-hand sides or a step size pinned at
@@ -52,11 +52,13 @@ _COMPACT_SHARE = 1 / 8
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """A first-order system y' = rhs(t, y) of fixed dimension."""
+    """A first-order system y' = rhs(t, y) of fixed dimension; the blowup test holds
+    the components ``escaping`` lists, in order, against the cap (None: all)."""
 
     dimension: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     labels: tuple = ()
+    escaping: Optional[tuple] = None
 
     def label(self, i: int) -> str:
         return self.labels[i] if i < len(self.labels) else f"y[{i}]"
@@ -381,6 +383,7 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
     cap = config.magnitude_cap
     t_max, h_min, h_max = config.t_max, config.h_min, config.h_max
     rng = range(d)
+    watch = rng if system.escaping is None else system.escaping
 
     t = float(t0)
     y = tuple(float(v) for v in y0)
@@ -474,7 +477,7 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
         ts.append(t_new), ys.append(y_new), fs.append(tuple(k7))
         mag = 0.0
         comp = 0
-        for i in rng:
+        for i in watch:
             av = abs(y_new[i])
             if av > mag:
                 mag, comp = av, i
@@ -604,6 +607,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                         "max_steps", "h_init")], dtype=float).reshape(7, -1)[:, which]
     atol = np.array([np.broadcast_to(c.abs_tol, (d,)) for c in distinct.values()],
                     dtype=float).T.reshape(d, -1)[:, which]
+    watch = slice(None) if system.escaping is None else list(system.escaping)  # cap test rows
 
     # The working arrays hold the running lanes, and retired ones until
     # _COMPACT_SHARE of their columns have retired; ``lane`` maps them to
@@ -636,12 +640,9 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     vmax = np.max(np.abs(y), axis=0)
     n_att = np.zeros(n)     # attempts that evaluated the stages
     n_acc = np.zeros(n, dtype=int)      # accepted steps
-    # each lane's attempts and accepted steps when it retired, and whether
-    # its last attempt was neither accepted nor rejected (an event crossing
-    # or a step collapse)
-    attempts = np.zeros(n, dtype=int)
-    accepted = np.zeros(n, dtype=int)
-    unsettled = np.zeros(n, dtype=int)
+    n_rej = np.zeros(n, dtype=int)      # rejected steps
+    # each lane's counts when it retired
+    attempts, accepted, rejected = (np.zeros(n, dtype=int) for _ in range(3))
     tb = yb = None
     if blowup_times:
         # ring buffer of the trailing accepted samples: a lane's k-th sample
@@ -659,15 +660,14 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             probe[row][:, lane[at]] = _hermite(
                 (pt[row, at] - t0[at]) / h, h, y0[:, at], f0[:, at], y1[:, at], f1[:, at])
 
-    def close(mask, termination, t_f, y_f, note=None, last_unsettled=False):
+    def close(mask, termination, t_f, y_f, note=None):
         """Record the end of every lane in ``mask`` and retire it."""
         if not mask.any():
             return
         i = lane[mask]
         ends[i] = TERMINATIONS.index(termination)
         t_end[i], y_end[:, i], max_abs[i] = t_f[mask], y_f[:, mask], vmax[mask]
-        attempts[i], accepted[i] = n_att[mask], n_acc[mask]
-        unsettled[i] = last_unsettled
+        attempts[i], accepted[i], rejected[i] = n_att[mask], n_acc[mask], n_rej[mask]
         if note is not None:
             for j in np.flatnonzero(mask):
                 notes[lane[j]] = note(j)
@@ -690,9 +690,9 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             if not running:
                 break
             if len(lane) - running >= _COMPACT_SHARE * len(lane):
-                lane, t, y, k1, g, h, n_att, n_acc, vmax, limits, atol, pt = (
-                    None if a is None else a[..., alive]
-                    for a in (lane, t, y, k1, g, h, n_att, n_acc, vmax, limits, atol, pt))
+                lane, t, y, k1, g, h, n_att, n_acc, n_rej, vmax, limits, atol, pt = (
+                    None if a is None else a[..., alive] for a in
+                    (lane, t, y, k1, g, h, n_att, n_acc, n_rej, vmax, limits, atol, pt))
                 alive = np.ones(running, dtype=bool)
                 rtol, h_min, h_max, t_max, cap, max_steps, _ = limits
             iterations += 1
@@ -732,8 +732,9 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             close(alive & ~ok & (clamped | (h <= h_min * 1.0001)),
                   Termination.STEP_COLLAPSE, t, y,
                   note=lambda j: f"step size collapsed at t={float(t[j])} "
-                                 f"(err={float(err[j]):.3g})", last_unsettled=True)
+                                 f"(err={float(err[j]):.3g})")
             shrink = alive & ~ok
+            n_rej += shrink
             factor = _step_factors(err)
 
             if event is not None:
@@ -742,12 +743,14 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                 if hit.any():
                     brackets.append((lane[hit], t[hit], y[:, hit], k1[:, hit],
                                      t_new[hit], y_new[:, hit], k7[:, hit], g[hit]))
-                    close(hit, Termination.EVENT, t_new, y_new, last_unsettled=True)
+                    close(hit, Termination.EVENT, t_new, y_new)
 
             step = alive & ok
             n_acc += step
             mag = np.max(np.abs(y_new), axis=0)
             vmax = np.where(step, np.maximum(vmax, mag), vmax)
+            if system.escaping is not None:
+                mag = np.max(np.abs(y_new[watch]), axis=0)
             if tb is not None:
                 js = np.flatnonzero(step)
                 i = lane[js]
@@ -761,7 +764,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
 
             big = step & (mag > cap)
             if big.any():
-                comp = np.argmax(np.abs(y_new), axis=0)
+                comp = np.arange(d)[watch][np.argmax(np.abs(y_new[watch]), axis=0)]
                 cols = np.arange(len(lane))
                 feedback = y_new[comp, cols] * k7[comp, cols] > 0.0
                 blown = big & (feedback | (mag > 1e4 * cap))
@@ -798,7 +801,6 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             max_abs[hit] = np.maximum(max_abs[hit], np.max(np.abs(y_end[:, hit]), axis=0))
             located = len(hit)
 
-    rejected = attempts - accepted - unsettled
     log.info("%d lanes in %d lockstep iterations: %d accepted and %d rejected "
              "lane-steps; %d lanes bracketed an event, located in %d halving rounds",
              n, iterations, accepted.sum(), rejected.sum(), located, rounds)

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (AT_LEAST_ONE, AT_LEAST_TWO, FINITE_POSITIVE, Model, ModelParams,
-                   check_rules, sphere_area)
+                   check_rules, divergence, spectral_gap, sphere_area)
 # ``integrate`` stays a module attribute: perfbench/tracer.py wraps pde.integrate
 from .odeint import (TERMINATIONS, IntegratorConfig, OdeSystem, Termination,  # noqa: F401
                      integrate, integrate_lanes)
@@ -58,7 +58,7 @@ class CrossingError(RuntimeError):
 
 
 class ShellOverflow(ArithmeticError):
-    """Raised when a shell volume leaves float range (high n, expanding paths)."""
+    """Raised when a shell's measure leaves float range (high n, expanding paths)."""
 
     kind = "shell-overflow"
 
@@ -118,8 +118,8 @@ def _seed_ensemble(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
     model is Euler-alignment, their (p, q, s, rho) ``states``.
 
     The arithmetic is checked where it is done, before any warning is
-    printed.  The fields divide by the squared path spacing and by the
-    shell volumes, the first of which is r^n, the shell moments reach
+    printed.  The fields divide by the squared path spacing and by the shell
+    measures sphere_area(n) / n (b^n - a^n), the shell moments reach
     r^(n+2) and s divides by r^n, so a support that takes any of them out
     of float range raises a ValueError starting with ``r_max``, the
     support's radius.  The path rates square the slopes p = u0' and
@@ -139,8 +139,8 @@ def _seed_ensemble(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
         s = (initial_s_from_density(rho0, params.c, centers, params.n)
              if params.model is Model.EULER_POISSON else np.zeros(n_paths))
         # the slopes' differences divide by the squared spacing, the
-        # densities by the shell volumes (over the unit sphere's area / n)
-        divisors = np.append(edges[1] ** 2, np.diff(edges ** n))
+        # densities by the shell measures
+        divisors = np.append(edges[1] ** 2, area / n * np.diff(edges ** n))
         u = np.asarray(u0(centers), dtype=float)
         p, q = (None, None) if alignment else (u0.derivative(centers), u / centers)
         slope = 0.0 if alignment else float(max(np.max(np.abs(p)), np.max(np.abs(q))))
@@ -202,7 +202,7 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
 
     rho_i is the path mass divided by the shell volume between midpoint
     boundaries; p uses second-order differences of u along r (one-sided
-    at the ends) and q = u/r.  Crossed paths raise CrossingError, shell volumes
+    at the ends) and q = u/r.  Crossed paths raise CrossingError, shell measures
     out of the seeding's float range ShellOverflow; a first path at r <= 0, or
     a non-finite radius, velocity or mass, raises ValueError.
     """
@@ -222,11 +222,10 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
     edges[0] = max(r[0] - 0.5 * (r[1] - r[0]), 0.0)
     edges[-1] = r[-1] + 0.5 * (r[-1] - r[-2])
     with np.errstate(over="ignore", invalid="ignore"):
-        volumes = edges[1:] ** n - edges[:-1] ** n
-    out = int(np.argmin((np.finfo(float).tiny <= volumes) & (volumes < np.inf)))
-    if not np.finfo(float).tiny <= volumes[out] < np.inf:
+        shell = sphere_area(n) / n * (edges[1:] ** n - edges[:-1] ** n)
+    out = int(np.argmin((np.finfo(float).tiny <= shell) & (shell < np.inf)))
+    if not np.finfo(float).tiny <= shell[out] < np.inf:
         raise ShellOverflow(ensemble.t, out, float(r[out]))
-    shell = sphere_area(n) / n * volumes
     rho = m / shell
 
     p = np.gradient(u, r)
@@ -234,8 +233,7 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
     # past sqrt(max float) a gradient's d and eta overflow to inf, the
     # rounded value; nothing downstream needs them finite
     with np.errstate(over="ignore"):
-        d = p + (n - 1.0) * q
-        eta = (n - 1.0) * (p - q) ** 2
+        d, eta = divergence(p, q, n), spectral_gap(p, q, n)
     max_grad = float(max(np.max(np.abs(p)), np.max(np.abs(q))))
     return FieldSnapshot(time=ensemble.t, r=r.copy(), rho=rho, u=u.copy(),
                          p=p, q=q, d=d, eta=eta, max_grad=max_grad, masses=m.copy(),
@@ -248,7 +246,8 @@ def _path_system(params: ModelParams) -> OdeSystem:
 
     Burgers paths carry a frozen s slot, so both models share one layout;
     the slot also counts in the step-error norm, which divides by the
-    dimension.  Its rate 0 * s is 0 with the shape of s, one per lane.
+    dimension.  Its rate 0 * s is 0 with the shape of s, one per lane.  Only
+    p, q, s and rho escape: a radius past the cap is no blowup.
     """
     if params.model is Model.EULER_POISSON:
         base = ep_full_system(params).rhs
@@ -261,7 +260,7 @@ def _path_system(params: ModelParams) -> OdeSystem:
         def rhs(t, y):
             dp, dq, drho = base(t, (y[0], y[1], y[3]))
             return (dp, dq, 0.0 * y[2], drho, y[4] * y[1])
-    return OdeSystem(5, rhs, labels=("p", "q", "s", "rho", "r"))
+    return OdeSystem(5, rhs, labels=("p", "q", "s", "rho", "r"), escaping=(0, 1, 2, 3))
 
 
 def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
@@ -274,7 +273,7 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
     as one lane of a lockstep :func:`integrate_lanes` batch, and the
     snapshots are the lanes' dense-output probes; the run halts with a
     BlowupReport when any p_i or rho_i escapes, a step collapses, paths
-    cross, or a snapshot's shell volumes leave float range.
+    cross, or a snapshot's shell measures leave float range.
     """
     _check_inputs(rho0, u0, params)
     check_rules(run_size_rules(params.model, n_snapshots),

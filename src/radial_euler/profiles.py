@@ -154,7 +154,8 @@ def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
         w1 = 2 * h[1:] + h[:-1]
         w2 = h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # an overflowed mean gives slope 0, the rounded value
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
         d = np.zeros_like(y)
         d[1:-1][~flat] = 1.0 / whmean[~flat]

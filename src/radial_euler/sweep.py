@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import AlignmentBounds, classify_ea_many
-from .config import ConfigError, RunConfig, check_keys, csv_text, json_number, provenance
+from .config import (ConfigError, RunConfig, check_keys, csv_text, json_number, provenance,
+                     refusing)
 from .core import AT_LEAST_ONE, FINITE, Model, ModelParams
 # classify_ep is not called here; perfbench/tracer.py wraps sweep.classify_ep
 from .euler_poisson import (STATE_KEYS, Verdicts, classify_ep,  # noqa: F401
@@ -20,33 +21,24 @@ MAX_SWEEP_CELLS = 1_000_000
 _ALIGNMENT_AXES = ("y0", "C0")
 
 
-def _built(section: str, factory, **values):
-    """``factory(**values)``, its ValueError refused as a ``[section]`` config error."""
-    try:
-        return factory(**values)
-    except ValueError as exc:
-        # the message starts with the value's name, which is its config key
-        raise ConfigError(f"[{section}] {exc}") from exc
-
-
 def model_params_from(cfg: RunConfig) -> ModelParams:
     m, kinds = cfg["model"], [kind.value for kind in Model]
     check_keys(cfg, "model", kind=(lambda v: v in kinds, f"one of {kinds}"))
-    return _built("model", ModelParams, n=m["n"], kappa=m["kappa"], c=m["c"],
-                  model=Model(m["kind"]), kappa_damp=m["kappa_damp"])
+    with refusing("model", *m):     # here and below each parameter is named as its key
+        return ModelParams(n=m["n"], kappa=m["kappa"], c=m["c"], model=Model(m["kind"]),
+                           kappa_damp=m["kappa_damp"])
 
 
 def integrator_from(cfg: RunConfig) -> IntegratorConfig:
     i = cfg["integrator"]
-    return _built("integrator", IntegratorConfig, rel_tol=i["rel_tol"],
-                  abs_tol=i["abs_tol"], h_init=i["h_init"], h_min=i["h_min"],
-                  h_max=i["h_max"], t_max=i["t_max"], magnitude_cap=i["magnitude_cap"])
+    with refusing("integrator", *i):
+        return IntegratorConfig(**{key: v for key, v in i.items() if key != "confirm"})
 
 
 def bounds_from(cfg: RunConfig) -> AlignmentBounds:
     a = cfg["alignment"]
-    return _built("alignment", AlignmentBounds, psi_min=a["psi_min"],
-                  psi_max=a["psi_max"], nu=a["nu"], C0=a["C0"])
+    with refusing("alignment", *a):
+        return AlignmentBounds(**{key: a[key] for key in ("psi_min", "psi_max", "nu", "C0")})
 
 
 def classify_cells(cfg: RunConfig, *, outcomes: bool = True, **axes: np.ndarray) -> Verdicts:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -994,6 +995,11 @@ _HOLES = {
     "ea-rho_radius-1e90": ("simulate", _EA_BENCH_BASE, "initial", "rho_radius", "1e90", 1,
                            "[initial] rho_radius must keep the spacing, shell volumes and moments "
                            "of 80 paths in n = 2 in float range, got 1e+90"),
+    # the inner shell volumes r^343 are normal floats, but their measures
+    # sphere_area(343) / 343 times the volumes underflow to 0
+    "ea-n-343": ("simulate", _EA_HOLE_BASE, "model", "n", "343", 1,
+                 "[initial] r_max must keep the spacing, shell volumes and moments of 20 "
+                 "paths in n = 343 in float range, got 4.0"),
     "ep-n-1e300": ("simulate", _EP_HOLE_BASE, "model", "n", "1e300", 1,
                    "[model] n must be an integer of at most 343 to simulate, got 1e+300"),
     # the seeding checks the squared slopes of the paths, at most u_amp^2
@@ -1087,7 +1093,9 @@ def test_simulate_writes_the_density_of_a_tiny_support(tmp_path, capsys):
 
 
 # two ensembles in n = 343 that expand until their outer shell volume r^343
-# leaves float range: (base, snapshots kept, stop time, path, its radius)
+# leaves float range, and a contracting one whose density is too small to blow
+# up, whose inner shell keeps a normal volume while its measure underflows:
+# (base, snapshots kept, stop time, path, its radius)
 _SHELL_OVERFLOWS = {
     "euler-poisson": ({**_EP_BENCH_BASE, "model": {**_EP_BENCH_BASE["model"], "n": 343},
                        "initial": {**_EP_BENCH_BASE["initial"], "n_paths": 2}},
@@ -1100,6 +1108,11 @@ _SHELL_OVERFLOWS = {
                          "simulate": {"t_end": 5, "snapshots": 6, "theta_order": 4,
                                       "dt": 0.01}},
                         1, 1.0, 3, 8.749999613),
+    "inviscid-burgers": ({"model": {"kind": "inviscid-burgers", "n": 343},
+                          "initial": {"rho_profile": "constant", "rho_amp": 1e-300, "r_max": 2,
+                                      "u_profile": "linear", "u_amp": -0.1, "n_paths": 2},
+                          "simulate": {"t_end": 8, "snapshots": 9}},
+                         5, 5.0, 0, 0.25),
 }
 
 
@@ -1118,6 +1131,68 @@ def test_simulate_stops_where_shell_volumes_overflow(tmp_path, capsys, kind):
     assert meta["blowup"] == {"kind": "shell-overflow", "path_index": path, "time": time,
                               "radius": pytest.approx(radius)}
     assert not any(re.search(r"(?i)\b(nan|inf)\b", body) for body in artifacts.values())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("support", ["1e7", "1e9", "1e12"])
+def test_expanding_ensemble_radius_is_no_blowup(tmp_path, capsys, support):
+    # the path radii pass the 1e8 magnitude cap, which watches only p, q, s
+    # and rho: a radius past it is no blowup
+    base = {"model": {"kind": "euler-poisson", "n": 3},
+            "initial": {"rho_profile": "gaussian-bump", "rho_amp": 1e-18,
+                        "rho_width": float(support) / 2, "r_max": support,
+                        "u_profile": "linear", "u_amp": 0.1, "n_paths": 30},
+            "simulate": {"t_end": 1, "snapshots": 3}}
+    rc, err, artifacts = _run_bad_input(tmp_path, capsys, "simulate", _config_text(base))
+    assert rc == 0 and err == ""
+    assert json.loads(artifacts["metadata.json"], parse_constant=_reject_constant) == {
+        "blowup": None, "n_paths": 30, "snapshots": 3}
+    assert not any(re.search(r"(?i)\b(nan|inf)\b", body) for body in artifacts.values())
+
+
+def _extremes_config(kind, n, paths, support, amp):
+    """A simulate config of the combined-extremes grid: every length scale is
+    ``support`` and both amplitudes are ``amp``."""
+    if kind == "euler-alignment":
+        initial = {"rho_profile": "indicator", "rho_radius": support,
+                   "u_profile": "gaussian", "u_width": float(support) / 2}
+        extra = {"alignment": {"phi": "constant"}}
+    else:
+        initial = {"rho_profile": "gaussian-bump", "rho_width": float(support) / 2,
+                   "u_profile": "rexp", "u_width": support}
+        extra = {}
+    return _config_text({"model": {"kind": kind, "n": n}, **extra,
+                         "initial": {**initial, "r_max": support, "rho_amp": amp,
+                                     "u_amp": amp, "profile_nodes": 201, "n_paths": paths},
+                         "simulate": {"t_end": 1, "snapshots": 3}})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 3, 343])
+@pytest.mark.parametrize("kind", ["euler-poisson", "inviscid-burgers", "euler-alignment"])
+def test_simulate_extremes_end_finite_or_refused(tmp_path, capsys, kind, n):
+    # supports from 1e-100 to 1e10 and amplitudes from 1e-300 to 1e150
+    # together, rather than one key at a time: each run is refused with one
+    # error line and no artifact, or writes only finite numbers, and none
+    # reports a path radius as a blowup.  The runs cover the shell-measure
+    # refusal, the radius past the cap and PCHIP slopes of tiny amplitudes
+    # on wide supports.
+    for paths, support, amp in itertools.product((2, 30), ("1e-100", "1", "1e10"),
+                                                 ("1e-300", "1", "1e150")):
+        case = tmp_path / f"{paths}-{support}-{amp}"
+        case.mkdir()
+        rc, err, artifacts = _run_bad_input(case, capsys, "simulate",
+                                            _extremes_config(kind, n, paths, support, amp))
+        where = (paths, support, amp, rc, err)
+        if rc == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, where
+            assert artifacts == {}, where
+            continue
+        assert rc in (0, 2, 3) and err == "", where
+        for name, body in artifacts.items():
+            assert not re.search(r"(?i)\b(nan|inf|infinity)\b", body), (where, name)
+        blowup = json.loads(artifacts["metadata.json"], parse_constant=_reject_constant)["blowup"]
+        assert blowup is None or blowup["kind"] != "r", where
 
 
 def _bad_input_cases():

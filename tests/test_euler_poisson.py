@@ -14,8 +14,8 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from radial_euler import (CharState, IntegratorConfig, Model, ModelParams,
-                          Region, Verdict, classify_ep, classify_ep_many,
-                          compute_dcrit, compute_threshold_constants, constant,
+                          Region, Verdict, classify_ep, compute_dcrit,
+                          compute_threshold_constants, constant,
                           explicit_sigma_plus, gaussian_bump,
                           initial_s_from_density, qs_phase_portrait,
                           qshat_integrate, qshat_system, sigma_1d, wv_basis_system)
@@ -199,7 +199,7 @@ def _exit_of(out, params):
 
 @pytest.fixture
 def lane_batches(monkeypatch):
-    """The lane count of every integrate_lanes batch classify_ep_many runs."""
+    """The lane count of every integrate_lanes batch classify_ep_columns runs."""
     batches = []
 
     def counted(system, y0, *args, **kwargs):
@@ -258,7 +258,8 @@ def test_classify_many_matches_one_by_one(lane_batches):
     seen = set()
     for params, cfg, states, n_batches in _oracle_groups():
         batches.clear()
-        many = classify_ep_many(states, params, cfg)
+        many = classify_ep_columns(np.array([state.as_array() for state in states]).T,
+                                   params, cfg)
         assert len(batches) == n_batches
         for state, out in zip(states, many):
             ref = classify_ep(state, params, cfg)
@@ -349,7 +350,8 @@ def test_amplitude_certificate_matches_sigma_1d():
                 regions.append(region)
         params = ModelParams(n=1, kappa=kappa, c=c)
         for cfg, confirm in ((IntegratorConfig(), True), (coarse, False)):
-            outs = classify_ep_many(states, params, cfg, confirm=confirm)
+            outs = classify_ep_columns(np.array([state.as_array() for state in states]).T,
+                                       params, cfg, confirm=confirm)
             for state, region, out in zip(states, regions, outs):
                 if "certified" in out.diagnostics.get("early_exit", ""):
                     certified += 1
@@ -373,8 +375,9 @@ def test_supercritical_orbit_is_never_bounded():
                   if (state := _state_on_orbit((1.0 + eps) / c, phase, kappa, c))]
         params = ModelParams(n=1, kappa=kappa, c=c)
         for confirm in (False, True):
-            for state, out in zip(states, classify_ep_many(states, params, coarse,
-                                                           confirm=confirm)):
+            x = np.array([state.as_array() for state in states]).T
+            for state, out in zip(states, classify_ep_columns(x, params, coarse,
+                                                              confirm=confirm)):
                 assert not out.is_bounded, (c, kappa, state)
                 amp = euler_poisson._orbit_amplitude(state.p, state.rho, kappa, c)
                 assert amp >= 1.0 / c
@@ -400,8 +403,8 @@ def test_amplitude_certificate_replaces_horizon_reruns(lane_batches, caplog):
     # its runs re-ran to the horizon as a second lockstep batch
     caplog.set_level("INFO", logger="radial_euler.euler_poisson")
     cells = [(p, r) for p in np.linspace(-4.0, 4.0, 40) for r in np.linspace(0.1, 4.0, 40)]
-    outs = classify_ep_many([CharState(p=float(p), rho=float(r)) for p, r in cells],
-                            EP1C, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8))
+    outs = classify_ep_columns(np.array([[p, 0.0, 0.0, r] for p, r in cells]).T,
+                               EP1C, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8))
     assert lane_batches == [3200]
     certified = [cell for cell, out in zip(cells, outs)
                  if "certified" in out.diagnostics.get("early_exit", "")]
@@ -620,7 +623,7 @@ def test_sweep_runs_no_blowup_fit(monkeypatch, fits):
     x = np.array([state.as_array() for state in states]).T
     codes_only = classify_ep_columns(x, EP1, cfg, outcomes=False)
     assert len(batches) == 1 and len(batches[0]) >= 24 and fits == []
-    outs = classify_ep_many(states, EP1, cfg)
+    outs = classify_ep_columns(x, EP1, cfg)
     assert np.array_equal(outs.codes, codes_only.codes)
     assert len(batches) == 2 and len(batches[1]) >= 20
     blown_lanes = batches[1].ends == TERMINATIONS.index(Termination.BLOWUP_DETECTED)
@@ -759,7 +762,7 @@ def test_blowup_time_matches_closed_form_1d(params, n_super):
     c = params.c
     cells = [(p, r) for p in np.linspace(-4.0, 4.0, 25) for r in np.linspace(0.1, 4.0, 25)
              if sigma_1d(p, r, 1.0, c) is Region.SUPERCRITICAL]
-    outs = classify_ep_many([CharState(p=p, rho=r) for p, r in cells], params)
+    outs = classify_ep_columns(np.array([[p, 0.0, 0.0, r] for p, r in cells]).T, params)
     assert len(cells) == n_super
     for (p, r), out in zip(cells, outs):
         t_star = _first_zero_1d(p, r, c)
@@ -1044,7 +1047,7 @@ def test_certificate_falls_back_to_the_lanes(monkeypatch):
     p0 = np.repeat(np.linspace(-3.0, 1.0, 20), 20)
     rho0 = np.tile(np.linspace(0.25, 3.0, 20), 20)
     x = np.array([p0, np.full(400, -2.0), np.full(400, 0.05), rho0])
-    assert euler_poisson._wv_settled(x, params, config) is None
+    assert euler_poisson._wv_settled(x, params, config).tolist() == [-1] * 400
     lane_cells = _lane_cells(monkeypatch)
     codes = classify_ep_columns(x, params, config, outcomes=False).codes
     assert lane_cells == [400]
@@ -1062,7 +1065,7 @@ def test_certificate_settles_only_one_zero_background_orbit(params, q, s):
     p0 = np.repeat(np.linspace(-3.0, 1.0, 6), 6)
     x = np.array([p0, np.broadcast_to(q, (36,)), np.broadcast_to(s, (36,)),
                   np.tile(np.linspace(0.25, 3.0, 6), 6)])
-    assert euler_poisson._wv_settled(x, params, IntegratorConfig()) is None
+    assert euler_poisson._wv_settled(x, params, IntegratorConfig()).tolist() == [-1] * 36
 
 
 @pytest.mark.parametrize("n, q0, s0, p0, rho0", [
@@ -1098,7 +1101,8 @@ def test_scaling_symmetry(n, c, q0, s0):
     def classify(l):
         states = [CharState(p=l * p, q=l * q0, s=l * l * s0, rho=l * l * r)
                   for p in np.linspace(-4.0, 4.0, 15) for r in np.linspace(0.1, 4.0, 15)]
-        return classify_ep_many(states, ModelParams(n=n, kappa=1, c=l * l * c))
+        return classify_ep_columns(np.array([state.as_array() for state in states]).T,
+                                   ModelParams(n=n, kappa=1, c=l * l * c))
 
     base = classify(1.0)
     assert any(out.is_blowup for out in base) and any(out.is_bounded for out in base)

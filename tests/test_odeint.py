@@ -262,6 +262,24 @@ def test_lanes_match_scalar_integrate():
             _same_run(batch, j, ref, 0.5)
 
 
+def test_only_escaping_components_reach_the_cap():
+    # y' = -y^2 blows up at t = 10 from -0.1, and decays from 0.1, while
+    # z' = z passes the cap 1e3 at t = 6.9 and 1e4 times the cap at t = 16.1:
+    # where only y escapes, z is no blowup, in both loops alike, and the
+    # largest |y_i| still counts it
+    config = IntegratorConfig(t_max=20, magnitude_cap=1e3)
+    y0 = np.array([[-0.1, 0.1], [1.0, 1.0]])
+    for escaping, ends, component in [(None, ("blowup-detected",) * 2, 1),
+                                      ((0,), ("blowup-detected", "reached-horizon"), 0)]:
+        system = OdeSystem(2, lambda t, y: (-y[0] * y[0], y[1]), escaping=escaping)
+        batch = integrate_lanes(system, y0, [config] * 2)
+        assert tuple(TERMINATIONS[end].value for end in batch.ends) == ends
+        assert batch.blowup_component[0] == component
+        for j in range(2):
+            _same_run(batch, j, integrate(system, y0[:, j], config))
+    assert batch.t_final[1] == 20 and batch.max_abs[1] > 1e8
+
+
 def test_lane_probes_match_sample_many():
     # several probes per lane: the start, accepted-step boundaries, points
     # inside steps and the final time, for runs ending every way but events
