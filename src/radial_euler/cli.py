@@ -38,7 +38,7 @@ from .core import (AT_LEAST_ONE, AT_LEAST_TWO, FINITE, FINITE_NONNEGATIVE, FINIT
 from .euler_poisson import (compute_threshold_constants, explicit_sigma_plus,
                             qs_phase_portrait)
 from .odeint import VERDICT_CODES, IntegrationFailure, Termination, Verdict
-from .pde import ShellOverflow, diagnostics_series, run_size_rules, simulate_ea, simulate_ep
+from .pde import ShellRangeError, diagnostics_series, run_size_rules, simulate_ea, simulate_ep
 from .profiles import DENSITY_LIBRARY, VELOCITY_LIBRARY
 from .sweep import (bounds_from, classify_cells, integrator_from, model_params_from,
                     run_sweep)
@@ -149,9 +149,8 @@ def cmd_curves(cfg: RunConfig, out_dir: str, fmt: str) -> int:
             consts = compute_threshold_constants(params, (cur["ep_q0"], cur["ep_s0"]))
             v0s = np.linspace(cur["v0_max"] / cur["samples"], cur["v0_max"],
                               cur["samples"])
-            for v0 in v0s:
-                rows.append(("ep_w0_threshold", v0, explicit_sigma_plus(
-                    float(v0), consts, params.kappa, params.n)))
+            rows += [("ep_w0_threshold", v0, w0) for v0, w0 in zip(
+                v0s, explicit_sigma_plus(v0s, consts, params.kappa, params.n))]
         except ValueError as exc:
             # a one-cell row: the marker comment follows the rows written so far
             rows.append((f"# ep_w0_threshold: unsupported ({exc})",))
@@ -164,6 +163,11 @@ def _snapshot_csv(snap, prov: str) -> str:
         cols.update(psi=snap.extras["psi"], G=snap.extras["G"])
     return csv_text([prov, f"t = {format_number(snap.time)}"],
                     [list(cols), *zip(*cols.values())])
+
+
+# the keys that set each quantity simulate_ea refuses once the paths are seeded
+_EA_SET_BY = {"the RK4 step count": "[simulate] t_end and dt, or [initial] rho_amp if dt = 0",
+              "the influence bound": "[initial] rho_amp and [alignment] phi_value"}
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
@@ -184,9 +188,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     with refusing("initial", r_max=_support_key(cfg), u0="u_amp"):
         if params.model is Model.EULER_ALIGNMENT:
             phi = _influence_from(cfg)
-            result = simulate_ea(rho0, u0, phi, params, n_paths=ini["n_paths"],
-                                 t_end=sim["t_end"], n_snapshots=sim["snapshots"],
-                                 theta_order=sim["theta_order"], dt=sim["dt"])
+            try:
+                result = simulate_ea(rho0, u0, phi, params, n_paths=ini["n_paths"],
+                                     t_end=sim["t_end"], n_snapshots=sim["snapshots"],
+                                     theta_order=sim["theta_order"], dt=sim["dt"])
+            except ValueError as exc:
+                for start, keys in _EA_SET_BY.items():
+                    if str(exc).startswith(start):
+                        raise ConfigError(f"{keys}: {exc}") from exc
+                raise
         else:
             result = simulate_ep(rho0, u0, params, n_paths=ini["n_paths"],
                                  config=integrator_from(cfg), t_end=sim["t_end"],
@@ -216,7 +226,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         return EXIT_OK
     return VERDICT_CODES[Verdict.INCONCLUSIVE
                          if result.blowup.kind in (Termination.STEP_COLLAPSE.value,
-                                                   ShellOverflow.kind)
+                                                   *ShellRangeError.KINDS)
                          else Verdict.FINITE_TIME_BLOWUP]
 
 

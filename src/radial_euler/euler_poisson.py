@@ -528,8 +528,10 @@ def classify_ep_columns(x: np.ndarray, params: ModelParams,
 
 
 # The (w, v) certificate of zero-background multi-D cells that share one
-# (q0, s0) orbit.  Its basis run takes these tolerances, whatever the lanes' ...
-_WV_REL_TOL, _WV_ABS_TOL = 1e-10, 1e-12
+# (q0, s0) orbit.  Its basis run takes these tolerances, whatever the lanes':
+# its v lies within a tenth of _WV_MARGIN of each cell's size from the exact
+# v (8.1e-5 at most over 23 orbits of n = 2, 3, 4) ...
+_WV_REL_TOL, _WV_ABS_TOL = 1e-7, 1e-9
 # ... and is read at its nodes and at these fractions of each step.
 _WV_READS = (0.25, 0.5, 0.75)
 # A cell is settled where v stays above, or falls below, -+ margin times the
@@ -542,8 +544,10 @@ _WV_HORIZON_SHARE = 0.99
 # below _WV_CAP_SHARE of the cap and below _WV_STEP_SHARE tol^(1/5) / h_min,
 # the size near a Riccati pole past which a DP5 lane at tolerance tol would
 # need steps shorter than h_min, and the lanes' step budget holds
-# _WV_STEP_BUDGET basis runs.
-_WV_CAP_SHARE, _WV_STEP_SHARE, _WV_STEP_BUDGET = 1e-3, 0.1, 100
+# _WV_STEP_BUDGET basis runs: DP5 steps scale as tol^(-1/5), so a basis at
+# 1e-10 takes (1e3)^(1/5), about 4, times as many, and 400 runs of this one
+# refuse every budget that 100 of those did.
+_WV_CAP_SHARE, _WV_STEP_SHARE, _WV_STEP_BUDGET = 1e-3, 0.1, 400
 # cells x reads values per block of the streamed pass over the reads (a
 # 1 << 16 block raised a 400-cell grid's peak RSS by 2.6 MB more)
 _WV_BLOCK = 1 << 14
@@ -908,7 +912,7 @@ def compute_threshold_constants(params: ModelParams, y0: tuple,
     return ThresholdConstants(C_q=c_q, C_s=c_s, C=c_drift, gamma=gamma)
 
 
-def compute_dcrit(v0: float, gamma: float, kappa: float) -> float:
+def compute_dcrit(v0, gamma: float, kappa: float):
     """Largest drift D keeping y(t) = v0 + (kappa/(gamma+1) - D) t
     - kappa/(gamma (gamma+1)) (1 - (t+1)^-gamma) positive forever.
 
@@ -917,34 +921,29 @@ def compute_dcrit(v0: float, gamma: float, kappa: float) -> float:
     root in (0, 1) of the minimum-value function
     F(z) = v0 + (kappa/gamma) z^(gamma/(gamma+1))
     - kappa/(gamma+1) (z + 1/gamma), located by bisection (F is
-    increasing with F(0) < 0 < F(1)).
-    """
-    if v0 <= 0 or gamma <= 0 or kappa <= 0:
+    increasing with F(0) < 0 < F(1)).  An array ``v0`` bisects as one: every
+    z_* in [lo, lo + width] halves the same exact brackets from [0, 1], and
+    ``np.float_power`` is the C ``pow`` of Python's ``**``, so each entry,
+    and a float ``v0`` as a float, keeps a scalar bisection's bits."""
+    v = np.asarray(v0, dtype=float)[()]
+    if np.any(v <= 0) or gamma <= 0 or kappa <= 0:
         raise ValueError("compute_dcrit requires positive v0, gamma, kappa")
     d_max = kappa / (gamma + 1.0)
-    if v0 >= kappa / (gamma * (gamma + 1.0)):
-        return d_max
-
-    def f(z):
-        return (v0 + kappa / gamma * z ** (gamma / (gamma + 1.0))
-                - d_max * (z + 1.0 / gamma))
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    z_star = 0.5 * (lo + hi)
-    return d_max * (1.0 - z_star)
+    lo, width = np.zeros_like(v)[()], 1.0
+    while width > 1e-12:
+        width *= 0.5
+        mid = lo + width
+        lo = np.where(v + kappa / gamma * np.float_power(mid, gamma / (gamma + 1.0))
+                      - d_max * (mid + 1.0 / gamma) < 0.0, mid, lo)
+    d_crit = np.where(v >= kappa / (gamma * (gamma + 1.0)), d_max,
+                      d_max * (1.0 - (lo + 0.5 * width)))
+    return d_crit if np.ndim(v0) else float(d_crit)
 
 
-def explicit_sigma_plus(v0: float, constants: ThresholdConstants,
-                        kappa: float, n: float) -> float:
+def explicit_sigma_plus(v0, constants: ThresholdConstants, kappa: float, n: float):
     """Explicit sufficient threshold on w0 = p0/rho0 (zero background).
 
-    Returns the number -sigma_+(v0): every state with
+    Returns -sigma_+(v0), an array for an array ``v0``: every state with
     w0 > -sigma_+(1/rho0) is guaranteed globally bounded.  Requires
     n >= 3 and C_s < n - 2 (otherwise the bound degenerates).
     """

@@ -57,15 +57,16 @@ class CrossingError(RuntimeError):
         self.radius = radius
 
 
-class ShellOverflow(ArithmeticError):
-    """Raised when a shell's measure leaves float range (high n, expanding paths)."""
+class ShellRangeError(ArithmeticError):
+    """Raised when a shell's measure overflows (high n, expanding paths) or underflows."""
 
-    kind = "shell-overflow"
+    KINDS = ("shell-overflow", "shell-underflow")
 
-    def __init__(self, time: float, index: int, radius: float):
-        super().__init__(f"the shell volume of path {index} near r={radius:.6g} left "
-                         f"float range at t={time:.6g}")
+    def __init__(self, time: float, index: int, radius: float, shrank: bool):
+        super().__init__(f"the shell volume of path {index} near r={radius:.6g} "
+                         f"{'shrank below' if shrank else 'left'} float range at t={time:.6g}")
         self.time, self.index, self.radius = time, index, radius
+        self.kind = self.KINDS[shrank]
 
 
 @dataclass
@@ -99,7 +100,7 @@ class FieldSnapshot:
 @dataclass
 class BlowupReport:
     time: float
-    kind: str   # escaping component label, "crossing", "step-collapse" or "shell-overflow"
+    kind: str   # escaping component label, "crossing", "step-collapse" or a ShellRangeError kind
     path_index: int
     radius: float
 
@@ -203,7 +204,7 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
     rho_i is the path mass divided by the shell volume between midpoint
     boundaries; p uses second-order differences of u along r (one-sided
     at the ends) and q = u/r.  Crossed paths raise CrossingError, shell measures
-    out of the seeding's float range ShellOverflow; a first path at r <= 0, or
+    out of the seeding's float range ShellRangeError; a first path at r <= 0, or
     a non-finite radius, velocity or mass, raises ValueError.
     """
     r, u, m = ensemble.r, ensemble.u, ensemble.masses
@@ -225,7 +226,7 @@ def reconstruct_fields(ensemble: CharacteristicEnsemble) -> FieldSnapshot:
         shell = sphere_area(n) / n * (edges[1:] ** n - edges[:-1] ** n)
     out = int(np.argmin((np.finfo(float).tiny <= shell) & (shell < np.inf)))
     if not np.finfo(float).tiny <= shell[out] < np.inf:
-        raise ShellOverflow(ensemble.t, out, float(r[out]))
+        raise ShellRangeError(ensemble.t, out, float(r[out]), bool(shell[out] < 1.0))
     rho = m / shell
 
     p = np.gradient(u, r)
@@ -326,7 +327,7 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
             masses=ens.masses, params=params, states=state[:, :4])
         try:
             snap = reconstruct_fields(ens_t)
-        except (CrossingError, ShellOverflow) as exc:
+        except (CrossingError, ShellRangeError) as exc:
             if blowup is None or exc.time < blowup.time:
                 blowup = BlowupReport(exc.time, exc.kind, exc.index, exc.radius)
             break
@@ -517,7 +518,7 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
         if snap_here:
             try:
                 take_snapshot(t_new, r, u, psi)
-            except ShellOverflow as exc:
+            except ShellRangeError as exc:
                 blowup = BlowupReport(exc.time, exc.kind, exc.index, exc.radius)
                 break
     pairs = n_paths * (n_paths + 1) // 2

@@ -961,8 +961,10 @@ _EA_BENCH_BASE = {"model": {"kind": "euler-alignment", "n": 2, "kappa": 1},
 _EA_RADIUS = "[initial] rho_radius must keep the PCHIP pieces of a 201-node profile finite, got "
 _EP_SHELLS = ("[initial] r_max must keep the spacing, shell volumes, moments and s of 300 "
               "paths in n = ")
-_STEPS = "the RK4 step count t_end / dt must be at most 1000000, got "
-_PSI_MAX = "the influence bound psi_max must be finite and positive, got 0.0"
+_STEPS = ("[simulate] t_end and dt, or [initial] rho_amp if dt = 0: "
+          "the RK4 step count t_end / dt must be at most 1000000, got ")
+_PSI_MAX = ("[initial] rho_amp and [alignment] phi_value: "
+            "the influence bound psi_max must be finite and positive, got 0.0")
 # (command, base, section, key, value, exit code, start of the error line)
 _HOLES = {
     "ea-t_end-inf": ("simulate", _EA_HOLE_BASE, "simulate", "t_end", "inf", 1,
@@ -1099,7 +1101,7 @@ def test_simulate_writes_the_density_of_a_tiny_support(tmp_path, capsys):
 _SHELL_OVERFLOWS = {
     "euler-poisson": ({**_EP_BENCH_BASE, "model": {**_EP_BENCH_BASE["model"], "n": 343},
                        "initial": {**_EP_BENCH_BASE["initial"], "n_paths": 2}},
-                      2, 4.0, 1, 6.568383178),
+                      2, 4.0, 1, 6.568383178, "shell-overflow"),
     "euler-alignment": ({"model": {"kind": "euler-alignment", "n": 343},
                          "alignment": {"phi": "constant", "phi_value": 1},
                          "initial": {"rho_profile": "indicator", "rho_amp": 0.3,
@@ -1107,12 +1109,12 @@ _SHELL_OVERFLOWS = {
                                      "u_profile": "linear", "u_amp": 1, "n_paths": 4},
                          "simulate": {"t_end": 5, "snapshots": 6, "theta_order": 4,
                                       "dt": 0.01}},
-                        1, 1.0, 3, 8.749999613),
+                        1, 1.0, 3, 8.749999613, "shell-overflow"),
     "inviscid-burgers": ({"model": {"kind": "inviscid-burgers", "n": 343},
                           "initial": {"rho_profile": "constant", "rho_amp": 1e-300, "r_max": 2,
                                       "u_profile": "linear", "u_amp": -0.1, "n_paths": 2},
                           "simulate": {"t_end": 8, "snapshots": 9}},
-                         5, 5.0, 0, 0.25),
+                         5, 5.0, 0, 0.25, "shell-underflow"),
 }
 
 
@@ -1121,14 +1123,15 @@ _SHELL_OVERFLOWS = {
 def test_simulate_stops_where_shell_volumes_overflow(tmp_path, capsys, kind):
     # the run keeps the snapshots before the one whose shell volumes leave
     # float range and exits 3, as a step collapse does; no artifact holds NaN
-    # or inf (the Euler-Poisson case is the benchmark's run with two paths)
-    base, kept, time, path, radius = _SHELL_OVERFLOWS[kind]
+    # or inf (the Euler-Poisson case is the benchmark's run with two paths;
+    # the inner shell of the contracting Burgers case shrinks below float range)
+    base, kept, time, path, radius, shell = _SHELL_OVERFLOWS[kind]
     rc, err, artifacts = _run_bad_input(tmp_path, capsys, "simulate", _config_text(base))
     assert rc == 3 and err == ""
     meta = json.loads(artifacts["metadata.json"], parse_constant=_reject_constant)
     assert meta["snapshots"] == kept and sorted(artifacts) == [
         "diagnostics.csv", "metadata.json", *(f"snapshot_{i:03d}.csv" for i in range(kept))]
-    assert meta["blowup"] == {"kind": "shell-overflow", "path_index": path, "time": time,
+    assert meta["blowup"] == {"kind": shell, "path_index": path, "time": time,
                               "radius": pytest.approx(radius)}
     assert not any(re.search(r"(?i)\b(nan|inf)\b", body) for body in artifacts.values())
 

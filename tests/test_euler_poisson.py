@@ -1042,7 +1042,8 @@ def test_certificate_falls_back_to_the_lanes(monkeypatch):
     # does not reach t_max, so its truncated record must decide no cell
     params, config = ModelParams(n=2, kappa=1, c=0), IntegratorConfig()
     basis = integrate(wv_basis_system(params, 0.05), (-2.0, 0.05, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
-                      replace(config, rel_tol=1e-10, abs_tol=1e-12))
+                      replace(config, rel_tol=euler_poisson._WV_REL_TOL,
+                              abs_tol=euler_poisson._WV_ABS_TOL))
     assert basis.termination is not Termination.REACHED_HORIZON
     p0 = np.repeat(np.linspace(-3.0, 1.0, 20), 20)
     rho0 = np.tile(np.linspace(0.25, 3.0, 20), 20)
@@ -1052,6 +1053,53 @@ def test_certificate_falls_back_to_the_lanes(monkeypatch):
     codes = classify_ep_columns(x, params, config, outcomes=False).codes
     assert lane_cells == [400]
     assert np.array_equal(codes, classify_ep_columns(x, params, config).codes)
+
+
+def _basis_reads(params, q0, s0, config):
+    """The certificate's basis run, and the times it reads: its nodes and _WV_READS."""
+    rec = integrate(wv_basis_system(params, s0), (q0, s0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+                    replace(config, rel_tol=euler_poisson._WV_REL_TOL,
+                            abs_tol=euler_poisson._WV_ABS_TOL))
+    return rec, np.concatenate((rec.ts, (rec.ts[:-1, None] + np.diff(rec.ts)[:, None]
+                                         * np.array(euler_poisson._WV_READS)).ravel()))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_basis_error_stays_far_inside_the_margin(n):
+    # why the band holds: the basis at _WV_REL_TOL gives every cell's v, at
+    # the nodes and reads, within _WV_MARGIN / 10 of its size |v0 phi1| +
+    # |w0 phi2| + |v_p| against scipy's DOP853 at rtol 1e-12.  When written
+    # the worst was 8.1e-5, on the compressive n = 3 orbit (-1, 0.01), and
+    # below 1.1e-5 on every other orbit; a basis at 1e-4 reached 0.23
+    params, config = ModelParams(n=n, kappa=1, c=0), IntegratorConfig()
+    p0 = np.repeat(np.linspace(-3.0, 1.0, 20), 20)
+    rho0 = np.tile(np.linspace(0.25, 3.0, 20), 20)
+    w0, v0 = p0 / rho0, 1.0 / rho0
+    read = 0
+    for q0, s0 in [(1.0, 0.01), (-1.0, 0.01), (0.5, 0.1), (0.0, 0.5), (-0.5, 0.1), (0.0, 1.0)]:
+        rec, t = _basis_reads(params, q0, s0, config)
+        if rec.termination is not Termination.REACHED_HORIZON:
+            continue    # the certificate reads no basis that ends early (n = 2, (-1, 0.01))
+        read += 1
+        _, _, phi1, _, phi2, _, vp, _ = rec.sample_many(t).T
+        _, _, phi1_x, _, phi2_x, _, vp_x, _ = _wv_basis(n, 1.0, 0.0, q0, s0, config.t_max).sol(t)
+        error = np.abs(v0[:, None] * (phi1 - phi1_x) + w0[:, None] * (phi2 - phi2_x)
+                       + (vp - vp_x))
+        size = v0[:, None] * np.abs(phi1_x) + np.abs(w0)[:, None] * np.abs(phi2_x) + np.abs(vp_x)
+        assert np.max(error / size) <= euler_poisson._WV_MARGIN / 10, (q0, s0)
+    assert read >= 5
+
+
+def test_certificate_step_budget_holds_four_hundred_basis_runs():
+    # on the benchmark's orbit the basis takes 73 steps (a 1e-10 basis took
+    # 243): a lane budget of 15,000 steps, under 400 basis runs, settles no
+    # cell, as the 1e-10 basis with a budget of 100 runs settled none
+    params = ModelParams(n=3, kappa=1, c=0)
+    p0 = np.repeat(np.linspace(-3.0, 1.0, 20), 20)
+    rho0 = np.tile(np.linspace(0.25, 3.0, 20), 20)
+    x = np.array([p0, np.full(400, 1.0), np.full(400, 0.01), rho0])
+    assert (euler_poisson._wv_settled(x, params, IntegratorConfig(max_steps=15000)) < 0).all()
+    assert (euler_poisson._wv_settled(x, params, IntegratorConfig(max_steps=30000)) >= 0).all()
 
 
 @pytest.mark.parametrize("params, q, s", [
@@ -1070,7 +1118,7 @@ def test_certificate_settles_only_one_zero_background_orbit(params, q, s):
 
 @pytest.mark.parametrize("n, q0, s0, p0, rho0", [
     (2, 0.0, 0.5, -2.481203007518797, 3.4203389830508475),
-    (3, 0.5, 0.05, -1.548872180451128, 1.8101694915254236),
+    (3, 0.5, 0.05, -1.786967418546366, 2.288135593220339),
 ], ids=["n2", "n3"])
 def test_certificate_reads_between_basis_nodes(monkeypatch, n, q0, s0, p0, rho0):
     # v of these cells dips into the margin only between the basis run's
@@ -1304,6 +1352,44 @@ def test_explicit_sigma_plus_degenerate_cs():
         explicit_sigma_plus(1.0, consts, 1.0, 2.0)
 
 
+def _dcrit_loop(v0, gamma, kappa):
+    """compute_dcrit as a loop of Python floats, whose bits it must keep."""
+    v0, gamma, kappa = float(v0), float(gamma), float(kappa)
+    d_max = kappa / (gamma + 1.0)
+    if v0 >= kappa / (gamma * (gamma + 1.0)):
+        return d_max
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if v0 + kappa / gamma * mid ** (gamma / (gamma + 1.0)) - d_max * (mid + 1.0 / gamma) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return d_max * (1.0 - 0.5 * (lo + hi))
+
+
+def test_explicit_bound_arrays_keep_the_scalar_bits():
+    # one array bisection equals a loop of Python floats (whose ** calls the
+    # C library pow) bit for bit: on the benchmark curve's 200 v0 and on
+    # 15,000 random (v0, gamma, kappa); a float v0 gives a float
+    consts = compute_threshold_constants(ModelParams(n=3, kappa=1.0, c=0.0), (1.0, 0.01))
+    v0s = np.linspace(0.01, 2.0, 200)
+    sigma = explicit_sigma_plus(v0s, consts, 1.0, 3.0)
+    scalar = [explicit_sigma_plus(float(v0), consts, 1.0, 3.0) for v0 in v0s]
+    assert all(type(value) is float for value in scalar)
+    assert sigma.tobytes() == np.array(scalar).tobytes()
+    assert (compute_dcrit(v0s, consts.gamma, 1.0).tobytes()
+            == np.array([_dcrit_loop(v0, consts.gamma, 1.0) for v0 in v0s]).tobytes())
+    rng = np.random.default_rng(2027)
+    for _ in range(100):
+        gamma, kappa = rng.uniform(0.05, 8.0), rng.uniform(0.1, 5.0)
+        # up to twice the v0 above which the bisection is skipped
+        v0 = np.exp(rng.uniform(np.log(1e-6), np.log(2.0), 150)) * kappa / (gamma * (gamma + 1))
+        assert (compute_dcrit(v0, gamma, kappa).tobytes()
+                == np.array([_dcrit_loop(v, gamma, kappa) for v in v0]).tobytes())
+    assert compute_dcrit(float(v0[0]), gamma, kappa) == _dcrit_loop(v0[0], gamma, kappa)
+
+
 def test_supercritical_w0_below_minus_C():
     params = ModelParams(n=3, kappa=1, c=0)
     consts = compute_threshold_constants(params, (1.0, 0.01))
@@ -1349,3 +1435,60 @@ def test_wv_transform_consistency():
         w0, v0 = p0 / rho0, 1.0 / rho0
         assert np.max(np.abs(v0 * dphi1 + w0 * dphi2 + dvp - w_direct)) < 1e-5
         assert np.max(np.abs(v0 * phi1 + w0 * phi2 + vp - v_direct)) < 1e-5
+
+
+# The code-equality gate of the (w, v) certificate, over 228,360 cells:
+# n in {2, 3, 4} at c = 0, seven (q0, s0) each and the compressive
+# (-1, 0.01) at n > 2 (whose n = 2 orbit escapes the cap), rel_tol 1e-3 to
+# 1e-8 with confirm on and off, and lane budgets of 400, 15,000 and 30,000
+# steps.  It takes minutes, so tier-1 deselects it; run it with
+# `python -m pytest -m gate` before a change to the certificate or its basis.
+GATE_ORBITS = [(1.0, 0.01), (-1.0, 0.05), (0.5, 0.1), (0.0, 0.5), (-0.5, 0.1), (0.0, 1.0),
+               (2.0, 0.2)]
+# cells whose lanes end otherwise than their exact orbit, by (n, q0, s0,
+# rel_tol): the certificate settles them bounded, as the orbit is (v stays
+# above 0.0058 of its size), while at 1e-4 a lane passes the cap near
+# t = 20, a false blowup that the 1e-5 confirm run flips to inconclusive
+GATE_LANE_ERRORS = {(4, -1.0, 0.01, 1e-4): {(1.0, 2.0434782608695654)}}
+GATE_CONFIGS = ([(IntegratorConfig(rel_tol=tol, abs_tol=tol / 100), confirm)
+                 for tol in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8) for confirm in (True, False)]
+                + [(IntegratorConfig(max_steps=steps), True) for steps in (400, 15000, 30000)])
+
+
+def gate_cells(n, q0, s0):
+    """A 24 x 24 p0 x rho0 grid on the orbit (q0, s0), then states 1e-7 to
+    0.1 in w0 from the exact thresholds at rho0 = 0.3, 1 and 2.5."""
+    offsets = np.concatenate((-np.logspace(-7, -1, 13), np.logspace(-7, -1, 13)))
+    near = [(r * (end + offset), r) for r in (0.3, 1.0, 2.5)
+            for end in _exact_thresholds(n, q0, s0, r) if end is not None for offset in offsets]
+    p0 = np.concatenate((np.repeat(np.linspace(-3.0, 1.0, 24), 24), [p for p, _ in near]))
+    rho0 = np.concatenate((np.tile(np.linspace(0.25, 3.0, 24), 24), [r for _, r in near]))
+    return np.array([p0, np.full(p0.size, q0), np.full(p0.size, s0), rho0])
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gate_certificate_codes_equal_the_lanes(n):
+    # codes only (the certificate, then lanes for what it leaves) equal the
+    # lanes' codes on every cell but GATE_LANE_ERRORS', which they settle
+    # bounded, and the lanes' step budget refuses every basis that 100 runs
+    # of a 1e-10 basis refused
+    params, cells = ModelParams(n=n, kappa=1, c=0), 0
+    for q0, s0 in GATE_ORBITS + [(-1.0, 0.01)] * (n > 2):
+        x = gate_cells(n, q0, s0)
+        for config, confirm in GATE_CONFIGS:
+            codes = classify_ep_columns(x, params, config, confirm, outcomes=False).codes
+            lanes = classify_ep_columns(x, params, config, confirm).codes
+            moved = np.flatnonzero(codes != lanes)
+            assert {(x[0, i], x[3, i]) for i in moved} == GATE_LANE_ERRORS.get(
+                (n, q0, s0, config.rel_tol), set()), (q0, s0, config, confirm, [
+                    (x[0, i], x[3, i], codes[i], lanes[i]) for i in moved[:5]])
+            assert not codes[moved].any()
+            cells += x.shape[1]
+        basis, _ = _basis_reads(params, q0, s0, IntegratorConfig())
+        fine = integrate(wv_basis_system(params, s0), (q0, s0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+                         IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12))
+        if basis.termination is Termination.REACHED_HORIZON:
+            assert (euler_poisson._WV_STEP_BUDGET * (len(basis.ts) - 1)
+                    >= 100 * (len(fine.ts) - 1)), (q0, s0)
+    assert cells >= 60_000
