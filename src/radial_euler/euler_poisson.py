@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -399,9 +399,6 @@ class Verdicts:
                              "only their codes can be read")
         return self._outcome(cell)
 
-    def __iter__(self) -> Iterator[ClassificationOutcome]:
-        return map(self.__getitem__, range(len(self.codes)))
-
 
 def _in_batches(n_cells: int, classify: Callable[[int, int], Verdicts]) -> Verdicts:
     """``classify(lo, hi)`` of the cells lo..hi-1, _MAX_BATCH_CELLS at a time."""
@@ -644,14 +641,14 @@ def _orbit_settled(x: np.ndarray, params: ModelParams, config: IntegratorConfig)
     kappa, c, t_max, cap = params.kappa, params.c, config.t_max, config.magnitude_cap
     p0, rho0 = x[0], x[3]
     with np.errstate(all="ignore"):
-        v0, w0 = 1.0 / rho0, p0 / rho0
+        v0, w0, floor = 1.0 / rho0, p0 / rho0, _v_floor(p0, rho0, kappa, c)
         if c > 0.0:
             om, amp = math.sqrt(kappa * c), _orbit_amplitude(p0, rho0, kappa, c)
-            floor, size, swing, calm = 1.0 / c - amp, 1.0 / c + amp, om * amp, t_max
+            size, swing, calm = 1.0 / c + amp, om * amp, t_max
             # v = 1/c + amp cos(om t - phase) first reaches 0 where the cosine is -1/(c amp)
             fall = (np.arccos(-1.0 / (c * amp)) + np.arctan2(w0 / om, v0 - 1.0 / c)) / om
         else:
-            om, floor, size = 0.0, _v_floor(p0, rho0, kappa, c), v0 + w0 * w0 / (2.0 * kappa)
+            om, size = 0.0, v0 + w0 * w0 / (2.0 * kappa)
             swing = np.maximum(np.abs(w0), np.sqrt(kappa * floor))
             calm = np.clip(-w0 / kappa, 0.0, t_max)     # the time to the basin p >= 0
             fall = 2.0 * v0 / (np.sqrt(w0 * w0 - 2.0 * kappa * v0) - w0)
@@ -800,7 +797,7 @@ def qs_phase_portrait(params: ModelParams, seeds: Sequence[tuple],
     out = []
     for seed in seeds:
         q0, s0 = seed
-        if s0 <= -c / n or (c == 0.0 and s0 <= 0.0):
+        if s0 <= -c / n:
             out.append(PortraitTrajectory(seed, None, "invalid"))
             continue
         run = integrate_qs(params, q0, s0, config.t_max, config, extra_events=sections)

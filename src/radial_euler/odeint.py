@@ -133,8 +133,12 @@ class TrajectoryRecord:
     hits: list = field(default_factory=list)
     note: str = ""
     attempts: int = 0
-    accepted: int = 0
     rejected: int = 0
+
+    @property
+    def accepted(self) -> int:
+        """Every sample after the first is an accepted step, except an event's location."""
+        return len(self.ts) - 1 - (self.termination is Termination.EVENT)
 
     @property
     def t_final(self) -> float:
@@ -174,6 +178,15 @@ class TrajectoryRecord:
 TERMINATIONS = tuple(Termination)
 
 
+def _probe_grid(probe_t) -> np.ndarray:
+    """The probe times every lane shares: None (none), a scalar or a (P,) grid."""
+    times = np.atleast_1d(np.asarray([] if probe_t is None else probe_t, dtype=float))
+    if times.ndim != 1 or np.any(times < 0.0) or np.any(np.diff(times) < 0):
+        raise ValueError("probe times must be one nonnegative, nondecreasing grid "
+                         "that every lane shares")
+    return times
+
+
 @dataclass(eq=False)
 class LaneBatch:
     """How every lane of a batch ended, as arrays over the lanes.
@@ -185,9 +198,8 @@ class LaneBatch:
     is probe times x dim x lanes, NaN past a lane's final time (past its
     last accepted step, for a lane that ended at the event), and
     ``notes`` maps a lane to its integrator note.  The counters are each
-    lane's step attempts (six stage evaluations each), accepted and
-    rejected steps and rhs evaluations; the step that crosses the event
-    and a collapsing step are attempts only.
+    lane's step attempts, accepted and rejected steps; the step that
+    crosses the event and a collapsing step are attempts only.
     """
 
     ends: np.ndarray
@@ -201,28 +213,30 @@ class LaneBatch:
     attempts: np.ndarray
     accepted: np.ndarray
     rejected: np.ndarray
-    rhs_evals: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ends)
+
+    @property
+    def rhs_evals(self) -> np.ndarray:
+        """Each lane's rhs evaluations: the start, and six stages per attempt."""
+        return 1 + 6 * self.attempts
 
     @classmethod
     def of(cls, records: Sequence[TrajectoryRecord], probe_t, dim: int,
            blowup_times: bool = True) -> "LaneBatch":
         """The batch of the scalar runs ``records`` of a ``dim``-dimensional system.
 
-        ``probe_t`` is None, or the nondecreasing probe times of every run,
-        and ``blowup_times`` says, as for :func:`integrate_lanes`, whether
-        blown runs' times are fitted (else every ``blowup_time`` is NaN).
+        ``probe_t`` and ``blowup_times`` are those of :func:`integrate_lanes`:
+        the probe grid of every run, and whether blown runs' times are
+        fitted (else every ``blowup_time`` is NaN).
         """
         n = len(records)
-        times = np.atleast_1d(np.asarray([] if probe_t is None else probe_t, dtype=float))
-        attempts, accepted, rejected = (np.array([getattr(rec, name) for rec in records],
-                                                 dtype=int)
-                                        for name in ("attempts", "accepted", "rejected"))
+        times = _probe_grid(probe_t)
         batch = cls(np.zeros(n, dtype=int), np.zeros(n), np.zeros((dim, n)), np.zeros(n),
                     np.full(n, -1), np.full(n, np.nan), np.full((len(times), dim, n), np.nan),
-                    {}, attempts, accepted, rejected, 1 + 6 * attempts)
+                    {}, *(np.array([getattr(rec, name) for rec in records], dtype=int)
+                          for name in ("attempts", "accepted", "rejected")))
         for j, rec in enumerate(records):
             batch.ends[j] = TERMINATIONS.index(rec.termination)
             batch.t_final[j], batch.y_final[:, j] = rec.t_final, rec.y_final
@@ -358,15 +372,6 @@ def _blowup_time_estimate(ts, zs):
     return max(float(-b / a), float(t_arr[-1]))
 
 
-def _finish(ts, ys, fs, termination, **kw) -> TrajectoryRecord:
-    """The record of a run; every sample after the first is an accepted step,
-    except an event's location."""
-    return TrajectoryRecord(np.asarray(ts, dtype=float),
-                            np.asarray(ys, dtype=float),
-                            np.asarray(fs, dtype=float), termination,
-                            accepted=len(ts) - 1 - (termination is Termination.EVENT), **kw)
-
-
 def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
               events: Sequence[EventSpec] = (), t0: float = 0.0) -> TrajectoryRecord:
     """Adaptive integration to t_max or a terminating event/blowup/collapse.
@@ -392,19 +397,18 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
     if not all(math.isfinite(v) for v in y):
         raise ValueError("initial state must be finite")
     k1 = f(t, y)
-    if not all(math.isfinite(v) for v in k1):
-        return _finish([t], [y], [tuple(k1)], Termination.STEP_COLLAPSE,
-                       note=f"non-finite rhs at t={t}")
-
     ts, ys, fs = [t], [y], [tuple(k1)]
     hits: list[EventHit] = []
-    gvals = [ev.func(t, y) for ev in events]
     attempts = rejected = 0
 
     def end(termination, **kw):
-        return _finish(ts, ys, fs, termination, hits=hits, attempts=attempts,
-                       rejected=rejected, **kw)
+        return TrajectoryRecord(np.asarray(ts, dtype=float), np.asarray(ys, dtype=float),
+                                np.asarray(fs, dtype=float), termination, hits=hits,
+                                attempts=attempts, rejected=rejected, **kw)
 
+    if not all(math.isfinite(v) for v in k1):
+        return end(Termination.STEP_COLLAPSE, note=f"non-finite rhs at t={t}")
+    gvals = [ev.func(t, y) for ev in events]
     h = min(config.h_init, h_max, max(t_max - t, h_min))
     for _ in range(config.max_steps):
         if t >= t_max:
@@ -551,7 +555,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     step collapse.  Every lane repeats the arithmetic of :func:`integrate`
     in the same order, so lane j of the returned :class:`LaneBatch` equals
     lane 0 of ``LaneBatch.of([integrate(system, y0[:, j], configs[j],
-    (event,))], probe_t[:, j], dim)`` exactly.  For that,
+    (event,))], probe_t, dim)`` exactly.  For that,
     the rhs and the event must work elementwise on (dim, k) arrays with
     the same operations they apply to scalars, the rhs returning one (k,)
     array per component.
@@ -567,11 +571,11 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     while it runs.  A caller that reads no blowup time passes
     ``blowup_times=False``: the lanes then keep no samples, every
     ``blowup_time`` is NaN, and everything else is the same.
-    ``probe_t`` holds P probe times per lane,
-    nondecreasing down each column of its (P, lanes) shape; a scalar or a
-    (P,) array applies to every lane.  Each probe is the Hermite point on
-    the accepted step that :meth:`TrajectoryRecord.sample_many` would
-    pick, so a probe at the final time is the end of the last step.
+    ``probe_t`` is None, a scalar or a nondecreasing (P,) grid of probe
+    times that every lane shares; a 2-D array is refused.  Each probe is
+    the Hermite point on the accepted step that
+    :meth:`TrajectoryRecord.sample_many` would pick, so a probe at the
+    final time is the end of the last step.
     """
     f = system.rhs
     d = system.dimension
@@ -623,16 +627,8 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
     # (lanes, t, y, k1, t_new, y_new, k7, g) of the steps that crossed the
     # event, located together after the loop
     brackets = []
-    pt = probe = None
-    if probe_t is not None:
-        pt = np.asarray(probe_t, dtype=float)
-        if pt.ndim < 2:
-            pt = pt.reshape(-1, 1)
-        pt = np.array(np.broadcast_to(pt, (len(pt), n)))
-        if np.any(pt < 0.0) or np.any(np.diff(pt, axis=0) < 0):
-            raise ValueError("probe times must be nonnegative and nondecreasing "
-                             "in every lane")
-        probe = np.full((len(pt), d, n), np.nan)
+    pt = _probe_grid(probe_t)[:, None]     # P x 1, against the lanes' times
+    probe = np.full((len(pt), d, n), np.nan)
     lane = np.arange(n)
     alive = np.ones(n, dtype=bool)
     iterations = 0
@@ -658,7 +654,7 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             at = inside[row]
             h = t1[at] - t0[at]
             probe[row][:, lane[at]] = _hermite(
-                (pt[row, at] - t0[at]) / h, h, y0[:, at], f0[:, at], y1[:, at], f1[:, at])
+                (pt[row] - t0[at]) / h, h, y0[:, at], f0[:, at], y1[:, at], f1[:, at])
 
     def close(mask, termination, t_f, y_f, note=None):
         """Record the end of every lane in ``mask`` and retire it."""
@@ -678,10 +674,9 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
         close(~np.all(np.isfinite(k1), axis=0), Termination.STEP_COLLAPSE, t, y,
               note=lambda j: f"non-finite rhs at t={float(t[j])}")
         g = event_at(t, y, lane) if event is not None else None
-        if pt is not None:
-            # a lane that never accepts a step is a one-sample record, which
-            # sample_many reads at s = 0 of a step from its start point
-            take_probes(pt <= t, t, y, k1, t + 1.0, y, k1)
+        # a lane that never accepts a step is a one-sample record, which
+        # sample_many reads at s = 0 of a step from its start point
+        take_probes(pt <= t, t, y, k1, t + 1.0, y, k1)
         rtol, h_min, h_max, t_max, cap, max_steps, h_init = limits
         h = np.minimum(np.minimum(h_init, h_max), np.maximum(t_max - t, h_min))
 
@@ -690,9 +685,9 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
             if not running:
                 break
             if len(lane) - running >= _COMPACT_SHARE * len(lane):
-                lane, t, y, k1, g, h, n_att, n_acc, n_rej, vmax, limits, atol, pt = (
+                lane, t, y, k1, g, h, n_att, n_acc, n_rej, vmax, limits, atol = (
                     None if a is None else a[..., alive] for a in
-                    (lane, t, y, k1, g, h, n_att, n_acc, n_rej, vmax, limits, atol, pt))
+                    (lane, t, y, k1, g, h, n_att, n_acc, n_rej, vmax, limits, atol))
                 alive = np.ones(running, dtype=bool)
                 rtol, h_min, h_max, t_max, cap, max_steps, _ = limits
             iterations += 1
@@ -757,10 +752,9 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
                 slot = n_acc[js] % _BLOWUP_TAIL
                 tb[slot, i] = t_new[js]
                 yb[slot, :, i] = y_new[:, js].T
-            if pt is not None:
-                # a probe on t_new is taken again, at s = 0, by the next
-                # accepted step if there is one, as sample_many picks
-                take_probes(step & (t <= pt) & (pt <= t_new), t, y, k1, t_new, y_new, k7)
+            # a probe on t_new is taken again, at s = 0, by the next
+            # accepted step if there is one, as sample_many picks
+            take_probes(step & (t <= pt) & (pt <= t_new), t, y, k1, t_new, y_new, k7)
 
             big = step & (mag > cap)
             if big.any():
@@ -805,10 +799,8 @@ def integrate_lanes(system: OdeSystem, y0: np.ndarray,
              "lane-steps; %d lanes bracketed an event, located in %d halving rounds",
              n, iterations, accepted.sum(), rejected.sum(), located, rounds)
 
-    return LaneBatch(ends, t_end, y_end, max_abs, blowup_comp, blowup_time,
-                     probe if probe is not None else np.empty((0, d, n)), notes,
-                     attempts=attempts, accepted=accepted, rejected=rejected,
-                     rhs_evals=1 + 6 * attempts)
+    return LaneBatch(ends, t_end, y_end, max_abs, blowup_comp, blowup_time, probe, notes,
+                     attempts=attempts, accepted=accepted, rejected=rejected)
 
 
 def estimate_decay_exponent(record: TrajectoryRecord, component: int,

@@ -301,20 +301,18 @@ def simulate_ep(rho0: RadialProfile, u0: RadialProfile, params: ModelParams,
                 else Termination.STEP_COLLAPSE.value)
         blowup = BlowupReport(float(t_stop[i]), kind, i, float(batch.y_final[4, i]))
 
-    snap_times = times[times <= t_cover * (1 + 1e-12)]
+    # no snapshot reads a path past the earliest final time
+    snap_times = times[times <= t_cover]
     if blowup is not None and t_cover * (1 - 1e-9) > (snap_times[-1] if len(snap_times)
                                                       else 0.0):
         # keep the last resolvable pre-blowup state
         snap_times = np.append(snap_times, t_cover * (1 - 1e-9))
-    # each path is read no later than its own final time
-    probe_t = np.minimum(snap_times[:, None], t_final[None, :])
     runs = 1
-    if not np.array_equal(probe_t, np.broadcast_to(times[:len(snap_times), None],
-                                                   probe_t.shape)):
+    if not np.array_equal(snap_times, times[:len(snap_times)]):
         # a path ended early: run the lanes again, probed where the
         # snapshots read them (the runs are deterministic, so only the
         # probes differ)
-        batch = integrate_lanes(system, y0, configs, probe_t=probe_t)
+        batch = integrate_lanes(system, y0, configs, probe_t=snap_times)
         runs = 2
     clock = _phase("integrated %d lanes (%d run%s)", n_paths, runs,
                    "" if runs == 1 else "s", since=clock)
@@ -484,7 +482,6 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
         snap = reconstruct_fields(ens_t)
         snap.extras["psi"] = psi
         snap.extras["G"] = snap.p + psi
-        snap.extras["V"] = 2.0 * float(np.max(np.abs(u)))
         snapshots.append(snap)
         recon_s += time.perf_counter() - start
 
@@ -501,7 +498,8 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
         u = u + step / 6.0 * (du1 + 2 * du2 + 2 * du3 + du4)
         steps = k + 1
         t_new = steps * step
-        if np.any(np.diff(r) <= 0):
+        if r[0] <= 0.0 or np.any(np.diff(r) <= 0):
+            # paths met, or the first met its mirror image at the origin (i = 0)
             i = int(np.argmax(np.diff(r) <= 0))
             blowup = BlowupReport(t_new, "crossing", i, float(r[i]))
             break
@@ -536,8 +534,7 @@ def diagnostics_series(snapshots: list) -> dict:
         raise ValueError("no snapshots to diagnose")
     t = np.array([s.time for s in snapshots])
     max_grad = np.array([s.max_grad for s in snapshots])
-    vosc = np.array([s.extras.get("V", 2.0 * float(np.max(np.abs(s.u))))
-                     for s in snapshots])
+    vosc = np.array([2.0 * float(np.max(np.abs(s.u))) for s in snapshots])
     support = np.array([float(np.max(s.r[s.masses > 0.0], initial=0.0))
                         for s in snapshots])
     min_radius = np.array([float(np.min(s.r)) for s in snapshots])

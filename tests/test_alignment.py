@@ -491,6 +491,138 @@ def test_classify_ea_many_logs_its_batch(caplog):
     assert line == "5 cells, 2 inside the basin at t = 0; 3 runs of the rest"
 
 
+# the horizon of the exact-verdict checks below
+_EA_T = 40.0
+
+
+class _ZOracle:
+    """Exact verdicts of the comparison system v' = -v^2 - a v - g C0 e^{-nu t}.
+
+    Under v = z'/z it is the linear z'' + a z' + g C0 e^{-nu t} z = 0 with
+    z(0) = 1 and z'(0) = y0, and v escapes to -inf exactly at z's first
+    zero.  With a constant rate, z = z1 + y0 z2 of one basis run (scipy's
+    DOP853 at rtol 1e-12), read eight times inside each of its steps and
+    bisected on its dense output.  On side q+ the rate is psi_max while
+    v >= 0 and psi_min below, and v, once negative, stays so while B > 0:
+    a state with y0 <= 0 reads the psi_min basis, and one with y0 > 0 runs
+    alone, switching rate where z' falls through 0.
+    """
+
+    def __init__(self, kind, side, bounds, n, C0):
+        from scipy.integrate import solve_ivp
+        pm, pM, nu = bounds.psi_min, bounds.psi_max, bounds.nu
+        a, g = {("q", "+"): (pm, 1.0), ("q", "-"): (pM, -1.0),
+                ("G", "+"): (-pm, n - 1.0), ("G", "-"): (-pM, 1.0 - n)}[kind, side]
+        self.switching, self.pm, self.pM = (kind, side) == ("q", "+"), pm, pM
+
+        def rhs(rate):
+            return lambda t, y: [y[1], -rate * y[1] - g * C0 * math.exp(-nu * t) * y[0]]
+
+        self.run = lambda rate, t0, z0, *events: solve_ivp(
+            rhs(rate), (t0, _EA_T), z0, method="DOP853", rtol=1e-12, atol=1e-14,
+            events=events)
+        two = rhs(a)
+        sol = solve_ivp(lambda t, y: two(t, y[:2]) + two(t, y[2:]), (0.0, _EA_T),
+                        [1.0, 0.0, 0.0, 1.0], method="DOP853", rtol=1e-12, atol=1e-14,
+                        dense_output=True).sol
+        self.sol, self.grid = sol, np.append(np.linspace(
+            sol.ts[:-1], sol.ts[1:], 8, endpoint=False).T.ravel(), _EA_T)
+        self.z1, _, self.z2, _ = sol(self.grid)
+
+    def blows(self, y0):
+        """Whether z vanishes in [0, _EA_T]."""
+        if self.switching and y0 > 0.0:
+            return self._switching_zero(y0) < _EA_T
+        return bool(np.any(self.z1 + y0 * self.z2 <= 0.0))
+
+    def zeros(self, y0s):
+        """The first zero of z for each y0, inf where there is none."""
+        y0s = np.atleast_1d(np.asarray(y0s, dtype=float))
+        down = self.z1 + y0s[:, None] * self.z2 <= 0.0
+        k = np.maximum(np.argmax(down, axis=1), 1)
+        lo, hi = self.grid[k - 1], self.grid[k]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            w1, _, w2, _ = self.sol(mid)
+            pos = w1 + y0s * w2 > 0.0
+            lo, hi = np.where(pos, mid, lo), np.where(pos, hi, mid)
+        zeros = np.where(down.any(axis=1), hi, np.inf)
+        if self.switching:
+            zeros[y0s > 0.0] = [self._switching_zero(y0) for y0 in y0s[y0s > 0.0].tolist()]
+        return zeros
+
+    def _switching_zero(self, y0):
+        def zero(t, y):
+            return y[0]
+
+        def turn(t, y):
+            return y[1]
+        zero.terminal = turn.terminal = True
+        zero.direction = turn.direction = -1
+        run = self.run(self.pM, 0.0, [1.0, y0], zero, turn)
+        if run.t_events[1].size:
+            run = self.run(self.pm, run.t_events[1][0], [run.y_events[1][0][0], 0.0], zero)
+        return run.t_events[0][0] if run.t_events[0].size else math.inf
+
+
+def _oracle_threshold(oracle, lo, hi):
+    """The y0 between a blown ``lo`` and a bounded ``hi`` where blowup before
+    _EA_T stops, to 32 halvings: a larger y0 stays above a smaller one's v."""
+    for _ in range(32):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if oracle.blows(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind, side", [("q", "+"), ("q", "-"), ("G", "+"), ("G", "-")])
+def test_classify_ea_many_matches_the_exact_linear_form(kind, side):
+    # every kind and side, each n in {1, 2, 3}, and nu below, at and above
+    # psi_min = 1: a y0 x C0 grid, and states at y0* +- delta (relative) on
+    # several C0, with the threshold y0* bisected on the oracle.  Codes must
+    # equal the oracle's off the threshold itself and off the last 1% of the
+    # horizon.  Blowup times are within 1e-6 on the grid (measured: 1.8e-7),
+    # and within 1e-6 + 5e-8 / delta at y0* +- delta, whose blowup time
+    # moves like 1 / delta with the state (measured: 1.5e-4 at delta 1e-4,
+    # 1.6e-2 at 1e-6, both on side q+).  A state 1e-8 from the threshold,
+    # inside the integrator's 1e-8 tolerance, was called a blowup on side q+
+    # at C0 = 1 and 2, and is left out.
+    y0s = np.linspace(-3.0, 1.0, 21)
+    deltas = np.array([-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2])
+    for n, nu in ((1, 0.5), (2, 1.0), (3, 2.0)) if side == "+" else \
+            ((1, 1.0), (2, 2.0), (3, 0.5)):
+        bounds = AlignmentBounds(psi_min=1.0, psi_max=1.5, nu=nu, C0=0.0)
+        cells, zeros, tols, kept = [], [], [], 0
+        for C0 in (0.0, 0.5, 1.0, 2.0):
+            oracle = _ZOracle(kind, side, bounds, n, C0)
+            col = oracle.zeros(y0s)
+            blown = np.flatnonzero(col < _EA_T)
+            edge = None
+            if 0 < len(blown) and blown[-1] < len(y0s) - 1:
+                edge = _oracle_threshold(oracle, y0s[blown[-1]], y0s[blown[-1] + 1])
+                near = edge + deltas * max(1.0, abs(edge))
+                cells += [(y0, C0) for y0 in near]
+                zeros += oracle.zeros(near).tolist()
+                tols += (1e-6 + 5e-8 / np.abs(deltas)).tolist()
+            # a grid state on the threshold (an equilibrium at C0 = 0) is
+            # decided by roundoff in the oracle
+            on_edge = (np.zeros(len(y0s), dtype=bool) if edge is None
+                       else np.abs(y0s - edge) <= 1e-9 * max(1.0, abs(edge)))
+            cells += [(y0, C0) for y0 in y0s[~on_edge]]
+            zeros += col[~on_edge].tolist()
+            tols += [1e-6] * int(np.count_nonzero(~on_edge))
+        zeros, tols = np.array(zeros), np.array(tols)
+        got = classify_ea_many(kind, [y0 for y0, _ in cells], [C0 for _, C0 in cells],
+                               bounds, n, side=side, config=IntegratorConfig(t_max=_EA_T))
+        late = (0.99 * _EA_T <= zeros) & (zeros < _EA_T)
+        want = np.where(zeros < _EA_T, VERDICT_CODES[Verdict.FINITE_TIME_BLOWUP],
+                        VERDICT_CODES[Verdict.GLOBAL_BOUNDED])
+        assert np.array_equal(got.codes[~late], want[~late]), (n, nu)
+        for j in np.flatnonzero((want == VERDICT_CODES[Verdict.FINITE_TIME_BLOWUP]) & ~late):
+            assert abs(got[int(j)].t_estimate - zeros[j]) <= tols[j], (n, nu, cells[j])
+            kept += 1
+        assert kept > len(cells) // 10 and np.count_nonzero(want == 0) > len(cells) // 10
+
+
 def test_unsettled_kernel_quadrature_raises(monkeypatch):
     from radial_euler import IntegrationFailure, alignment
     values = iter([1.0, 2.0, 3.0])

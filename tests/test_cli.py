@@ -1153,9 +1153,10 @@ def test_expanding_ensemble_radius_is_no_blowup(tmp_path, capsys, support):
     assert not any(re.search(r"(?i)\b(nan|inf)\b", body) for body in artifacts.values())
 
 
-def _extremes_config(kind, n, paths, support, amp):
+def _extremes_config(kind, n, paths, support, amp, u_amp=None):
     """A simulate config of the combined-extremes grid: every length scale is
-    ``support`` and both amplitudes are ``amp``."""
+    ``support``, the density amplitude is ``amp`` and the velocity's is
+    ``u_amp`` (default ``amp``)."""
     if kind == "euler-alignment":
         initial = {"rho_profile": "indicator", "rho_radius": support,
                    "u_profile": "gaussian", "u_width": float(support) / 2}
@@ -1166,7 +1167,8 @@ def _extremes_config(kind, n, paths, support, amp):
         extra = {}
     return _config_text({"model": {"kind": kind, "n": n}, **extra,
                          "initial": {**initial, "r_max": support, "rho_amp": amp,
-                                     "u_amp": amp, "profile_nodes": 201, "n_paths": paths},
+                                     "u_amp": amp if u_amp is None else u_amp,
+                                     "profile_nodes": 201, "n_paths": paths},
                          "simulate": {"t_end": 1, "snapshots": 3}})
 
 
@@ -1179,14 +1181,18 @@ def test_simulate_extremes_end_finite_or_refused(tmp_path, capsys, kind, n):
     # error line and no artifact, or writes only finite numbers, and none
     # reports a path radius as a blowup.  The runs cover the shell-measure
     # refusal, the radius past the cap and PCHIP slopes of tiny amplitudes
-    # on wide supports.
-    for paths, support, amp in itertools.product((2, 30), ("1e-100", "1", "1e10"),
-                                                 ("1e-300", "1", "1e150")):
-        case = tmp_path / f"{paths}-{support}-{amp}"
+    # on wide supports.  A contracting velocity (u_amp -1) on the smallest
+    # support reaches the mid-run shell-measure stop in n = 3.
+    runs = [(paths, support, amp, amp) for paths, support, amp in itertools.product(
+        (2, 30), ("1e-100", "1", "1e10"), ("1e-300", "1", "1e150"))]
+    runs += [(30, "1e-100", amp, "-1") for amp in ("1e-300", "1", "1e150")]
+    stops = set()
+    for paths, support, amp, u_amp in runs:
+        case = tmp_path / f"{paths}-{support}-{amp}-{u_amp}"
         case.mkdir()
-        rc, err, artifacts = _run_bad_input(case, capsys, "simulate",
-                                            _extremes_config(kind, n, paths, support, amp))
-        where = (paths, support, amp, rc, err)
+        rc, err, artifacts = _run_bad_input(case, capsys, "simulate", _extremes_config(
+            kind, n, paths, support, amp, u_amp))
+        where = (paths, support, amp, u_amp, rc, err)
         if rc == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, where
             assert artifacts == {}, where
@@ -1196,6 +1202,25 @@ def test_simulate_extremes_end_finite_or_refused(tmp_path, capsys, kind, n):
             assert not re.search(r"(?i)\b(nan|inf|infinity)\b", body), (where, name)
         blowup = json.loads(artifacts["metadata.json"], parse_constant=_reject_constant)["blowup"]
         assert blowup is None or blowup["kind"] != "r", where
+        stops.add(blowup and blowup["kind"])
+    assert ("shell-underflow" in stops) == (n == 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("support", ["1e-100", "1"])
+def test_alignment_path_through_the_origin_is_a_crossing(tmp_path, capsys, n, support):
+    # an RK4 step that carries the first path past the origin ends the run as
+    # a crossing of that path with its mirror image (exit 2), before any
+    # snapshot reads a radius r <= 0; it once exited 1 with "the first path
+    # must lie at r > 0", as if the input were bad
+    rc, err, artifacts = _run_bad_input(tmp_path, capsys, "simulate", _extremes_config(
+        "euler-alignment", n, 2, support, "1", "-1e10"))
+    assert rc == 2 and err == ""
+    meta = json.loads(artifacts["metadata.json"], parse_constant=_reject_constant)
+    assert meta["blowup"]["kind"] == "crossing" and meta["blowup"]["path_index"] == 0
+    assert meta["blowup"]["radius"] <= 0.0 and meta["snapshots"] >= 1
+    assert not any(re.search(r"(?i)\b(nan|inf)\b", body) for body in artifacts.values())
 
 
 def _bad_input_cases():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -281,34 +282,38 @@ def test_only_escaping_components_reach_the_cap():
 
 
 def test_lane_probes_match_sample_many():
-    # several probes per lane: the start, accepted-step boundaries, points
-    # inside steps and the final time, for runs ending every way but events
+    # one probe grid that every lane shares, built from each run in turn:
+    # the start, accepted-step boundaries, points inside steps and the
+    # final time, for runs ending every way but events; the other lanes
+    # read the same grid up to their own final times
     cases = [(0.2, IntegratorConfig(t_max=30)),                      # horizon
              (-1.0, IntegratorConfig(t_max=30)),                     # blowup
              (0.2, IntegratorConfig(t_max=1e6, max_steps=9)),        # budget
              (-1.0, IntegratorConfig(t_max=30, h_min=1e-2, h_init=1e-2)),
              (0.5, IntegratorConfig(t_max=0.0))]                     # no step
     recs = [integrate(RICCATI, [y], cfg) for y, cfg in cases]
-    probes = []
-    for rec in recs:
+    for j, rec in enumerate(recs):
         ts = rec.ts
         inner = [ts[len(ts) // 3], ts[len(ts) // 2], 0.5 * (ts[-2] + ts[-1])] \
             if len(ts) > 2 else [ts[0]] * 3
-        probes.append(sorted([0.0, 0.0, *inner, rec.t_final]))
-    probe_t = np.array(probes).T
-    batch = integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]),
-                            [cfg for _, cfg in cases], probe_t=probe_t)
-    for j, rec in enumerate(recs):
-        assert _probed(batch, j) == probe_t.shape[0]
-        assert np.array_equal(batch.probe[:, :, j], rec.sample_many(probe_t[:, j]))
-        _same_run(batch, j, rec, probe_t[:, j])
+        probe_t = np.array(sorted([0.0, 0.0, *inner, rec.t_final]))
+        batch = integrate_lanes(RICCATI, np.array([[y for y, _ in cases]]),
+                                [cfg for _, cfg in cases], probe_t=probe_t)
+        assert _probed(batch, j) == len(probe_t)
+        assert np.array_equal(batch.probe[:, :, j], rec.sample_many(probe_t))
+        for k, other in enumerate(recs):
+            _same_run(batch, k, other, probe_t)
     # a probe past a lane's final time is left out: a prefix stays
     batch = integrate_lanes(RICCATI, np.array([[-1.0]]), [cases[1][1]],
                             probe_t=[0.5, 0.9, 5.0])
     assert _probed(batch, 0) == 2
     assert np.array_equal(batch.probe[:2, :, 0], recs[1].sample_many([0.5, 0.9]))
-    with pytest.raises(ValueError):
-        integrate_lanes(RICCATI, np.array([[1.0]]), [IntegratorConfig()], probe_t=[0.5, 0.2])
+    for bad in ([0.5, 0.2], [-0.1, 0.5], [[0.5, 0.5], [1.0, 1.0]]):
+        with pytest.raises(ValueError, match="one nonnegative, nondecreasing grid"):
+            integrate_lanes(RICCATI, np.array([[1.0, 2.0]]), [IntegratorConfig()] * 2,
+                            probe_t=bad)
+        with pytest.raises(ValueError, match="one nonnegative, nondecreasing grid"):
+            LaneBatch.of([integrate(RICCATI, [1.0], IntegratorConfig())], bad, 1)
 
 
 @pytest.mark.parametrize("lanes", [19, 20])
@@ -580,6 +585,49 @@ def test_scalar_records_count_what_lanes_count():
     for name in ("attempts", "accepted", "rejected", "rhs_evals"):
         assert getattr(scalar, name).tolist() == getattr(lanes, name).tolist(), name
     assert scalar.rejected.any() and [rec.attempts for rec in records] == scalar.attempts.tolist()
+
+
+def test_both_builders_fill_every_field_alike():
+    # integrate_lanes and LaneBatch.of of the same scalar runs must agree on
+    # every field of LaneBatch, whichever fields it has, NaN for NaN: a
+    # field that one builder fills and the other forgets fails here.  The
+    # lanes end every way a run can (a non-finite rhs at t = 0 too), share
+    # one probe grid, cross per-lane event levels, and come three times in
+    # changing order, so the lockstep loop runs 27 lanes and compacts them
+    def level(t, y, c):
+        return c[1] * (y[0] - c[0])
+
+    system = OdeSystem(1, lambda t, y: (-y[0] * y[0] + 0.0 * np.sqrt(y[0] + 1e20),))
+    cases = EVERY_END + [(-1e21, IntegratorConfig(t_max=30))]       # non-finite rhs
+    order = [*range(len(cases)), *reversed(range(len(cases))), *range(len(cases))]
+    y0 = np.array([[cases[k][0] for k in order]])
+    configs = [cases[k][1] for k in order]
+    consts = np.array([[0.3 if k == 0 else 0.25, 1.0 + k] for k in order]).T
+    probe_t = [0.0, 0.5, 1.2, 40.0]
+    event = EventSpec("level", level, direction=-1)
+    with np.errstate(invalid="ignore"):
+        records = [integrate(system, y0[:, j], configs[j],
+                             events=(EventSpec("level", lambda t, y, c=consts[:, j]:
+                                               level(t, y, c), direction=-1),))
+                   for j in range(len(order))]
+        for keep in (True, False):
+            lanes = integrate_lanes(system, y0, configs, event=event, probe_t=probe_t,
+                                    event_consts=consts, blowup_times=keep)
+            scalar = LaneBatch.of(records, probe_t, 1, blowup_times=keep)
+            for name in [f.name for f in dataclasses.fields(LaneBatch)] + ["rhs_evals"]:
+                got, want = getattr(lanes, name), getattr(scalar, name)
+                if isinstance(want, dict):
+                    assert got == want, name
+                else:
+                    assert got.dtype == want.dtype, name
+                    assert np.array_equal(got, want, equal_nan=True), name
+            assert np.isnan(lanes.blowup_time).all() != keep
+    ends = {rec.note.split(" at ")[0] or rec.termination.value for rec in records}
+    assert len(order) >= 20 and ends == {
+        "event", "reached-horizon", "blowup-detected", "step size collapsed",
+        "time resolution exhausted", "step budget exhausted", "non-finite rhs"}
+    # lane 0 crossed its own level 0.3, where y = 0.5 / (1 + t / 2) is at t = 4/3
+    assert abs(lanes.t_final[0] - 4.0 / 3.0) < 1e-6 and np.isfinite(lanes.probe).any()
 
 
 def test_lane_batch_without_blowup_times(caplog):
