@@ -19,6 +19,7 @@ integration matter here:
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -344,7 +345,7 @@ def _bisect_event(event, t0, y0, f0, t1, y1, f1, g0, g1):
 
 def _crossed(g0, g1, direction: int):
     """Whether g changed sign over a step; elementwise when given lane arrays."""
-    valid = (g0 != 0.0) & np.isfinite(g0) & np.isfinite(g1)
+    valid = (g0 != 0.0) & (abs(g0) < math.inf) & (abs(g1) < math.inf)
     if direction > 0:
         return valid & (g0 < 0.0) & (g1 >= 0.0)
     if direction < 0:
@@ -372,14 +373,50 @@ def _blowup_time_estimate(ts, zs):
     return max(float(-b / a), float(t_arr[-1]))
 
 
+@functools.lru_cache(maxsize=None)
+def _attempt(d: int):
+    """One Dormand-Prince attempt of :func:`integrate` in dimension ``d``:
+    ``(f, t, h, y, k1, atol, rtol) -> (y_new, k7, err_norm)``, compiled on
+    first use from straight-line source, one expression per component (for a
+    handful of components, loops cost more than the arithmetic).  Every sum
+    runs over its tableau row left to right, as in :func:`integrate_lanes`."""
+    def terms(ws, i):   # the row ws against stages 1, 2, ...; a zero weight drops out
+        return " + ".join(f"{w!r} * k{s}_{i}" for s, w in enumerate(ws, 1) if w)
+
+    def state(ws):
+        return "(" + "".join(f"y_{i} + h * ({terms(ws, i)}), " for i in range(d)) + ")"
+
+    def names(prefix):
+        return "".join(f"{prefix}_{i}, " for i in range(d))
+
+    lines = [f"{names('y')}= y", f"{names('k1')}= k1", f"{names('a')}= atol"]
+    for s, (c, ws) in enumerate(((_C2, (_A21,)), (_C3, (_A31, _A32)), (_C4, (_A41, _A42, _A43)),
+                                 (_C5, (_A51, _A52, _A53, _A54)),
+                                 (1.0, (_A61, _A62, _A63, _A64, _A65))), 2):
+        at = f"t + {c!r} * h" if c < 1 else "t + h"
+        lines.append(f"{names(f'k{s}')}= f({at}, {state(ws)})")
+    lines += [f"y_new = {state((_B1, 0, _B3, _B4, _B5, _B6))}", f"{names('n')}= y_new",
+              "k7 = f(t + h, y_new)", f"{names('k7')}= k7", "acc = 0.0"]
+    for i in range(d):
+        lines += [f"e = h * ({terms((_E1, 0, _E3, _E4, _E5, _E6, _E7), i)})",
+                  f"ay, ayn = abs(y_{i}), abs(n_{i})",
+                  f"e /= a_{i} + rtol * (ay if ay > ayn else ayn)", "acc += e * e"]
+    source = "\n    ".join(["def attempt(f, t, h, y, k1, atol, rtol):", *lines,
+                             f"return y_new, k7, sqrt(acc / {d})"])
+    scope = {"sqrt": math.sqrt}
+    exec(compile(source, f"<Dormand-Prince attempt, dimension {d}>", "exec"), scope)
+    return scope["attempt"]
+
+
 def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
               events: Sequence[EventSpec] = (), t0: float = 0.0) -> TrajectoryRecord:
     """Adaptive integration to t_max or a terminating event/blowup/collapse.
 
     The stepping loop works in scalar arithmetic (states are tuples of
     floats): every system in this package has a handful of components,
-    where small-array overhead would dominate the actual math.  The rhs
-    may return any indexable sequence.
+    where small-array overhead would dominate the actual math.  Each
+    attempt unpacks what the rhs returns, so it must return a sequence of
+    exactly ``system.dimension`` values.
     """
     f = system.rhs
     d = system.dimension
@@ -387,8 +424,8 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
     atol = tuple(float(a) for a in np.broadcast_to(config.abs_tol, (d,)))
     cap = config.magnitude_cap
     t_max, h_min, h_max = config.t_max, config.h_min, config.h_max
-    rng = range(d)
-    watch = rng if system.escaping is None else system.escaping
+    watch = range(d) if system.escaping is None else system.escaping
+    attempt = _attempt(d)
 
     t = float(t0)
     y = tuple(float(v) for v in y0)
@@ -424,32 +461,8 @@ def integrate(system: OdeSystem, y0: Sequence[float], config: IntegratorConfig,
             return end(Termination.STEP_COLLAPSE, note=f"time resolution exhausted at t={t}")
 
         attempts += 1
-        k2 = f(t + _C2 * h, tuple(y[i] + h * (_A21 * k1[i]) for i in rng))
-        k3 = f(t + _C3 * h,
-               tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in rng))
-        k4 = f(t + _C4 * h,
-               tuple(y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i])
-                     for i in rng))
-        k5 = f(t + _C5 * h,
-               tuple(y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i]
-                                 + _A54 * k4[i]) for i in rng))
-        k6 = f(t + h,
-               tuple(y[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i]
-                                 + _A64 * k4[i] + _A65 * k5[i]) for i in rng))
-        y_new = tuple(y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i]
-                                  + _B5 * k5[i] + _B6 * k6[i]) for i in rng)
         t_new = t + h
-        k7 = f(t_new, y_new)
-
-        err_acc = 0.0
-        for i in rng:
-            e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
-                     + _E6 * k6[i] + _E7 * k7[i])
-            ay, ayn = abs(y[i]), abs(y_new[i])
-            sc = atol[i] + rtol * (ay if ay > ayn else ayn)
-            e /= sc
-            err_acc += e * e
-        err_norm = math.sqrt(err_acc / d)
+        y_new, k7, err_norm = attempt(f, t, h, y, k1, atol, rtol)
         # the next step size factor, as _step_factors gives it per lane
         factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
 

@@ -303,6 +303,37 @@ def test_curve_constant_influence_limit():
     assert enhanced_curve("sigma_G_plus", b, 2, 0.2).value_at_zero == 0.0
 
 
+def _bessel_separatrix(a, g, nu, x):
+    """The exact separatrix of v' = -v^2 - a v - g B, B = x e^{-nu t}, for g <= 0.
+
+    Under v = z'/z the system is z'' + a z' + g x e^{-nu t} z = 0, Bessel's
+    modified equation in kappa e^{-nu t / 2} with kappa = 2 sqrt(|g| x) / nu
+    and order mu = |a| / nu, so sigma(x) = max(0, -a) - sqrt(|g| x)
+    I_{mu-1}(kappa) / I_mu(kappa); at g = 0 that is its limit max(0, -a) - |a|.
+    """
+    from scipy.special import iv
+    if g == 0.0:
+        return np.full_like(x, max(0.0, -a) - abs(a))
+    kappa, mu = 2.0 * np.sqrt(-g * x) / nu, abs(a) / nu
+    return max(0.0, -a) - np.sqrt(-g * x) * iv(mu - 1.0, kappa) / iv(mu, kappa)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0], ids=["nu-below", "nu-at", "nu-above"])
+def test_minus_curves_match_the_exact_bessel_separatrix(n, nu):
+    # the favorable instantiations: q with rate psi_max and g = -1, G with
+    # rate -psi_max and g = -(n - 1); psi_min = 1, so nu lies below, at and
+    # above it.  Distances at the nodes, measured: up to 4.3e-11 (q, nu = 0.5)
+    # and 2.7e-11 (G, n = 3, nu = 0.5); G at n = 1 is 0 exactly.
+    b = AlignmentBounds(psi_min=1.0, psi_max=1.5, nu=nu, C0=0.0)
+    for kind, a, g in (("sigma_q_minus", 1.5, -1.0), ("sigma_G_minus", -1.5, -(n - 1.0))):
+        c = enhanced_curve(kind, b, n, 2.0)
+        assert c.xs[-1] == 2.0 and len(c.xs) > 50
+        assert c.value_at_zero == max(0.0, -a) - abs(a)
+        exact = _bessel_separatrix(a, g, nu, c.xs[1:])
+        assert np.max(np.abs(c.values[1:] - exact)) <= 1e-10, kind
+
+
 def test_curve_input_validation():
     with pytest.raises(ValueError):
         enhanced_curve("sigma_x", FIG_BOUNDS, 2, 0.2)

@@ -5,12 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from radial_euler import (EventSpec, IntegratorConfig, LaneBatch, ModelParams, OdeSystem,
-                          Termination, estimate_decay_exponent,
-                          integrate, integrate_lanes,
-                          qs_system)
+from radial_euler import (AlignmentBounds, EventSpec, IntegratorConfig, LaneBatch,
+                          ModelParams, OdeSystem, Termination, TrajectoryRecord,
+                          alignment, enhanced_curve, ep_1d_system, ep_full_system,
+                          estimate_decay_exponent, euler_poisson, integrate, integrate_lanes,
+                          qs_system, wv_basis_system)
+from radial_euler import odeint as o
+from radial_euler.core import Model
 from radial_euler.euler_poisson import integrate_qs
-from radial_euler.odeint import TERMINATIONS, outcome_of
+from radial_euler.odeint import TERMINATIONS, IntegrationFailure, _crossed, outcome_of
+from radial_euler.pde import _path_system
 
 RICCATI = OdeSystem(1, lambda t, y: (-y[0] * y[0],))
 
@@ -669,3 +673,218 @@ def test_lane_batch_without_blowup_times(caplog):
             ref = outcome_of(without, j, {})
             assert (out.verdict, out.t_estimate, out.reason) == \
                 (ref.verdict, ref.t_estimate, ref.reason)
+
+
+# ---------------------------------------------------------------------------
+# scalar integrate against a reference loop of generator expressions
+
+def _isfinite_crossed(g0, g1, direction: int):
+    """The crossing rule with ``np.isfinite``, the reference ``_crossed`` must equal."""
+    valid = (g0 != 0.0) & np.isfinite(g0) & np.isfinite(g1)
+    if direction > 0:
+        return valid & (g0 < 0.0) & (g1 >= 0.0)
+    if direction < 0:
+        return valid & (g0 > 0.0) & (g1 <= 0.0)
+    return valid & (((g0 < 0.0) != (g1 < 0.0)) | (g1 == 0.0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_crossing_rule_keeps_its_truth_table():
+    values = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308]
+    pairs = [(a, b) for a in values for b in values]
+    g0, g1 = (np.array(side) for side in zip(*pairs))
+    for direction in (-1, 0, 1):
+        for a, b in pairs:
+            assert bool(_crossed(a, b, direction)) is bool(_isfinite_crossed(a, b, direction))
+        assert np.array_equal(_crossed(g0, g1, direction), _isfinite_crossed(g0, g1, direction))
+        assert _crossed(g0, g1, direction).any()
+
+
+def _generator_integrate(system, y0, config, events=(), t0=0.0):
+    """:func:`integrate` with tuples built by generator expressions and an
+    error-norm loop over the components: the reference its straight-line
+    attempt must equal to the byte."""
+    f = system.rhs
+    d = system.dimension
+    rtol = config.rel_tol
+    atol = tuple(float(a) for a in np.broadcast_to(config.abs_tol, (d,)))
+    cap = config.magnitude_cap
+    t_max, h_min, h_max = config.t_max, config.h_min, config.h_max
+    rng = range(d)
+    watch = rng if system.escaping is None else system.escaping
+
+    t = float(t0)
+    y = tuple(float(v) for v in y0)
+    k1 = f(t, y)
+    ts, ys, fs = [t], [y], [tuple(k1)]
+    hits = []
+    attempts = rejected = 0
+
+    def end(termination, **kw):
+        return TrajectoryRecord(np.asarray(ts, dtype=float), np.asarray(ys, dtype=float),
+                                np.asarray(fs, dtype=float), termination, hits=hits,
+                                attempts=attempts, rejected=rejected, **kw)
+
+    if not all(math.isfinite(v) for v in k1):
+        return end(Termination.STEP_COLLAPSE, note=f"non-finite rhs at t={t}")
+    gvals = [ev.func(t, y) for ev in events]
+    h = min(config.h_init, h_max, max(t_max - t, h_min))
+    for _ in range(config.max_steps):
+        if t >= t_max:
+            break
+        if h > t_max - t:
+            h = t_max - t
+        clamped = h < h_min
+        if clamped:
+            h = h_min
+
+        if t + h <= t:
+            return end(Termination.STEP_COLLAPSE, note=f"time resolution exhausted at t={t}")
+
+        attempts += 1
+        k2 = f(t + o._C2 * h, tuple(y[i] + h * (o._A21 * k1[i]) for i in rng))
+        k3 = f(t + o._C3 * h,
+               tuple(y[i] + h * (o._A31 * k1[i] + o._A32 * k2[i]) for i in rng))
+        k4 = f(t + o._C4 * h,
+               tuple(y[i] + h * (o._A41 * k1[i] + o._A42 * k2[i] + o._A43 * k3[i])
+                     for i in rng))
+        k5 = f(t + o._C5 * h,
+               tuple(y[i] + h * (o._A51 * k1[i] + o._A52 * k2[i] + o._A53 * k3[i]
+                                 + o._A54 * k4[i]) for i in rng))
+        k6 = f(t + h,
+               tuple(y[i] + h * (o._A61 * k1[i] + o._A62 * k2[i] + o._A63 * k3[i]
+                                 + o._A64 * k4[i] + o._A65 * k5[i]) for i in rng))
+        y_new = tuple(y[i] + h * (o._B1 * k1[i] + o._B3 * k3[i] + o._B4 * k4[i]
+                                  + o._B5 * k5[i] + o._B6 * k6[i]) for i in rng)
+        t_new = t + h
+        k7 = f(t_new, y_new)
+
+        err_acc = 0.0
+        for i in rng:
+            e = h * (o._E1 * k1[i] + o._E3 * k3[i] + o._E4 * k4[i] + o._E5 * k5[i]
+                     + o._E6 * k6[i] + o._E7 * k7[i])
+            ay, ayn = abs(y[i]), abs(y_new[i])
+            sc = atol[i] + rtol * (ay if ay > ayn else ayn)
+            e /= sc
+            err_acc += e * e
+        err_norm = math.sqrt(err_acc / d)
+        factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+
+        if not (err_norm <= 1.0):
+            if clamped or h <= h_min * 1.0001:
+                return end(Termination.STEP_COLLAPSE,
+                           note=f"step size collapsed at t={t} (err={err_norm:.3g})")
+            rejected += 1
+            h = max(h * factor, h_min)
+            continue
+
+        hit = None
+        g_new = [ev.func(t_new, y_new) for ev in events]
+        for i, ev in enumerate(events):
+            if _isfinite_crossed(gvals[i], g_new[i], ev.direction):
+                t_e, y_e = o._bisect_event(ev, t, np.asarray(y), np.asarray(k1),
+                                           t_new, np.asarray(y_new),
+                                           np.asarray(k7), gvals[i], g_new[i])
+                hits.append(o.EventHit(ev.name, t_e, y_e))
+                if ev.terminal and (hit is None or t_e < hit.t):
+                    hit = hits[-1]
+        if hit is not None:
+            f_e = tuple(f(hit.t, tuple(hit.y)))
+            ts.append(hit.t), ys.append(tuple(hit.y)), fs.append(f_e)
+            return end(Termination.EVENT)
+
+        ts.append(t_new), ys.append(y_new), fs.append(tuple(k7))
+        mag = 0.0
+        comp = 0
+        for i in watch:
+            av = abs(y_new[i])
+            if av > mag:
+                mag, comp = av, i
+        if mag > cap:
+            feedback = y_new[comp] * k7[comp] > 0.0
+            if feedback or mag > 1e4 * cap:
+                return end(Termination.BLOWUP_DETECTED, blowup_component=comp)
+
+        t, y, k1 = t_new, y_new, k7
+        gvals = g_new
+        h = h * factor
+        if h > h_max:
+            h = h_max
+    else:
+        return end(Termination.STEP_COLLAPSE, note=f"step budget exhausted at t={t}")
+
+    return end(Termination.REACHED_HORIZON)
+
+
+def _calls_of(monkeypatch, module, run):
+    """The (system, y0, config, events, t0) of every integrate call ``run()`` makes
+    through ``module``; a call that raises afterwards still counts."""
+    calls = []
+
+    def record(system, y0, config, events=(), t0=0.0):
+        calls.append((system, list(y0), config, tuple(events), t0))
+        return integrate(system, y0, config, events, t0)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "integrate", record)
+        try:
+            run()
+        except IntegrationFailure:
+            pass
+    return calls
+
+
+def test_straight_line_attempt_equals_the_generator_loop(monkeypatch):
+    # one run or more of every system dimension the package steps, ending
+    # every way a run can; records must agree to the byte
+    ep1 = ModelParams(n=1)
+    ep3 = ModelParams(n=3)
+    half = OdeSystem(2, lambda t, y: (-1.0, math.nan if y[0] < 0.5 else y[1]))
+    rising = EventSpec("p-zero", lambda t, y: y[0], direction=+1)
+    runs = _calls_of(monkeypatch, alignment, lambda: enhanced_curve(
+        "sigma_q_plus", AlignmentBounds(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.0), 2, 1.0))
+    runs += _calls_of(monkeypatch, euler_poisson, lambda: integrate_qs(ep3, -1.0, 0.3, 5.0))
+    runs += _calls_of(monkeypatch, euler_poisson,
+                      lambda: integrate_qs(ModelParams(n=1.5), -2.0, 0.3, 5.0))
+    runs += [
+        (ep_1d_system(ep1), [-2.0, 1.0], IntegratorConfig(t_max=20), (), 0.0),
+        (ep_1d_system(ModelParams(n=1, c=1.0)), [-0.5, 1.0], IntegratorConfig(t_max=20),
+         (rising,), 0.0),
+        (ep_1d_system(ep1), [0.3, 1.0], IntegratorConfig(t_max=1e6, max_steps=40), (), 0.0),
+        (qs_system(ModelParams(n=2)), [0.5, 0.2], IntegratorConfig(t_max=50), (), 0.0),
+        (half, [1.0, 2.0], IntegratorConfig(t_max=5), (), 0.0),
+        (half, [0.2, 2.0], IntegratorConfig(t_max=5), (), 0.0),
+        (qs_system(ModelParams(n=2)), [0.5, 0.2], IntegratorConfig(t_max=1e16 + 10), (), 1e16),
+        (ep_full_system(ep3), [-1.0, -0.5, 0.2, 1.0], IntegratorConfig(t_max=30), (), 0.0),
+        (ep_full_system(ep3), [0.5, 0.5, 0.2, 1.0], IntegratorConfig(t_max=30), (), 0.0),
+        (_path_system(ep3), [-1.0, -0.5, 0.2, 1.0, 0.5], IntegratorConfig(t_max=30), (), 0.0),
+        (_path_system(ModelParams(n=3, model=Model.DAMPED_BURGERS)), [0.5, 0.5, 0.0, 1.0, 0.5],
+         IntegratorConfig(t_max=10), (), 0.0),
+        (wv_basis_system(ep3, 0.1), [-0.5, 0.1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+         IntegratorConfig(rel_tol=1e-7, abs_tol=1e-9), (), 0.0),
+        # trial stages that overshoot s below 0 get a NaN force and are rejected
+        (wv_basis_system(ep3, 1e-3), [5.0, 1e-3, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+         IntegratorConfig(rel_tol=1e-4, abs_tol=1e-6, h_init=0.5, t_max=50), (), 0.0),
+    ]
+    o._attempt.cache_clear()
+    ends, notes = set(), set()
+    for system, y0, config, events, t0 in runs:
+        ref = _generator_integrate(system, y0, config, events, t0)
+        rec = integrate(system, y0, config, events, t0)
+        for name in ("ts", "ys", "fs"):
+            assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert (rec.termination, rec.blowup_component, rec.note, rec.attempts, rec.rejected) \
+            == (ref.termination, ref.blowup_component, ref.note, ref.attempts, ref.rejected)
+        assert [(h.name, h.t, h.y.tobytes()) for h in rec.hits] == \
+            [(h.name, h.t, h.y.tobytes()) for h in ref.hits]
+        ends.add(rec.termination)
+        notes.add(rec.note.split(" at ")[0])
+    # the curve's first run ends at its branch switch, and a second resumes there
+    assert len(runs) == 17 and runs[0][3] and runs[1][4] > 0.9
+    dims = {system.dimension for system, *_ in runs}
+    assert dims == {1, 2, 3, 4, 5, 8}
+    assert ends == set(Termination)
+    assert notes == {"", "non-finite rhs", "step size collapsed", "time resolution exhausted",
+                     "step budget exhausted"}
+    info = o._attempt.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (len(dims), len(dims), len(runs) - len(dims))
