@@ -18,6 +18,7 @@ has it as ``provenance``).  Format ``json`` applies to ``sweep``;
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import logging
@@ -272,7 +273,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process, never at import.
+    Parsing leaves it unchanged, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="radial-euler",
         description="Critical-threshold classification and simulation for "

@@ -532,8 +532,8 @@ _WV_REL_TOL, _WV_ABS_TOL = 1e-7, 1e-9
 # ... and is read at its nodes and at these fractions of each step.
 _WV_READS = (0.25, 0.5, 0.75)
 # A cell is settled where v stays above, or falls below, -+ margin times the
-# size |v0 phi1| + |w0 phi2| + |v_p| of its terms, with margin the larger of
-# _WV_MARGIN and _WV_MARGIN_PER_TOL times the lanes' coarser tolerance.
+# size |v0 phi1| + |w0 phi2| + |v_p| of its terms (:func:`_wv_limits`):
+# _WV_MARGIN is the basis run's error share, _WV_MARGIN_PER_TOL the lanes'.
 _WV_MARGIN, _WV_MARGIN_PER_TOL = 1e-3, 50.0
 # A fall settles a blowup only before this share of t_max.
 _WV_HORIZON_SHARE = 0.99
@@ -550,12 +550,16 @@ _WV_CAP_SHARE, _WV_STEP_SHARE, _WV_STEP_BUDGET = 1e-3, 0.1, 400
 _WV_BLOCK = 1 << 14
 
 
-def _wv_limits(config: IntegratorConfig) -> tuple[float, float, bool]:
+def _wv_limits(config: IntegratorConfig, basis_error: float) -> tuple[float, float, bool]:
     """A settled cell's margin, the largest |p| and rho its lanes follow, and
     whether they follow a blowup to the cap, which must lie below the size near
-    a pole past which a confirm-pass lane would need steps shorter than h_min."""
+    a pole past which a confirm-pass lane would need steps shorter than h_min.
+
+    The margin is max(basis error share, 50 x the lanes' coarser tolerance):
+    the share is _WV_MARGIN for the run basis of :func:`_wv_settled` and 0 for
+    the closed form of :func:`_orbit_settled`, which has no error."""
     reach = _WV_STEP_SHARE * (0.1 * config.rel_tol) ** 0.2 / config.h_min
-    return (max(_WV_MARGIN, _WV_MARGIN_PER_TOL * max(config.rel_tol, np.max(config.abs_tol))),
+    return (max(basis_error, _WV_MARGIN_PER_TOL * max(config.rel_tol, np.max(config.abs_tol))),
             min(_WV_CAP_SHARE * config.magnitude_cap, reach), config.magnitude_cap <= reach)
 
 
@@ -593,7 +597,7 @@ def _wv_settled(x: np.ndarray, params: ModelParams, config: IntegratorConfig) ->
     with np.errstate(all="ignore"):
         squeeze = (s_t / s0) ** ((params.n - 1.0) / params.n)     # exp((n-1) A)
     early = t < _WV_HORIZON_SHARE * config.t_max
-    margin, limit, follows = _wv_limits(config)
+    margin, limit, follows = _wv_limits(config, _WV_MARGIN)
 
     cells = np.flatnonzero(np.isfinite(p0) & (rho0 > 0.0) & np.isfinite(rho0))
     v0, w0 = 1.0 / rho0[cells], p0[cells] / rho0[cells]
@@ -627,14 +631,14 @@ def _orbit_settled(x: np.ndarray, params: ModelParams, config: IntegratorConfig)
     """The verdict code of each column of ``x`` its exact n = 1 Euler-Poisson
     (w, v) orbit settles, -1 for a cell left to the lanes (every cell, for
     another model or dimension).  v = 1/rho solves v'' = kappa - kappa c v in
-    closed form.  With :func:`_wv_limits`, a cell is bounded if :func:`_v_floor`
-    lies above the margin times the orbit's largest v, and rho <= 1/floor and
-    |p| <= (largest |w|) / floor stay within the limit; it blows up if the
-    floor lies below minus that, v's first zero comes before 0.99 t_max and
-    lanes follow it to the cap.  Their budget must hold T / h_max plus twice
-    the (0.1 rel_tol)^-0.2 steps per unit of 1 + D + om T (1 + D / pi),
-    D = ln(largest v / |floor|), and of ln(cap largest v) for a blowup, over
-    the time T they run.
+    closed form.  With :func:`_wv_limits` at no basis error, a cell is bounded
+    if :func:`_v_floor` lies above the margin times the orbit's largest v, and
+    rho <= 1/floor and |p| <= (largest |w|) / floor stay within the limit; it
+    blows up if the floor lies below minus that, v's first zero comes before
+    0.99 t_max and lanes follow it to the cap.  Their budget must hold
+    T / h_max plus twice the (0.1 rel_tol)^-0.2 steps per unit of
+    1 + D + om T (1 + D / pi), D = ln(largest v / |floor|), and of
+    ln(cap largest v) for a blowup, over the time T they run.
     """
     if params.model is not Model.EULER_POISSON or params.n != 1.0:
         return np.full(x.shape[1], -1)
@@ -652,7 +656,7 @@ def _orbit_settled(x: np.ndarray, params: ModelParams, config: IntegratorConfig)
             swing = np.maximum(np.abs(w0), np.sqrt(kappa * floor))
             calm = np.clip(-w0 / kappa, 0.0, t_max)     # the time to the basin p >= 0
             fall = 2.0 * v0 / (np.sqrt(w0 * w0 - 2.0 * kappa * v0) - w0)
-        margin, limit, follows = _wv_limits(config)
+        margin, limit, follows = _wv_limits(config, 0.0)
         bounded = (floor > margin * size) & (np.maximum(1.0, swing) / floor < limit)
         falls = (floor < -margin * size) & (fall < _WV_HORIZON_SHARE * t_max) & follows
         run, depth = np.where(falls, fall, calm), np.log(size / np.abs(floor))

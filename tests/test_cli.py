@@ -109,6 +109,23 @@ def test_usage_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_builds_one_parser(capsys):
+    # importing the CLI builds no parser; the first main() call builds the
+    # one that every later call in the process parses with
+    imported = subprocess.run(
+        [sys.executable, "-c", "from radial_euler import cli; "
+         "print(cli.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(radial_euler.__file__).parents[1])))
+    assert imported.stdout.strip() == "0"
+    cli.build_parser.cache_clear()
+    assert cli.main(["--version"]) == 0
+    assert cli.main(["classify", "--config", "/nonexistent.cfg"]) == 1
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert "radial-euler" in capsys.readouterr().out
+
+
 def test_classify_alignment_model(tmp_path, capsys):
     cfg = """
 [model]

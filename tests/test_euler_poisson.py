@@ -442,19 +442,22 @@ def _ep1_columns(p0, rho0):
 
 # a subcritical cell whose first run, one-period probe included, gives code
 # 0, where a run to the full horizon gives 3; the orbit leaves it to the
-# lanes (its floor of v is 7e-5 of its size)
+# lanes at rel_tol 1e-3 (its floor of v is 7e-5 of its size)
 CHANNEL_TRAP = (math.sqrt(2.0 * 4.1115 - 1.0) * (1.0 - 3.16e-4), 4.1115)
 
 
 def _orbit_grid(c):
     """A 16 x 16 grid, the near-threshold states of :func:`_near_threshold`,
-    drift states within 1e-7 of the threshold and CHANNEL_TRAP, kappa = 1."""
+    states -+3e-9 ... -+3e-6 from the threshold, drift states within 1e-7 of
+    it and CHANNEL_TRAP, kappa = 1."""
     near_p, near_rho = _near_threshold(c)
+    band_p, band_rho = _near_threshold(
+        c, offsets=np.outer([-3.0, 3.0], np.logspace(-9, -6, 4)).ravel())
     drift_p, drift_rho = _near_threshold(c, np.linspace(0.8, 3.6, 8), np.logspace(-9, -7, 3))
-    p0 = np.concatenate((np.repeat(np.linspace(-4.0, 4.0, 16), 16), near_p, drift_p,
+    p0 = np.concatenate((np.repeat(np.linspace(-4.0, 4.0, 16), 16), near_p, band_p, drift_p,
                          [CHANNEL_TRAP[0]]))
-    rho0 = np.concatenate((np.tile(np.linspace(0.1, 4.0, 16), 16), near_rho, drift_rho,
-                           [CHANNEL_TRAP[1]]))
+    rho0 = np.concatenate((np.tile(np.linspace(0.1, 4.0, 16), 16), near_rho, band_rho,
+                           drift_rho, [CHANNEL_TRAP[1]]))
     return _ep1_columns(p0, rho0)
 
 
@@ -504,14 +507,14 @@ def test_channel_falls_back_to_the_first_run(caplog):
 
 
 def test_channel_declines_a_subcritical_spike(caplog):
-    # subcritical states whose floor of v is 1e-4 to 1e-6 of v0: rho peaks
-    # at 1e4 ... 2e6 and turns back.  The floor lies within the margin, so
+    # subcritical states whose floor of v is 1e-5 to 1e-7 of v0: rho peaks
+    # at 1e5 ... 3e7 and turns back.  The floor lies within the margin, so
     # the orbit leaves them to the lanes, which take their full-cap steps
     caplog.set_level("INFO", logger="radial_euler.euler_poisson")
     config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
     for params in (EP1, EP1C):
         p0, rho0 = [], []
-        for rho, floor in itertools.product((1.0, 2.0, 3.0), (1e-4, 1e-5, 1e-6)):
+        for rho, floor in itertools.product((1.0, 2.0, 3.0), (1e-5, 1e-6, 1e-7)):
             if params.c == 0.0:
                 p0 += [-math.sqrt(2.0 * rho * (1.0 - floor))]
             else:
@@ -539,7 +542,7 @@ def test_channel_declines_caps_it_cannot_serve(caplog, config):
     x = _ep1_columns(np.repeat(np.linspace(-4.0, 1.0, 6), 6), np.tile(np.linspace(0.5, 3.0, 6), 6))
     codes = classify_ep_columns(x, EP1, config, outcomes=False).codes
     bounded, blowups, left = _orbit_counts(caplog.messages)
-    assert (bounded if euler_poisson._wv_limits(config)[2] else blowups) == 0
+    assert (bounded if euler_poisson._wv_limits(config, 0.0)[2] else blowups) == 0
     assert left > 0 and bounded + blowups > 0
     assert (codes != 0).any() and np.array_equal(codes, classify_ep_columns(x, EP1, config).codes)
 
@@ -717,8 +720,8 @@ def test_only_sweeps_run_lanes_without_blowup_times(monkeypatch):
 
     monkeypatch.setattr(euler_poisson, "integrate_lanes", recorded)
     sweeps = {
-        "ep": ("[model]\nn = 1\nc = 0.0\n\n[sweep]\naxis1_min = -2.0004\naxis1_max = -1.9996\n"
-               "axis1_steps = 6\naxis2_min = 1.9996\naxis2_max = 2.0004\naxis2_steps = 6\n"),
+        "ep": ("[model]\nn = 1\nc = 0.0\n\n[sweep]\naxis1_min = -2.00001\naxis1_max = -1.99999\n"
+               "axis1_steps = 6\naxis2_min = 1.99999\naxis2_max = 2.00001\naxis2_steps = 6\n"),
         "ep-c1-coarse": ("[model]\nn = 1\nc = 1.0\n\n[integrator]\nrel_tol = 1e-3\n"
                          "abs_tol = 1e-5\n\n[sweep]\naxis1_min = -1.75\naxis1_max = -1.715\n"
                          "axis1_steps = 6\naxis2_min = 1.98\naxis2_max = 2.02\naxis2_steps = 6\n"),
@@ -1492,3 +1495,119 @@ def test_gate_certificate_codes_equal_the_lanes(n):
             assert (euler_poisson._WV_STEP_BUDGET * (len(basis.ts) - 1)
                     >= 100 * (len(fine.ts) - 1)), (q0, s0)
     assert cells >= 60_000
+
+
+# The code-equality gate of the exact n = 1 orbit (:func:`_orbit_settled`),
+# whose margin is the lanes' share alone: 50 times their coarser tolerance
+GATE_1D_RATIOS = np.outer([1.0, -1.0], np.outer(np.logspace(-8, -3, 6), [1.0, 3.0])).ravel()
+
+
+def gate_cells_1d(c, kappa):
+    """(p, q, s, rho) columns built from the closed form at signed floor/size
+    GATE_1D_RATIOS (-+{1, 3} x 1e-8 ... 1e-3, negative for blowups), and
+    each column's ratio.  For c = 0 the orbit's v = 1/rho is a parabola of
+    size v0 + u and floor v0 - u, u = w0^2 / (2 kappa), at rho0 = 0.3, 1 and
+    2.5 with w0 < 0; for c > 0 it is 1/c + amp cos, of size 1/c + amp and
+    floor 1/c - amp, at v0 = 0.3, 1 and 1.7 over c with w0 of either sign."""
+    p0, rho0, cell_ratio = [], [], []
+    for ratio in GATE_1D_RATIOS:
+        shrink = (1.0 - ratio) / (1.0 + ratio)
+        if c == 0.0:
+            for v0 in 1.0 / np.array([0.3, 1.0, 2.5]):
+                p0 += [-math.sqrt(2.0 * kappa * v0 * shrink) / v0]
+                rho0 += [1.0 / v0]
+        else:
+            amp = shrink / c
+            for v0 in np.array([0.3, 1.0, 1.7]) / c:
+                w0 = math.sqrt(kappa * c) * math.sqrt(amp * amp - (v0 - 1.0 / c) ** 2)
+                p0 += [w0 / v0, -w0 / v0]
+                rho0 += [1.0 / v0] * 2
+        cell_ratio += [ratio] * (len(p0) - len(cell_ratio))
+    return _ep1_columns(np.array(p0), np.array(rho0)), np.array(cell_ratio)
+
+
+def _orbit_codes_equal_the_lanes(cs, kappas, tols, abs_shares=(0.01, 1.0), **limits):
+    """Codes only against the lanes over every (c, kappa, tol, abs_tol share,
+    confirm); (cells, cells with 50 tol < |floor/size| < 1e-3 that the orbit
+    left to the lanes)."""
+    cells, left = 0, 0
+    for c, kappa in itertools.product(cs, kappas):
+        params = ModelParams(n=1, kappa=kappa, c=c)
+        x, ratio = gate_cells_1d(c, kappa)
+        for tol, share, confirm in itertools.product(tols, abs_shares, (True, False)):
+            config = IntegratorConfig(rel_tol=tol, abs_tol=tol * share, **limits)
+            settled = euler_poisson._orbit_settled(x, params, config)
+            codes = classify_ep_columns(x, params, config, confirm, outcomes=False).codes
+            lanes = classify_ep_columns(x, params, config, confirm).codes
+            moved = np.flatnonzero(codes != lanes)
+            assert not len(moved), (c, kappa, config, confirm, [
+                (x[0, i], x[3, i], ratio[i], codes[i], lanes[i]) for i in moved[:5]])
+            band = (np.abs(ratio) > 50.0 * tol) & (np.abs(ratio) < 1e-3)
+            left += np.count_nonzero(band & (settled < 0))
+            cells += x.shape[1]
+    return cells, left
+
+
+@pytest.mark.gate
+def test_gate_orbit_codes_equal_the_lanes():
+    # codes only (the exact n = 1 orbit, then lanes for what it leaves) equal
+    # the lanes' codes on every cell from 1e-8 to 3e-3 of the orbit's size
+    # either side of the threshold, over c, kappa and rel_tol 1e-3 to 1e-8
+    cells, _ = _orbit_codes_equal_the_lanes(
+        (0.0, 0.01, 0.5, 1.0, 2.0, 30.0), (0.05, 0.5, 1.0, 2.0, 20.0),
+        (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8))
+    assert cells >= 90_000
+
+
+def test_orbit_settles_the_band_between_the_tolerance_and_1e_3():
+    # a tier-1 slice of the n = 1 gate: at rel_tol 1e-6 and 1e-8 the codes
+    # equal the lanes', and every cell whose floor lies between 50 tol and
+    # 1e-3 of its orbit's size is settled without a lane.  The cap's
+    # thousandth lies above every 1/floor (1.25e6 at most), and the cap
+    # below the size where a 1e-9 lane's steps would shrink to h_min
+    cells, left = _orbit_codes_equal_the_lanes(
+        (0.0, 1.0), (1.0,), (1e-6, 1e-8), abs_shares=(0.01,), magnitude_cap=1.5e9)
+    assert cells > 0 and left == 0
+
+
+def _floor_share(p0, rho0, kappa, c):
+    """|floor| / size of v = 1/rho over the exact n = 1 orbit, the size being
+    1/c + amplitude for c > 0 and v0 + w0^2 / (2 kappa) for c = 0."""
+    floor = euler_poisson._v_floor(p0, rho0, kappa, c)
+    size = (1.0 / c + euler_poisson._orbit_amplitude(p0, rho0, kappa, c) if c > 0.0
+            else (1.0 + p0 * p0 / (2.0 * kappa * rho0)) / rho0)
+    return np.abs(floor) / size
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0], ids=["c0", "c1"])
+def test_sweep_1d_is_sharp_beyond_the_tolerance_band(c):
+    # paper result (i): every codes-only cell whose floor of v lies further
+    # than 50 tol of its orbit's size from 0 holds sigma_1d's region, 0 if
+    # subcritical and 2 else.  On the benchmark's seed-0 n = 1 sweep (40 x 40,
+    # p0 in [-4, 4], rho0 in [0.1, 4], rel_tol 1e-6, abs_tol 1e-8, confirm)
+    # no cell lies within that band, narrower than its oracle's one-cell band.
+    # So do random cells, anywhere and near the threshold
+    tol = 1e-6
+    swept = run_sweep(parse_config_text(
+        f"[model]\nn = 1\nc = {c}\n\n[integrator]\nrel_tol = {tol}\nabs_tol = {tol / 100}\n\n"
+        "[sweep]\naxis1_min = -4.0\naxis1_max = 4.0\naxis1_steps = 40\n"
+        "axis2_min = 0.1\naxis2_max = 4.0\naxis2_steps = 40\n"))
+    p0, rho0 = (axis.ravel() for axis in np.meshgrid(swept.axis1, swept.axis2, indexing="ij"))
+    assert np.all(_floor_share(p0, rho0, 1.0, c) > 50.0 * tol)
+    cells, rng = [(p0, rho0, 1.0, swept.codes.ravel())], np.random.default_rng(30)
+    for kappa in (0.3, 1.0, 4.0):
+        # 400 cells anywhere, 200 at -+1e-7 ... 1e-2 from the threshold
+        rho_near, side = rng.uniform(0.6, 4.0, 200), rng.choice([-1.0, 1.0], (2, 200))
+        end = np.sqrt(kappa * (2.0 * rho_near - c)) * (side[0] if c else -1.0)
+        p = np.concatenate((rng.uniform(-5.0, 5.0, 400),
+                            end * (1.0 + side[1] * np.exp(rng.uniform(-16.1, -4.6, 200)))))
+        rho = np.concatenate((np.exp(rng.uniform(-4.0, 2.3, 400)), rho_near))
+        codes = classify_ep_columns(_ep1_columns(p, rho), ModelParams(n=1, kappa=kappa, c=c),
+                                    IntegratorConfig(rel_tol=tol, abs_tol=tol / 100),
+                                    outcomes=False).codes
+        cells.append((p, rho, kappa, codes))
+    for p, rho, kappa, codes in cells:
+        exact = np.array([0 if sigma_1d(a, b, kappa, c) is Region.SUBCRITICAL else 2
+                          for a, b in zip(p, rho)])
+        wrong = np.flatnonzero((_floor_share(p, rho, kappa, c) > 50.0 * tol) & (codes != exact))
+        assert not len(wrong), [(p[i], rho[i], kappa, codes[i]) for i in wrong[:5]]
