@@ -75,6 +75,10 @@ def _simulate(model, initial, simulate, alignment=""):
 
 EP3_BUMP = ("rho_profile = gaussian-bump\nrho_amp = 1.0\nrho_width = 1.0\nr_max = 2.5\n"
             "u_width = 1.0\nprofile_nodes = 201\nn_paths = 24\n")
+EA_INDICATOR = ("rho_profile = indicator\nrho_amp = 0.3\nrho_radius = 1.0\nr_max = 1.0\n"
+                "u_profile = gaussian\nu_amp = 0.4\nu_width = 0.6\nprofile_nodes = 101\n"
+                "n_paths = 16\n")
+EA_SHORT = "t_end = 2\nsnapshots = 3\ntheta_order = 8\n"
 
 
 CASES = {
@@ -208,10 +212,24 @@ CASES = {
         "kind = euler-poisson\nn = 3\n",
         EP3_BUMP + "u_profile = gaussian\nu_amp = -0.5\n", "t_end = 5\nsnapshots = 4\n")),
     "simulate-ea2": ("simulate", _simulate(
-        "kind = euler-alignment\nn = 2\n",
-        "rho_profile = indicator\nrho_amp = 0.3\nrho_radius = 1.0\nr_max = 1.0\n"
-        "u_profile = gaussian\nu_amp = 0.4\nu_width = 0.6\nprofile_nodes = 101\n"
-        "n_paths = 16\n", "t_end = 2\nsnapshots = 3\ntheta_order = 8\n",
+        "kind = euler-alignment\nn = 2\n", EA_INDICATOR, EA_SHORT,
+        "\n[alignment]\nphi = power-law\nphi_exponent = 0.5\nD = 1.6\n")),
+    # the same ensemble through every influence branch: both library
+    # influences at scale 1 and off it, n = 3, and the n = 1 kernel
+    "simulate-ea2-exponential": ("simulate", _simulate(
+        "kind = euler-alignment\nn = 2\n", EA_INDICATOR, EA_SHORT,
+        "\n[alignment]\nphi = exponential\nD = 1.6\n")),
+    "simulate-ea2-exponential-scaled": ("simulate", _simulate(
+        "kind = euler-alignment\nn = 2\n", EA_INDICATOR, EA_SHORT,
+        "\n[alignment]\nphi = exponential\nphi_scale = 0.6\nD = 1.6\n")),
+    "simulate-ea2-power-law-scaled": ("simulate", _simulate(
+        "kind = euler-alignment\nn = 2\n", EA_INDICATOR, EA_SHORT,
+        "\n[alignment]\nphi = power-law\nphi_exponent = 1.5\nphi_scale = 0.7\nD = 1.6\n")),
+    "simulate-ea3": ("simulate", _simulate(
+        "kind = euler-alignment\nn = 3\n", EA_INDICATOR, EA_SHORT,
+        "\n[alignment]\nphi = power-law\nphi_exponent = 0.5\nD = 1.6\n")),
+    "simulate-ea1": ("simulate", _simulate(
+        "kind = euler-alignment\nn = 1\n", EA_INDICATOR, EA_SHORT,
         "\n[alignment]\nphi = power-law\nphi_exponent = 0.5\nD = 1.6\n")),
     # (q, s) portraits: orbits drawn to the origin (default seeds), and closed
     # orbits whose q-falling crossings are non-terminal events, rescaled
