@@ -55,19 +55,27 @@ def constant_influence(value: float = 1.0) -> InfluenceSpec:
         sup_phi=value, sup_phi_prime=0.0, name=f"constant({value})")
 
 
+def _scaled(r, w: float) -> np.ndarray:
+    """r / w as floats, with no pass at w = 1.0: IEEE r / 1.0 is r, bit for bit."""
+    r = np.asarray(r, dtype=float)
+    return r if w == 1.0 else r / w
+
+
 def power_law_influence(exponent: float = 0.5, scale: float = 1.0) -> InfluenceSpec:
-    """phi(r) = (1 + r/scale)^(-exponent); slow decay iff exponent <= 1."""
+    """phi(r) = (1 + r/scale)^(-exponent); slow decay iff exponent <= 1.
+    At scale 1 it skips the division and is still the formula bit for bit."""
     a, w = exponent, scale
     return InfluenceSpec(
-        phi=lambda r: (1.0 + np.asarray(r, dtype=float) / w) ** (-a),
+        phi=lambda r: (1.0 + _scaled(r, w)) ** (-a),
         sup_phi=1.0, sup_phi_prime=a / w, name=f"power-law({a},{w})")
 
 
 def exponential_influence(scale: float = 1.0) -> InfluenceSpec:
-    """phi(r) = exp(-r/scale); decays too fast for the flocking estimate."""
+    """phi(r) = exp(-r/scale); decays too fast for the flocking estimate.
+    At scale 1 it skips the division and is still the formula bit for bit."""
     w = scale
     return InfluenceSpec(
-        phi=lambda r: np.exp(-np.asarray(r, dtype=float) / w),
+        phi=lambda r: np.exp(-_scaled(r, w)),
         sup_phi=1.0, sup_phi_prime=1.0 / w, name=f"exponential({w})")
 
 

@@ -522,9 +522,10 @@ def simulate_ea(rho0: RadialProfile, u0: RadialProfile, phi: InfluenceSpec,
     pairs = n_paths * (n_paths + 1) // 2
     shape = (f"blocks of {min(_block_rows(theta_order), pairs)} pairs x "
              f"{theta_order} nodes" if n > 1 else f"all {pairs} pairs at once")
-    _phase("%d RK4 steps, %d kernel calls, %d snapshots (%.3f s in kernel calls, "
-           "%s; %.3f s reconstructing)", steps, calls, len(snapshots), kernel_s,
-           shape, recon_s, since=clock)
+    evals = calls * pairs * (theta_order if n > 1 else 2)   # n = 1: |r_i -+ r_j|
+    _phase("%d RK4 steps, %d kernel calls of %s, %d phi evaluations, %d snapshots "
+           "(%.3f s in kernel calls, %s; %.3f s reconstructing)", steps, calls,
+           phi.name, evals, len(snapshots), kernel_s, shape, recon_s, since=clock)
     return SimulationResult(snapshots, blowup, n_paths)
 
 

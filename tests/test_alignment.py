@@ -24,6 +24,26 @@ FIG_BOUNDS = AlignmentBounds(psi_min=0.8, psi_max=1.0, nu=0.8, C0=0.0)
 # ---------------------------------------------------------------------------
 # kernel evaluations
 
+SPECIAL_X = [0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 2.5, 1e300, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.7])
+def test_library_influences_are_their_formula_bit_for_bit(scale):
+    # at scale 1 the influences skip the division: IEEE x / 1.0 is x for every
+    # double, so phi keeps every bit of the written formula there too
+    x = np.concatenate((SPECIAL_X, np.random.default_rng(3).uniform(0.0, 10.0, 500)))
+    pairs = [(exponential_influence(scale), lambda v: np.exp(-v / scale))] + [
+        (power_law_influence(a, scale), lambda v, a=a: (1.0 + v / scale) ** -a)
+        for a in (0.0, 0.5, 1.0, 1.5, 2.0)]
+    for phi, formula in pairs:
+        assert np.array_equal(phi.phi(x), formula(x), equal_nan=True), phi.name
+        # compute_bounds reads phi at one float
+        for v in SPECIAL_X:
+            got, want = phi.phi(v), formula(np.asarray(v))
+            assert np.ndim(got) == 0
+            assert np.array_equal(got, want, equal_nan=True), (phi.name, v)
+
+
 def test_psi_constant_influence_gives_mass():
     rho = indicator(1.0, 1.0)
     phi = constant_influence(0.7)

@@ -1292,9 +1292,29 @@ def test_simulate_logs_kernel_time_and_blocks(tmp_path, capsys, caplog,
                          "--out", str(tmp_path)]) == 0
     text = "\n".join(r.getMessage() for r in caplog.records)
     # 10 paths make 55 pairs; 192 nodes leave room for 32 pairs per block
-    assert re.search(r"\d+ RK4 steps, \d+ kernel calls, 2 snapshots "
-                     r"\(\d+\.\d{3} s in kernel calls, blocks of " + block
-                     + r"; \d+\.\d{3} s reconstructing\) in \d+\.\d{3} s", text)
+    found = re.search(r"\d+ RK4 steps, (\d+) kernel calls of power-law\(0\.5,1\.0\), "
+                      r"(\d+) phi evaluations, 2 snapshots "
+                      r"\(\d+\.\d{3} s in kernel calls, blocks of " + block
+                      + r"; \d+\.\d{3} s reconstructing\) in \d+\.\d{3} s", text)
+    assert found
+    calls, evals = int(found.group(1)), int(found.group(2))
+    assert calls > 0 and evals == calls * 55 * theta_order
+
+
+def test_simulate_logs_the_n1_kernel_evaluations(tmp_path, capsys, caplog):
+    # at n = 1 phi runs at |r_i - r_j| and r_i + r_j of each of the 55 pairs
+    cfg = SIM_SMALL.format(kind="euler-alignment", phi="exponential",
+                           rho="gaussian-bump", u="rexp").replace("n = 2", "n = 1")
+    with caplog.at_level("INFO", logger="radial_euler"):
+        assert cli.main(["simulate", "--config", write(tmp_path, "k.cfg", cfg),
+                         "--out", str(tmp_path)]) == 0
+    text = "\n".join(r.getMessage() for r in caplog.records)
+    found = re.search(r"\d+ RK4 steps, (\d+) kernel calls of exponential\(1\.0\), "
+                      r"(\d+) phi evaluations, 2 snapshots \(\d+\.\d{3} s in kernel "
+                      r"calls, all 55 pairs at once; \d+\.\d{3} s reconstructing\)", text)
+    assert found
+    calls, evals = int(found.group(1)), int(found.group(2))
+    assert calls > 0 and evals == calls * 2 * 55
 
 
 @pytest.mark.parametrize("command, cfg, message", [
@@ -1438,7 +1458,8 @@ snapshots = 3
         assert "integrated 20 lanes (1 run) in" in text
         assert "reconstructed 3 snapshots in" in text
     else:
-        assert re.search(r"\d+ RK4 steps, \d+ kernel calls, 3 snapshots", text)
+        assert re.search(r"\d+ RK4 steps, \d+ kernel calls of power-law\(0\.5,1\.0\), "
+                         r"\d+ phi evaluations, 3 snapshots", text)
     assert "wrote 5 files in" in text
     # logging leaves the artifacts alone
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "quiet")]) == 0

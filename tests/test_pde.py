@@ -415,6 +415,23 @@ def test_blocked_kernels_match_one_shot():
     assert run.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unit_scale_power_law_kernels_are_the_written_formula(n):
+    # the library power law skips its division at scale 1; the kernels keep
+    # every bit of the formula that divides by 1.0
+    from radial_euler import InfluenceSpec
+    from radial_euler.pde import _particle_kernels
+    written = InfluenceSpec(phi=lambda d: (1.0 + np.asarray(d, dtype=float) / 1.0) ** -0.5,
+                            sup_phi=1.0, sup_phi_prime=0.5)
+    cos_theta = w = None
+    if n > 1:
+        cos_theta, w = _angular_weights(n, 32)
+    r = np.sort(np.random.default_rng(n).uniform(0.01, 2.5, 80))
+    got = _particle_kernels(r, power_law_influence(0.5, 1.0), n, cos_theta, w)
+    want = _particle_kernels(r, written, n, cos_theta, w)
+    assert all(map(np.array_equal, got, want))
+
+
 def test_kernel_memory_does_not_scale_with_theta():
     import tracemalloc
     from radial_euler.pde import _particle_kernels
